@@ -9,6 +9,7 @@ environment variable (DEBUG/INFO/WARNING, default INFO).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -88,7 +89,8 @@ def cmd_retrieve(args) -> int:
         raise archive.ArchiveFormatError(
             f"{args.query_features}: no tensor named 'features'")
     e = retrieval.embed(embedder, tensors["features"])
-    hits = retrieval.retrieve_topk(index, e, k=args.k, exclude=args.exclude)
+    k = cfg.retrieval_k if args.k is None else args.k
+    hits = retrieval.retrieve_topk(index, e, k=k, exclude=args.exclude)
     print(json.dumps([{"id": i, "distance": d, "caption": c}
                       for i, d, c in hits], sort_keys=True))
     return 0
@@ -110,11 +112,10 @@ def cmd_train_decoder(args) -> int:
 def cmd_generate(args) -> int:
     cfg = _load(args)
     if args.beam is not None:
-        cfg.generate_beam = args.beam
+        cfg = dataclasses.replace(cfg, generate_beam=args.beam)
     index = retrieval.RetrievalIndex.load(args.index)
     tokenizer, lm = pipeline.build_frozen_models(index.captions, cfg)
-    dec_params, _ = pipeline.load_decoder_params(cfg, lm, cfg.model_d_a,
-                                                 args.checkpoint)
+    dec_params, _ = pipeline.load_decoder_params(cfg, lm, args.checkpoint)
     tensors = archive.read_archive(args.features)
     phi = tensors["features"]
 
@@ -141,10 +142,9 @@ def cmd_generate(args) -> int:
                                        exclude=args.exclude)
         guidance = [c for _, _, c in hits]
 
-    gen = decoder.GenerationConfig(beam=cfg.generate_beam,
-                                   max_len=cfg.decoder_max_len)
     caption = decoder.generate_caption(lm, tokenizer, dec_params, phi,
-                                       guidance, gen)
+                                       guidance, cfg.generate_beam,
+                                       cfg.decoder_max_len)
     print(json.dumps({"caption": caption, "guidance": guidance},
                      sort_keys=True))
     return 0
@@ -203,7 +203,7 @@ def cmd_evaluate(args) -> int:
             raise ConfigError(f"scope {args.scope} needs --decoder-checkpoint")
         tokenizer, lm = pipeline.frozen_models_for_items(items, cfg)
         dec_params, _ = pipeline.load_decoder_params(
-            cfg, lm, cfg.model_d_a, args.decoder_checkpoint)
+            cfg, lm, args.decoder_checkpoint)
     candidates, _, eval_ids, report = pipeline.evaluate_scope(
         args.scope, cfg, items, args.split, embedder, index, lm, tokenizer,
         dec_params, scores=raw)
@@ -256,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--index", required=True)
     p.add_argument("--query-features", required=True)
-    p.add_argument("-K", dest="k", type=int, default=5)
+    p.add_argument("-K", dest="k", type=int, default=None,
+                   help="number of hits (default: retrieval.K)")
     p.add_argument("--exclude", default=None)
     p.set_defaults(func=cmd_retrieve)
 

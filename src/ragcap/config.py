@@ -30,7 +30,8 @@ class PipelineConfig:
     embed_dropout: float = 0.3
     embed_heads: int = 4
     embed_ff: int = 32
-    retrieval_k: int = 5
+    retrieval_k: int = dataclasses.field(default=5,
+                                         metadata={"key": "retrieval.K"})
     # decoder training / generation
     decoder_lambda: float = 0.1
     decoder_batch: int = 512
@@ -39,17 +40,19 @@ class PipelineConfig:
     decoder_lr_min: float = 1e-6
     decoder_lr_period: int = 20
     decoder_dropout: float = 0.3
-    decoder_d_r: int = 60
+    decoder_d_r: int = dataclasses.field(default=60,
+                                         metadata={"key": "decoder.D_r"})
     decoder_heads: int = 4
     decoder_max_len: int = 24
     generate_beam: int = 4
     init_std: float = 0.02
     # model dims (desk-scale defaults; set the published large values when
     # ingesting real precomputed features)
-    model_d_a: int = 8
-    model_t: int = 16
-    model_d_l: int = 32
-    model_vocab: int = 64
+    model_d_a: int = dataclasses.field(default=8,
+                                       metadata={"key": "model.D_a"})
+    model_t: int = dataclasses.field(default=16, metadata={"key": "model.T"})
+    model_d_l: int = dataclasses.field(default=32,
+                                       metadata={"key": "model.D_l"})
     # frozen tiny-LM stand-in
     lm_layers: int = 2
     lm_heads: int = 4
@@ -57,64 +60,48 @@ class PipelineConfig:
     lm_pretrain_epochs: int = 30
     lm_seed: int = 7
 
+    def __post_init__(self):
+        # written as "not (valid)" so that NaN is rejected too
+        if not self.triplet_margin > 0:
+            raise ConfigError(
+                f"triplet.margin must be > 0, got {self.triplet_margin!r}")
+        if not 0.0 <= self.decoder_lambda < 1.0:
+            raise ConfigError("decoder.lambda (label smoothing) must be in "
+                              f"[0, 1), got {self.decoder_lambda!r}")
+        for key, value in (("decoder.lr_period", self.decoder_lr_period),
+                           ("decoder.max_len", self.decoder_max_len),
+                           ("generate.beam", self.generate_beam)):
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value!r}")
 
-# config-file key -> dataclass field
-KEY_TO_FIELD = {
-    "similarity.threshold": "similarity_threshold",
-    "triplet.margin": "triplet_margin",
-    "triplet.batch": "triplet_batch",
-    "triplet.epochs": "triplet_epochs",
-    "triplet.lr": "triplet_lr",
-    "embed.dropout": "embed_dropout",
-    "embed.heads": "embed_heads",
-    "embed.ff": "embed_ff",
-    "retrieval.K": "retrieval_k",
-    "decoder.lambda": "decoder_lambda",
-    "decoder.batch": "decoder_batch",
-    "decoder.epochs": "decoder_epochs",
-    "decoder.lr_max": "decoder_lr_max",
-    "decoder.lr_min": "decoder_lr_min",
-    "decoder.lr_period": "decoder_lr_period",
-    "decoder.dropout": "decoder_dropout",
-    "decoder.D_r": "decoder_d_r",
-    "decoder.heads": "decoder_heads",
-    "decoder.max_len": "decoder_max_len",
-    "generate.beam": "generate_beam",
-    "init.std": "init_std",
-    "model.D_a": "model_d_a",
-    "model.T": "model_t",
-    "model.D_l": "model_d_l",
-    "model.vocab": "model_vocab",
-    "lm.layers": "lm_layers",
-    "lm.heads": "lm_heads",
-    "lm.ff": "lm_ff",
-    "lm.pretrain_epochs": "lm_pretrain_epochs",
-    "lm.seed": "lm_seed",
-}
-FIELD_TO_KEY = {v: k for k, v in KEY_TO_FIELD.items()}
+
+# config-file key -> dataclass field: the field name with its first "_"
+# turned into ".", unless the field's metadata gives the published spelling
+KEY_TO_FIELD = {f.metadata.get("key", f.name.replace("_", ".", 1)): f.name
+                for f in dataclasses.fields(PipelineConfig)}
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
 
 
-def _parse_value(field: str, raw: str):
-    kind = _FIELD_TYPES[field]
+def _parse_value(key: str, raw: str):
+    kind = _FIELD_TYPES[KEY_TO_FIELD[key]]
     try:
         if kind == "int":
             return int(raw)
         return float(raw)
     except ValueError as e:
-        raise ConfigError(f"bad value {raw!r} for {FIELD_TO_KEY[field]}") from e
+        raise ConfigError(f"bad value {raw!r} for {key}") from e
 
 
 def load_config(path: str | None) -> PipelineConfig:
-    cfg = PipelineConfig()
     if path is None:
-        return cfg
+        return PipelineConfig()
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    values = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -124,9 +111,8 @@ def load_config(path: str | None) -> PipelineConfig:
         key, raw = (s.strip() for s in line.split("=", 1))
         if key not in KEY_TO_FIELD:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        field = KEY_TO_FIELD[key]
-        setattr(cfg, field, _parse_value(field, raw))
-    return cfg
+        values[KEY_TO_FIELD[key]] = _parse_value(key, raw)
+    return PipelineConfig(**values)
 
 
 def resolved_text(cfg: PipelineConfig) -> str:

@@ -24,7 +24,8 @@ class DatasetItem:
 
 def load_dataset(manifest_path: str, d_a: int | None = None,
                  t: int | None = None) -> list[DatasetItem]:
-    """Load every manifest row and its feature archive, validating dims."""
+    """Load every manifest row and its feature archive, validating dims and
+    rejecting non-finite values."""
     rows = archive.load_manifest(manifest_path)
     items = []
     for row in rows:
@@ -42,5 +43,8 @@ def load_dataset(manifest_path: str, d_a: int | None = None,
         if t is not None and feats.shape[1] != t:
             raise archive.ArchiveFormatError(
                 f"{row.feature_path}: expected T={t}, got {feats.shape[1]}")
+        if not np.all(np.isfinite(feats)):
+            raise archive.ArchiveFormatError(
+                f"{row.feature_path}: non-finite feature values")
         items.append(DatasetItem(row.id, row.split, feats, row.captions))
     return items

@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import archive
 from .autodiff import ShapeError, Tensor
+from .config import PipelineConfig
 from .data import DatasetItem
 from .errors import NumericError, TrainingError
-from .layers import Adam, Linear, MultiHeadAttention, cosine_lr, dropout
+from .layers import (Adam, Linear, MultiHeadAttention, ParamContainer,
+                     cosine_lr, dropout)
 from .reference_models import BOS, EOS, SEP, TinyCausalLm, TinyTokenizer
 from .similarity import SimilarLabelMatrix
 
@@ -49,38 +50,7 @@ def make_guidance(tokenizer: TinyTokenizer,
     return GuidanceCaptions([tokenizer.encode(c) for c in captions])
 
 
-@dataclass
-class GenerationConfig:
-    beam: int = 4
-    max_len: int = 24
-
-    def __post_init__(self):
-        if self.beam < 1:
-            raise ValueError("beam must be >= 1")
-        if self.max_len < 1:
-            raise ValueError("max length must be >= 1")
-
-
-@dataclass
-class DecoderTrainConfig:
-    label_smoothing: float = 0.1
-    batch_size: int = 512
-    epochs: int = 200
-    lr_max: float = 1e-4
-    lr_min: float = 1e-6
-    lr_period: int = 20
-    dropout: float = 0.3
-    d_r: int = 60
-    heads: int = 4
-    k: int = 5
-    init_std: float = 0.02
-
-    def __post_init__(self):
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ValueError("label smoothing must be in [0, 1)")
-
-
-class DecoderParams:
+class DecoderParams(ParamContainer):
     """Trainable fusion blocks around the frozen LM."""
 
     def __init__(self, d_l: int, d_a: int, d_r: int, vocab: int, heads: int,
@@ -112,12 +82,6 @@ class DecoderParams:
         out += self.expand.named_params(prefix + "expand.")
         out += self.lmhead.named_params(prefix + "lmhead.")
         return out
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_params()}
-
-    def restore(self, tensors: dict[str, np.ndarray]):
-        archive.restore_params(self.named_params(), tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +141,6 @@ def position_logits(lm: TinyCausalLm, params: DecoderParams,
     return params.lmhead((fused + audio).swapaxes(0, 1))
 
 
-def encode_refs(lm: TinyCausalLm, refs: GuidanceCaptions) -> np.ndarray:
-    """Frozen-LM features (D_l, M) of the concatenated guidance captions."""
-    return lm.features(refs.tokens)
-
-
 def posterior(lm: TinyCausalLm, params: DecoderParams, phi: np.ndarray,
               guidance: GuidanceCaptions, prefix: list[int],
               psi_refs: np.ndarray | None = None) -> np.ndarray:
@@ -226,7 +185,7 @@ def _similar_caption_ids(labels: SimilarLabelMatrix, i: int,
 
 def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
                   items: list[DatasetItem], labels: SimilarLabelMatrix,
-                  cfg: DecoderTrainConfig, seed: int) -> DecoderTrainResult:
+                  cfg: PipelineConfig, seed: int) -> DecoderTrainResult:
     """Teacher-forced training with per-step random guidance selection.
 
     Guidance for each item is K captions drawn from its similar-labeled
@@ -240,9 +199,10 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
         raise TrainingError("no training items")
 
     rng_init = np.random.default_rng([seed, 11])
-    params = DecoderParams(lm.d_model, items[0].features.shape[0], cfg.d_r,
-                           lm.vocab_size, cfg.heads, cfg.dropout, rng_init,
-                           cfg.init_std, head_init=lm.head_matrix())
+    params = DecoderParams(lm.d_model, items[0].features.shape[0],
+                           cfg.decoder_d_r, lm.vocab_size, cfg.decoder_heads,
+                           cfg.decoder_dropout, rng_init, cfg.init_std,
+                           head_init=lm.head_matrix())
     opt = Adam([p for _, p in params.named_params()])
     rng_sample = np.random.default_rng([seed, 12])
     rng_drop = np.random.default_rng([seed, 13])
@@ -270,11 +230,11 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
 
     def pick_refs(i: int, rng: np.random.Generator) -> GuidanceCaptions:
         pool = sim_of[i]
-        if len(pool) >= cfg.k:
-            chosen = rng.choice(pool, size=cfg.k, replace=False)
+        if len(pool) >= cfg.retrieval_k:
+            chosen = rng.choice(pool, size=cfg.retrieval_k, replace=False)
         else:
             result.replacement_items += 1
-            chosen = rng.choice(pool, size=cfg.k, replace=True)
+            chosen = rng.choice(pool, size=cfg.retrieval_k, replace=True)
         return GuidanceCaptions(
             [tokenizer.encode(items[int(j)].caption) for j in chosen])
 
@@ -285,12 +245,13 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
     result.replacement_items = 0  # counting restarts with the training loop
 
     best = params.snapshot()
-    for epoch in range(cfg.epochs):
-        lr = cosine_lr(epoch, cfg.lr_period, cfg.lr_max, cfg.lr_min)
+    for epoch in range(cfg.decoder_epochs):
+        lr = cosine_lr(epoch, cfg.decoder_lr_period, cfg.decoder_lr_max,
+                       cfg.decoder_lr_min)
         order = rng_sample.permutation(len(usable))
         epoch_losses = []
-        for start in range(0, len(usable), cfg.batch_size):
-            chunk = [usable[k] for k in order[start:start + cfg.batch_size]]
+        for start in range(0, len(usable), cfg.decoder_batch):
+            chunk = [usable[k] for k in order[start:start + cfg.decoder_batch]]
             total = None
             for i in chunk:
                 g = pick_refs(i, rng_sample)
@@ -298,7 +259,7 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
                     lm, params, items[i].features, g, prefixes[i],
                     rng=rng_drop, training=True, psi_hyps=hyp_feats[i])
                 loss_i = smoothed_cross_entropy(logits, targets[i],
-                                                cfg.label_smoothing)
+                                                cfg.decoder_lambda)
                 total = loss_i if total is None else total + loss_i
             loss = total * (1.0 / len(chunk))
             if not np.isfinite(loss.data):
@@ -316,7 +277,7 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
                     lm, params, items[i].features, g, prefixes[i],
                     psi_refs=rf, psi_hyps=hyp_feats[i])
                 vls.append(smoothed_cross_entropy(
-                    logits, targets[i], cfg.label_smoothing).item())
+                    logits, targets[i], cfg.decoder_lambda).item())
             val_loss = float(np.mean(vls))
         else:
             val_loss = train_loss
@@ -337,18 +298,18 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
 # ---------------------------------------------------------------------------
 
 def beam_search(lm: TinyCausalLm, params: DecoderParams, phi: np.ndarray,
-                guidance: GuidanceCaptions,
-                gen: GenerationConfig) -> list[int]:
+                guidance: GuidanceCaptions, beam: int,
+                max_len: int) -> list[int]:
     """Length-normalized beam search.
 
     Beams end at EOS or at max length; live beams are pruned by cumulative
     log-probability, the final ranking uses mean log-probability per emitted
     token. All ties break on the token sequence itself, so decoding is
     deterministic. Returns the emitted tokens (EOS included if generated)."""
-    psi_refs = encode_refs(lm, guidance)
+    psi_refs = lm.features(guidance.tokens)
     live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     finished: list[tuple[tuple[int, ...], float]] = []
-    for _ in range(gen.max_len):
+    for _ in range(max_len):
         if not live:
             break
         expansions = []
@@ -365,7 +326,7 @@ def beam_search(lm: TinyCausalLm, params: DecoderParams, phi: np.ndarray,
             else:
                 next_live.append((toks, lp))
         next_live.sort(key=lambda e: (-e[1], e[0]))
-        live = next_live[:gen.beam]
+        live = next_live[:beam]
     finished.extend(live)  # force-finish at max length
     best = max(finished, key=lambda e: (e[1] / len(e[0]),
                                         tuple(-t for t in e[0])))
@@ -374,8 +335,8 @@ def beam_search(lm: TinyCausalLm, params: DecoderParams, phi: np.ndarray,
 
 def generate_caption(lm: TinyCausalLm, tokenizer: TinyTokenizer,
                      params: DecoderParams, phi: np.ndarray,
-                     guidance_texts: list[str],
-                     gen: GenerationConfig) -> str:
+                     guidance_texts: list[str], beam: int,
+                     max_len: int) -> str:
     g = make_guidance(tokenizer, guidance_texts)
-    toks = beam_search(lm, params, phi, g, gen)
+    toks = beam_search(lm, params, phi, g, beam, max_len)
     return tokenizer.decode(toks)

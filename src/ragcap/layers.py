@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from . import archive
 from .autodiff import ShapeError, Tensor, as_tensor, layer_norm
 
 NEG_INF = -1e30  # additive mask value; large enough to zero out softmax mass
@@ -17,6 +18,17 @@ NEG_INF = -1e30  # additive mask value; large enough to zero out softmax mass
 
 def gaussian(rng: np.random.Generator, shape, std: float) -> Tensor:
     return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
+
+
+class ParamContainer:
+    """A model part whose trainable tensors come from `named_params()`;
+    snapshot/restore copy their values out and back in by name."""
+
+    def snapshot(self) -> dict[str, np.ndarray]:
+        return {name: p.data.copy() for name, p in self.named_params()}
+
+    def restore(self, tensors: dict[str, np.ndarray]):
+        archive.restore_params(self.named_params(), tensors)
 
 
 class Linear:

@@ -186,11 +186,6 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        d = json.loads(text)
-        return cls(d["bleu"], d["rouge_l"], d["cider"], d["per_item"])
-
     def table(self) -> str:
         """Tab-separated score table in the reporting column order."""
         header = "\t".join(["B-1", "B-2", "B-3", "B-4", "CIDEr", "ROUGE-L"])

@@ -118,13 +118,7 @@ def negatives_tsv(selections) -> str:
 
 def run_train_retrieval(cfg: PipelineConfig, items: list[DatasetItem],
                         labels: SimilarLabelMatrix, seed: int, out_dir: str):
-    tcfg = retrieval.TripletConfig(
-        margin=cfg.triplet_margin, batch_size=cfg.triplet_batch,
-        epochs=cfg.triplet_epochs, lr=cfg.triplet_lr,
-        dropout=cfg.embed_dropout, heads=cfg.embed_heads, d_ff=cfg.embed_ff,
-        init_std=cfg.init_std)
-    result = retrieval.train_retrieval(items, labels, tcfg, seed,
-                                       cfg.model_d_a, cfg.model_t)
+    result = retrieval.train_retrieval(items, labels, cfg, seed)
     os.makedirs(out_dir, exist_ok=True)
     meta = {"config_hash": config_hash(cfg), "seed": seed,
             "epoch": result.best_epoch, "val_loss": result.best_val_loss,
@@ -143,11 +137,7 @@ def run_train_retrieval(cfg: PipelineConfig, items: list[DatasetItem],
 
 def load_retrieval_params(cfg: PipelineConfig, path: str):
     tensors, meta = archive.load_checkpoint(path, config_hash(cfg))
-    tcfg = retrieval.TripletConfig(
-        margin=cfg.triplet_margin, dropout=cfg.embed_dropout,
-        heads=cfg.embed_heads, d_ff=cfg.embed_ff, init_std=cfg.init_std)
-    params = retrieval.EmbedderParams(cfg.model_d_a, cfg.model_t, tcfg,
-                                      np.random.default_rng(0))
+    params = retrieval.EmbedderParams(cfg, np.random.default_rng(0))
     params.restore(tensors)
     return params, meta
 
@@ -155,13 +145,7 @@ def load_retrieval_params(cfg: PipelineConfig, path: str):
 def run_train_decoder(cfg: PipelineConfig, items: list[DatasetItem],
                       labels: SimilarLabelMatrix, lm: TinyCausalLm,
                       tokenizer: TinyTokenizer, seed: int, out_dir: str):
-    dcfg = decoder.DecoderTrainConfig(
-        label_smoothing=cfg.decoder_lambda, batch_size=cfg.decoder_batch,
-        epochs=cfg.decoder_epochs, lr_max=cfg.decoder_lr_max,
-        lr_min=cfg.decoder_lr_min, lr_period=cfg.decoder_lr_period,
-        dropout=cfg.decoder_dropout, d_r=cfg.decoder_d_r,
-        heads=cfg.decoder_heads, k=cfg.retrieval_k, init_std=cfg.init_std)
-    result = decoder.train_decoder(lm, tokenizer, items, labels, dcfg, seed)
+    result = decoder.train_decoder(lm, tokenizer, items, labels, cfg, seed)
     os.makedirs(out_dir, exist_ok=True)
     meta = {"config_hash": config_hash(cfg), "seed": seed,
             "epoch": result.best_epoch, "val_loss": result.best_val_loss,
@@ -173,10 +157,9 @@ def run_train_decoder(cfg: PipelineConfig, items: list[DatasetItem],
     return result
 
 
-def load_decoder_params(cfg: PipelineConfig, lm: TinyCausalLm, d_a: int,
-                        path: str):
+def load_decoder_params(cfg: PipelineConfig, lm: TinyCausalLm, path: str):
     tensors, meta = archive.load_checkpoint(path, config_hash(cfg))
-    params = decoder.DecoderParams(lm.d_model, d_a, cfg.decoder_d_r,
+    params = decoder.DecoderParams(lm.d_model, cfg.model_d_a, cfg.decoder_d_r,
                                    lm.vocab_size, cfg.decoder_heads,
                                    cfg.decoder_dropout,
                                    np.random.default_rng(0))
@@ -230,8 +213,6 @@ def evaluate_scope(scope: str, cfg: PipelineConfig, items: list[DatasetItem],
     candidates = []
     refs = []
     ids = []
-    gen = decoder.GenerationConfig(beam=cfg.generate_beam,
-                                   max_len=cfg.decoder_max_len)
     for pos, item in eval_items:
         if scope == "ii":
             e = retrieval.embed(embedder, item.features)
@@ -245,7 +226,9 @@ def evaluate_scope(scope: str, cfg: PipelineConfig, items: list[DatasetItem],
                 guidance = oracle_guidance(scores, items, pos,
                                            cfg.retrieval_k)
             cand = decoder.generate_caption(lm, tokenizer, dec_params,
-                                            item.features, guidance, gen)
+                                            item.features, guidance,
+                                            cfg.generate_beam,
+                                            cfg.decoder_max_len)
         candidates.append(cand)
         refs.append(item.captions)
         ids.append(item.id)

@@ -307,29 +307,3 @@ def generate_synthetic_dataset(spec: SyntheticDatasetSpec, d_a: int, t: int,
     archive.write_manifest(os.path.join(out_dir, "manifest.jsonl"), rows)
     return rows
 
-
-def ingest_precomputed_features(path: str, role: str,
-                                expected_rows: int) -> np.ndarray:
-    """Load an externally computed feature matrix from a tensor archive.
-
-    role "audio" expects a (D_a, T) matrix, role "lm" a (D_l, L) matrix;
-    expected_rows pins the first dimension (e.g. 128 for published audio
-    features, 768 for published LM features)."""
-    if role not in ("audio", "lm"):
-        raise ValueError(f"unknown feature role {role!r}")
-    tensors = archive.read_archive(path)
-    if "features" not in tensors:
-        raise archive.ArchiveFormatError(
-            f"{path}: no tensor named 'features' "
-            f"(found {sorted(tensors)})")
-    feats = tensors["features"]
-    if feats.ndim != 2:
-        raise archive.ArchiveFormatError(
-            f"{path}: features must be 2-d, got {feats.shape}")
-    if feats.shape[0] != expected_rows:
-        raise archive.ArchiveFormatError(
-            f"{path}: expected {expected_rows} feature rows, "
-            f"got {feats.shape[0]}")
-    if not np.all(np.isfinite(feats)):
-        raise archive.ArchiveFormatError(f"{path}: non-finite feature values")
-    return feats

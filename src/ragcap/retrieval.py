@@ -17,48 +17,27 @@ import numpy as np
 
 from . import archive
 from .autodiff import ShapeError, Tensor
+from .config import PipelineConfig
 from .data import DatasetItem
 from .errors import NumericError, SamplingError, TrainingError
-from .layers import Adam, EncoderLayer, dropout
+from .layers import Adam, EncoderLayer, ParamContainer, dropout
 from .similarity import SimilarLabelMatrix
 
 log = logging.getLogger("ragcap.retrieval")
 
 
-@dataclass
-class TripletConfig:
-    margin: float = 0.3
-    batch_size: int = 128
-    epochs: int = 200
-    lr: float = 1e-4
-    dropout: float = 0.3
-    heads: int = 4
-    d_ff: int = 32
-    init_std: float = 0.02
-
-    def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
-
-
-class EmbedderParams:
+class EmbedderParams(ParamContainer):
     """One encoder layer over the T time steps plus input dropout."""
 
-    def __init__(self, d_a: int, t: int, cfg: TripletConfig,
-                 rng: np.random.Generator):
-        self.d_a = d_a
-        self.t = t
-        self.dropout = cfg.dropout
-        self.layer = EncoderLayer(d_a, cfg.heads, cfg.d_ff, rng, cfg.init_std)
+    def __init__(self, cfg: PipelineConfig, rng: np.random.Generator):
+        self.d_a = cfg.model_d_a
+        self.t = cfg.model_t
+        self.dropout = cfg.embed_dropout
+        self.layer = EncoderLayer(cfg.model_d_a, cfg.embed_heads, cfg.embed_ff,
+                                  rng, cfg.init_std)
 
     def named_params(self, prefix: str = "embedder."):
         return self.layer.named_params(prefix + "layer.")
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_params()}
-
-    def restore(self, tensors: dict[str, np.ndarray]):
-        archive.restore_params(self.named_params(), tensors)
 
 
 def embed_batch(params: EmbedderParams, phis: np.ndarray,
@@ -162,8 +141,7 @@ class RetrievalTrainResult:
 
 
 def train_retrieval(items: list[DatasetItem], labels: SimilarLabelMatrix,
-                    cfg: TripletConfig, seed: int, d_a: int,
-                    t: int) -> RetrievalTrainResult:
+                    cfg: PipelineConfig, seed: int) -> RetrievalTrainResult:
     """Triplet training of the embedder; keeps the best-validation weights.
 
     `labels` is indexed by position in `items` (all splits); anchors,
@@ -176,8 +154,8 @@ def train_retrieval(items: list[DatasetItem], labels: SimilarLabelMatrix,
     if not train_idx:
         raise TrainingError("no training items")
 
-    params = EmbedderParams(d_a, t, cfg, np.random.default_rng([seed, 1]))
-    opt = Adam([p for _, p in params.named_params()], lr=cfg.lr)
+    params = EmbedderParams(cfg, np.random.default_rng([seed, 1]))
+    opt = Adam([p for _, p in params.named_params()], lr=cfg.triplet_lr)
     rng_sample = np.random.default_rng([seed, 2])
     rng_drop = np.random.default_rng([seed, 3])
 
@@ -199,7 +177,7 @@ def train_retrieval(items: list[DatasetItem], labels: SimilarLabelMatrix,
     result = RetrievalTrainResult(params=params)
     best = params.snapshot()
 
-    for epoch in range(cfg.epochs):
+    for epoch in range(cfg.triplet_epochs):
         # offline mining distances from the epoch-start embeddings
         emb_all = embed_batch(params, seqs[train_idx]).data
         pos_of = {a: row for a, row in zip(train_idx, emb_all)}
@@ -207,8 +185,8 @@ def train_retrieval(items: list[DatasetItem], labels: SimilarLabelMatrix,
         order = rng_sample.permutation(len(train_idx))
         anchors = [train_idx[k] for k in order]
         epoch_losses = []
-        for start in range(0, len(anchors), cfg.batch_size):
-            batch = anchors[start:start + cfg.batch_size]
+        for start in range(0, len(anchors), cfg.triplet_batch):
+            batch = anchors[start:start + cfg.triplet_batch]
             tri = []
             for a in batch:
                 if not train_pos[a]:
@@ -221,11 +199,12 @@ def train_retrieval(items: list[DatasetItem], labels: SimilarLabelMatrix,
                 d_ap = sq_l2(pos_of[a], pos_of[p])
                 neg_dists = [(j, sq_l2(pos_of[a], pos_of[j]))
                              for j in train_neg[a]]
-                available = bool(semi_hard_set(d_ap, neg_dists, cfg.margin))
+                available = bool(semi_hard_set(d_ap, neg_dists,
+                                               cfg.triplet_margin))
                 n, d_an, fallback = select_semi_hard_negative(
-                    d_ap, neg_dists, cfg.margin, rng_sample)
+                    d_ap, neg_dists, cfg.triplet_margin, rng_sample)
                 result.negative_log.append(NegativeSelection(
-                    items[a].id, items[n].id, d_ap, d_an, cfg.margin,
+                    items[a].id, items[n].id, d_ap, d_an, cfg.triplet_margin,
                     available, fallback))
                 tri.append((a, p, n))
             if not tri:
@@ -235,7 +214,7 @@ def train_retrieval(items: list[DatasetItem], labels: SimilarLabelMatrix,
             e = embed_batch(params, stacked, rng_drop, training=True)
             b = len(tri)
             loss = triplet_loss(e[:b], e[b:2 * b], e[2 * b:],
-                                cfg.margin).mean()
+                                cfg.triplet_margin).mean()
             if not np.isfinite(loss.data):
                 raise NumericError(f"non-finite triplet loss at epoch {epoch}")
             loss.backward()
@@ -252,13 +231,13 @@ def train_retrieval(items: list[DatasetItem], labels: SimilarLabelMatrix,
             ev = embed_batch(params, np.concatenate(
                 [seqs[av], seqs[pv], seqs[nv]])).data
             m = len(val_triplets)
-            val_loss = float(triplet_loss(
-                ev[:m], ev[m:2 * m], ev[2 * m:], cfg.margin).mean().data)
+            val_loss = float(triplet_loss(ev[:m], ev[m:2 * m], ev[2 * m:],
+                                          cfg.triplet_margin).mean().data)
         else:
             val_loss = train_loss
 
         result.history.append({"epoch": epoch, "train_loss": train_loss,
-                               "val_loss": val_loss, "lr": cfg.lr})
+                               "val_loss": val_loss, "lr": cfg.triplet_lr})
         if val_loss < result.best_val_loss:
             result.best_val_loss = val_loss
             result.best_epoch = epoch

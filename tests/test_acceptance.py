@@ -21,18 +21,17 @@ from test_metrics import _CORPUS_CANDS, _CORPUS_REFS, _cider_oracle
 from ragcap import decoder, pipeline
 from ragcap.autodiff import Tensor
 from ragcap.cli import main as cli_main
-from ragcap.config import load_config
+from ragcap.config import PipelineConfig, load_config
 from ragcap.data import DatasetItem, load_dataset
-from ragcap.decoder import (DecoderParams, DecoderTrainConfig,
-                            GenerationConfig, GuidanceCaptions, beam_search,
-                            encode_refs, position_logits, posterior,
+from ragcap.decoder import (DecoderParams, GuidanceCaptions, beam_search,
+                            position_logits, posterior,
                             smoothed_cross_entropy, train_decoder)
 from ragcap.layers import EncoderLayer, LayerNorm, Linear, MultiHeadAttention
 from ragcap.metrics import bleu_n, rouge_l, rouge_l_sentence, cider
 from ragcap.reference_models import (BOS, SyntheticDatasetSpec, build_tiny_lm,
                                      generate_synthetic_dataset)
-from ragcap.retrieval import (EmbedderParams, RetrievalIndex, TripletConfig,
-                              embed_batch, retrieve_topk,
+from ragcap.retrieval import (EmbedderParams, RetrievalIndex, embed_batch,
+                              retrieve_topk,
                               select_semi_hard_negative, semi_hard_set,
                               sq_l2, triplet_loss)
 from ragcap.similarity import (SimilarityMatrix, SimilarLabelMatrix,
@@ -129,9 +128,9 @@ def test_criterion_01_gradient_suite(rng):
 
     for _ in range(5):  # retrieval embedder through the triplet loss
         d_a, t = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        params = EmbedderParams(d_a, t,
-                                TripletConfig(heads=1, d_ff=4, dropout=0.0),
-                                rng)
+        params = EmbedderParams(
+            PipelineConfig(model_d_a=d_a, model_t=t, embed_heads=1,
+                           embed_ff=4, embed_dropout=0.0), rng)
         phis = rng.normal(size=(3, d_a, t))
         finite_diff_check(
             lambda: triplet_loss(*np.split(embed_batch(params, phis), 3),
@@ -174,8 +173,8 @@ def test_criterion_02_search_oracles(rng):
         assert [(g[0], g[1]) for g in got] == [(i, dd) for dd, i in want]
 
     # beam search against exhaustive enumeration: vocab 3, length 3
-    def exhaustive(lm, params, phi, guidance, gen):
-        psi_refs = encode_refs(lm, guidance)
+    def exhaustive(lm, params, phi, guidance, max_len):
+        psi_refs = lm.features(guidance.tokens)
         cache = {}
 
         def row(prefix):
@@ -187,18 +186,17 @@ def test_criterion_02_search_oracles(rng):
 
         cands = []
         eos = 2
-        for length in range(1, gen.max_len + 1):
+        for length in range(1, max_len + 1):
             for toks in product(range(lm.vocab_size), repeat=length):
                 if eos in toks[:-1]:
                     continue
-                if toks[-1] != eos and length < gen.max_len:
+                if toks[-1] != eos and length < max_len:
                     continue
                 lp = sum(row(toks[:i])[tok] for i, tok in enumerate(toks))
                 cands.append((toks, lp))
         return list(max(cands, key=lambda e: (e[1] / len(e[0]),
                                               tuple(-t for t in e[0])))[0])
 
-    gen = GenerationConfig(beam=9, max_len=3)
     g = GuidanceCaptions([[1]])
     for seed in range(20):
         model_rng = np.random.default_rng([71, seed])
@@ -206,8 +204,8 @@ def test_criterion_02_search_oracles(rng):
         params = DecoderParams(lm.d_model, 3, 4, 3, heads=2, drop_p=0.0,
                                rng=model_rng, std=0.5)
         phi = model_rng.normal(size=(3, 4))
-        assert beam_search(lm, params, phi, g, gen) == \
-            exhaustive(lm, params, phi, g, gen)
+        assert beam_search(lm, params, phi, g, beam=9, max_len=3) == \
+            exhaustive(lm, params, phi, g, max_len=3)
 
 
 # ---------------------------------------------------------------------------
@@ -343,21 +341,22 @@ def test_criterion_07_decoder_overfit(tmp_path):
     tokenizer, lm = pipeline.frozen_models_for_items(items, cfg)
     labels = SimilarLabelMatrix(~np.eye(len(items), dtype=bool), 0.7)
 
-    dcfg = DecoderTrainConfig(label_smoothing=0.0, batch_size=8, epochs=200,
-                              lr_max=1e-2, lr_min=1e-5, lr_period=200,
-                              dropout=0.0, d_r=8, heads=4, k=5)
+    dcfg = dataclasses.replace(
+        cfg, decoder_lambda=0.0, decoder_batch=8, decoder_epochs=200,
+        decoder_lr_max=1e-2, decoder_lr_min=1e-5, decoder_lr_period=200,
+        decoder_dropout=0.0, decoder_d_r=8, decoder_heads=4, retrieval_k=5)
     result = train_decoder(lm, tokenizer, items, labels, dcfg, seed=0)
     final_loss = result.history[-1]["train_loss"]
     assert final_loss < 0.5, f"teacher-forcing loss {final_loss}"
 
-    gen = GenerationConfig(beam=4, max_len=cfg.decoder_max_len)
     exact = 0
     for i, it in enumerate(items):
         pool = sorted(j for j in range(len(items))
                       if j != i and labels.labels[i, j])
-        guidance = [items[j].caption for j in pool[:dcfg.k]]
+        guidance = [items[j].caption for j in pool[:dcfg.retrieval_k]]
         out = decoder.generate_caption(lm, tokenizer, result.params,
-                                       it.features, guidance, gen)
+                                       it.features, guidance, beam=4,
+                                       max_len=cfg.decoder_max_len)
         exact += out == it.caption
     assert exact >= 6, f"{exact}/8 exact reproductions"
     assert time.monotonic() - start < 180.0

@@ -214,10 +214,3 @@ def test_as_tensor_passthrough():
     t = Tensor([1.0])
     assert as_tensor(t) is t
     assert isinstance(as_tensor([1.0, 2.0]), Tensor)
-
-
-def test_detach_breaks_graph(rng):
-    x = rand_tensor(rng, (3,))
-    d = x.detach()
-    assert not d.requires_grad
-    np.testing.assert_array_equal(d.data, x.data)

@@ -1,14 +1,16 @@
 import json
 import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from ragcap.archive import load_checkpoint
+from ragcap.archive import load_checkpoint, read_archive, write_archive
 from ragcap.cli import main
 
 CONFIG = """\
@@ -80,6 +82,16 @@ def test_retrieve_command(ws, capsys):
     dists = [h["distance"] for h in hits]
     assert dists == sorted(dists)
     assert all(set(h) == {"id", "distance", "caption"} for h in hits)
+
+
+def test_retrieve_k_defaults_to_config(ws, capsys):
+    feats = os.path.join(ws["data"], "features", "c00i000.ract")
+    code = main(["retrieve", "--config", ws["cfg"],
+                 "--checkpoint", os.path.join(ws["ret"], "retrieval.ckpt"),
+                 "--index", os.path.join(ws["ret"], "index.ract"),
+                 "--query-features", feats])
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)) == 2  # retrieval.K
 
 
 def test_retrieve_excludes_query_item(ws, capsys):
@@ -167,6 +179,26 @@ def test_exit_2_unknown_config_key(ws, tmp_path):
                  "--out", str(tmp_path / "d")]) == 2
 
 
+@pytest.mark.parametrize("line", [
+    "triplet.margin = 0", "triplet.margin = nan", "decoder.lambda = 1.5",
+    "decoder.lr_period = 0", "generate.beam = 0", "decoder.max_len = 0"])
+def test_exit_2_out_of_range_config_value(ws, tmp_path, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG + line + "\n")
+    assert main(["make-dataset", "--config", str(bad),
+                 "--out", str(tmp_path / "d")]) == 2
+
+
+def test_exit_2_beam_zero(ws):
+    feats = os.path.join(ws["data"], "features", "c00i003.ract")
+    assert main(["generate", "--config", ws["cfg"],
+                 "--checkpoint", os.path.join(ws["dec"], "decoder.ckpt"),
+                 "--index", os.path.join(ws["ret"], "index.ract"),
+                 "--features", feats, "--retrieval-checkpoint",
+                 os.path.join(ws["ret"], "retrieval.ckpt"),
+                 "--beam", "0"]) == 2
+
+
 def test_exit_2_scope_without_inputs(ws):
     assert main(["evaluate", "--scope", "i"]) == 2
     assert main(["evaluate"]) == 2
@@ -186,6 +218,21 @@ def test_exit_3_corrupt_index(ws, tmp_path):
     assert main(["retrieve", "--config", ws["cfg"],
                  "--checkpoint", os.path.join(ws["ret"], "retrieval.ckpt"),
                  "--index", str(bad), "--query-features", feats]) == 3
+
+
+def test_exit_3_nonfinite_features(ws, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(ws["data"], data)
+    path = str(data / "features" / "c00i000.ract")
+    feats = read_archive(path)["features"]
+    feats[0, 0] = np.nan
+    write_archive(path, {"features": feats})
+    out = tmp_path / "r"
+    assert main(["train-retrieval", "--config", ws["cfg"],
+                 "--manifest", str(data / "manifest.jsonl"),
+                 "--labels", ws["labels"], "--seed", "0",
+                 "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_exit_4_nonfinite_training(ws, tmp_path):

@@ -1,7 +1,48 @@
+import dataclasses
+import glob
+import os
+import re
+
 import pytest
 
 from ragcap.config import (ConfigError, KEY_TO_FIELD, PipelineConfig,
                            config_hash, load_config, resolved_text)
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "ragcap")
+
+# resolved_text(PipelineConfig()): the published key spellings and defaults.
+# A change here changes the config hash stored in every checkpoint.
+DEFAULT_RESOLVED = """\
+decoder.D_r=60
+decoder.batch=512
+decoder.dropout=0.3
+decoder.epochs=200
+decoder.heads=4
+decoder.lambda=0.1
+decoder.lr_max=0.0001
+decoder.lr_min=1e-06
+decoder.lr_period=20
+decoder.max_len=24
+embed.dropout=0.3
+embed.ff=32
+embed.heads=4
+generate.beam=4
+init.std=0.02
+lm.ff=64
+lm.heads=4
+lm.layers=2
+lm.pretrain_epochs=30
+lm.seed=7
+model.D_a=8
+model.D_l=32
+model.T=16
+retrieval.K=5
+similarity.threshold=0.7
+triplet.batch=128
+triplet.epochs=200
+triplet.lr=0.0001
+triplet.margin=0.3
+"""
 
 
 def test_published_defaults():
@@ -36,9 +77,10 @@ def test_load_config_overrides(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "c.cfg"
-    path.write_text("triplet.momentum = 0.9\n")
-    with pytest.raises(ConfigError, match="unknown key"):
-        load_config(str(path))
+    for line in ("triplet.momentum = 0.9\n", "model.vocab = 64\n"):
+        path.write_text(line)
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(str(path))
 
 
 def test_bad_value_rejected(tmp_path):
@@ -75,6 +117,39 @@ def test_resolved_text_covers_all_keys_sorted():
     assert keys == sorted(KEY_TO_FIELD)
 
 
+def test_default_resolved_text_and_hash_are_pinned():
+    assert resolved_text(PipelineConfig()) == DEFAULT_RESOLVED
+    assert config_hash(PipelineConfig()) == "01bc447761597acb"
+
+
+def test_every_field_is_read_outside_config():
+    code = ""
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        if os.path.basename(path) != "config.py":
+            with open(path, encoding="utf-8") as f:
+                code += f.read()
+    unread = [f.name for f in dataclasses.fields(PipelineConfig)
+              if not re.search(rf"\.{f.name}\b", code)]
+    assert unread == []
+
+
+def test_label_smoothing_range_validated():
+    PipelineConfig(decoder_lambda=0.0)
+    with pytest.raises(ConfigError):
+        PipelineConfig(decoder_lambda=1.0)
+    with pytest.raises(ConfigError):
+        PipelineConfig(decoder_lambda=-0.1)
+
+
+def test_beam_and_max_len_validated():
+    with pytest.raises(ConfigError):
+        PipelineConfig(generate_beam=0)
+    with pytest.raises(ConfigError):
+        PipelineConfig(decoder_max_len=0)
+    with pytest.raises(ConfigError):
+        dataclasses.replace(PipelineConfig(), generate_beam=0)
+
+
 def test_hash_changes_with_config():
     a = PipelineConfig()
     b = PipelineConfig(triplet_epochs=5)
@@ -83,7 +158,6 @@ def test_hash_changes_with_config():
 
 
 def test_shipped_desk_config_loads():
-    import os
     path = os.path.join(os.path.dirname(__file__), "..", "configs",
                         "desk.cfg")
     cfg = load_config(path)

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from ragcap.autodiff import Tensor
+from ragcap.config import PipelineConfig
 from ragcap.data import DatasetItem
-from ragcap.decoder import (DecoderParams, DecoderTrainConfig,
-                            GenerationConfig, GuidanceCaptions, beam_search,
-                            encode_refs, fuse, fuse_audio, generate_caption,
-                            make_guidance, posterior, position_logits,
+from ragcap.decoder import (DecoderParams, GuidanceCaptions, beam_search,
+                            fuse, fuse_audio, generate_caption, make_guidance, posterior, position_logits,
                             smoothed_cross_entropy, train_decoder)
 from ragcap.reference_models import (BOS, EOS, SEP, TinyTokenizer,
                                      build_tiny_lm)
@@ -54,9 +53,9 @@ def test_make_guidance_encodes():
     assert g.captions == [tok.encode("a dog"), tok.encode("a cat")]
 
 
-def test_encode_refs_width(lm):
+def test_guidance_features_width(lm):
     g = GuidanceCaptions([[5, 6], [7]])
-    feats = encode_refs(lm, g)
+    feats = lm.features(g.tokens)
     assert feats.shape == (lm.d_model, 4)
 
 
@@ -207,10 +206,10 @@ def test_smoothed_ce_target_count_checked(rng):
 # beam search
 # ---------------------------------------------------------------------------
 
-def exhaustive_best(lm, params, phi, guidance, gen):
+def exhaustive_best(lm, params, phi, guidance, max_len):
     """Enumerate every legal emission sequence and pick the best by the same
     ranking rule the beam uses."""
-    psi_refs = encode_refs(lm, guidance)
+    psi_refs = lm.features(guidance.tokens)
     cache = {}
 
     def logp_row(prefix):
@@ -221,11 +220,11 @@ def exhaustive_best(lm, params, phi, guidance, gen):
         return cache[prefix]
 
     candidates = []
-    for length in range(1, gen.max_len + 1):
+    for length in range(1, max_len + 1):
         for toks in product(range(lm.vocab_size), repeat=length):
             if EOS in toks[:-1]:
                 continue
-            if toks[-1] != EOS and length < gen.max_len:
+            if toks[-1] != EOS and length < max_len:
                 continue
             lp = 0.0
             for pos, tok in enumerate(toks):
@@ -238,22 +237,21 @@ def exhaustive_best(lm, params, phi, guidance, gen):
 
 def test_beam_matches_exhaustive_small_instances():
     lm = build_tiny_lm(9, vocab_size=6, d_model=8)
-    gen = GenerationConfig(beam=36, max_len=3)
     g = GuidanceCaptions([[5]])
     for seed in range(3):
         rng = np.random.default_rng(seed)
         params = DecoderParams(lm.d_model, D_A, 4, lm.vocab_size, heads=2,
                                drop_p=0.0, rng=rng, std=0.5)
         phi = rng.normal(size=(D_A, T))
-        assert beam_search(lm, params, phi, g, gen) == \
-            exhaustive_best(lm, params, phi, g, gen)
+        assert beam_search(lm, params, phi, g, beam=36, max_len=3) == \
+            exhaustive_best(lm, params, phi, g, max_len=3)
 
 
 def test_beam_one_equals_greedy(lm, rng):
     params = make_dec(lm, rng)
     phi = rng.normal(size=(D_A, T))
     g = GuidanceCaptions([[5, 6]])
-    psi_refs = encode_refs(lm, g)
+    psi_refs = lm.features(g.tokens)
     toks = []
     for _ in range(5):
         p = posterior(lm, params, phi, g, [BOS] + toks, psi_refs=psi_refs)
@@ -261,30 +259,22 @@ def test_beam_one_equals_greedy(lm, rng):
         toks.append(nxt)
         if nxt == EOS:
             break
-    assert beam_search(lm, params, phi, g, GenerationConfig(1, 5)) == toks
+    assert beam_search(lm, params, phi, g, beam=1, max_len=5) == toks
 
 
 def test_beam_is_deterministic(lm, rng):
     params = make_dec(lm, rng)
     phi = rng.normal(size=(D_A, T))
     g = GuidanceCaptions([[5, 6], [7]])
-    gen = GenerationConfig(beam=3, max_len=6)
-    assert beam_search(lm, params, phi, g, gen) == \
-        beam_search(lm, params, phi, g, gen)
+    assert beam_search(lm, params, phi, g, beam=3, max_len=6) == \
+        beam_search(lm, params, phi, g, beam=3, max_len=6)
 
 
 def test_beam_respects_max_len(lm, rng):
     params = make_dec(lm, rng)
     out = beam_search(lm, params, rng.normal(size=(D_A, T)),
-                      GuidanceCaptions([[5]]), GenerationConfig(2, 4))
+                      GuidanceCaptions([[5]]), beam=2, max_len=4)
     assert 1 <= len(out) <= 4
-
-
-def test_generation_config_validation():
-    with pytest.raises(ValueError):
-        GenerationConfig(beam=0)
-    with pytest.raises(ValueError):
-        GenerationConfig(max_len=0)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +305,10 @@ def make_training_setup():
 def test_train_decoder_runs_and_freezes_lm():
     lm, tok, items, labels = make_training_setup()
     before = lm.weight_hash()
-    cfg = DecoderTrainConfig(batch_size=4, epochs=4, lr_max=3e-3,
-                             lr_min=1e-5, lr_period=4, dropout=0.0, d_r=4,
-                             heads=2, k=2)
+    cfg = PipelineConfig(decoder_batch=4, decoder_epochs=4,
+                         decoder_lr_max=3e-3, decoder_lr_min=1e-5,
+                         decoder_lr_period=4, decoder_dropout=0.0,
+                         decoder_d_r=4, decoder_heads=2, retrieval_k=2)
     result = train_decoder(lm, tok, items, labels, cfg, seed=0)
     assert lm.weight_hash() == before
     assert len(result.history) == 4
@@ -332,9 +323,10 @@ def test_train_decoder_runs_and_freezes_lm():
 
 def test_train_decoder_deterministic():
     lm, tok, items, labels = make_training_setup()
-    cfg = DecoderTrainConfig(batch_size=4, epochs=2, lr_max=1e-3,
-                             lr_min=1e-5, lr_period=2, dropout=0.3, d_r=4,
-                             heads=2, k=2)
+    cfg = PipelineConfig(decoder_batch=4, decoder_epochs=2,
+                         decoder_lr_max=1e-3, decoder_lr_min=1e-5,
+                         decoder_lr_period=2, decoder_dropout=0.3,
+                         decoder_d_r=4, decoder_heads=2, retrieval_k=2)
     r1 = train_decoder(lm, tok, items, labels, cfg, seed=5)
     r2 = train_decoder(lm, tok, items, labels, cfg, seed=5)
     assert r1.history == r2.history
@@ -348,8 +340,9 @@ def test_train_decoder_skips_isolated_items():
     lab = labels.labels.copy()
     lab[0, :] = False
     lab[:, 0] = False
-    cfg = DecoderTrainConfig(batch_size=4, epochs=1, lr_max=1e-3, d_r=4,
-                             heads=2, k=2, dropout=0.0)
+    cfg = PipelineConfig(decoder_batch=4, decoder_epochs=1,
+                         decoder_lr_max=1e-3, decoder_d_r=4, decoder_heads=2,
+                         retrieval_k=2, decoder_dropout=0.0)
     result = train_decoder(lm, tok, items, SimilarLabelMatrix(lab, 0.7),
                            cfg, seed=0)
     assert result.skipped_items == 1
@@ -361,12 +354,5 @@ def test_generate_caption_decodes(lm, rng):
     params = DecoderParams(small_lm.d_model, D_A, 4, small_lm.vocab_size,
                            heads=2, drop_p=0.0, rng=rng)
     text = generate_caption(small_lm, tok, params, rng.normal(size=(D_A, T)),
-                            ["a dog barks"], GenerationConfig(2, 5))
+                            ["a dog barks"], beam=2, max_len=5)
     assert isinstance(text, str)
-
-
-def test_label_smoothing_range_validated():
-    with pytest.raises(ValueError):
-        DecoderTrainConfig(label_smoothing=1.0)
-    with pytest.raises(ValueError):
-        DecoderTrainConfig(label_smoothing=-0.1)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from ragcap.archive import ArchiveFormatError, load_manifest, write_archive
+from ragcap.archive import (ArchiveFormatError, ManifestRow, load_manifest,
+                            write_archive, write_manifest)
+from ragcap.data import load_dataset
 from ragcap.reference_models import (BOS, EOS, SEP, UNK, SyntheticDatasetSpec,
                                      TinyAudioExtractor, TinyCausalLm,
                                      TinyTokenizer, build_tiny_lm,
-                                     generate_synthetic_dataset,
-                                     ingest_precomputed_features)
+                                     generate_synthetic_dataset)
 from ragcap.similarity import TokenizedCaption, bertscore
 from ragcap.reference_models import LmTextEncoder
 
@@ -165,21 +166,28 @@ def test_spec_from_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# precomputed-feature ingestion
+# precomputed-feature ingestion: an external feature archive listed in a
+# manifest is read by load_dataset
 # ---------------------------------------------------------------------------
 
+def ingest(tmp_path, name: str, d_a: int):
+    manifest = str(tmp_path / "manifest.jsonl")
+    write_manifest(manifest, [ManifestRow("x", "train", name, ["a cap"])])
+    return load_dataset(manifest, d_a=d_a)[0].features
+
+
 def test_ingest_valid_audio_features(tmp_path, rng):
-    path = str(tmp_path / "vggish.ract")
-    write_archive(path, {"features": rng.normal(size=(128, 10))})
-    feats = ingest_precomputed_features(path, "audio", 128)
+    write_archive(str(tmp_path / "vggish.ract"),
+                  {"features": rng.normal(size=(128, 10))})
+    feats = ingest(tmp_path, "vggish.ract", 128)
     assert feats.shape == (128, 10)
 
 
 def test_ingest_dim_mismatch(tmp_path, rng):
-    path = str(tmp_path / "f.ract")
-    write_archive(path, {"features": rng.normal(size=(64, 10))})
+    write_archive(str(tmp_path / "f.ract"),
+                  {"features": rng.normal(size=(64, 10))})
     with pytest.raises(ArchiveFormatError, match="128"):
-        ingest_precomputed_features(path, "audio", 128)
+        ingest(tmp_path, "f.ract", 128)
 
 
 def test_ingest_truncated_file_names_offset(tmp_path, rng):
@@ -188,21 +196,16 @@ def test_ingest_truncated_file_names_offset(tmp_path, rng):
     data = open(path, "rb").read()
     open(path, "wb").write(data[:-16])
     with pytest.raises(ArchiveFormatError, match=r"byte \d+"):
-        ingest_precomputed_features(path, "audio", 4)
+        ingest(tmp_path, "f.ract", 4)
 
 
 def test_ingest_rejects_nonfinite(tmp_path):
-    path = str(tmp_path / "f.ract")
-    bad = np.ones((4, 3))
-    bad[0, 0] = np.nan
-    write_archive(path, {"features": bad})
-    with pytest.raises(ArchiveFormatError, match="non-finite"):
-        ingest_precomputed_features(path, "audio", 4)
-
-
-def test_ingest_unknown_role(tmp_path):
-    with pytest.raises(ValueError, match="role"):
-        ingest_precomputed_features(str(tmp_path / "x"), "video", 4)
+    for bad_value in (np.nan, np.inf, -np.inf):
+        bad = np.ones((4, 3))
+        bad[0, 0] = bad_value
+        write_archive(str(tmp_path / "f.ract"), {"features": bad})
+        with pytest.raises(ArchiveFormatError, match=r"f\.ract.*non-finite"):
+            ingest(tmp_path, "f.ract", 4)
 
 
 def test_sep_bos_eos_distinct():

@@ -3,10 +3,10 @@ import pytest
 
 from conftest import finite_diff_check
 from ragcap.autodiff import ShapeError, Tensor
+from ragcap.config import PipelineConfig
 from ragcap.data import DatasetItem
 from ragcap.errors import SamplingError, TrainingError
-from ragcap.retrieval import (EmbedderParams, RetrievalIndex, TripletConfig,
-                              build_index, embed, embed_batch, retrieve_topk,
+from ragcap.retrieval import (EmbedderParams, RetrievalIndex, build_index, embed, embed_batch, retrieve_topk,
                               select_semi_hard_negative, semi_hard_set,
                               sq_l2, train_retrieval, triplet_loss)
 from ragcap.similarity import SimilarLabelMatrix
@@ -14,9 +14,13 @@ from ragcap.similarity import SimilarLabelMatrix
 D_A, T = 4, 5
 
 
+def make_cfg(**overrides):
+    return PipelineConfig(model_d_a=D_A, model_t=T, embed_heads=2, embed_ff=8,
+                          **overrides)
+
+
 def make_params(rng, dropout=0.0):
-    cfg = TripletConfig(dropout=dropout, heads=2, d_ff=8)
-    return EmbedderParams(D_A, T, cfg, rng)
+    return EmbedderParams(make_cfg(embed_dropout=dropout), rng)
 
 
 def make_items(rng, n_clusters=2, per_cluster=8, noise=0.3):
@@ -180,9 +184,9 @@ def test_semi_hard_uniform_choice_is_seeded():
 
 def test_training_separates_clusters(rng):
     items, labels, cluster_of = make_items(rng)
-    cfg = TripletConfig(batch_size=16, epochs=30, lr=3e-3, dropout=0.0,
-                        heads=2, d_ff=8)
-    result = train_retrieval(items, labels, cfg, seed=0, d_a=D_A, t=T)
+    cfg = make_cfg(triplet_batch=16, triplet_epochs=30, triplet_lr=3e-3,
+                   embed_dropout=0.0)
+    result = train_retrieval(items, labels, cfg, seed=0)
     embs = np.stack([embed(result.params, it.features) for it in items])
     intra, inter = [], []
     for i in range(len(items)):
@@ -194,9 +198,9 @@ def test_training_separates_clusters(rng):
 
 def test_training_loss_decreases(rng):
     items, labels, _ = make_items(rng, noise=2.5)
-    cfg = TripletConfig(batch_size=16, epochs=10, lr=3e-3, dropout=0.0,
-                        heads=2, d_ff=8)
-    result = train_retrieval(items, labels, cfg, seed=0, d_a=D_A, t=T)
+    cfg = make_cfg(triplet_batch=16, triplet_epochs=10, triplet_lr=3e-3,
+                   embed_dropout=0.0)
+    result = train_retrieval(items, labels, cfg, seed=0)
     first = result.history[0]["train_loss"]
     last = result.history[-1]["train_loss"]
     assert last < first
@@ -204,10 +208,10 @@ def test_training_loss_decreases(rng):
 
 def test_training_is_deterministic(rng):
     items, labels, _ = make_items(rng)
-    cfg = TripletConfig(batch_size=16, epochs=3, lr=1e-3, dropout=0.3,
-                        heads=2, d_ff=8)
-    r1 = train_retrieval(items, labels, cfg, seed=4, d_a=D_A, t=T)
-    r2 = train_retrieval(items, labels, cfg, seed=4, d_a=D_A, t=T)
+    cfg = make_cfg(triplet_batch=16, triplet_epochs=3, triplet_lr=1e-3,
+                   embed_dropout=0.3)
+    r1 = train_retrieval(items, labels, cfg, seed=4)
+    r2 = train_retrieval(items, labels, cfg, seed=4)
     assert r1.history == r2.history
     for (n1, p1), (n2, p2) in zip(r1.params.named_params(),
                                   r2.params.named_params()):
@@ -217,9 +221,9 @@ def test_training_is_deterministic(rng):
 
 def test_logged_negatives_respect_semi_hard_rule(rng):
     items, labels, _ = make_items(rng)
-    cfg = TripletConfig(batch_size=16, epochs=3, lr=1e-3, dropout=0.0,
-                        heads=2, d_ff=8)
-    result = train_retrieval(items, labels, cfg, seed=0, d_a=D_A, t=T)
+    cfg = make_cfg(triplet_batch=16, triplet_epochs=3, triplet_lr=1e-3,
+                   embed_dropout=0.0)
+    result = train_retrieval(items, labels, cfg, seed=0)
     assert result.negative_log
     for sel in result.negative_log:
         if sel.semi_hard_available:
@@ -233,9 +237,9 @@ def test_anchor_without_positives_is_skipped(rng):
     lab[0, :] = False  # item 0 has no similar partners
     lab[:, 0] = False
     result = train_retrieval(items, SimilarLabelMatrix(lab, 0.7),
-                             TripletConfig(batch_size=8, epochs=2, lr=1e-3,
-                                           dropout=0.0, heads=2, d_ff=8),
-                             seed=0, d_a=D_A, t=T)
+                             make_cfg(triplet_batch=8, triplet_epochs=2,
+                                      triplet_lr=1e-3, embed_dropout=0.0),
+                             seed=0)
     assert result.skipped_anchors >= 2  # once per epoch
 
 
@@ -244,16 +248,14 @@ def test_all_anchors_skipped_raises(rng):
     empty = SimilarLabelMatrix(np.zeros_like(labels.labels), 0.7)
     with pytest.raises(TrainingError):
         train_retrieval(items, empty,
-                        TripletConfig(batch_size=8, epochs=1, heads=2,
-                                      d_ff=8), seed=0, d_a=D_A, t=T)
+                        make_cfg(triplet_batch=8, triplet_epochs=1), seed=0)
 
 
 def test_label_matrix_size_mismatch(rng):
     items, labels, _ = make_items(rng, per_cluster=3)
     small = SimilarLabelMatrix(labels.labels[:-1, :-1], 0.7)
     with pytest.raises(ShapeError):
-        train_retrieval(items, small, TripletConfig(heads=2, d_ff=8),
-                        seed=0, d_a=D_A, t=T)
+        train_retrieval(items, small, make_cfg(), seed=0)
 
 
 # ---------------------------------------------------------------------------
