@@ -15,11 +15,9 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import archive, decoder, pipeline, retrieval
-from .config import ConfigError, config_hash, load_config, log_resolved
-from .data import load_dataset
+from .config import ConfigError, load_config, log_resolved
+from .data import load_dataset, read_features
 from .errors import NumericError, SamplingError, TrainingError
 from .metrics import evaluate_corpus
 from .reference_models import (SyntheticDatasetSpec, generate_synthetic_dataset)
@@ -84,11 +82,8 @@ def cmd_retrieve(args) -> int:
     cfg = _load(args)
     embedder, _ = pipeline.load_retrieval_params(cfg, args.checkpoint)
     index = retrieval.RetrievalIndex.load(args.index)
-    tensors = archive.read_archive(args.query_features)
-    if "features" not in tensors:
-        raise archive.ArchiveFormatError(
-            f"{args.query_features}: no tensor named 'features'")
-    e = retrieval.embed(embedder, tensors["features"])
+    phi = read_features(args.query_features, cfg.model_d_a, cfg.model_t)
+    e = retrieval.embed(embedder, phi)
     k = cfg.retrieval_k if args.k is None else args.k
     hits = retrieval.retrieve_topk(index, e, k=k, exclude=args.exclude)
     print(json.dumps([{"id": i, "distance": d, "caption": c}
@@ -111,13 +106,10 @@ def cmd_train_decoder(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = _load(args)
-    if args.beam is not None:
-        cfg = dataclasses.replace(cfg, generate_beam=args.beam)
     index = retrieval.RetrievalIndex.load(args.index)
     tokenizer, lm = pipeline.build_frozen_models(index.captions, cfg)
     dec_params, _ = pipeline.load_decoder_params(cfg, lm, args.checkpoint)
-    tensors = archive.read_archive(args.features)
-    phi = tensors["features"]
+    phi = read_features(args.features, cfg.model_d_a, cfg.model_t)
 
     if args.oracle_guidance:
         if not args.manifest or args.query_id is None:
@@ -137,11 +129,12 @@ def cmd_generate(args) -> int:
                               "--oracle-guidance is given")
         embedder, _ = pipeline.load_retrieval_params(
             cfg, args.retrieval_checkpoint)
-        e = retrieval.embed(embedder, phi)
-        hits = retrieval.retrieve_topk(index, e, k=cfg.retrieval_k,
-                                       exclude=args.exclude)
-        guidance = [c for _, _, c in hits]
+        guidance = pipeline.retrieved_guidance(embedder, index, phi,
+                                               cfg.retrieval_k, args.exclude)
 
+    if args.beam is not None:
+        # only now: both checkpoints are checked against the file's config
+        cfg = dataclasses.replace(cfg, generate_beam=args.beam)
     caption = decoder.generate_caption(lm, tokenizer, dec_params, phi,
                                        guidance, cfg.generate_beam,
                                        cfg.decoder_max_len)

@@ -22,29 +22,31 @@ class DatasetItem:
         return self.captions[0]
 
 
+def read_features(path: str, d_a: int | None = None,
+                  t: int | None = None) -> np.ndarray:
+    """The (D_a, T) `features` tensor of one feature archive, with its dims
+    validated and non-finite values rejected."""
+    tensors = archive.read_archive(path)
+    if "features" not in tensors:
+        raise archive.ArchiveFormatError(f"{path}: no tensor named 'features'")
+    feats = tensors["features"]
+    if feats.ndim != 2:
+        raise archive.ArchiveFormatError(
+            f"{path}: features must be 2-d, got {feats.shape}")
+    if d_a is not None and feats.shape[0] != d_a:
+        raise archive.ArchiveFormatError(
+            f"{path}: expected D_a={d_a}, got {feats.shape[0]}")
+    if t is not None and feats.shape[1] != t:
+        raise archive.ArchiveFormatError(
+            f"{path}: expected T={t}, got {feats.shape[1]}")
+    if not np.all(np.isfinite(feats)):
+        raise archive.ArchiveFormatError(f"{path}: non-finite feature values")
+    return feats
+
+
 def load_dataset(manifest_path: str, d_a: int | None = None,
                  t: int | None = None) -> list[DatasetItem]:
-    """Load every manifest row and its feature archive, validating dims and
-    rejecting non-finite values."""
-    rows = archive.load_manifest(manifest_path)
-    items = []
-    for row in rows:
-        tensors = archive.read_archive(row.feature_path)
-        if "features" not in tensors:
-            raise archive.ArchiveFormatError(
-                f"{row.feature_path}: no tensor named 'features'")
-        feats = tensors["features"]
-        if feats.ndim != 2:
-            raise archive.ArchiveFormatError(
-                f"{row.feature_path}: features must be 2-d, got {feats.shape}")
-        if d_a is not None and feats.shape[0] != d_a:
-            raise archive.ArchiveFormatError(
-                f"{row.feature_path}: expected D_a={d_a}, got {feats.shape[0]}")
-        if t is not None and feats.shape[1] != t:
-            raise archive.ArchiveFormatError(
-                f"{row.feature_path}: expected T={t}, got {feats.shape[1]}")
-        if not np.all(np.isfinite(feats)):
-            raise archive.ArchiveFormatError(
-                f"{row.feature_path}: non-finite feature values")
-        items.append(DatasetItem(row.id, row.split, feats, row.captions))
-    return items
+    """Load every manifest row and its checked feature archive."""
+    return [DatasetItem(row.id, row.split,
+                        read_features(row.feature_path, d_a, t), row.captions)
+            for row in archive.load_manifest(manifest_path)]

@@ -178,11 +178,6 @@ class DecoderTrainResult:
     best_val_loss: float = float("inf")
 
 
-def _similar_caption_ids(labels: SimilarLabelMatrix, i: int,
-                         train_idx: list[int]) -> list[int]:
-    return [j for j in train_idx if j != i and labels.labels[i, j]]
-
-
 def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
                   items: list[DatasetItem], labels: SimilarLabelMatrix,
                   cfg: PipelineConfig, seed: int) -> DecoderTrainResult:
@@ -207,9 +202,10 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
     rng_sample = np.random.default_rng([seed, 12])
     rng_drop = np.random.default_rng([seed, 13])
 
-    sim_of = {i: _similar_caption_ids(labels, i, train_idx)
+    train = np.array(train_idx)
+    sim_of = {i: train[labels.train_pools(i, train)[0]]
               for i in train_idx + valid_idx}
-    usable = [i for i in train_idx if sim_of[i]]
+    usable = [i for i in train_idx if len(sim_of[i])]
     result = DecoderTrainResult(params=params)
     result.skipped_items = len(train_idx) - len(usable)
     if result.skipped_items:
@@ -240,7 +236,8 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
 
     # fixed seeded validation guidance
     rng_val = np.random.default_rng([seed, 14])
-    val_set = [(i, pick_refs(i, rng_val)) for i in valid_idx if sim_of[i]]
+    val_set = [(i, pick_refs(i, rng_val)) for i in valid_idx
+               if len(sim_of[i])]
     val_refs_feats = [(i, lm.features(g.tokens)) for i, g in val_set]
     result.replacement_items = 0  # counting restarts with the training loop
 

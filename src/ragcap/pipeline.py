@@ -84,6 +84,12 @@ def load_similarity(path: str):
     tensors = archive.read_archive(path)
     with open(path + ".json", "r", encoding="utf-8") as f:
         side = json.load(f)
+    n = len(side["ids"])
+    for name in ("scores_raw", "scores_normalized", "labels"):
+        if tensors[name].shape != (n, n):
+            raise archive.ArchiveFormatError(
+                f"{path}: {name} has shape {tensors[name].shape}, expected "
+                f"({n}, {n}) for the {n} ids in its sidecar")
     labels = SimilarLabelMatrix(tensors["labels"] > 0.5, side["threshold"])
     return (side["ids"], SimilarityMatrix(tensors["scores_raw"]),
             SimilarityMatrix(tensors["scores_normalized"], normalized=True),
@@ -172,11 +178,12 @@ def load_decoder_params(cfg: PipelineConfig, lm: TinyCausalLm, path: str):
 # ---------------------------------------------------------------------------
 
 def retrieved_guidance(embedder, index: retrieval.RetrievalIndex,
-                       item: DatasetItem, k: int) -> list[str]:
-    """Top-K captions by embedding distance, ascending; leave-one-out on the
-    query's own training item."""
-    e = retrieval.embed(embedder, item.features)
-    hits = retrieval.retrieve_topk(index, e, k=k, exclude=item.id)
+                       phi: np.ndarray, k: int,
+                       exclude: str | None) -> list[str]:
+    """Top-K captions by embedding distance from the (D_a, T) features phi,
+    ascending; `exclude` leaves the query's own training item out."""
+    hits = retrieval.retrieve_topk(index, retrieval.embed(embedder, phi),
+                                   k=k, exclude=exclude)
     return [cap for _, _, cap in hits]
 
 
@@ -215,13 +222,12 @@ def evaluate_scope(scope: str, cfg: PipelineConfig, items: list[DatasetItem],
     ids = []
     for pos, item in eval_items:
         if scope == "ii":
-            e = retrieval.embed(embedder, item.features)
-            hits = retrieval.retrieve_topk(index, e, k=1, exclude=item.id)
-            cand = hits[0][2]
+            cand = retrieved_guidance(embedder, index, item.features, 1,
+                                      item.id)[0]
         else:
             if scope == "i":
-                guidance = retrieved_guidance(embedder, index, item,
-                                              cfg.retrieval_k)
+                guidance = retrieved_guidance(embedder, index, item.features,
+                                              cfg.retrieval_k, item.id)
             else:
                 guidance = oracle_guidance(scores, items, pos,
                                            cfg.retrieval_k)

@@ -66,14 +66,16 @@ def embed(params: EmbedderParams, phi: np.ndarray) -> np.ndarray:
     return embed_batch(params, phi[None]).data[0].copy()
 
 
-def sq_l2(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Euclidean distance (the published distance squares)."""
+def sq_l2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance (the published distance squares) from a
+    (D,) to each row of b (..., D). Each row is one dot product, so every
+    value equals the scalar (a - b_i) @ (a - b_i) bit for bit."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
+    if a.ndim != 1 or b.shape[-1:] != a.shape:
         raise ShapeError(f"dim mismatch: {a.shape} vs {b.shape}")
     d = a - b
-    return float(d @ d)
+    return (d[..., None, :] @ d[..., :, None])[..., 0, 0]
 
 
 def triplet_loss(e_a, e_p, e_n, alpha: float) -> Tensor:
@@ -90,29 +92,26 @@ def triplet_loss(e_a, e_p, e_n, alpha: float) -> Tensor:
 # semi-hard negative mining
 # ---------------------------------------------------------------------------
 
-def semi_hard_set(d_ap: float, negatives: list[tuple], alpha: float) -> list:
-    """Negatives with d_ap <= d_an < d_ap + alpha (half-open interval)."""
-    return [(nid, d) for nid, d in negatives if d_ap <= d < d_ap + alpha]
-
-
-def select_semi_hard_negative(d_ap: float, negatives: list[tuple],
-                              alpha: float,
+def select_semi_hard_negative(d_ap: float, neg_ids: np.ndarray,
+                              neg_d: np.ndarray, alpha: float,
                               rng: np.random.Generator) -> tuple:
-    """Pick a negative id. Uniform over the semi-hard set when nonempty;
-    otherwise the nearest negative not closer than the positive, else the
-    farthest negative. Returns (id, distance, fallback_kind)."""
-    if not negatives:
+    """Pick a negative from integer ids and their distances. Uniform over
+    the semi-hard set d_ap <= d_an < d_ap + alpha (half-open) when it is
+    nonempty; otherwise the nearest negative not closer than the positive
+    (lowest id on ties), else the farthest negative (highest id on ties).
+    Returns (id, distance, fallback_kind)."""
+    if len(neg_ids) == 0:
         raise SamplingError("empty negative pool")
-    pool = semi_hard_set(d_ap, negatives, alpha)
-    if pool:
-        nid, d = pool[int(rng.integers(0, len(pool)))]
-        return nid, d, "none"
-    geq = [(d, nid) for nid, d in negatives if d >= d_ap]
-    if geq:
-        d, nid = min(geq)
-        return nid, d, "nearest_geq"
-    d, nid = max((d, nid) for nid, d in negatives)
-    return nid, d, "farthest"
+    pool = np.flatnonzero((neg_d >= d_ap) & (neg_d < d_ap + alpha))
+    if len(pool):
+        k = pool[int(rng.integers(0, len(pool)))]
+        return int(neg_ids[k]), float(neg_d[k]), "none"
+    geq = neg_d >= d_ap
+    if geq.any():
+        d = neg_d[geq].min()
+        return int(neg_ids[geq & (neg_d == d)].min()), float(d), "nearest_geq"
+    d = neg_d.max()
+    return int(neg_ids[neg_d == d].max()), float(d), "farthest"
 
 
 # ---------------------------------------------------------------------------
@@ -160,61 +159,56 @@ def train_retrieval(items: list[DatasetItem], labels: SimilarLabelMatrix,
     rng_drop = np.random.default_rng([seed, 3])
 
     seqs = np.stack([it.features for it in items])  # (n, D_a, T)
-    train_pos = {i: [j for j in train_idx if j != i and labels.labels[i, j]]
-                 for i in train_idx + valid_idx}
-    train_neg = {i: [j for j in train_idx if j != i and not labels.labels[i, j]]
-                 for i in train_idx + valid_idx}
+    train = np.array(train_idx)
+    # (similar, dissimilar) positions in `train`, for anchors of both splits
+    pools = {i: labels.train_pools(i, train) for i in train_idx + valid_idx}
 
     # fixed seeded validation triplets
     rng_val = np.random.default_rng([seed, 4])
     val_triplets = []
     for a in valid_idx:
-        if train_pos[a] and train_neg[a]:
-            p = int(rng_val.choice(train_pos[a]))
-            n = int(rng_val.choice(train_neg[a]))
+        pos, neg = pools[a]
+        if len(pos) and len(neg):
+            p = train[int(rng_val.choice(pos))]
+            n = train[int(rng_val.choice(neg))]
             val_triplets.append((a, p, n))
+
+    def batch_loss(triplets: list[tuple], training: bool) -> Tensor:
+        """Mean triplet loss over (anchor, positive, negative) positions."""
+        e = embed_batch(params, seqs[np.array(triplets).T.ravel()], rng_drop,
+                        training)
+        b = len(triplets)
+        return triplet_loss(e[:b], e[b:2 * b], e[2 * b:],
+                            cfg.triplet_margin).mean()
 
     result = RetrievalTrainResult(params=params)
     best = params.snapshot()
 
     for epoch in range(cfg.triplet_epochs):
         # offline mining distances from the epoch-start embeddings
-        emb_all = embed_batch(params, seqs[train_idx]).data
-        pos_of = {a: row for a, row in zip(train_idx, emb_all)}
+        emb = embed_batch(params, seqs[train]).data  # rows in train order
 
-        order = rng_sample.permutation(len(train_idx))
-        anchors = [train_idx[k] for k in order]
+        order = rng_sample.permutation(len(train))
         epoch_losses = []
-        for start in range(0, len(anchors), cfg.triplet_batch):
-            batch = anchors[start:start + cfg.triplet_batch]
+        for start in range(0, len(order), cfg.triplet_batch):
             tri = []
-            for a in batch:
-                if not train_pos[a]:
+            for a in order[start:start + cfg.triplet_batch]:
+                pos, neg = pools[train[a]]
+                if not len(pos) or not len(neg):
                     result.skipped_anchors += 1
                     continue
-                if not train_neg[a]:
-                    result.skipped_anchors += 1
-                    continue
-                p = int(rng_sample.choice(train_pos[a]))
-                d_ap = sq_l2(pos_of[a], pos_of[p])
-                neg_dists = [(j, sq_l2(pos_of[a], pos_of[j]))
-                             for j in train_neg[a]]
-                available = bool(semi_hard_set(d_ap, neg_dists,
-                                               cfg.triplet_margin))
+                p = int(rng_sample.choice(pos))
+                d = sq_l2(emb[a], emb)
+                d_ap = float(d[p])
                 n, d_an, fallback = select_semi_hard_negative(
-                    d_ap, neg_dists, cfg.triplet_margin, rng_sample)
+                    d_ap, neg, d[neg], cfg.triplet_margin, rng_sample)
                 result.negative_log.append(NegativeSelection(
-                    items[a].id, items[n].id, d_ap, d_an, cfg.triplet_margin,
-                    available, fallback))
-                tri.append((a, p, n))
+                    items[train[a]].id, items[train[n]].id, d_ap, d_an,
+                    cfg.triplet_margin, fallback == "none", fallback))
+                tri.append((train[a], train[p], train[n]))
             if not tri:
                 continue
-            ai, pi, ni = (np.array(cols) for cols in zip(*tri))
-            stacked = np.concatenate([seqs[ai], seqs[pi], seqs[ni]])
-            e = embed_batch(params, stacked, rng_drop, training=True)
-            b = len(tri)
-            loss = triplet_loss(e[:b], e[b:2 * b], e[2 * b:],
-                                cfg.triplet_margin).mean()
+            loss = batch_loss(tri, training=True)
             if not np.isfinite(loss.data):
                 raise NumericError(f"non-finite triplet loss at epoch {epoch}")
             loss.backward()
@@ -227,12 +221,7 @@ def train_retrieval(items: list[DatasetItem], labels: SimilarLabelMatrix,
         train_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
 
         if val_triplets:
-            av, pv, nv = (np.array(cols) for cols in zip(*val_triplets))
-            ev = embed_batch(params, np.concatenate(
-                [seqs[av], seqs[pv], seqs[nv]])).data
-            m = len(val_triplets)
-            val_loss = float(triplet_loss(ev[:m], ev[m:2 * m], ev[2 * m:],
-                                          cfg.triplet_margin).mean().data)
+            val_loss = float(batch_loss(val_triplets, training=False).data)
         else:
             val_loss = train_loss
 
@@ -271,17 +260,21 @@ class RetrievalIndex:
         emb = archive.read_archive(path)["embeddings"]
         with open(path + ".json", "r", encoding="utf-8") as f:
             side = json.load(f)
+        if not len(side["ids"]) == len(side["captions"]) == emb.shape[0]:
+            raise archive.ArchiveFormatError(
+                f"{path}.json: {len(side['ids'])} ids, {len(side['captions'])}"
+                f" captions for {emb.shape[0]} embedding rows")
         return cls(side["ids"], emb, side["captions"])
 
 
 def build_index(params: EmbedderParams,
                 items: list[DatasetItem]) -> RetrievalIndex:
-    """Embed every training item (evaluation mode, one at a time)."""
+    """Embed every training item in one evaluation-mode batch."""
     train = [it for it in items if it.split == "train"]
     if not train:
         raise TrainingError("empty dataset: no training items to index")
-    rows = [embed(params, it.features) for it in train]
-    return RetrievalIndex([it.id for it in train], np.stack(rows),
+    rows = embed_batch(params, np.stack([it.features for it in train])).data
+    return RetrievalIndex([it.id for it in train], rows,
                           [it.captions for it in train])
 
 
@@ -289,12 +282,11 @@ def retrieve_topk(index: RetrievalIndex, query: np.ndarray, k: int = 5,
                   exclude: str | None = None) -> list[tuple]:
     """Top-K (id, distance, caption) by ascending squared l2 distance,
     ties broken by ascending id. `exclude` drops the query's own item."""
-    candidates = [(sq_l2(index.embeddings[i], query), index.ids[i],
-                   index.captions[i][0])
-                  for i in range(len(index.ids))
-                  if index.ids[i] != exclude]
-    if k < 1 or k > len(candidates):
+    ids = np.array(index.ids)
+    d = sq_l2(query, index.embeddings)
+    order = [i for i in np.lexsort((ids, d)) if ids[i] != exclude]
+    if k < 1 or k > len(order):
         raise ValueError(f"k={k} out of range for index of "
-                         f"{len(candidates)} usable items")
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    return [(cid, d, cap) for d, cid, cap in candidates[:k]]
+                         f"{len(order)} usable items")
+    return [(index.ids[i], float(d[i]), index.captions[i][0])
+            for i in order[:k]]

@@ -53,6 +53,14 @@ class SimilarLabelMatrix:
     def n(self) -> int:
         return self.labels.shape[0]
 
+    def train_pools(self, i: int, train: np.ndarray):
+        """(similar, dissimilar) positions in `train`, the ascending item
+        positions of the training split, for item i; i is in neither."""
+        other = train != i
+        similar = self.labels[i, train]
+        return (np.flatnonzero(other & similar),
+                np.flatnonzero(other & ~similar))
+
 
 def bertscore(cand: np.ndarray, ref: np.ndarray) -> tuple[float, float, float]:
     """Greedy-matching (precision, recall, f1) between two embedding

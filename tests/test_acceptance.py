@@ -31,9 +31,8 @@ from ragcap.metrics import bleu_n, rouge_l, rouge_l_sentence, cider
 from ragcap.reference_models import (BOS, SyntheticDatasetSpec, build_tiny_lm,
                                      generate_synthetic_dataset)
 from ragcap.retrieval import (EmbedderParams, RetrievalIndex, embed_batch,
-                              retrieve_topk,
-                              select_semi_hard_negative, semi_hard_set,
-                              sq_l2, triplet_loss)
+                              retrieve_topk, select_semi_hard_negative,
+                              triplet_loss)
 from ragcap.similarity import (SimilarityMatrix, SimilarLabelMatrix,
                                bertscore, label_similar, normalize_minmax)
 
@@ -169,7 +168,8 @@ def test_criterion_02_search_oracles(rng):
         q = rng.normal(size=d)
         k = int(rng.integers(1, n + 1))
         got = retrieve_topk(index, q, k=k)
-        want = sorted(((sq_l2(embs[i], q), ids[i]) for i in range(n)))[:k]
+        want = sorted(((float((embs[i] - q) @ (embs[i] - q)), ids[i])
+                       for i in range(n)))[:k]
         assert [(g[0], g[1]) for g in got] == [(i, dd) for dd, i in want]
 
     # beam search against exhaustive enumeration: vocab 3, length 3
@@ -225,12 +225,14 @@ def test_criterion_03_equation_hand_examples(rng):
 
     # semi-hard selection: d_ap 0.5, margin 0.3, pool {0.4, 0.6, 0.9} -> 0.6
     nid, d, fb = select_semi_hard_negative(
-        0.5, [("x", 0.4), ("y", 0.6), ("z", 0.9)], 0.3,
+        0.5, np.arange(3), np.array([0.4, 0.6, 0.9]), 0.3,
         np.random.default_rng(0))
-    assert (nid, fb) == ("y", "none") and abs(d - 0.6) < tol
-    # half-open interval boundaries
-    assert semi_hard_set(0.5, [("a", 0.5)], 0.3) == [("a", 0.5)]
-    assert semi_hard_set(0.5, [("b", 0.8)], 0.3) == []
+    assert (nid, fb) == (1, "none") and abs(d - 0.6) < tol
+    # half-open interval boundaries: 0.5 is semi-hard, 0.8 is not
+    for d_an, kind in ((0.5, "none"), (0.8, "nearest_geq")):
+        assert select_semi_hard_negative(
+            0.5, np.arange(1), np.array([d_an]), 0.3,
+            np.random.default_rng(0)) == (0, d_an, kind)
 
     # min-max normalization: off-diagonal {0.2, 0.5, 0.8} -> {0, 0.5, 1}
     m = np.eye(3)

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import shutil
@@ -10,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import ragcap
 from ragcap.archive import load_checkpoint, read_archive, write_archive
 from ragcap.cli import main
 
@@ -235,6 +237,79 @@ def test_exit_3_nonfinite_features(ws, tmp_path):
     assert not out.exists()
 
 
+def _query_args(ws, command, feats):
+    ret = ["--index", os.path.join(ws["ret"], "index.ract")]
+    if command == "retrieve":
+        return ["retrieve", "--config", ws["cfg"], "--checkpoint",
+                os.path.join(ws["ret"], "retrieval.ckpt"), *ret,
+                "--query-features", feats]
+    return ["generate", "--config", ws["cfg"], "--checkpoint",
+            os.path.join(ws["dec"], "decoder.ckpt"), *ret, "--features", feats,
+            "--retrieval-checkpoint", os.path.join(ws["ret"], "retrieval.ckpt")]
+
+
+@pytest.mark.parametrize("command", ["retrieve", "generate"])
+@pytest.mark.parametrize("kind", ["nan", "shape"])
+def test_exit_3_bad_query_features(ws, tmp_path, caplog, capsys, command,
+                                   kind):
+    path = str(tmp_path / "query.ract")
+    if kind == "nan":
+        feats = read_archive(os.path.join(ws["data"], "features",
+                                          "c00i000.ract"))["features"]
+        feats[1, 2] = np.nan
+    else:
+        feats = np.ones((3, 5))
+    write_archive(path, {"features": feats})
+    assert main(_query_args(ws, command, path)) == 3
+    assert path in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+def _mangle_sidecar(src: str, dst: str, key: str, edit):
+    shutil.copy(src, dst)
+    with open(src + ".json", encoding="utf-8") as f:
+        side = json.load(f)
+    side[key] = edit(side[key])
+    with open(dst + ".json", "w", encoding="utf-8") as f:
+        json.dump(side, f)
+
+
+@pytest.mark.parametrize("edit", [lambda ids: ids + ["extra"],
+                                  lambda ids: ids[:-1]],
+                         ids=["extra_id", "missing_id"])
+def test_exit_3_index_sidecar_row_mismatch(ws, tmp_path, caplog, edit):
+    index = str(tmp_path / "index.ract")
+    _mangle_sidecar(os.path.join(ws["ret"], "index.ract"), index, "ids", edit)
+    feats = os.path.join(ws["data"], "features", "c00i000.ract")
+    assert main(["retrieve", "--config", ws["cfg"],
+                 "--checkpoint", os.path.join(ws["ret"], "retrieval.ckpt"),
+                 "--index", index, "--query-features", feats]) == 3
+    assert index + ".json" in caplog.text
+
+
+def test_exit_3_similarity_sidecar_row_mismatch(ws, tmp_path, caplog):
+    labels = str(tmp_path / "similarity.ract")
+    _mangle_sidecar(ws["labels"], labels, "ids", lambda ids: ids + ["extra"])
+    assert main(["train-retrieval", "--config", ws["cfg"],
+                 "--manifest", ws["manifest"], "--labels", labels,
+                 "--seed", "0", "--out", str(tmp_path / "r")]) == 3
+    assert labels in caplog.text
+
+
+def test_generate_beam_keeps_checkpoint_hashes(ws, tmp_path, caplog):
+    caplog.set_level(logging.WARNING)
+    feats = os.path.join(ws["data"], "features", "c00i003.ract")
+    args = _query_args(ws, "generate", feats)
+    assert main(args + ["--beam", "2"]) == 0
+    assert "does not match" not in caplog.text
+    # the same setting from the file does change the config the checkpoints
+    # are checked against
+    cfg = tmp_path / "beam2.cfg"
+    cfg.write_text(CONFIG + "generate.beam = 2\n")
+    assert main([a if a != ws["cfg"] else str(cfg) for a in args]) == 0
+    assert caplog.text.count("does not match") == 2
+
+
 def test_exit_4_nonfinite_training(ws, tmp_path):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text(CONFIG + "triplet.lr = nan\n")
@@ -263,6 +338,26 @@ def test_double_run_bitwise_identical(ws, tmp_path):
     # and identical to the fixture run from a different directory
     first = open(os.path.join(ws["ret"], "retrieval.ckpt"), "rb").read()
     assert first == open(os.path.join(outs[0], "retrieval.ckpt"), "rb").read()
+
+
+def test_train_retrieval_bitwise_across_openblas_threads(ws, tmp_path):
+    src = os.path.dirname(os.path.dirname(ragcap.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"threads{threads}")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-m", "ragcap.cli", "train-retrieval",
+             "--config", ws["cfg"], "--manifest", ws["manifest"],
+             "--labels", ws["labels"], "--seed", "0", "--out", out],
+            env=env, check=True, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        outs.append(out)
+    for fname in ("retrieval.ckpt", "retrieval_curve.tsv", "negatives.tsv",
+                  "index.ract"):
+        a = open(os.path.join(outs[0], fname), "rb").read()
+        b = open(os.path.join(outs[1], fname), "rb").read()
+        assert a == b, fname
 
 
 def test_generate_deterministic_output(ws, capsys):
@@ -294,7 +389,8 @@ def test_kill_midrun_leaves_no_partial_checkpoint(ws, tmp_path):
     ckpt = os.path.join(out, "retrieval.ckpt")
     if os.path.exists(ckpt):
         load_checkpoint(ckpt)  # whatever exists must parse cleanly
-    # no temp files left behind by atomic writes
+    # no temp files left behind by atomic writes (named .tmp-*.part)
     if os.path.isdir(out):
-        leftovers = [f for f in os.listdir(out) if f.endswith(".tmp")]
-        assert not any(".tmp" in f for f in leftovers)
+        leftovers = [f for f in os.listdir(out)
+                     if f.startswith(".tmp-") or f.endswith(".part")]
+        assert leftovers == []

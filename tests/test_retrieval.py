@@ -1,14 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import finite_diff_check
+from ragcap.archive import ArchiveFormatError
 from ragcap.autodiff import ShapeError, Tensor
 from ragcap.config import PipelineConfig
 from ragcap.data import DatasetItem
 from ragcap.errors import SamplingError, TrainingError
 from ragcap.retrieval import (EmbedderParams, RetrievalIndex, build_index, embed, embed_batch, retrieve_topk,
-                              select_semi_hard_negative, semi_hard_set,
-                              sq_l2, train_retrieval, triplet_loss)
+                              select_semi_hard_negative, sq_l2,
+                              train_retrieval, triplet_loss)
 from ragcap.similarity import SimilarLabelMatrix
 
 D_A, T = 4, 5
@@ -89,6 +92,23 @@ def test_sq_l2_examples():
         sq_l2([1.0], [1.0, 2.0])
 
 
+def scalar_sq_l2(a, b):
+    """The per-pair definition the row-wise sq_l2 replaces."""
+    d = a - b
+    return float(d @ d)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 20, 160])
+def test_sq_l2_rows_match_scalar_oracle(rng, dim):
+    b = rng.normal(size=(2, 25, dim))
+    a = rng.normal(size=dim)
+    got = sq_l2(a, b)
+    assert got.shape == (2, 25)
+    for idx in np.ndindex(2, 25):
+        assert got[idx] == scalar_sq_l2(a, b[idx])  # bit for bit
+    assert sq_l2(a, b[0, 3]) == scalar_sq_l2(a, b[0, 3])
+
+
 def test_sq_l2_unit_vector_cosine_identity(rng):
     a = rng.normal(size=6)
     b = rng.normal(size=6)
@@ -138,44 +158,102 @@ def test_triplet_gradcheck_through_embedder(rng):
 # semi-hard mining
 # ---------------------------------------------------------------------------
 
+def select(d_ap, dists, alpha, rng):
+    """select_semi_hard_negative over ids 0..n-1 for the given distances."""
+    return select_semi_hard_negative(d_ap, np.arange(len(dists)),
+                                     np.array(dists, dtype=float), alpha, rng)
+
+
 def test_semi_hard_hand_example(rng):
-    negs = [("x", 0.4), ("y", 0.6), ("z", 0.9)]
-    nid, d, fallback = select_semi_hard_negative(0.5, negs, 0.3, rng)
-    assert (nid, d, fallback) == ("y", 0.6, "none")
+    assert select(0.5, [0.4, 0.6, 0.9], 0.3, rng) == (1, 0.6, "none")
 
 
-def test_semi_hard_interval_is_half_open():
-    assert semi_hard_set(0.5, [("a", 0.5)], 0.3) == [("a", 0.5)]   # closed low
-    assert semi_hard_set(0.5, [("b", 0.8)], 0.3) == []             # open high
+def test_semi_hard_interval_is_half_open(rng):
+    assert select(0.5, [0.5], 0.3, rng) == (0, 0.5, "none")  # closed low
+    assert select(0.5, [0.8], 0.3, rng)[2] != "none"          # open high
 
 
 def test_fallback_nearest_geq(rng):
-    negs = [("near", 0.2), ("far", 1.5), ("farther", 2.0)]
-    nid, d, fallback = select_semi_hard_negative(0.5, negs, 0.3, rng)
-    assert (nid, fallback) == ("far", "nearest_geq")
+    nid, d, fallback = select(0.5, [0.2, 1.5, 2.0], 0.3, rng)
+    assert (nid, d, fallback) == (1, 1.5, "nearest_geq")
+
+
+def test_fallback_nearest_geq_tie_takes_lowest_id(rng):
+    ids = np.array([7, 3, 5, 9])
+    got = select_semi_hard_negative(0.5, ids, np.array([2.0, 1.5, 0.1, 1.5]),
+                                    0.3, rng)
+    assert got == (3, 1.5, "nearest_geq")
 
 
 def test_fallback_farthest(rng):
-    negs = [("a", 0.1), ("b", 0.3)]
-    nid, d, fallback = select_semi_hard_negative(0.5, negs, 0.1, rng)
-    assert (nid, fallback) == ("b", "farthest")
+    nid, d, fallback = select(0.5, [0.1, 0.3], 0.1, rng)
+    assert (nid, d, fallback) == (1, 0.3, "farthest")
+
+
+def test_fallback_farthest_tie_takes_highest_id(rng):
+    ids = np.array([7, 3, 9, 5])
+    got = select_semi_hard_negative(0.5, ids, np.array([0.3, 0.1, 0.3, 0.3]),
+                                    0.1, rng)
+    assert got == (9, 0.3, "farthest")
+
+
+def test_fallbacks_draw_no_random_numbers():
+    rng = np.random.default_rng(5)
+    select(0.5, [0.2, 1.5], 0.3, rng)  # nearest_geq
+    select(0.5, [0.1, 0.3], 0.1, rng)  # farthest
+    assert rng.random() == np.random.default_rng(5).random()
+
+
+def list_oracle(d_ap, negatives, alpha, rng):
+    """The per-pair list definition of the selection rule."""
+    pool = [(nid, d) for nid, d in negatives if d_ap <= d < d_ap + alpha]
+    if pool:
+        nid, d = pool[int(rng.integers(0, len(pool)))]
+        return nid, d, "none"
+    geq = [(d, nid) for nid, d in negatives if d >= d_ap]
+    if geq:
+        d, nid = min(geq)
+        return nid, d, "nearest_geq"
+    d, nid = max((d, nid) for nid, d in negatives)
+    return nid, d, "farthest"
+
+
+def test_select_matches_list_oracle(rng):
+    kinds = set()
+    for seed in range(300):
+        n = int(rng.integers(1, 12))
+        ids = rng.choice(50, size=n, replace=False)
+        dists = np.round(rng.uniform(0.0, 2.0, size=n), 1)  # frequent ties
+        d_ap = float(np.round(rng.uniform(0.0, 2.0), 1))
+        alpha = float(rng.choice([0.1, 0.3, 1.0]))
+        r_got = np.random.default_rng(seed)
+        r_want = np.random.default_rng(seed)
+        got = select_semi_hard_negative(d_ap, ids, dists, alpha, r_got)
+        want = list_oracle(d_ap, list(zip(ids.tolist(), dists.tolist())),
+                           alpha, r_want)
+        assert got == want
+        assert r_got.random() == r_want.random()  # same draws consumed
+        kinds.add(got[2])
+    assert kinds == {"none", "nearest_geq", "farthest"}
 
 
 def test_empty_negative_pool_raises(rng):
     with pytest.raises(SamplingError):
-        select_semi_hard_negative(0.5, [], 0.3, rng)
+        select(0.5, [], 0.3, rng)
 
 
 def test_semi_hard_uniform_choice_is_seeded():
-    negs = [(f"n{i}", 0.5 + 0.01 * i) for i in range(10)]
-    picks_a = [select_semi_hard_negative(0.5, negs, 0.3,
-                                         np.random.default_rng(s))[0]
+    dists = [0.5 + 0.01 * i for i in range(10)]
+    picks_a = [select(0.5, dists, 0.3, np.random.default_rng(s))[0]
                for s in range(5)]
-    picks_b = [select_semi_hard_negative(0.5, negs, 0.3,
-                                         np.random.default_rng(s))[0]
+    picks_b = [select(0.5, dists, 0.3, np.random.default_rng(s))[0]
                for s in range(5)]
     assert picks_a == picks_b
     assert len(set(picks_a)) > 1  # actually random over the pool
+    # one integers(0, len(pool)) draw picks the position in the pool
+    rng = np.random.default_rng(8)
+    nid, _, _ = select(0.5, [0.1] + dists, 0.3, rng)
+    assert nid == 1 + int(np.random.default_rng(8).integers(0, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +363,20 @@ def test_index_roundtrip(tmp_path, rng):
     assert back.embeddings.tobytes() == index.embeddings.tobytes()
 
 
+@pytest.mark.parametrize("ids, captions", [
+    (["a", "b", "c", "extra"], [["x"], ["y"], ["z"], ["w"]]),
+    (["a", "b"], [["x"], ["y"]]),
+    (["a", "b", "c"], [["x"], ["y"]]),
+])
+def test_index_load_checks_sidecar_against_rows(tmp_path, ids, captions):
+    path = str(tmp_path / "index.ract")
+    RetrievalIndex(["a", "b", "c"], np.eye(3), [["x"], ["y"], ["z"]]).save(path)
+    with open(path + ".json", "w", encoding="utf-8") as f:
+        json.dump({"ids": ids, "captions": captions}, f)
+    with pytest.raises(ArchiveFormatError, match="index.ract.json"):
+        RetrievalIndex.load(path)
+
+
 def test_topk_exact_query_and_full_size(rng):
     items, _, _ = make_items(rng, per_cluster=4)
     params = make_params(rng)
@@ -307,9 +399,10 @@ def test_topk_matches_bruteforce_oracle(rng):
     for _ in range(20):
         q = rng.normal(size=6)
         got = retrieve_topk(index, q, k=5)
-        ranked = sorted(range(n), key=lambda i: (sq_l2(embs[i], q),
+        ranked = sorted(range(n), key=lambda i: (scalar_sq_l2(embs[i], q),
                                                  index.ids[i]))
-        assert [g[0] for g in got] == [index.ids[i] for i in ranked[:5]]
+        assert got == [(index.ids[i], scalar_sq_l2(embs[i], q), f"cap{i}")
+                       for i in ranked[:5]]
 
 
 def test_topk_exclusion_and_bounds(rng):

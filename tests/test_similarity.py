@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ragcap.similarity import (DegenerateSimilarityError, SimilarityMatrix,
-                               TokenizedCaption, bertscore, label_similar,
-                               normalize_minmax, pairwise_similarity)
+from ragcap.similarity import (DegenerateSimilarityError, SimilarLabelMatrix,
+                               SimilarityMatrix, TokenizedCaption, bertscore,
+                               label_similar, normalize_minmax,
+                               pairwise_similarity)
 
 
 class StubEncoder:
@@ -168,6 +169,19 @@ def test_labels_symmetric_for_symmetric_scores(rng):
     vals = rng.uniform(size=3)
     labels = label_similar(normalize_minmax(_sym(list(vals))), 0.5)
     np.testing.assert_array_equal(labels.labels, labels.labels.T)
+
+
+def test_train_pools_split_training_partners(rng):
+    labels = rng.random((7, 7)) > 0.5
+    m = SimilarLabelMatrix(labels, 0.7)
+    train = np.array([0, 2, 3, 5])
+    for i in range(7):
+        similar, dissimilar = m.train_pools(i, train)
+        want_sim = [k for k, j in enumerate(train) if j != i and labels[i, j]]
+        want_dis = [k for k, j in enumerate(train)
+                    if j != i and not labels[i, j]]
+        assert similar.tolist() == want_sim
+        assert dissimilar.tolist() == want_dis
 
 
 def test_empty_caption_rejected():
