@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import struct
 import tempfile
@@ -81,7 +82,11 @@ def unpack_archive(buf: bytes) -> dict[str, np.ndarray]:
         (name_len,) = struct.unpack_from("<H", buf, off)
         off += 2
         need(off, name_len, "name")
-        name = buf[off:off + name_len].decode("utf-8")
+        try:
+            name = buf[off:off + name_len].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ArchiveFormatError(
+                f"tensor name is not UTF-8 at byte {off}") from e
         off += name_len
         if name in out:
             raise ArchiveFormatError(f"duplicate tensor name {name!r} at byte {off}")
@@ -90,14 +95,17 @@ def unpack_archive(buf: bytes) -> dict[str, np.ndarray]:
         off += 1
         need(off, 4 * ndims, "dims")
         dims = struct.unpack_from(f"<{ndims}I", buf, off)
+        dims_at = off
         off += 4 * ndims
-        n_elems = 1
-        for d in dims:
-            n_elems *= d
+        n_elems = math.prod(dims)
         need(off, 8 * n_elems, f"payload of {name!r}")
         arr = np.frombuffer(buf, dtype="<f8", count=n_elems, offset=off)
         off += 8 * n_elems
-        out[name] = arr.reshape(dims).astype(np.float64)
+        try:  # beside a zero dim, dims numpy cannot shape pass the checks
+            out[name] = arr.reshape(dims).astype(np.float64)
+        except ValueError as e:
+            raise ArchiveFormatError(f"unsupported dims {dims} of {name!r} "
+                                     f"at byte {dims_at}") from e
     if off != len(buf):
         raise ArchiveFormatError(
             f"{len(buf) - off} trailing bytes after byte {off}")
@@ -210,18 +218,29 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], metadata: dict):
     atomic_write_bytes(path, pack_checkpoint(tensors, metadata))
 
 
-def load_checkpoint(path: str, expected_config_hash: str | None = None):
-    """Returns (tensors, metadata). Warns on config-hash mismatch."""
-    with open(path, "rb") as f:
-        buf = f.read()
+def unpack_checkpoint(buf: bytes):
+    """Returns (tensors, metadata) from checkpoint bytes."""
     if len(buf) < 8 or buf[:4] != CKPT_MAGIC:
         raise ArchiveFormatError(f"not a checkpoint: bad magic at byte 0")
     (meta_len,) = struct.unpack_from("<I", buf, 4)
     if 8 + meta_len > len(buf):
         raise ArchiveFormatError(
             f"truncated checkpoint: metadata of {meta_len} bytes at byte 8")
-    metadata = json.loads(buf[8:8 + meta_len].decode("utf-8"))
-    tensors = unpack_archive(buf[8 + meta_len:])
+    try:
+        metadata = json.loads(buf[8:8 + meta_len].decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+        raise ArchiveFormatError(
+            f"checkpoint metadata at byte 8 is not UTF-8 JSON: {e}") from e
+    if not isinstance(metadata, dict):
+        raise ArchiveFormatError(
+            "checkpoint metadata at byte 8 is not a JSON object")
+    return unpack_archive(buf[8 + meta_len:]), metadata
+
+
+def load_checkpoint(path: str, expected_config_hash: str | None = None):
+    """Returns (tensors, metadata). Warns on config-hash mismatch."""
+    with open(path, "rb") as f:
+        tensors, metadata = unpack_checkpoint(f.read())
     if (expected_config_hash is not None
             and metadata.get("config_hash") != expected_config_hash):
         log.warning("checkpoint config hash %s does not match current config %s",

@@ -63,9 +63,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -221,15 +218,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- nonlinearities --------------------------------------------------------
-
-    def exp(self):
-        a = self
-        out = np.exp(a.data)
-        return _make(out, (a,), lambda g: (g * out,))
-
-    def log(self):
-        a = self
-        return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
     def relu(self):
         a = self

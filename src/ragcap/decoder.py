@@ -1,12 +1,16 @@
 """Caption generation with a frozen causal LM and trainable fusion attention.
 
-The frozen LM turns the concatenated guidance captions and the running
+The frozen LM turns the SEP-joined guidance captions and the running
 hypothesis prefix into feature matrices. A trainable cross-attention layer
 fuses hypothesis features (queries) with guidance features (keys/values);
 a second, dimension-reduced cross-attention path folds in the audio feature
 sequence. The sum of both paths feeds a trainable token-prediction head.
 Training is teacher-forced label-smoothed cross-entropy; generation is
 length-normalized beam search.
+
+Every forward pass takes a batch of token ids right-padded with PAD, which
+the tokenizer never emits: `guidance == PAD` masks fusion keys and
+`targets != PAD` masks the loss.
 """
 
 from __future__ import annotations
@@ -20,34 +24,31 @@ from .autodiff import ShapeError, Tensor
 from .config import PipelineConfig
 from .data import DatasetItem
 from .errors import NumericError, TrainingError
-from .layers import (Adam, Linear, MultiHeadAttention, ParamContainer,
-                     cosine_lr, dropout)
-from .reference_models import BOS, EOS, SEP, TinyCausalLm, TinyTokenizer
+from .layers import (NEG_INF, Adam, Linear, MultiHeadAttention,
+                     ParamContainer, cosine_lr)
+from .reference_models import BOS, EOS, PAD, SEP, TinyCausalLm, TinyTokenizer
 from .similarity import SimilarLabelMatrix
 
 log = logging.getLogger("ragcap.decoder")
 
 
-@dataclass
-class GuidanceCaptions:
-    """K guidance caption token sequences and their SEP-joined concatenation."""
-    captions: list[list[int]]
-    tokens: list[int] = field(init=False)
-
-    def __post_init__(self):
-        if not self.captions or any(len(c) == 0 for c in self.captions):
-            raise ValueError("guidance captions must be nonempty")
-        tokens: list[int] = []
-        for i, cap in enumerate(self.captions):
-            if i > 0:
-                tokens.append(SEP)
-            tokens.extend(cap)
-        self.tokens = tokens
+def guidance_ids(captions: list[list[int]]) -> list[int]:
+    """K guidance caption token sequences joined with SEP."""
+    if not captions or any(len(c) == 0 for c in captions):
+        raise ValueError("guidance captions must be nonempty")
+    tokens = list(captions[0])
+    for cap in captions[1:]:
+        tokens += [SEP, *cap]
+    return tokens
 
 
-def make_guidance(tokenizer: TinyTokenizer,
-                  captions: list[str]) -> GuidanceCaptions:
-    return GuidanceCaptions([tokenizer.encode(c) for c in captions])
+def pad_ids(seqs: list[list[int]]) -> np.ndarray:
+    """Token sequences right-padded with PAD into one (len(seqs), L) array."""
+    out = np.full((len(seqs), max(map(len, seqs), default=0)), PAD,
+                  dtype=np.int64)
+    for row, seq in zip(out, seqs):
+        row[:len(seq)] = seq
+    return out
 
 
 class DecoderParams(ParamContainer):
@@ -57,9 +58,7 @@ class DecoderParams(ParamContainer):
                  drop_p: float, rng: np.random.Generator, std: float = 0.02,
                  head_init: np.ndarray | None = None):
         self.d_l = d_l
-        self.d_a = d_a
         self.d_r = d_r
-        self.vocab = vocab
         self.dropout = drop_p
         self.fuse_mha = MultiHeadAttention(heads, d_l, d_l, d_l, rng, std)
         self.reduce_hyp = Linear(d_l, d_r, rng, std)
@@ -88,80 +87,78 @@ class DecoderParams(ParamContainer):
 # fusion forward path
 # ---------------------------------------------------------------------------
 
-def fuse(params: DecoderParams, psi_hyps, psi_refs,
-         rng: np.random.Generator | None = None,
-         training: bool = False) -> Tensor:
-    """Cross-attention: hypothesis features (D_l, n) as queries over guidance
-    features (D_l, M). Returns a (D_l, n) Tensor."""
-    h = _as_cols(psi_hyps, params.d_l)
-    r = _as_cols(psi_refs, params.d_l)
-    out = params.fuse_mha(h.swapaxes(0, 1), r.swapaxes(0, 1))
-    out = dropout(out, params.dropout, rng, training)
-    return out.swapaxes(0, 1)
-
-
-def fuse_audio(params: DecoderParams, psi, phi,
-               rng: np.random.Generator | None = None,
-               training: bool = False) -> Tensor:
-    """Reduce both streams to D_r, cross-attend (fused-feature queries, audio
-    keys/values), expand back to D_l. psi is (D_l, n), phi is (D_a, T)."""
-    h = _as_cols(psi, params.d_l)
-    a = _as_cols(phi, params.d_a)
-    hq = params.reduce_hyp(h.swapaxes(0, 1))
-    akv = params.reduce_audio(a.swapaxes(0, 1))
-    out = params.audio_mha(hq, akv)
-    out = dropout(out, params.dropout, rng, training)
-    return params.expand(out).swapaxes(0, 1)
-
-
-def _as_cols(x, rows: int) -> Tensor:
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.ndim != 2 or x.shape[0] != rows:
-        raise ShapeError(f"expected ({rows}, L) matrix, got {x.shape}")
-    return x
+def _dropout_keep(prefix: np.ndarray, dims, p: float,
+                  rng: np.random.Generator) -> list[np.ndarray]:
+    """Inverted-dropout keep masks, one (..., L, d) array per width d. Item
+    by item, each width draws a (length, d) mask in turn, so padding does
+    not change an item's masks."""
+    lengths = (prefix != PAD).sum(-1)
+    keep = [np.zeros(prefix.shape + (d,)) for d in dims]
+    for item in np.ndindex(lengths.shape):
+        n = lengths[item]
+        for k, d in zip(keep, dims):
+            k[item][:n] = (rng.random((n, d)) >= p) / (1.0 - p)
+    return keep
 
 
 def position_logits(lm: TinyCausalLm, params: DecoderParams,
-                    phi: np.ndarray, guidance: GuidanceCaptions,
-                    prefix: list[int],
+                    phi: np.ndarray, guidance, prefix,
                     rng: np.random.Generator | None = None,
                     training: bool = False,
-                    psi_refs: np.ndarray | None = None,
                     psi_hyps: np.ndarray | None = None) -> Tensor:
-    """Logits for every prefix position, shape (len(prefix), vocab).
-    Row t predicts the token following prefix[:t+1]."""
-    if not prefix or prefix[0] != BOS:
+    """Logits (..., L, vocab) for PAD-padded prefixes (..., L); row t
+    predicts the token following prefix[..., :t+1].
+
+    phi is (..., D_a, T) audio features and guidance (..., M) PAD-padded
+    guidance ids; batch axes of size 1 broadcast. psi_hyps, if given,
+    stands for lm.features(prefix), or for its last rows only."""
+    prefix = np.asarray(prefix, dtype=np.int64)
+    if prefix.shape[-1] == 0 or np.any(prefix[..., 0] != BOS):
         raise ValueError("prefix must start with BOS")
     if psi_hyps is None:
         psi_hyps = lm.features(prefix)
-    if psi_refs is None:
-        psi_refs = lm.features(guidance.tokens)
-    fused = fuse(params, psi_hyps, psi_refs, rng, training)
-    audio = fuse_audio(params, fused, phi, rng, training)
-    return params.lmhead((fused + audio).swapaxes(0, 1))
+    keep = (1.0, 1.0)
+    if training and params.dropout > 0.0:
+        keep = _dropout_keep(prefix, (params.d_l, params.d_r),
+                             params.dropout, rng)
+    guidance = np.asarray(guidance, dtype=np.int64)
+    key_mask = np.where(guidance == PAD, NEG_INF, 0.0)[..., None, None, :]
+    fused = params.fuse_mha(psi_hyps, lm.features(guidance),
+                            key_mask) * keep[0]
+    audio = params.audio_mha(params.reduce_hyp(fused),
+                             params.reduce_audio(np.swapaxes(phi, -1, -2)))
+    return params.lmhead(fused + params.expand(audio * keep[1]))
 
 
 def posterior(lm: TinyCausalLm, params: DecoderParams, phi: np.ndarray,
-              guidance: GuidanceCaptions, prefix: list[int],
-              psi_refs: np.ndarray | None = None) -> np.ndarray:
-    """p(next token | audio, guidance, prefix) as a probability row."""
+              guidance, prefix) -> np.ndarray:
+    """p(next token | audio, guidance, prefix) rows (..., vocab) for
+    prefixes (..., L) of one length, as beam search holds them.
+
+    Fusion runs on the last position only. Fusion rows are independent and
+    the LM is causal, so this is the softmax of position_logits' last row."""
+    psi_last = lm.features(prefix)[..., -1:, :]
     logits = position_logits(lm, params, phi, guidance, prefix,
-                             psi_refs=psi_refs)
-    return logits[-1].softmax().data
+                             psi_hyps=psi_last)
+    return logits.softmax().data[..., 0, :]
 
 
 def smoothed_cross_entropy(logits: Tensor, targets, lam: float) -> Tensor:
-    """Mean label-smoothed cross-entropy over positions.
+    """Label-smoothed cross-entropy: the mean over items of each item's mean
+    over its positions. logits (..., L, V), targets (..., L) PAD-padded.
 
     Target distribution: (1 - lam) * one-hot + lam / V uniform."""
     targets = np.asarray(targets, dtype=np.int64)
-    n, v = logits.shape
-    if targets.shape != (n,):
-        raise ShapeError(f"need {n} targets, got {targets.shape}")
-    logp = logits.log_softmax(axis=-1)
-    dist = np.full((n, v), lam / v)
-    dist[np.arange(n), targets] += 1.0 - lam
-    return -(logp * Tensor(dist)).sum() * (1.0 / n)
+    v = logits.shape[-1]
+    if targets.shape != logits.shape[:-1]:
+        raise ShapeError(f"need targets of shape {logits.shape[:-1]}, "
+                         f"got {targets.shape}")
+    real = targets != PAD
+    weight = real / real.sum(-1, keepdims=True) / real[..., 0].size
+    dist = np.full(logits.shape, lam / v)
+    np.put_along_axis(dist, targets[..., None], lam / v + (1.0 - lam), -1)
+    return -(logits.log_softmax(axis=-1)
+             * Tensor(dist * weight[..., None])).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -214,31 +211,36 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
     if not usable:
         raise TrainingError("no item has similar-labeled captions")
 
-    # prefix features are teacher-forced and therefore fixed: cache them
-    prefixes = {}
-    targets = {}
-    hyp_feats = {}
-    for i in train_idx + valid_idx:
-        cap = tokenizer.encode(items[i].caption)
-        prefixes[i] = [BOS] + cap
-        targets[i] = np.array(cap + [EOS], dtype=np.int64)
-        hyp_feats[i] = lm.features(prefixes[i])
+    # teacher forcing fixes the prefixes, so their features are computed once
+    caps = [tokenizer.encode(it.caption) for it in items]
+    prefixes = pad_ids([[BOS] + cap for cap in caps])
+    targets = pad_ids([cap + [EOS] for cap in caps])
+    lengths = (prefixes != PAD).sum(1)
+    psi = lm.features(prefixes)
+    feats = np.stack([it.features for it in items])
 
-    def pick_refs(i: int, rng: np.random.Generator) -> GuidanceCaptions:
+    def pick_refs(i: int, rng: np.random.Generator) -> list[int]:
         pool = sim_of[i]
-        if len(pool) >= cfg.retrieval_k:
-            chosen = rng.choice(pool, size=cfg.retrieval_k, replace=False)
-        else:
-            result.replacement_items += 1
-            chosen = rng.choice(pool, size=cfg.retrieval_k, replace=True)
-        return GuidanceCaptions(
-            [tokenizer.encode(items[int(j)].caption) for j in chosen])
+        replace = len(pool) < cfg.retrieval_k
+        result.replacement_items += replace
+        chosen = rng.choice(pool, size=cfg.retrieval_k, replace=replace)
+        return guidance_ids([caps[j] for j in chosen])
+
+    def batch_loss(rows: list[int], guidance: np.ndarray,
+                   training: bool) -> Tensor:
+        """Mean loss of items `rows` in one forward, padded to their
+        longest prefix."""
+        n = lengths[rows].max()
+        logits = position_logits(lm, params, feats[rows], guidance,
+                                 prefixes[rows, :n], rng_drop, training,
+                                 psi[rows, :n])
+        return smoothed_cross_entropy(logits, targets[rows, :n],
+                                      cfg.decoder_lambda)
 
     # fixed seeded validation guidance
     rng_val = np.random.default_rng([seed, 14])
-    val_set = [(i, pick_refs(i, rng_val)) for i in valid_idx
-               if len(sim_of[i])]
-    val_refs_feats = [(i, lm.features(g.tokens)) for i, g in val_set]
+    val_rows = [i for i in valid_idx if len(sim_of[i])]
+    val_guidance = pad_ids([pick_refs(i, rng_val) for i in val_rows])
     result.replacement_items = 0  # counting restarts with the training loop
 
     best = params.snapshot()
@@ -249,16 +251,8 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
         epoch_losses = []
         for start in range(0, len(usable), cfg.decoder_batch):
             chunk = [usable[k] for k in order[start:start + cfg.decoder_batch]]
-            total = None
-            for i in chunk:
-                g = pick_refs(i, rng_sample)
-                logits = position_logits(
-                    lm, params, items[i].features, g, prefixes[i],
-                    rng=rng_drop, training=True, psi_hyps=hyp_feats[i])
-                loss_i = smoothed_cross_entropy(logits, targets[i],
-                                                cfg.decoder_lambda)
-                total = loss_i if total is None else total + loss_i
-            loss = total * (1.0 / len(chunk))
+            guidance = pad_ids([pick_refs(i, rng_sample) for i in chunk])
+            loss = batch_loss(chunk, guidance, True)
             if not np.isfinite(loss.data):
                 raise NumericError(f"non-finite decoder loss at epoch {epoch}")
             loss.backward()
@@ -266,18 +260,8 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
             opt.zero_grad()
             epoch_losses.append(loss.item())
         train_loss = float(np.mean(epoch_losses))
-
-        if val_refs_feats:
-            vls = []
-            for (i, g), (_, rf) in zip(val_set, val_refs_feats):
-                logits = position_logits(
-                    lm, params, items[i].features, g, prefixes[i],
-                    psi_refs=rf, psi_hyps=hyp_feats[i])
-                vls.append(smoothed_cross_entropy(
-                    logits, targets[i], cfg.decoder_lambda).item())
-            val_loss = float(np.mean(vls))
-        else:
-            val_loss = train_loss
+        val_loss = (batch_loss(val_rows, val_guidance, False).item()
+                    if val_rows else train_loss)
 
         result.history.append({"epoch": epoch, "train_loss": train_loss,
                                "val_loss": val_loss, "lr": lr})
@@ -295,33 +279,27 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
 # ---------------------------------------------------------------------------
 
 def beam_search(lm: TinyCausalLm, params: DecoderParams, phi: np.ndarray,
-                guidance: GuidanceCaptions, beam: int,
-                max_len: int) -> list[int]:
-    """Length-normalized beam search.
+                guidance: list[int], beam: int, max_len: int) -> list[int]:
+    """Length-normalized beam search over SEP-joined guidance ids.
 
-    Beams end at EOS or at max length; live beams are pruned by cumulative
-    log-probability, the final ranking uses mean log-probability per emitted
-    token. All ties break on the token sequence itself, so decoding is
-    deterministic. Returns the emitted tokens (EOS included if generated)."""
-    psi_refs = lm.features(guidance.tokens)
+    Each step scores all live beams in one posterior call. Beams end at EOS
+    or at max length; live beams are pruned by cumulative log-probability,
+    the final ranking uses mean log-probability per emitted token. All ties
+    break on the token sequence itself, so decoding is deterministic.
+    Returns the emitted tokens (EOS included if generated)."""
     live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     finished: list[tuple[tuple[int, ...], float]] = []
     for _ in range(max_len):
         if not live:
             break
-        expansions = []
-        for toks, lp in live:
-            p = posterior(lm, params, phi, guidance, [BOS] + list(toks),
-                          psi_refs=psi_refs)
-            logp = np.log(np.maximum(p, 1e-300))
-            for v in range(len(p)):
-                expansions.append((toks + (v,), lp + logp[v]))
+        p = posterior(lm, params, phi, guidance,
+                      [(BOS,) + toks for toks, _ in live])
+        logp = np.log(np.maximum(p, 1e-300))
         next_live = []
-        for toks, lp in expansions:
-            if toks[-1] == EOS:
-                finished.append((toks, lp))
-            else:
-                next_live.append((toks, lp))
+        for (toks, lp), row in zip(live, logp):
+            for v in range(len(row)):
+                (finished if v == EOS else next_live).append(
+                    (toks + (v,), lp + row[v]))
         next_live.sort(key=lambda e: (-e[1], e[0]))
         live = next_live[:beam]
     finished.extend(live)  # force-finish at max length
@@ -334,6 +312,6 @@ def generate_caption(lm: TinyCausalLm, tokenizer: TinyTokenizer,
                      params: DecoderParams, phi: np.ndarray,
                      guidance_texts: list[str], beam: int,
                      max_len: int) -> str:
-    g = make_guidance(tokenizer, guidance_texts)
-    toks = beam_search(lm, params, phi, g, beam, max_len)
-    return tokenizer.decode(toks)
+    guidance = guidance_ids([tokenizer.encode(c) for c in guidance_texts])
+    return tokenizer.decode(beam_search(lm, params, phi, guidance, beam,
+                                        max_len))

@@ -102,7 +102,9 @@ class MultiHeadAttention:
         return x.reshape(new_shape).swapaxes(-3, -2)
 
     def __call__(self, query: Tensor, key_value: Tensor,
-                 causal: bool = False) -> Tensor:
+                 mask: np.ndarray | None = None) -> Tensor:
+        """`mask` is added to the (..., H, L_q, L_kv) attention scores:
+        NEG_INF where a query may not attend to a key, 0 elsewhere."""
         query = as_tensor(query)
         key_value = as_tensor(key_value)
         if query.shape[-1] != self.d_query:
@@ -115,12 +117,12 @@ class MultiHeadAttention:
         v = self._split(key_value @ self.W_v + self.b_v)
 
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.d_head))
-        if causal:
-            lq = query.shape[-2]
-            lkv = key_value.shape[-2]
-            if lq != lkv:
-                raise ShapeError("causal attention requires L_q == L_kv")
-            scores = scores + Tensor(causal_mask(lq))
+        if mask is not None:
+            if mask.shape[-2] not in (1, scores.shape[-2]) or \
+                    mask.shape[-1] != scores.shape[-1]:
+                raise ShapeError(f"mask shape {mask.shape} does not fit "
+                                 f"scores {scores.shape}")
+            scores = scores + Tensor(mask)
         attn = scores.softmax(axis=-1)
         heads = attn @ v  # (..., H, L_q, d_head)
         merged = heads.swapaxes(-3, -2).reshape(
@@ -152,7 +154,8 @@ class EncoderLayer:
         x = as_tensor(x)
         if x.shape[-1] != self.d_model:
             raise ShapeError(f"encoder layer dim {self.d_model}, got {x.shape}")
-        h = self.ln1(x + self.attn(x, x, causal=causal))
+        mask = causal_mask(x.shape[-2]) if causal else None
+        h = self.ln1(x + self.attn(x, x, mask))
         return self.ln2(h + self.ff2(self.ff1(h).gelu()))
 
     def named_params(self, prefix: str = ""):

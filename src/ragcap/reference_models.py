@@ -90,11 +90,12 @@ class TinyCausalLm:
         return h
 
     def features(self, token_ids) -> np.ndarray:
-        """Frozen-LM feature matrix (d_model, L) for one token sequence."""
+        """Frozen-LM features (..., L, d_model) for token ids (..., L).
+        Under the causal mask, right padding leaves earlier rows unchanged."""
         ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.ndim != 1 or ids.size == 0:
-            raise ValueError("token_ids must be a nonempty 1-d sequence")
-        return self._forward(ids).data.T.copy()
+        if ids.ndim == 0 or ids.shape[-1] == 0:
+            raise ValueError("token_ids must be nonempty sequences")
+        return self._forward(ids).data
 
     def head_matrix(self) -> np.ndarray:
         """Token-prediction weights (d_model, vocab), tied to the embedding."""
@@ -180,7 +181,7 @@ class LmTextEncoder:
         self.lm = lm
 
     def encode(self, caption) -> np.ndarray:
-        return self.lm.features(caption.token_ids)
+        return self.lm.features(caption.token_ids).T.copy()
 
 
 # ---------------------------------------------------------------------------

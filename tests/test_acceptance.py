@@ -23,10 +23,11 @@ from ragcap.autodiff import Tensor
 from ragcap.cli import main as cli_main
 from ragcap.config import PipelineConfig, load_config
 from ragcap.data import DatasetItem, load_dataset
-from ragcap.decoder import (DecoderParams, GuidanceCaptions, beam_search,
-                            position_logits, posterior,
+from ragcap.decoder import (DecoderParams, beam_search, guidance_ids,
+                            pad_ids, position_logits, posterior,
                             smoothed_cross_entropy, train_decoder)
-from ragcap.layers import EncoderLayer, LayerNorm, Linear, MultiHeadAttention
+from ragcap.layers import (EncoderLayer, LayerNorm, Linear, MultiHeadAttention,
+                           causal_mask)
 from ragcap.metrics import bleu_n, rouge_l, rouge_l_sentence, cider
 from ragcap.reference_models import (BOS, SyntheticDatasetSpec, build_tiny_lm,
                                      generate_synthetic_dataset)
@@ -112,9 +113,9 @@ def test_criterion_01_gradient_suite(rng):
         lq = int(rng.integers(1, 4))
         mha = MultiHeadAttention(heads, dq, dq, dq, rng, std=0.5)
         q = rng.normal(size=(lq, dq))
+        mask = causal_mask(lq) if trial % 2 else None
         finite_diff_check(
-            lambda: sq_sum(mha(Tensor(q), Tensor(q),
-                               causal=bool(trial % 2))),
+            lambda: sq_sum(mha(Tensor(q), Tensor(q), mask)),
             [p for _, p in mha.named_params()], rel_tol=1e-4)
 
     for _ in range(5):  # encoder layer
@@ -143,11 +144,26 @@ def test_criterion_01_gradient_suite(rng):
         n = int(rng.integers(1, 4))
         prefix = [BOS] + [int(v) for v in rng.integers(0, 8, size=n)]
         phi = rng.normal(size=(3, int(rng.integers(1, 4))))
-        g = GuidanceCaptions([[5, 6]])
-        targets = rng.integers(0, 8, size=len(prefix))
+        targets = rng.integers(1, 8, size=len(prefix))
         finite_diff_check(
             lambda: smoothed_cross_entropy(
-                position_logits(lm, dec, phi, g, prefix), targets, 0.1),
+                position_logits(lm, dec, phi, [5, 6], prefix), targets, 0.1),
+            [p for _, p in dec.named_params()], rel_tol=1e-4)
+
+    for _ in range(5):  # the same path on a padded two-item batch
+        dec = DecoderParams(lm.d_model, 3, 4, lm.vocab_size, heads=2,
+                            drop_p=0.0, rng=rng, std=0.5)
+        lengths = rng.integers(1, 5, size=2)
+        prefixes = pad_ids([[BOS] + [int(v) for v in rng.integers(1, 8, n)]
+                            for n in lengths])
+        targets = pad_ids([[int(v) for v in rng.integers(1, 8, n + 1)]
+                           for n in lengths])
+        guidance = pad_ids([[5, 6, 7], [6]])
+        phis = rng.normal(size=(2, 3, int(rng.integers(1, 4))))
+        finite_diff_check(
+            lambda: smoothed_cross_entropy(
+                position_logits(lm, dec, phis, guidance, prefixes), targets,
+                0.1),
             [p for _, p in dec.named_params()], rel_tol=1e-4)
 
     assert time.monotonic() - start < 60.0
@@ -172,17 +188,12 @@ def test_criterion_02_search_oracles(rng):
                        for i in range(n)))[:k]
         assert [(g[0], g[1]) for g in got] == [(i, dd) for dd, i in want]
 
-    # beam search against exhaustive enumeration: vocab 3, length 3
+    # beam search against exhaustive enumeration: vocab 3, length 3; each
+    # candidate is scored from the full position_logits rows of its prefix
     def exhaustive(lm, params, phi, guidance, max_len):
-        psi_refs = lm.features(guidance.tokens)
-        cache = {}
-
-        def row(prefix):
-            if prefix not in cache:
-                p = posterior(lm, params, phi, guidance,
-                              [BOS] + list(prefix), psi_refs=psi_refs)
-                cache[prefix] = np.log(np.maximum(p, 1e-300))
-            return cache[prefix]
+        def rows(toks):
+            logits = position_logits(lm, params, phi, guidance, [BOS, *toks])
+            return logits.log_softmax(axis=-1).data
 
         cands = []
         eos = 2
@@ -192,12 +203,12 @@ def test_criterion_02_search_oracles(rng):
                     continue
                 if toks[-1] != eos and length < max_len:
                     continue
-                lp = sum(row(toks[:i])[tok] for i, tok in enumerate(toks))
+                lp = sum(r[tok] for r, tok in zip(rows(toks[:-1]), toks))
                 cands.append((toks, lp))
         return list(max(cands, key=lambda e: (e[1] / len(e[0]),
                                               tuple(-t for t in e[0])))[0])
 
-    g = GuidanceCaptions([[1]])
+    g = [1]
     for seed in range(20):
         model_rng = np.random.default_rng([71, seed])
         lm = build_tiny_lm(seed, vocab_size=3, d_model=8)
@@ -251,7 +262,7 @@ def test_criterion_03_equation_hand_examples(rng):
 
     # label smoothing 0 reduces to standard cross-entropy
     logits = Tensor(rng.normal(size=(3, 5)))
-    targets = [1, 4, 0]
+    targets = [1, 4, 3]  # target 0 is PAD, a padded position
     logp = logits.log_softmax(axis=-1).data
     want = -np.mean(logp[np.arange(3), targets])
     assert abs(smoothed_cross_entropy(logits, targets, 0.0).item()
@@ -455,7 +466,7 @@ def test_criterion_08_cli_determinism(tmp_path, capsys):
 
 def test_criterion_10_posterior_contract():
     lm = build_tiny_lm(4, vocab_size=8, d_model=8)
-    g = GuidanceCaptions([[5, 6], [7]])
+    g = guidance_ids([[5, 6], [7]])
     rows_checked = 0
     for model_seed in range(100):
         rng = np.random.default_rng([10, model_seed])
@@ -470,6 +481,9 @@ def test_criterion_10_posterior_contract():
             sums = probs.sum(axis=-1)
             assert np.all(np.abs(sums - 1.0) <= 1e-9)
             rows_checked += probs.shape[0]
+        # the beam's last-row posterior is the last row of the full logits
+        np.testing.assert_allclose(posterior(lm, params, phi, g, [prefix])[0],
+                                   probs[-1], rtol=0, atol=1e-12)
         # causality: mutating the last prefix token leaves earlier rows alone
         mutated = list(prefix)
         mutated[-1] = (mutated[-1] + 1) % 8

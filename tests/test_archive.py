@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 from ragcap.archive import (ArchiveFormatError, ManifestError, ManifestRow,
                             atomic_write_bytes, load_checkpoint,
-                            load_manifest, pack_archive, read_archive,
-                            restore_params, save_checkpoint, unpack_archive,
-                            write_archive, write_manifest)
+                            load_manifest, pack_archive, pack_checkpoint,
+                            read_archive, restore_params, save_checkpoint,
+                            unpack_archive, unpack_checkpoint, write_archive,
+                            write_manifest)
 from ragcap.autodiff import Tensor
 
 
@@ -86,6 +88,72 @@ def test_trailing_bytes_rejected():
     buf = pack_archive({"a": np.ones(2)})
     with pytest.raises(ArchiveFormatError, match="trailing"):
         unpack_archive(buf + b"\x00")
+
+
+def test_non_utf8_tensor_name_names_offset():
+    buf = bytearray(pack_archive({"a": np.ones(1)}))
+    buf[12] = 0xFF  # the name's first byte
+    with pytest.raises(ArchiveFormatError, match="byte 12"):
+        unpack_archive(bytes(buf))
+
+
+def test_zero_dim_beside_huge_dims_rejected():
+    # the element count is 0, so only numpy's size limit could catch it
+    buf = (b"RACT" + struct.pack("<HIH", 1, 1, 1) + b"a"
+           + struct.pack("<B3I", 3, 0, 2 ** 32 - 1, 2 ** 32 - 1))
+    with pytest.raises(ArchiveFormatError, match="byte 14"):
+        unpack_archive(buf)
+
+
+@pytest.mark.parametrize("meta", [b"[1, 2]", b"\xff\xfe", b"{not json"])
+def test_bad_checkpoint_metadata_names_offset(meta):
+    buf = b"RCKP" + struct.pack("<I", len(meta)) + meta + pack_archive({})
+    with pytest.raises(ArchiveFormatError, match="byte 8"):
+        unpack_checkpoint(buf)
+
+
+_TENSORS = {"emb": np.random.default_rng(0).normal(size=(2, 3)),
+            "b": np.array([0.5, -1.0]), "s": np.zeros(())}
+_VALID = {"ract": pack_archive(_TENSORS),
+          "ckpt": pack_checkpoint(_TENSORS, {"config_hash": "abc", "seed": 0,
+                                             "val_loss": 0.25})}
+
+
+def _roundtrips_or_raises(kind, buf):
+    """A corrupted file raises ArchiveFormatError, or what it reads as
+    writes back and reads the same."""
+    try:
+        if kind == "ract":
+            got = unpack_archive(buf)
+        else:
+            got, meta = unpack_checkpoint(buf)
+    except ArchiveFormatError:
+        return
+    if kind == "ract":
+        assert pack_archive(got) == buf
+    else:
+        again, again_meta = unpack_checkpoint(pack_checkpoint(got, meta))
+        assert again_meta == meta
+        assert pack_archive(again) == pack_archive(got)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_VALID)), st.data())
+def test_single_byte_mutation_roundtrips_or_raises(kind, data):
+    buf = bytearray(_VALID[kind])
+    pos = data.draw(st.integers(0, len(buf) - 1), label="pos")
+    buf[pos] = data.draw(st.integers(0, 255), label="byte")
+    _roundtrips_or_raises(kind, bytes(buf))
+
+
+def test_every_single_byte_mutation_roundtrips_or_raises():
+    # a few of the 69k mutations reach numpy's dims limits
+    for kind, valid in _VALID.items():
+        for pos in range(len(valid)):
+            for byte in range(256):
+                buf = bytearray(valid)
+                buf[pos] = byte
+                _roundtrips_or_raises(kind, bytes(buf))
 
 
 def test_duplicate_name_rejected():

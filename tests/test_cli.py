@@ -222,6 +222,20 @@ def test_exit_3_corrupt_index(ws, tmp_path):
                  "--index", str(bad), "--query-features", feats]) == 3
 
 
+def test_exit_3_checkpoint_metadata_not_an_object(ws, tmp_path, caplog):
+    ckpt = os.path.join(ws["ret"], "retrieval.ckpt")
+    raw = open(ckpt, "rb").read()
+    meta_len = int.from_bytes(raw[4:8], "little")
+    bad = tmp_path / "list_meta.ckpt"
+    bad.write_bytes(raw[:4] + (6).to_bytes(4, "little") + b"[1, 2]"
+                    + raw[8 + meta_len:])
+    feats = os.path.join(ws["data"], "features", "c00i000.ract")
+    assert main(["retrieve", "--config", ws["cfg"], "--checkpoint", str(bad),
+                 "--index", os.path.join(ws["ret"], "index.ract"),
+                 "--query-features", feats]) == 3
+    assert "not a JSON object" in caplog.text
+
+
 def test_exit_3_nonfinite_features(ws, tmp_path):
     data = tmp_path / "data"
     shutil.copytree(ws["data"], data)
@@ -341,20 +355,23 @@ def test_double_run_bitwise_identical(ws, tmp_path):
 
 
 def test_train_retrieval_bitwise_across_openblas_threads(ws, tmp_path):
+    """train-retrieval and the batched train-decoder write the same bytes
+    under one and two BLAS threads (set in the child environment only)."""
     src = os.path.dirname(os.path.dirname(ragcap.__file__))
     outs = []
     for threads in ("1", "2"):
         out = str(tmp_path / f"threads{threads}")
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        subprocess.run(
-            [sys.executable, "-m", "ragcap.cli", "train-retrieval",
-             "--config", ws["cfg"], "--manifest", ws["manifest"],
-             "--labels", ws["labels"], "--seed", "0", "--out", out],
-            env=env, check=True, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL)
+        for command in ("train-retrieval", "train-decoder"):
+            subprocess.run(
+                [sys.executable, "-m", "ragcap.cli", command,
+                 "--config", ws["cfg"], "--manifest", ws["manifest"],
+                 "--labels", ws["labels"], "--seed", "0", "--out", out],
+                env=env, check=True, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL)
         outs.append(out)
     for fname in ("retrieval.ckpt", "retrieval_curve.tsv", "negatives.tsv",
-                  "index.ract"):
+                  "index.ract", "decoder.ckpt", "decoder_curve.tsv"):
         a = open(os.path.join(outs[0], fname), "rb").read()
         b = open(os.path.join(outs[1], fname), "rb").read()
         assert a == b, fname

@@ -7,10 +7,11 @@ import pytest
 from ragcap.autodiff import Tensor
 from ragcap.config import PipelineConfig
 from ragcap.data import DatasetItem
-from ragcap.decoder import (DecoderParams, GuidanceCaptions, beam_search,
-                            fuse, fuse_audio, generate_caption, make_guidance, posterior, position_logits,
+from ragcap.decoder import (DecoderParams, _dropout_keep, beam_search,
+                            generate_caption, guidance_ids, pad_ids,
+                            posterior, position_logits,
                             smoothed_cross_entropy, train_decoder)
-from ragcap.reference_models import (BOS, EOS, SEP, TinyTokenizer,
+from ragcap.reference_models import (BOS, EOS, PAD, SEP, TinyTokenizer,
                                      build_tiny_lm)
 from ragcap.similarity import SimilarLabelMatrix
 
@@ -32,31 +33,28 @@ def make_dec(lm, rng, d_r=6, drop=0.0, head_init=None):
 # ---------------------------------------------------------------------------
 
 def test_guidance_sep_joined():
-    g = GuidanceCaptions([[5, 6], [7], [8, 9]])
-    assert g.tokens == [5, 6, SEP, 7, SEP, 8, 9]
+    assert guidance_ids([[5, 6], [7], [8, 9]]) == [5, 6, SEP, 7, SEP, 8, 9]
 
 
 def test_guidance_single_caption_no_sep():
-    assert GuidanceCaptions([[5, 6]]).tokens == [5, 6]
+    assert guidance_ids([[5, 6]]) == [5, 6]
 
 
 def test_guidance_rejects_empty():
     with pytest.raises(ValueError):
-        GuidanceCaptions([])
+        guidance_ids([])
     with pytest.raises(ValueError):
-        GuidanceCaptions([[5], []])
+        guidance_ids([[5], []])
 
 
-def test_make_guidance_encodes():
-    tok = TinyTokenizer(["a dog", "a cat"])
-    g = make_guidance(tok, ["a dog", "a cat"])
-    assert g.captions == [tok.encode("a dog"), tok.encode("a cat")]
+def test_pad_ids_right_pads():
+    np.testing.assert_array_equal(pad_ids([[5, 6], [7], [8, 9, 10]]),
+                                  [[5, 6, PAD], [7, PAD, PAD], [8, 9, 10]])
 
 
 def test_guidance_features_width(lm):
-    g = GuidanceCaptions([[5, 6], [7]])
-    feats = lm.features(g.tokens)
-    assert feats.shape == (lm.d_model, 4)
+    feats = lm.features(guidance_ids([[5, 6], [7]]))
+    assert feats.shape == (4, lm.d_model)
 
 
 # ---------------------------------------------------------------------------
@@ -65,79 +63,134 @@ def test_guidance_features_width(lm):
 
 def test_fuse_shape(lm, rng):
     params = make_dec(lm, rng)
-    out = fuse(params, rng.normal(size=(lm.d_model, 5)),
-               rng.normal(size=(lm.d_model, 7)))
-    assert out.shape == (lm.d_model, 5)
+    out = params.fuse_mha(rng.normal(size=(2, 5, lm.d_model)),
+                          rng.normal(size=(2, 7, lm.d_model)))
+    assert out.shape == (2, 5, lm.d_model)
 
 
 def test_fuse_single_key_gives_equal_columns(lm, rng):
     params = make_dec(lm, rng)
-    out = fuse(params, rng.normal(size=(lm.d_model, 4)),
-               rng.normal(size=(lm.d_model, 1))).data
-    for col in range(1, 4):
-        np.testing.assert_allclose(out[:, col], out[:, 0], atol=1e-12)
+    out = params.fuse_mha(rng.normal(size=(4, lm.d_model)),
+                          rng.normal(size=(1, lm.d_model))).data
+    for row in range(1, 4):
+        np.testing.assert_allclose(out[row], out[0], atol=1e-12)
 
 
 def test_fuse_query_columns_independent(lm, rng):
     params = make_dec(lm, rng)
-    hyps = rng.normal(size=(lm.d_model, 3))
-    refs = rng.normal(size=(lm.d_model, 4))
-    base = fuse(params, hyps, refs).data
+    hyps = rng.normal(size=(3, lm.d_model))
+    refs = rng.normal(size=(4, lm.d_model))
+    base = params.fuse_mha(hyps, refs).data
     mutated = hyps.copy()
-    mutated[:, 2] += 5.0
-    out = fuse(params, mutated, refs).data
-    np.testing.assert_allclose(out[:, :2], base[:, :2], atol=1e-12)
-    assert not np.allclose(out[:, 2], base[:, 2])
+    mutated[2] += 5.0
+    out = params.fuse_mha(mutated, refs).data
+    np.testing.assert_allclose(out[:2], base[:2], atol=1e-12)
+    assert not np.allclose(out[2], base[2])
 
 
 def test_fuse_audio_shape_and_t1(lm, rng):
     params = make_dec(lm, rng)
-    psi = rng.normal(size=(lm.d_model, 5))
-    out = fuse_audio(params, psi, rng.normal(size=(D_A, T)))
-    assert out.shape == (lm.d_model, 5)
-    assert fuse_audio(params, psi, rng.normal(size=(D_A, 1))).shape == \
-        (lm.d_model, 5)
+    prefix = [[BOS, 5, 6, 7, 8], [BOS, 9, PAD, PAD, PAD]]
+    for t in (T, 1):
+        out = position_logits(lm, params, rng.normal(size=(2, D_A, t)),
+                              [[5, 6], [7, PAD]], prefix)
+        assert out.shape == (2, 5, lm.vocab_size)
 
 
 def test_fuse_audio_gradients_reach_all_blocks(lm, rng):
     params = make_dec(lm, rng)
-    psi = Tensor(rng.normal(size=(lm.d_model, 3)), requires_grad=True)
-    out = fuse_audio(params, psi, rng.normal(size=(D_A, T)))
+    psi = Tensor(rng.normal(size=(2, 3, lm.d_model)), requires_grad=True)
+    out = position_logits(lm, params, rng.normal(size=(2, D_A, T)),
+                          [[5, 6], [7, PAD]], [[BOS, 5, 6], [BOS, 7, PAD]],
+                          psi_hyps=psi)
     out.sum().backward()
     for name, p in params.named_params():
-        if any(part in name for part in
-               ("reduce_hyp", "reduce_audio", "audio_mha", "expand")):
-            assert p.grad is not None and np.any(p.grad != 0.0), name
+        assert p.grad is not None and np.any(p.grad != 0.0), name
     assert psi.grad is not None and np.any(psi.grad != 0.0)
 
 
 def test_fusion_rejects_bad_shapes(lm, rng):
     params = make_dec(lm, rng)
+    g, prefix = [5, 6], [BOS, 5, 6]
     with pytest.raises(Exception):
-        fuse(params, rng.normal(size=(lm.d_model + 1, 3)),
-             rng.normal(size=(lm.d_model, 3)))
+        position_logits(lm, params, rng.normal(size=(D_A, T)), g, prefix,
+                        psi_hyps=rng.normal(size=(3, lm.d_model + 1)))
     with pytest.raises(Exception):
-        fuse_audio(params, rng.normal(size=(lm.d_model, 3)),
-                   rng.normal(size=(D_A + 1, T)))
+        position_logits(lm, params, rng.normal(size=(D_A + 1, T)), g, prefix)
 
 
 # ---------------------------------------------------------------------------
-# posterior
+# posterior and the batched path
 # ---------------------------------------------------------------------------
 
 def test_posterior_is_distribution(lm, rng):
     params = make_dec(lm, rng)
     phi = rng.normal(size=(D_A, T))
-    p = posterior(lm, params, phi, GuidanceCaptions([[5, 6]]), [BOS, 7, 8])
-    assert p.shape == (lm.vocab_size,)
+    p = posterior(lm, params, phi, [5, 6], [[BOS, 7, 8]])
+    assert p.shape == (1, lm.vocab_size)
     assert np.all(p >= 0.0)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_posterior_is_softmax_of_last_position_row(lm, rng):
+    params = make_dec(lm, rng)
+    phi = rng.normal(size=(D_A, T))
+    g = guidance_ids([[5, 6], [7]])
+    prefixes = [[BOS, 7, 8, 9], [BOS, 5, 5, 10], [BOS, 11, PAD, 4]]
+    got = posterior(lm, params, phi, g, prefixes)
+    for b, prefix in enumerate(prefixes):
+        want = position_logits(lm, params, phi, g, prefix)[-1].softmax().data
+        np.testing.assert_allclose(got[b], want, rtol=0, atol=1e-12)
+
+
+def test_mixed_length_batch_matches_single_items(lm, rng):
+    params = make_dec(lm, rng)
+    prefixes = [[BOS, 5, 6, 7, 8], [BOS, 9], [BOS, 10, 11, 5]]
+    guidance = [guidance_ids([[5, 6], [7]]), [8], guidance_ids([[9, 10, 11]])]
+    phis = rng.normal(size=(3, D_A, T))
+    batched = position_logits(lm, params, phis, pad_ids(guidance),
+                              pad_ids(prefixes)).data
+    for b in range(3):
+        single = position_logits(lm, params, phis[b], guidance[b],
+                                 prefixes[b]).data
+        n = len(prefixes[b])
+        np.testing.assert_allclose(batched[b, :n], single, rtol=0,
+                                   atol=1e-12)
+
+
+def test_padded_guidance_keys_change_nothing(lm, rng):
+    params = make_dec(lm, rng)
+    phi = rng.normal(size=(D_A, T))
+    prefix = [BOS, 7, 8]
+    base = position_logits(lm, params, phi, [5, 6, SEP, 7], prefix).data
+    padded = position_logits(lm, params, phi, [5, 6, SEP, 7, PAD, PAD],
+                             prefix).data
+    np.testing.assert_allclose(padded, base, rtol=0, atol=1e-12)
+
+
+def test_dropout_masks_do_not_depend_on_padding(lm, rng):
+    params = make_dec(lm, rng, drop=0.3)
+    prefixes = [[BOS, 5, 6, 7], [BOS, 8]]
+    phi = rng.normal(size=(D_A, T))
+    short = _dropout_keep(pad_ids(prefixes), (4, 2), 0.3,
+                          np.random.default_rng(9))
+    long = _dropout_keep(pad_ids([p + [PAD] * 3 for p in prefixes]), (4, 2),
+                         0.3, np.random.default_rng(9))
+    for s, lg in zip(short, long):
+        np.testing.assert_array_equal(lg[:, :4], s)
+        assert not np.any(lg[:, 4:]) and not np.any(s[1, 2:])
+    # the same draws reach the logits of an item's real rows
+    out = [position_logits(lm, params, phi, [5, 6],
+                           [BOS, 5, 6, 7] + [PAD] * pad,
+                           np.random.default_rng(9), training=True).data
+           for pad in (0, 3)]
+    np.testing.assert_allclose(out[1][:4], out[0], rtol=0, atol=1e-12)
 
 
 def test_position_logits_are_causal(lm, rng):
     params = make_dec(lm, rng)
     phi = rng.normal(size=(D_A, T))
-    g = GuidanceCaptions([[5, 6]])
+    g = [5, 6]
     a = position_logits(lm, params, phi, g, [BOS, 7, 8, 9]).data
     b = position_logits(lm, params, phi, g, [BOS, 7, 8, 10]).data
     np.testing.assert_allclose(a[:3], b[:3], atol=1e-12)
@@ -147,21 +200,22 @@ def test_position_logits_are_causal(lm, rng):
 def test_prefix_must_start_with_bos(lm, rng):
     params = make_dec(lm, rng)
     phi = np.zeros((D_A, T))
-    g = GuidanceCaptions([[5]])
+    g = [5]
     with pytest.raises(ValueError, match="BOS"):
         position_logits(lm, params, phi, g, [7, 8])
     with pytest.raises(ValueError, match="BOS"):
         position_logits(lm, params, phi, g, [])
+    with pytest.raises(ValueError, match="BOS"):
+        position_logits(lm, params, phi, g, [[BOS, 7], [7, 8]])
 
 
 def test_zero_head_gives_uniform_posterior(lm, rng):
     params = make_dec(lm, rng)
     params.lmhead.W.data[:] = 0.0
     params.lmhead.b.data[:] = 0.0
-    p = posterior(lm, params, rng.normal(size=(D_A, T)),
-                  GuidanceCaptions([[5]]), [BOS, 6])
-    np.testing.assert_allclose(p, np.full(lm.vocab_size, 1 / lm.vocab_size),
-                               atol=1e-12)
+    p = posterior(lm, params, rng.normal(size=(D_A, T)), [5], [[BOS, 6]])
+    np.testing.assert_allclose(p, np.full((1, lm.vocab_size),
+                                          1 / lm.vocab_size), atol=1e-12)
 
 
 def test_head_init_copies_frozen_lm_head(lm, rng):
@@ -177,7 +231,7 @@ def test_head_init_copies_frozen_lm_head(lm, rng):
 
 def test_smoothed_ce_lambda_zero_is_standard_ce(rng):
     logits = Tensor(rng.normal(size=(3, 5)))
-    targets = [1, 4, 0]
+    targets = [1, 4, 3]  # target 0 is PAD, a padded position
     got = smoothed_cross_entropy(logits, targets, 0.0).item()
     logp = logits.log_softmax(axis=-1).data
     want = -np.mean(logp[np.arange(3), targets])
@@ -192,9 +246,19 @@ def test_smoothed_ce_uniform_logits_is_log_vocab():
 
 
 def test_smoothed_ce_penalizes_overconfidence():
-    confident = Tensor(np.array([[30.0, -30.0]]))
-    assert smoothed_cross_entropy(confident, [0], 0.1).item() > \
-        smoothed_cross_entropy(confident, [0], 0.0).item()
+    confident = Tensor(np.array([[-30.0, 30.0]]))
+    assert smoothed_cross_entropy(confident, [1], 0.1).item() > \
+        smoothed_cross_entropy(confident, [1], 0.0).item()
+
+
+def test_smoothed_ce_is_mean_of_item_means(rng):
+    logits = Tensor(rng.normal(size=(2, 4, 6)))
+    targets = np.array([[1, 2, 3, 4], [5, 2, PAD, PAD]])
+    got = smoothed_cross_entropy(logits, targets, 0.1).item()
+    want = np.mean([
+        smoothed_cross_entropy(logits[0], targets[0], 0.1).item(),
+        smoothed_cross_entropy(logits[1][:2], targets[1][:2], 0.1).item()])
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_smoothed_ce_target_count_checked(rng):
@@ -208,16 +272,10 @@ def test_smoothed_ce_target_count_checked(rng):
 
 def exhaustive_best(lm, params, phi, guidance, max_len):
     """Enumerate every legal emission sequence and pick the best by the same
-    ranking rule the beam uses."""
-    psi_refs = lm.features(guidance.tokens)
-    cache = {}
-
-    def logp_row(prefix):
-        if prefix not in cache:
-            p = posterior(lm, params, phi, guidance, [BOS] + list(prefix),
-                          psi_refs=psi_refs)
-            cache[prefix] = np.log(np.maximum(p, 1e-300))
-        return cache[prefix]
+    ranking rule the beam uses. Rows come from full position_logits."""
+    def logp_rows(toks):
+        logits = position_logits(lm, params, phi, guidance, [BOS, *toks])
+        return logits.log_softmax(axis=-1).data
 
     candidates = []
     for length in range(1, max_len + 1):
@@ -226,9 +284,10 @@ def exhaustive_best(lm, params, phi, guidance, max_len):
                 continue
             if toks[-1] != EOS and length < max_len:
                 continue
+            rows = logp_rows(toks[:-1])
             lp = 0.0
             for pos, tok in enumerate(toks):
-                lp += logp_row(toks[:pos])[tok]
+                lp += rows[pos][tok]
             candidates.append((toks, lp))
     best = max(candidates, key=lambda e: (e[1] / len(e[0]),
                                           tuple(-t for t in e[0])))
@@ -237,7 +296,7 @@ def exhaustive_best(lm, params, phi, guidance, max_len):
 
 def test_beam_matches_exhaustive_small_instances():
     lm = build_tiny_lm(9, vocab_size=6, d_model=8)
-    g = GuidanceCaptions([[5]])
+    g = [5]
     for seed in range(3):
         rng = np.random.default_rng(seed)
         params = DecoderParams(lm.d_model, D_A, 4, lm.vocab_size, heads=2,
@@ -250,11 +309,10 @@ def test_beam_matches_exhaustive_small_instances():
 def test_beam_one_equals_greedy(lm, rng):
     params = make_dec(lm, rng)
     phi = rng.normal(size=(D_A, T))
-    g = GuidanceCaptions([[5, 6]])
-    psi_refs = lm.features(g.tokens)
+    g = [5, 6]
     toks = []
     for _ in range(5):
-        p = posterior(lm, params, phi, g, [BOS] + toks, psi_refs=psi_refs)
+        p = posterior(lm, params, phi, g, [[BOS] + toks])[0]
         nxt = int(np.argmax(p))
         toks.append(nxt)
         if nxt == EOS:
@@ -265,7 +323,7 @@ def test_beam_one_equals_greedy(lm, rng):
 def test_beam_is_deterministic(lm, rng):
     params = make_dec(lm, rng)
     phi = rng.normal(size=(D_A, T))
-    g = GuidanceCaptions([[5, 6], [7]])
+    g = guidance_ids([[5, 6], [7]])
     assert beam_search(lm, params, phi, g, beam=3, max_len=6) == \
         beam_search(lm, params, phi, g, beam=3, max_len=6)
 
@@ -273,7 +331,7 @@ def test_beam_is_deterministic(lm, rng):
 def test_beam_respects_max_len(lm, rng):
     params = make_dec(lm, rng)
     out = beam_search(lm, params, rng.normal(size=(D_A, T)),
-                      GuidanceCaptions([[5]]), beam=2, max_len=4)
+                      [5], beam=2, max_len=4)
     assert 1 <= len(out) <= 4
 
 
@@ -281,9 +339,15 @@ def test_beam_respects_max_len(lm, rng):
 # training
 # ---------------------------------------------------------------------------
 
-def make_training_setup():
-    texts = ["a dog barks", "a dog howls", "a cat purrs", "a cat meows",
-             "a dog growls", "a cat hisses"]
+TEXTS = ["a dog barks", "a dog howls", "a cat purrs", "a cat meows",
+         "a dog growls", "a cat hisses"]
+# captions of 3 to 6 words, so batches pad prefixes and guidance
+MIXED_TEXTS = ["a dog barks", "a dog howls loudly", "a cat purrs",
+               "the cat meows at night", "a dog growls", "a cat hisses",
+               "the dog barks at the cat"]
+
+
+def make_training_setup(texts=TEXTS):
     tok = TinyTokenizer(texts)
     lm = build_tiny_lm(3, tok.vocab_size, d_model=16,
                        pretrain_seqs=[tok.encode(t) for t in texts],
@@ -335,6 +399,32 @@ def test_train_decoder_deterministic():
         assert p1.data.tobytes() == p2.data.tobytes(), n1
 
 
+# (train_loss, val_loss) per epoch, recorded from the per-item training loop
+# this batched path replaced, under the configuration below
+PER_ITEM_HISTORY = {
+    "TEXTS": [(2.6298364848324605, 2.590483691554112),
+              (2.6238939845446616, 2.573960918563463),
+              (2.5853151966946974, 2.568503546415203)],
+    "MIXED_TEXTS": [(2.8965647721809376, 2.8979368184114414),
+                    (2.877093495937167, 2.888923756637385),
+                    (2.860602810046487, 2.88602663477492)],
+}
+
+
+@pytest.mark.parametrize("texts", ["TEXTS", "MIXED_TEXTS"])
+def test_train_decoder_history_matches_per_item_loop(texts):
+    lm, tok, items, labels = make_training_setup(globals()[texts])
+    cfg = PipelineConfig(decoder_batch=4, decoder_epochs=3,
+                         decoder_lr_max=3e-3, decoder_lr_min=1e-5,
+                         decoder_lr_period=3, decoder_dropout=0.3,
+                         decoder_d_r=4, decoder_heads=2, retrieval_k=2)
+    result = train_decoder(lm, tok, items, labels, cfg, seed=5)
+    got = [(h["train_loss"], h["val_loss"]) for h in result.history]
+    np.testing.assert_allclose(got, PER_ITEM_HISTORY[texts], rtol=0,
+                               atol=1e-12)
+    assert (result.replacement_items, result.best_epoch) == (6, 2)
+
+
 def test_train_decoder_skips_isolated_items():
     lm, tok, items, labels = make_training_setup()
     lab = labels.labels.copy()
@@ -353,6 +443,9 @@ def test_generate_caption_decodes(lm, rng):
     small_lm = build_tiny_lm(3, tok.vocab_size, d_model=8)
     params = DecoderParams(small_lm.d_model, D_A, 4, small_lm.vocab_size,
                            heads=2, drop_p=0.0, rng=rng)
-    text = generate_caption(small_lm, tok, params, rng.normal(size=(D_A, T)),
-                            ["a dog barks"], beam=2, max_len=5)
-    assert isinstance(text, str)
+    phi = rng.normal(size=(D_A, T))
+    text = generate_caption(small_lm, tok, params, phi,
+                            ["a dog barks", "a cat"], beam=2, max_len=5)
+    g = guidance_ids([tok.encode("a dog barks"), tok.encode("a cat")])
+    assert text == tok.decode(beam_search(small_lm, params, phi, g, beam=2,
+                                          max_len=5))

@@ -92,10 +92,10 @@ def test_mha_matches_per_head_oracle(rng):
 def test_causal_mask_blocks_future(rng):
     mha = MultiHeadAttention(2, 4, 4, 8, rng, std=0.3)
     x = rng.normal(size=(5, 4))
-    base = mha(Tensor(x), Tensor(x), causal=True).data
+    base = mha(Tensor(x), Tensor(x), causal_mask(5)).data
     mutated = x.copy()
     mutated[3:] += 10.0  # rows after position 2
-    out = mha(Tensor(mutated[:4]), Tensor(mutated[:4]), causal=True).data
+    out = mha(Tensor(mutated[:4]), Tensor(mutated[:4]), causal_mask(4)).data
     np.testing.assert_allclose(out[:3], base[:3], atol=1e-12)
 
 
@@ -108,7 +108,7 @@ def test_causal_mask_matrix():
 def test_causal_requires_square(rng):
     mha = MultiHeadAttention(1, 4, 4, 4, rng)
     with pytest.raises(ShapeError):
-        mha(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), causal=True)
+        mha(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), causal_mask(2))
 
 
 def test_mha_batched_leading_dims(rng):

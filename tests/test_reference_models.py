@@ -4,7 +4,8 @@ import pytest
 from ragcap.archive import (ArchiveFormatError, ManifestRow, load_manifest,
                             write_archive, write_manifest)
 from ragcap.data import load_dataset
-from ragcap.reference_models import (BOS, EOS, SEP, UNK, SyntheticDatasetSpec,
+from ragcap.reference_models import (BOS, EOS, PAD, SEP, UNK,
+                                     SyntheticDatasetSpec,
                                      TinyAudioExtractor, TinyCausalLm,
                                      TinyTokenizer, build_tiny_lm,
                                      generate_synthetic_dataset)
@@ -48,15 +49,27 @@ def test_same_seed_bitwise_identical_weights():
 def test_features_shape_and_determinism():
     lm = build_tiny_lm(7, vocab_size=20, d_model=16)
     f = lm.features([BOS, 5, 6])
-    assert f.shape == (16, 3)
+    assert f.shape == (3, 16)
     np.testing.assert_array_equal(f, lm.features([BOS, 5, 6]))
+
+
+def test_features_batch_matches_single_sequences():
+    lm = build_tiny_lm(7, vocab_size=20, d_model=16)
+    batch = lm.features([[BOS, 5, 6, 7], [BOS, 8, PAD, PAD]])
+    assert batch.shape == (2, 4, 16)
+    np.testing.assert_allclose(batch[0], lm.features([BOS, 5, 6, 7]),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(batch[1, :2], lm.features([BOS, 8]),
+                               rtol=0, atol=1e-12)
+    enc = LmTextEncoder(lm).encode(TokenizedCaption("x", [BOS, 5, 6]))
+    np.testing.assert_array_equal(enc, lm.features([BOS, 5, 6]).T)
 
 
 def test_causal_prefix_property():
     lm = build_tiny_lm(7, vocab_size=20)
     short = lm.features([BOS, 5, 6])
     long = lm.features([BOS, 5, 6, 7, 8])
-    np.testing.assert_allclose(long[:, :3], short, atol=1e-12)
+    np.testing.assert_allclose(long[:3], short, atol=1e-12)
 
 
 def test_lm_rejects_bad_tokens():
