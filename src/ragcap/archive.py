@@ -130,9 +130,48 @@ def write_archive(path: str, tensors: dict[str, np.ndarray]):
     atomic_write_bytes(path, pack_archive(tensors))
 
 
-def read_archive(path: str) -> dict[str, np.ndarray]:
+def read_archive(path: str, require=()) -> dict[str, np.ndarray]:
+    """The tensors of the archive at `path`, which must hold the names in
+    `require`. Format errors name the file."""
     with open(path, "rb") as f:
-        return unpack_archive(f.read())
+        buf = f.read()
+    try:
+        tensors = unpack_archive(buf)
+    except ArchiveFormatError as e:
+        raise ArchiveFormatError(f"{path}: {e}") from None
+    for name in require:
+        if name not in tensors:
+            raise ArchiveFormatError(f"{path}: no tensor named {name!r}")
+    return tensors
+
+
+def require_keys(where: str, obj, keys):
+    """Raise ArchiveFormatError naming `where` unless the JSON value `obj` is
+    an object holding every key in `keys`."""
+    if not isinstance(obj, dict):
+        raise ArchiveFormatError(f"{where}: not a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ArchiveFormatError(f"{where}: missing key(s) {missing}")
+
+
+def write_sidecar(path: str, obj: dict):
+    """Write `obj` as the JSON sidecar `path`.json of the archive at
+    `path`."""
+    atomic_write_bytes(path + ".json",
+                       json.dumps(obj, sort_keys=True).encode("utf-8"))
+
+
+def read_sidecar(path: str, keys) -> dict:
+    """The JSON sidecar of the archive at `path`, which must hold `keys`."""
+    side_path = path + ".json"
+    with open(side_path, "r", encoding="utf-8") as f:
+        try:
+            side = json.load(f)
+        except ValueError as e:
+            raise ArchiveFormatError(f"{side_path}: not JSON ({e})") from e
+    require_keys(side_path, side, keys)
+    return side
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +277,14 @@ def unpack_checkpoint(buf: bytes):
 
 
 def load_checkpoint(path: str, expected_config_hash: str | None = None):
-    """Returns (tensors, metadata). Warns on config-hash mismatch."""
+    """Returns (tensors, metadata). Warns on config-hash mismatch. Format
+    errors name the file."""
     with open(path, "rb") as f:
-        tensors, metadata = unpack_checkpoint(f.read())
+        buf = f.read()
+    try:
+        tensors, metadata = unpack_checkpoint(buf)
+    except ArchiveFormatError as e:
+        raise ArchiveFormatError(f"{path}: {e}") from None
     if (expected_config_hash is not None
             and metadata.get("config_hash") != expected_config_hash):
         log.warning("checkpoint config hash %s does not match current config %s",

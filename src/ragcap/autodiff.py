@@ -69,7 +69,9 @@ class Tensor:
     # -- backward pass -----------------------------------------------------
 
     def backward(self):
-        """Reverse-mode sweep from a scalar. Accumulates into .grad."""
+        """Reverse-mode sweep from a scalar. Accumulates into the .grad of
+        the leaves (tensors no operation made); intermediate nodes keep
+        none."""
         if self.data.size != 1:
             raise GraphError("backward() requires a scalar loss, got shape %s"
                              % (self.data.shape,))
@@ -98,10 +100,10 @@ class Tensor:
             g = flowing.pop(id(node), None)
             if g is None:
                 continue
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
             if node._vjp is None:
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
+                node.grad += g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None or not parent.requires_grad:

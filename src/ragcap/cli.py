@@ -56,13 +56,16 @@ def cmd_make_dataset(args) -> int:
 def cmd_prepare_similarity(args) -> int:
     cfg = _load(args)
     items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
-    tokenizer, lm = pipeline.frozen_models_for_items(items, cfg)
+    captions = pipeline.train_captions(items)
+    tokenizer, lm = pipeline.build_frozen_models(captions, cfg)
     raw, norm, labels = pipeline.compute_similarity(items, tokenizer, lm, cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "similarity.ract")
     pipeline.save_similarity(path, items, raw, norm, labels)
-    log.info("wrote %s (%d captions, threshold %s)", path, labels.n,
-             labels.threshold)
+    lm_path = os.path.join(args.out, pipeline.FROZEN_LM_FILE)
+    pipeline.save_frozen_lm(lm_path, tokenizer, lm, captions, cfg)
+    log.info("wrote %s (%d captions, threshold %s) and %s", path, labels.n,
+             labels.threshold, lm_path)
     return 0
 
 
@@ -96,7 +99,8 @@ def cmd_train_decoder(args) -> int:
     items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
     ids, _, _, labels = pipeline.load_similarity(args.labels)
     pipeline.check_label_ids(items, ids)
-    tokenizer, lm = pipeline.frozen_models_for_items(items, cfg)
+    tokenizer, lm = pipeline.load_frozen_lm(
+        cfg, args.labels, pipeline.train_captions(items), args.manifest)
     result = pipeline.run_train_decoder(cfg, items, labels, lm, tokenizer,
                                         args.seed, args.out)
     log.info("best validation loss %s at epoch %d", result.best_val_loss,
@@ -107,8 +111,8 @@ def cmd_train_decoder(args) -> int:
 def cmd_generate(args) -> int:
     cfg = _load(args)
     index = retrieval.RetrievalIndex.load(args.index)
-    tokenizer, lm = pipeline.build_frozen_models(index.captions, cfg)
-    dec_params, _ = pipeline.load_decoder_params(cfg, lm, args.checkpoint)
+    tokenizer, lm, dec_params = pipeline.load_decoder(
+        cfg, args.checkpoint, index.captions, args.index)
     phi = read_features(args.features, cfg.model_d_a, cfg.model_t)
 
     if args.oracle_guidance:
@@ -143,13 +147,24 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _read_jsonl(path: str) -> list[dict]:
+def _read_jsonl(path: str, fields: tuple[str, ...]) -> list[dict]:
+    """The JSON-object rows of a JSON-lines file, each holding `fields`."""
     rows = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise archive.ManifestError(
+                    f"{path}:{lineno}: invalid JSON ({e})") from e
+            if not (isinstance(row, dict) and all(k in row for k in fields)):
+                raise archive.ManifestError(
+                    f"{path}:{lineno}: need an object with fields "
+                    f"{list(fields)}")
+            rows.append(row)
     return rows
 
 
@@ -157,8 +172,9 @@ def cmd_evaluate(args) -> int:
     if args.candidates or args.references:
         if not (args.candidates and args.references):
             raise ConfigError("--candidates and --references go together")
-        cand_rows = _read_jsonl(args.candidates)
-        ref_rows = {r["id"]: r["texts"] for r in _read_jsonl(args.references)}
+        cand_rows = _read_jsonl(args.candidates, ("id", "text"))
+        ref_rows = {r["id"]: r["texts"]
+                    for r in _read_jsonl(args.references, ("id", "texts"))}
         candidates, refs = [], []
         for r in cand_rows:
             if r["id"] not in ref_rows:
@@ -194,9 +210,9 @@ def cmd_evaluate(args) -> int:
     if args.scope in ("i", "iii"):
         if not args.decoder_checkpoint:
             raise ConfigError(f"scope {args.scope} needs --decoder-checkpoint")
-        tokenizer, lm = pipeline.frozen_models_for_items(items, cfg)
-        dec_params, _ = pipeline.load_decoder_params(
-            cfg, lm, args.decoder_checkpoint)
+        tokenizer, lm, dec_params = pipeline.load_decoder(
+            cfg, args.decoder_checkpoint, pipeline.train_captions(items),
+            args.manifest)
     candidates, _, eval_ids, report = pipeline.evaluate_scope(
         args.scope, cfg, items, args.split, embedder, index, lm, tokenizer,
         dec_params, scores=raw)
@@ -302,7 +318,7 @@ def main(argv=None) -> int:
         log.error("numeric failure: %s", e)
         return 4
     except (archive.ArchiveFormatError, archive.ManifestError, TrainingError,
-            SamplingError, OSError, KeyError, ValueError) as e:
+            SamplingError, OSError, ValueError) as e:
         log.error("data error: %s", e)
         return 3
 

@@ -115,17 +115,24 @@ def load_config(path: str | None) -> PipelineConfig:
     return PipelineConfig(**values)
 
 
-def resolved_text(cfg: PipelineConfig) -> str:
-    """Canonical key=value rendering, sorted by key."""
+# the keys the frozen LM is built from; decoder and generation keys do not
+# change it
+LM_KEYS = tuple(key for key in KEY_TO_FIELD
+                if key.startswith("lm.") or key == "model.D_l")
+
+
+def resolved_text(cfg: PipelineConfig, keys=KEY_TO_FIELD) -> str:
+    """Canonical key=value rendering of `keys` (default: all), sorted."""
     lines = []
-    for key in sorted(KEY_TO_FIELD):
+    for key in sorted(keys):
         val = getattr(cfg, KEY_TO_FIELD[key])
         lines.append(f"{key}={val!r}")
     return "\n".join(lines) + "\n"
 
 
-def config_hash(cfg: PipelineConfig) -> str:
-    return hashlib.sha256(resolved_text(cfg).encode("utf-8")).hexdigest()[:16]
+def config_hash(cfg: PipelineConfig, keys=KEY_TO_FIELD) -> str:
+    return hashlib.sha256(
+        resolved_text(cfg, keys).encode("utf-8")).hexdigest()[:16]
 
 
 def log_resolved(cfg: PipelineConfig):

@@ -26,10 +26,7 @@ def read_features(path: str, d_a: int | None = None,
                   t: int | None = None) -> np.ndarray:
     """The (D_a, T) `features` tensor of one feature archive, with its dims
     validated and non-finite values rejected."""
-    tensors = archive.read_archive(path)
-    if "features" not in tensors:
-        raise archive.ArchiveFormatError(f"{path}: no tensor named 'features'")
-    feats = tensors["features"]
+    feats = archive.read_archive(path, require=("features",))["features"]
     if feats.ndim != 2:
         raise archive.ArchiveFormatError(
             f"{path}: features must be 2-d, got {feats.shape}")

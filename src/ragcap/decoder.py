@@ -105,13 +105,15 @@ def position_logits(lm: TinyCausalLm, params: DecoderParams,
                     phi: np.ndarray, guidance, prefix,
                     rng: np.random.Generator | None = None,
                     training: bool = False,
-                    psi_hyps: np.ndarray | None = None) -> Tensor:
+                    psi_hyps: np.ndarray | None = None,
+                    psi_guidance: np.ndarray | None = None) -> Tensor:
     """Logits (..., L, vocab) for PAD-padded prefixes (..., L); row t
     predicts the token following prefix[..., :t+1].
 
     phi is (..., D_a, T) audio features and guidance (..., M) PAD-padded
     guidance ids; batch axes of size 1 broadcast. psi_hyps, if given,
-    stands for lm.features(prefix), or for its last rows only."""
+    stands for lm.features(prefix), or for its last rows only;
+    psi_guidance, if given, for lm.features(guidance)."""
     prefix = np.asarray(prefix, dtype=np.int64)
     if prefix.shape[-1] == 0 or np.any(prefix[..., 0] != BOS):
         raise ValueError("prefix must start with BOS")
@@ -122,24 +124,27 @@ def position_logits(lm: TinyCausalLm, params: DecoderParams,
         keep = _dropout_keep(prefix, (params.d_l, params.d_r),
                              params.dropout, rng)
     guidance = np.asarray(guidance, dtype=np.int64)
+    if psi_guidance is None:
+        psi_guidance = lm.features(guidance)
     key_mask = np.where(guidance == PAD, NEG_INF, 0.0)[..., None, None, :]
-    fused = params.fuse_mha(psi_hyps, lm.features(guidance),
-                            key_mask) * keep[0]
+    fused = params.fuse_mha(psi_hyps, psi_guidance, key_mask) * keep[0]
     audio = params.audio_mha(params.reduce_hyp(fused),
                              params.reduce_audio(np.swapaxes(phi, -1, -2)))
     return params.lmhead(fused + params.expand(audio * keep[1]))
 
 
 def posterior(lm: TinyCausalLm, params: DecoderParams, phi: np.ndarray,
-              guidance, prefix) -> np.ndarray:
+              guidance, prefix,
+              psi_guidance: np.ndarray | None = None) -> np.ndarray:
     """p(next token | audio, guidance, prefix) rows (..., vocab) for
-    prefixes (..., L) of one length, as beam search holds them.
+    prefixes (..., L) of one length, as beam search holds them;
+    psi_guidance as in position_logits.
 
     Fusion runs on the last position only. Fusion rows are independent and
     the LM is causal, so this is the softmax of position_logits' last row."""
     psi_last = lm.features(prefix)[..., -1:, :]
     logits = position_logits(lm, params, phi, guidance, prefix,
-                             psi_hyps=psi_last)
+                             psi_hyps=psi_last, psi_guidance=psi_guidance)
     return logits.softmax().data[..., 0, :]
 
 
@@ -282,18 +287,20 @@ def beam_search(lm: TinyCausalLm, params: DecoderParams, phi: np.ndarray,
                 guidance: list[int], beam: int, max_len: int) -> list[int]:
     """Length-normalized beam search over SEP-joined guidance ids.
 
-    Each step scores all live beams in one posterior call. Beams end at EOS
-    or at max length; live beams are pruned by cumulative log-probability,
-    the final ranking uses mean log-probability per emitted token. All ties
-    break on the token sequence itself, so decoding is deterministic.
+    The guidance is encoded once; each step scores all live beams in one
+    posterior call. Beams end at EOS or at max length; live beams are pruned
+    by cumulative log-probability, the final ranking uses mean
+    log-probability per emitted token. All ties break on the token sequence
+    itself, so decoding is deterministic.
     Returns the emitted tokens (EOS included if generated)."""
+    psi_guidance = lm.features(guidance)
     live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     finished: list[tuple[tuple[int, ...], float]] = []
     for _ in range(max_len):
         if not live:
             break
         p = posterior(lm, params, phi, guidance,
-                      [(BOS,) + toks for toks, _ in live])
+                      [(BOS,) + toks for toks, _ in live], psi_guidance)
         logp = np.log(np.maximum(p, 1e-300))
         next_live = []
         for (toks, lp), row in zip(live, logp):

@@ -6,6 +6,7 @@ carry no timestamps, so reruns are bitwise identical.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -13,7 +14,7 @@ import os
 import numpy as np
 
 from . import archive, decoder, retrieval
-from .config import PipelineConfig, config_hash
+from .config import LM_KEYS, PipelineConfig, config_hash
 from .data import DatasetItem, load_dataset
 from .errors import TrainingError
 from .metrics import EvalReport, evaluate_corpus
@@ -26,29 +27,110 @@ log = logging.getLogger("ragcap.pipeline")
 
 
 # ---------------------------------------------------------------------------
-# frozen stand-ins, rebuilt deterministically from the training captions
+# the frozen stand-ins: pretrained once, then stored and reloaded
 # ---------------------------------------------------------------------------
 
-def build_frozen_models(train_caption_lists: list[list[str]],
-                        cfg: PipelineConfig):
-    """Tokenizer + frozen tiny LM from the training captions.
+FROZEN_LM_FILE = "frozen_lm.ckpt"
+# metadata that ties a stored frozen LM to its vocabulary, weights, training
+# captions and lm.*/model.D_l config
+LM_META_KEYS = ("lm_vocab", "lm_weight_hash", "lm_caption_hash",
+                "lm_config_hash")
 
-    Deterministic in (captions, config): every command that needs the frozen
-    models rebuilds bitwise-identical ones instead of persisting weights."""
-    texts = [c for caps in train_caption_lists for c in caps]
+
+def train_captions(items: list[DatasetItem]) -> list[list[str]]:
+    """The caption lists of the training items, in manifest order; the frozen
+    LM's tokenizer and pretraining corpus."""
+    return [it.captions for it in items if it.split == "train"]
+
+
+def caption_hash(caption_lists: list[list[str]]) -> str:
+    return hashlib.sha256(json.dumps(caption_lists).encode()).hexdigest()
+
+
+def _tiny_lm(cfg: PipelineConfig, vocab_size: int, pretrain_seqs=None):
+    return build_tiny_lm(cfg.lm_seed, vocab_size, d_model=cfg.model_d_l,
+                         num_layers=cfg.lm_layers, num_heads=cfg.lm_heads,
+                         d_ff=cfg.lm_ff, pretrain_seqs=pretrain_seqs,
+                         pretrain_epochs=cfg.lm_pretrain_epochs)
+
+
+def build_frozen_models(caption_lists: list[list[str]], cfg: PipelineConfig):
+    """Tokenizer + frozen tiny LM pretrained on the training captions.
+
+    Only prepare-similarity builds them (see save_frozen_lm); every later
+    command loads the stored LM."""
+    texts = [c for caps in caption_lists for c in caps]
     tokenizer = TinyTokenizer(texts)
-    seqs = [tokenizer.encode(t) for t in texts]
-    lm = build_tiny_lm(cfg.lm_seed, tokenizer.vocab_size,
-                       d_model=cfg.model_d_l, num_layers=cfg.lm_layers,
-                       num_heads=cfg.lm_heads, d_ff=cfg.lm_ff,
-                       pretrain_seqs=seqs,
-                       pretrain_epochs=cfg.lm_pretrain_epochs)
+    return tokenizer, _tiny_lm(cfg, tokenizer.vocab_size,
+                               [tokenizer.encode(t) for t in texts])
+
+
+def lm_metadata(tokenizer: TinyTokenizer, lm: TinyCausalLm,
+                caption_lists: list[list[str]], cfg: PipelineConfig) -> dict:
+    return {"lm_vocab": tokenizer.words, "lm_weight_hash": lm.weight_hash(),
+            "lm_caption_hash": caption_hash(caption_lists),
+            "lm_config_hash": config_hash(cfg, LM_KEYS)}
+
+
+def save_frozen_lm(path: str, tokenizer: TinyTokenizer, lm: TinyCausalLm,
+                   caption_lists: list[list[str]], cfg: PipelineConfig):
+    archive.save_checkpoint(path, lm.snapshot(), {
+        "kind": "frozen_lm", **lm_metadata(tokenizer, lm, caption_lists, cfg)})
+
+
+def _restore(path: str, named_params, tensors: dict[str, np.ndarray]):
+    try:
+        archive.restore_params(named_params, tensors)
+    except archive.ArchiveFormatError as e:
+        raise archive.ArchiveFormatError(f"{path}: {e}") from None
+
+
+def restore_frozen_lm(path: str, tensors: dict[str, np.ndarray], meta: dict,
+                      cfg: PipelineConfig, caption_lists: list[list[str]],
+                      captions_from: str):
+    """(tokenizer, lm) from the lm.* tensors and LM metadata of the
+    checkpoint at `path`, checked against the current lm.*/model.D_l config
+    and against the training captions read from `captions_from`."""
+    archive.require_keys(f"{path} metadata", meta, LM_META_KEYS)
+    want = config_hash(cfg, LM_KEYS)
+    if meta["lm_config_hash"] != want:
+        raise archive.ArchiveFormatError(
+            f"{path}: frozen LM built with lm.*/model.D_l config hash "
+            f"{meta['lm_config_hash']}, the current config has {want}; "
+            "rerun prepare-similarity")
+    if meta["lm_caption_hash"] != caption_hash(caption_lists):
+        raise archive.ArchiveFormatError(
+            f"{path}: frozen LM was pretrained on other training captions "
+            f"than those of {captions_from}")
+    vocab = meta["lm_vocab"]
+    if not (isinstance(vocab, list)
+            and all(isinstance(w, str) for w in vocab)):
+        raise archive.ArchiveFormatError(f"{path}: lm_vocab is not a list "
+                                         "of words")
+    tokenizer = TinyTokenizer(vocab)  # each word, read as a text, is itself
+    if tokenizer.words != vocab:
+        raise archive.ArchiveFormatError(
+            f"{path}: lm_vocab is not a sorted list of distinct words")
+    lm = _tiny_lm(cfg, tokenizer.vocab_size)
+    _restore(path, lm.named_params(), tensors)
+    if lm.weight_hash() != meta["lm_weight_hash"]:
+        raise archive.ArchiveFormatError(
+            f"{path}: lm.* tensors do not match lm_weight_hash")
     return tokenizer, lm
 
 
-def frozen_models_for_items(items: list[DatasetItem], cfg: PipelineConfig):
-    return build_frozen_models(
-        [it.captions for it in items if it.split == "train"], cfg)
+def load_frozen_lm(cfg: PipelineConfig, labels_path: str,
+                   caption_lists: list[list[str]], captions_from: str):
+    """(tokenizer, lm) that prepare-similarity stored beside `labels_path`,
+    checked as in restore_frozen_lm."""
+    path = os.path.join(os.path.dirname(labels_path), FROZEN_LM_FILE)
+    if not os.path.exists(path):
+        raise archive.ArchiveFormatError(
+            f"{path}: no frozen LM beside the labels; rerun "
+            "prepare-similarity")
+    tensors, meta = archive.load_checkpoint(path)
+    return restore_frozen_lm(path, tensors, meta, cfg, caption_lists,
+                             captions_from)
 
 
 # ---------------------------------------------------------------------------
@@ -74,18 +156,19 @@ def save_similarity(path: str, items: list[DatasetItem],
         "scores_normalized": norm.scores,
         "labels": labels.labels.astype(np.float64),
     })
-    side = json.dumps({"ids": [it.id for it in items],
-                       "threshold": labels.threshold}, sort_keys=True)
-    archive.atomic_write_bytes(path + ".json", side.encode("utf-8"))
+    archive.write_sidecar(path, {"ids": [it.id for it in items],
+                                 "threshold": labels.threshold})
+
+
+SIMILARITY_TENSORS = ("scores_raw", "scores_normalized", "labels")
 
 
 def load_similarity(path: str):
     """Returns (ids, raw, normalized, SimilarLabelMatrix)."""
-    tensors = archive.read_archive(path)
-    with open(path + ".json", "r", encoding="utf-8") as f:
-        side = json.load(f)
+    tensors = archive.read_archive(path, require=SIMILARITY_TENSORS)
+    side = archive.read_sidecar(path, ("ids", "threshold"))
     n = len(side["ids"])
-    for name in ("scores_raw", "scores_normalized", "labels"):
+    for name in SIMILARITY_TENSORS:
         if tensors[name].shape != (n, n):
             raise archive.ArchiveFormatError(
                 f"{path}: {name} has shape {tensors[name].shape}, expected "
@@ -144,33 +227,42 @@ def run_train_retrieval(cfg: PipelineConfig, items: list[DatasetItem],
 def load_retrieval_params(cfg: PipelineConfig, path: str):
     tensors, meta = archive.load_checkpoint(path, config_hash(cfg))
     params = retrieval.EmbedderParams(cfg, np.random.default_rng(0))
-    params.restore(tensors)
+    _restore(path, params.named_params(), tensors)
     return params, meta
 
 
 def run_train_decoder(cfg: PipelineConfig, items: list[DatasetItem],
                       labels: SimilarLabelMatrix, lm: TinyCausalLm,
                       tokenizer: TinyTokenizer, seed: int, out_dir: str):
+    """Train the decoder and write decoder.ckpt, which also holds the frozen
+    LM (lm.* tensors, vocabulary and hashes): all that generation needs."""
     result = decoder.train_decoder(lm, tokenizer, items, labels, cfg, seed)
     os.makedirs(out_dir, exist_ok=True)
     meta = {"config_hash": config_hash(cfg), "seed": seed,
             "epoch": result.best_epoch, "val_loss": result.best_val_loss,
-            "kind": "decoder"}
+            "kind": "decoder",
+            **lm_metadata(tokenizer, lm, train_captions(items), cfg)}
     archive.save_checkpoint(os.path.join(out_dir, "decoder.ckpt"),
-                            result.params.snapshot(), meta)
+                            {**result.params.snapshot(), **lm.snapshot()},
+                            meta)
     archive.atomic_write_bytes(os.path.join(out_dir, "decoder_curve.tsv"),
                                history_tsv(result.history).encode())
     return result
 
 
-def load_decoder_params(cfg: PipelineConfig, lm: TinyCausalLm, path: str):
+def load_decoder(cfg: PipelineConfig, path: str,
+                 caption_lists: list[list[str]], captions_from: str):
+    """(tokenizer, lm, decoder params) from a decoder checkpoint; its frozen
+    LM is checked as in restore_frozen_lm."""
     tensors, meta = archive.load_checkpoint(path, config_hash(cfg))
+    tokenizer, lm = restore_frozen_lm(path, tensors, meta, cfg, caption_lists,
+                                      captions_from)
     params = decoder.DecoderParams(lm.d_model, cfg.model_d_a, cfg.decoder_d_r,
                                    lm.vocab_size, cfg.decoder_heads,
                                    cfg.decoder_dropout,
                                    np.random.default_rng(0))
-    params.restore(tensors)
-    return params, meta
+    _restore(path, params.named_params(), tensors)
+    return tokenizer, lm, params
 
 
 # ---------------------------------------------------------------------------

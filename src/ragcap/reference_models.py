@@ -21,7 +21,7 @@ import numpy as np
 
 from . import archive
 from .autodiff import Tensor, take_rows
-from .layers import Adam, EncoderLayer
+from .layers import Adam, EncoderLayer, ParamContainer
 from .metrics import normalize_words
 
 PAD, BOS, EOS, SEP, UNK = 0, 1, 2, 3, 4
@@ -54,7 +54,7 @@ def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
     return enc
 
 
-class TinyCausalLm:
+class TinyCausalLm(ParamContainer):
     """Causal Transformer LM used frozen: features() exposes the pre-head
     representation, head_matrix() the (tied) token-prediction weights."""
 

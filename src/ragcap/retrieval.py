@@ -9,7 +9,6 @@ distance over the training items.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -251,15 +250,13 @@ class RetrievalIndex:
 
     def save(self, path: str):
         archive.write_archive(path, {"embeddings": self.embeddings})
-        sidecar = json.dumps({"ids": self.ids, "captions": self.captions},
-                             sort_keys=True)
-        archive.atomic_write_bytes(path + ".json", sidecar.encode("utf-8"))
+        archive.write_sidecar(path, {"ids": self.ids,
+                                     "captions": self.captions})
 
     @classmethod
     def load(cls, path: str) -> "RetrievalIndex":
-        emb = archive.read_archive(path)["embeddings"]
-        with open(path + ".json", "r", encoding="utf-8") as f:
-            side = json.load(f)
+        emb = archive.read_archive(path, require=("embeddings",))["embeddings"]
+        side = archive.read_sidecar(path, ("ids", "captions"))
         if not len(side["ids"]) == len(side["captions"]) == emb.shape[0]:
             raise archive.ArchiveFormatError(
                 f"{path}.json: {len(side['ids'])} ids, {len(side['captions'])}"

@@ -54,7 +54,8 @@ def desk(tmp_path_factory):
                                cfg.model_t, data)
     items = load_dataset(os.path.join(data, "manifest.jsonl"),
                          cfg.model_d_a, cfg.model_t)
-    tokenizer, lm = pipeline.frozen_models_for_items(items, cfg)
+    tokenizer, lm = pipeline.build_frozen_models(
+        pipeline.train_captions(items), cfg)
     raw, _, labels = pipeline.compute_similarity(items, tokenizer, lm, cfg)
 
     t0 = time.monotonic()
@@ -351,7 +352,8 @@ def test_criterion_07_decoder_overfit(tmp_path):
                          cfg.model_t)
     items = [DatasetItem(it.id, "train", it.features, it.captions)
              for it in items]
-    tokenizer, lm = pipeline.frozen_models_for_items(items, cfg)
+    tokenizer, lm = pipeline.build_frozen_models(
+        pipeline.train_captions(items), cfg)
     labels = SimilarLabelMatrix(~np.eye(len(items), dtype=bool), 0.7)
 
     dcfg = dataclasses.replace(
@@ -445,6 +447,7 @@ def test_criterion_08_cli_determinism(tmp_path, capsys):
         out["evaluate.stdout"] = capsys.readouterr().out
         for rel in ("data/manifest.jsonl", "data/features/c00i000.ract",
                     "sim/similarity.ract", "sim/similarity.ract.json",
+                    "sim/frozen_lm.ckpt",
                     "ret/retrieval.ckpt", "ret/retrieval_curve.tsv",
                     "ret/negatives.tsv", "ret/index.ract",
                     "dec/decoder.ckpt", "dec/decoder_curve.tsv",

@@ -136,6 +136,15 @@ def test_repeated_backward_accumulates(rng):
     np.testing.assert_allclose(x.grad, 2 * first, atol=1e-12)
 
 
+def test_backward_keeps_grad_on_leaves_only(rng):
+    x = rand_tensor(rng, (3,))
+    y = x * x
+    z = y.sum()
+    z.backward()
+    np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-12)
+    assert y.grad is None and z.grad is None
+
+
 def test_diamond_graph_grad(rng):
     # y appears twice in the graph; gradient contributions must add
     y = rand_tensor(rng, (3,))

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 import ragcap
-from ragcap.archive import load_checkpoint, read_archive, write_archive
+from ragcap import cli
+from ragcap.archive import (load_checkpoint, read_archive, save_checkpoint,
+                           write_archive)
 from ragcap.cli import main
+from ragcap.reference_models import TinyCausalLm
 
 CONFIG = """\
 model.D_a = 4
@@ -68,7 +71,8 @@ def test_pipeline_artifacts_exist(ws):
     for path in ("ret/retrieval.ckpt", "ret/retrieval_curve.tsv",
                  "ret/negatives.tsv", "ret/index.ract",
                  "dec/decoder.ckpt", "dec/decoder_curve.tsv",
-                 "data/manifest.jsonl", "sim/similarity.ract"):
+                 "data/manifest.jsonl", "sim/similarity.ract",
+                 "sim/frozen_lm.ckpt"):
         assert (ws["root"] / path).exists(), path
 
 
@@ -333,6 +337,227 @@ def test_exit_4_nonfinite_training(ws, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the frozen LM: pretrained once, stored, checked on every load
+# ---------------------------------------------------------------------------
+
+def _all_commands(ws, root):
+    """argv of all seven commands, run on a fresh copy of the pipeline."""
+    cfg, data = ws["cfg"], str(root / "data")
+    manifest = os.path.join(data, "manifest.jsonl")
+    sim, ret, dec = str(root / "sim"), str(root / "ret"), str(root / "dec")
+    labels = os.path.join(sim, "similarity.ract")
+    feats = os.path.join(data, "features", "c00i009.ract")
+    ckpt, index = (os.path.join(ret, "retrieval.ckpt"),
+                   os.path.join(ret, "index.ract"))
+    train = ["--config", cfg, "--manifest", manifest, "--labels", labels,
+             "--seed", "0"]
+    return [
+        ["make-dataset", "--config", cfg,
+         "--spec", str(ws["root"] / "spec.json"), "--out", data],
+        ["prepare-similarity", "--config", cfg, "--manifest", manifest,
+         "--out", sim],
+        ["train-retrieval", *train, "--out", ret],
+        ["retrieve", "--config", cfg, "--checkpoint", ckpt, "--index", index,
+         "--query-features", feats],
+        ["train-decoder", *train, "--out", dec],
+        ["generate", "--config", cfg,
+         "--checkpoint", os.path.join(dec, "decoder.ckpt"), "--index", index,
+         "--features", feats, "--retrieval-checkpoint", ckpt],
+        *(["evaluate", "--config", cfg, "--scope", scope,
+           "--manifest", manifest, "--labels", labels,
+           "--retrieval-checkpoint", ckpt, "--index", index,
+           "--decoder-checkpoint", os.path.join(dec, "decoder.ckpt"),
+           "--out", str(root / "ev")] for scope in ("i", "ii", "iii")),
+    ]
+
+
+def test_lm_pretrained_once_per_pipeline(ws, tmp_path, monkeypatch, capsys):
+    calls = []
+    command = [None]
+    pretrain = TinyCausalLm.pretrain
+
+    def counting(self, *args, **kwargs):
+        calls.append(command[0])
+        return pretrain(self, *args, **kwargs)
+
+    monkeypatch.setattr(TinyCausalLm, "pretrain", counting)
+    for argv in _all_commands(ws, tmp_path):
+        command[0] = argv[0]
+        assert main(argv) == 0, argv[0]
+    assert calls == ["prepare-similarity"]
+
+
+def _rewrite_checkpoint(src: str, dst: str, edit):
+    tensors, meta = load_checkpoint(src)
+    edit(tensors, meta)
+    save_checkpoint(dst, tensors, meta)
+
+
+def _train_decoder(ws, tmp_path, labels=None, manifest=None, cfg=None):
+    return main(["train-decoder", "--config", cfg or ws["cfg"],
+                 "--manifest", manifest or ws["manifest"],
+                 "--labels", labels or ws["labels"], "--seed", "0",
+                 "--out", str(tmp_path / "d")])
+
+
+def test_exit_3_missing_frozen_lm(ws, tmp_path, caplog):
+    labels = str(tmp_path / "similarity.ract")
+    shutil.copy(ws["labels"], labels)
+    shutil.copy(ws["labels"] + ".json", labels + ".json")
+    assert _train_decoder(ws, tmp_path, labels=labels) == 3
+    assert str(tmp_path / "frozen_lm.ckpt") in caplog.text
+
+
+@pytest.fixture(scope="module")
+def other_manifest(ws, tmp_path_factory):
+    """A dataset with the same ids as the fixture's but other captions."""
+    data = tmp_path_factory.mktemp("other") / "data"
+    spec = data.parent / "spec.json"
+    spec.write_text(SPEC.replace('"seed": 1', '"seed": 2'))
+    assert main(["make-dataset", "--config", ws["cfg"], "--spec", str(spec),
+                 "--out", str(data)]) == 0
+    return str(data / "manifest.jsonl")
+
+
+def test_exit_3_lm_from_other_manifest(ws, tmp_path, caplog, other_manifest):
+    assert _train_decoder(ws, tmp_path, manifest=other_manifest) == 3
+    assert "other training captions" in caplog.text
+    assert main(["evaluate", "--config", ws["cfg"], "--scope", "iii",
+                 "--manifest", other_manifest, "--labels", ws["labels"],
+                 "--decoder-checkpoint",
+                 os.path.join(ws["dec"], "decoder.ckpt")]) == 3
+
+
+def test_exit_3_changed_lm_key(ws, tmp_path, caplog):
+    cfg = tmp_path / "lm.cfg"
+    cfg.write_text(CONFIG + "lm.pretrain_epochs = 3\n")
+    assert _train_decoder(ws, tmp_path, cfg=str(cfg)) == 3
+    assert "frozen_lm.ckpt" in caplog.text
+    feats = os.path.join(ws["data"], "features", "c00i003.ract")
+    args = _query_args(ws, "generate", feats)
+    assert main([a if a != ws["cfg"] else str(cfg) for a in args]) == 3
+    assert "decoder.ckpt: frozen LM built with" in caplog.text
+
+
+def test_decoder_key_keeps_frozen_lm(ws, tmp_path):
+    cfg = tmp_path / "dec.cfg"
+    cfg.write_text(CONFIG + "decoder.epochs = 1\n")
+    assert _train_decoder(ws, tmp_path, cfg=str(cfg)) == 0
+
+
+def test_exit_3_index_captions_not_the_lm_corpus(ws, tmp_path, caplog):
+    index = str(tmp_path / "index.ract")
+    _mangle_sidecar(os.path.join(ws["ret"], "index.ract"), index, "captions",
+                    lambda caps: [["a hound howls"]] + caps[1:])
+    feats = os.path.join(ws["data"], "features", "c00i003.ract")
+    args = _query_args(ws, "generate", feats)
+    assert main([index if a.endswith("index.ract") else a
+                 for a in args]) == 3
+    assert "other training captions than those of " + index in caplog.text
+
+
+def _corrupt_lm(key):
+    def edit(tensors, meta):
+        if key == "tensor":
+            tensors["lm.emb"] = tensors["lm.emb"] + 1e-9
+        elif key == "missing_tensor":
+            del tensors["lm.layer1.ln2.beta"]
+        else:
+            del meta[key]
+    return edit
+
+
+@pytest.mark.parametrize("key", ["lm_vocab", "lm_weight_hash",
+                                 "lm_caption_hash", "lm_config_hash",
+                                 "tensor", "missing_tensor"])
+def test_exit_3_bad_frozen_lm(ws, tmp_path, caplog, key):
+    sim = tmp_path / "sim"
+    shutil.copytree(os.path.dirname(ws["labels"]), sim)
+    lm_path = str(sim / "frozen_lm.ckpt")
+    _rewrite_checkpoint(lm_path, lm_path, _corrupt_lm(key))
+    assert _train_decoder(ws, tmp_path,
+                          labels=str(sim / "similarity.ract")) == 3
+    assert lm_path in caplog.text
+    dec = str(tmp_path / "decoder.ckpt")
+    _rewrite_checkpoint(os.path.join(ws["dec"], "decoder.ckpt"), dec,
+                        _corrupt_lm(key))
+    feats = os.path.join(ws["data"], "features", "c00i003.ract")
+    args = _query_args(ws, "generate", feats)
+    assert main([dec if a.endswith("decoder.ckpt") else a
+                 for a in args]) == 3
+    assert dec in caplog.text
+
+
+# ---------------------------------------------------------------------------
+# exit 3 only for typed data errors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("which", ["candidates", "references"])
+def test_exit_3_jsonl_row_missing_field(ws, tmp_path, caplog, which):
+    cands = tmp_path / "c.jsonl"
+    refs = tmp_path / "r.jsonl"
+    cands.write_text('{"id": "a", "text": "a dog barks"}\n')
+    refs.write_text('{"id": "a", "texts": ["a dog barks"]}\n')
+    bad = cands if which == "candidates" else refs
+    bad.write_text('{"id": "a"}\n')
+    assert main(["evaluate", "--candidates", str(cands),
+                 "--references", str(refs)]) == 3
+    assert f"{bad}:1" in caplog.text
+
+
+def test_exit_3_sidecar_missing_key(ws, tmp_path, caplog):
+    labels = str(tmp_path / "similarity.ract")
+    shutil.copy(ws["labels"], labels)
+    with open(labels + ".json", "w", encoding="utf-8") as f:
+        json.dump({"ids": []}, f)
+    assert main(["train-retrieval", "--config", ws["cfg"],
+                 "--manifest", ws["manifest"], "--labels", labels,
+                 "--seed", "0", "--out", str(tmp_path / "r")]) == 3
+    assert f"{labels}.json: missing key(s) ['threshold']" in caplog.text
+
+    index = str(tmp_path / "index.ract")
+    shutil.copy(os.path.join(ws["ret"], "index.ract"), index)
+    with open(index + ".json", "w", encoding="utf-8") as f:
+        json.dump({"ids": []}, f)
+    feats = os.path.join(ws["data"], "features", "c00i000.ract")
+    assert main(["retrieve", "--config", ws["cfg"],
+                 "--checkpoint", os.path.join(ws["ret"], "retrieval.ckpt"),
+                 "--index", index, "--query-features", feats]) == 3
+    assert "'captions'" in caplog.text
+
+
+def test_exit_3_missing_tensor(ws, tmp_path, caplog):
+    labels = str(tmp_path / "similarity.ract")
+    tensors = read_archive(ws["labels"])
+    del tensors["labels"]
+    write_archive(labels, tensors)
+    shutil.copy(ws["labels"] + ".json", labels + ".json")
+    assert main(["train-retrieval", "--config", ws["cfg"],
+                 "--manifest", ws["manifest"], "--labels", labels,
+                 "--seed", "0", "--out", str(tmp_path / "r")]) == 3
+    assert f"{labels}: no tensor named 'labels'" in caplog.text
+
+    ckpt = str(tmp_path / "retrieval.ckpt")
+    _rewrite_checkpoint(os.path.join(ws["ret"], "retrieval.ckpt"), ckpt,
+                        lambda tensors, meta: tensors.popitem())
+    feats = os.path.join(ws["data"], "features", "c00i000.ract")
+    assert main(["retrieve", "--config", ws["cfg"], "--checkpoint", ckpt,
+                 "--index", os.path.join(ws["ret"], "index.ract"),
+                 "--query-features", feats]) == 3
+    assert f"{ckpt}: checkpoint missing parameter" in caplog.text
+
+
+def test_internal_key_error_is_not_a_data_error(ws, monkeypatch):
+    def broken(args):
+        return {}["no such key"]
+
+    monkeypatch.setattr(cli, "cmd_retrieve", broken)
+    with pytest.raises(KeyError):
+        main(["retrieve", "--checkpoint", "c", "--index", "i",
+              "--query-features", "q"])
+
+
+# ---------------------------------------------------------------------------
 # determinism and atomicity
 # ---------------------------------------------------------------------------
 
@@ -355,23 +580,29 @@ def test_double_run_bitwise_identical(ws, tmp_path):
 
 
 def test_train_retrieval_bitwise_across_openblas_threads(ws, tmp_path):
-    """train-retrieval and the batched train-decoder write the same bytes
-    under one and two BLAS threads (set in the child environment only)."""
+    """prepare-similarity, train-retrieval and the batched train-decoder
+    write the same bytes under one and two BLAS threads (set in the child
+    environment only)."""
     src = os.path.dirname(os.path.dirname(ragcap.__file__))
     outs = []
     for threads in ("1", "2"):
         out = str(tmp_path / f"threads{threads}")
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        for command in ("train-retrieval", "train-decoder"):
+        labels = ["--labels", os.path.join(out, "similarity.ract"),
+                  "--seed", "0"]
+        for command, extra in (("prepare-similarity", []),
+                               ("train-retrieval", labels),
+                               ("train-decoder", labels)):
             subprocess.run(
                 [sys.executable, "-m", "ragcap.cli", command,
                  "--config", ws["cfg"], "--manifest", ws["manifest"],
-                 "--labels", ws["labels"], "--seed", "0", "--out", out],
+                 *extra, "--out", out],
                 env=env, check=True, stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL)
         outs.append(out)
-    for fname in ("retrieval.ckpt", "retrieval_curve.tsv", "negatives.tsv",
-                  "index.ract", "decoder.ckpt", "decoder_curve.tsv"):
+    for fname in ("similarity.ract", "frozen_lm.ckpt", "retrieval.ckpt",
+                  "retrieval_curve.tsv", "negatives.tsv", "index.ract",
+                  "decoder.ckpt", "decoder_curve.tsv"):
         a = open(os.path.join(outs[0], fname), "rb").read()
         b = open(os.path.join(outs[1], fname), "rb").read()
         assert a == b, fname

@@ -320,6 +320,22 @@ def test_beam_one_equals_greedy(lm, rng):
     assert beam_search(lm, params, phi, g, beam=1, max_len=5) == toks
 
 
+def test_beam_search_encodes_guidance_once(lm, rng, monkeypatch):
+    params = make_dec(lm, rng)
+    g = guidance_ids([[5, 6], [7]])
+    encoded = []
+    features = lm.features
+
+    def recording(ids):
+        encoded.append(np.asarray(ids).tolist())
+        return features(ids)
+
+    monkeypatch.setattr(lm, "features", recording)
+    beam_search(lm, params, rng.normal(size=(D_A, T)), g, beam=3, max_len=6)
+    assert len(encoded) > 2
+    assert encoded.count(g) == 1
+
+
 def test_beam_is_deterministic(lm, rng):
     params = make_dec(lm, rng)
     phi = rng.normal(size=(D_A, T))
