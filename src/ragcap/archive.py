@@ -19,6 +19,8 @@ import tempfile
 
 import numpy as np
 
+from .metrics import normalize_words
+
 log = logging.getLogger("ragcap.archive")
 
 MAGIC = b"RACT"
@@ -229,6 +231,10 @@ def load_manifest(path: str, check_features: bool = True) -> list[ManifestRow]:
             if not isinstance(caps, list) or not caps:
                 raise ManifestError(f"line {lineno}: captions must be a "
                                     "nonempty list")
+            # the primary caption is scored token by token for similarity
+            if not normalize_words(str(caps[0])):
+                raise ManifestError(f"line {lineno}: caption {caps[0]!r} "
+                                    "has no words")
             fpath = rec["feature_path"]
             if not os.path.isabs(fpath):
                 fpath = os.path.join(base, fpath)

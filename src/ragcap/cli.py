@@ -72,7 +72,7 @@ def cmd_prepare_similarity(args) -> int:
 def cmd_train_retrieval(args) -> int:
     cfg = _load(args)
     items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
-    ids, _, _, labels = pipeline.load_similarity(args.labels)
+    ids, _, labels = pipeline.load_similarity(args.labels)
     pipeline.check_label_ids(items, ids)
     result, index = pipeline.run_train_retrieval(cfg, items, labels,
                                                  args.seed, args.out)
@@ -84,11 +84,12 @@ def cmd_train_retrieval(args) -> int:
 def cmd_retrieve(args) -> int:
     cfg = _load(args)
     embedder, _ = pipeline.load_retrieval_params(cfg, args.checkpoint)
+    if args.k is not None:  # after the checkpoint's config check
+        cfg = dataclasses.replace(cfg, retrieval_k=args.k)
     index = retrieval.RetrievalIndex.load(args.index)
     phi = read_features(args.query_features, cfg.model_d_a, cfg.model_t)
     e = retrieval.embed(embedder, phi)
-    k = cfg.retrieval_k if args.k is None else args.k
-    hits = retrieval.retrieve_topk(index, e, k=k, exclude=args.exclude)
+    hits = retrieval.retrieve_topk(index, e, cfg.retrieval_k, args.exclude)
     print(json.dumps([{"id": i, "distance": d, "caption": c}
                       for i, d, c in hits], sort_keys=True))
     return 0
@@ -97,7 +98,7 @@ def cmd_retrieve(args) -> int:
 def cmd_train_decoder(args) -> int:
     cfg = _load(args)
     items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
-    ids, _, _, labels = pipeline.load_similarity(args.labels)
+    ids, _, labels = pipeline.load_similarity(args.labels)
     pipeline.check_label_ids(items, ids)
     tokenizer, lm = pipeline.load_frozen_lm(
         cfg, args.labels, pipeline.train_captions(items), args.manifest)
@@ -120,7 +121,7 @@ def cmd_generate(args) -> int:
             raise ConfigError("--oracle-guidance needs --manifest and "
                               "--query-id")
         items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
-        ids, raw, _, _ = pipeline.load_similarity(args.oracle_guidance)
+        ids, raw, _ = pipeline.load_similarity(args.oracle_guidance)
         pipeline.check_label_ids(items, ids)
         pos = [i for i, it in enumerate(items) if it.id == args.query_id]
         if not pos:
@@ -197,7 +198,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("--scope needs --manifest and --labels")
     cfg = _load(args)
     items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
-    ids, raw, _, _ = pipeline.load_similarity(args.labels)
+    ids, raw, _ = pipeline.load_similarity(args.labels)
     pipeline.check_label_ids(items, ids)
     embedder = index = lm = tokenizer = dec_params = None
     if args.scope in ("i", "ii"):

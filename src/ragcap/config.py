@@ -68,11 +68,21 @@ class PipelineConfig:
         if not 0.0 <= self.decoder_lambda < 1.0:
             raise ConfigError("decoder.lambda (label smoothing) must be in "
                               f"[0, 1), got {self.decoder_lambda!r}")
-        for key, value in (("decoder.lr_period", self.decoder_lr_period),
-                           ("decoder.max_len", self.decoder_max_len),
-                           ("generate.beam", self.generate_beam)):
+        for key in ("decoder.lr_period", "decoder.max_len", "generate.beam",
+                    "retrieval.K", "triplet.batch", "decoder.batch"):
+            value = getattr(self, KEY_TO_FIELD[key])
             if value < 1:
                 raise ConfigError(f"{key} must be >= 1, got {value!r}")
+        # each attention splits its width evenly over its heads
+        for key, dim_key in (("embed.heads", "model.D_a"),
+                             ("decoder.heads", "model.D_l"),
+                             ("decoder.heads", "decoder.D_r"),
+                             ("lm.heads", "model.D_l")):
+            heads = getattr(self, KEY_TO_FIELD[key])
+            dim = getattr(self, KEY_TO_FIELD[dim_key])
+            if heads < 1 or dim % heads:
+                raise ConfigError(f"{key} = {heads!r} must divide "
+                                  f"{dim_key} = {dim!r}")
 
 
 # config-file key -> dataclass field: the field name with its first "_"

@@ -18,10 +18,9 @@ from .config import LM_KEYS, PipelineConfig, config_hash
 from .data import DatasetItem, load_dataset
 from .errors import TrainingError
 from .metrics import EvalReport, evaluate_corpus
-from .reference_models import (LmTextEncoder, TinyCausalLm, TinyTokenizer,
-                               build_tiny_lm)
-from .similarity import (SimilarLabelMatrix, SimilarityMatrix, TokenizedCaption,
-                         label_similar, normalize_minmax, pairwise_similarity)
+from .reference_models import TinyCausalLm, TinyTokenizer, build_tiny_lm
+from .similarity import (SimilarLabelMatrix, SimilarityMatrix, label_similar,
+                         normalize_minmax, pairwise_similarity)
 
 log = logging.getLogger("ragcap.pipeline")
 
@@ -140,9 +139,8 @@ def load_frozen_lm(cfg: PipelineConfig, labels_path: str,
 def compute_similarity(items: list[DatasetItem], tokenizer: TinyTokenizer,
                        lm: TinyCausalLm, cfg: PipelineConfig):
     """(raw, normalized, labels) over the primary caption of every item."""
-    captions = [TokenizedCaption(it.caption, tokenizer.encode(it.caption))
-                for it in items]
-    raw = pairwise_similarity(captions, LmTextEncoder(lm))
+    raw = pairwise_similarity([
+        lm.features(tokenizer.encode(it.caption)).T.copy() for it in items])
     norm = normalize_minmax(raw)
     labels = label_similar(norm, cfg.similarity_threshold)
     return raw, norm, labels
@@ -164,7 +162,7 @@ SIMILARITY_TENSORS = ("scores_raw", "scores_normalized", "labels")
 
 
 def load_similarity(path: str):
-    """Returns (ids, raw, normalized, SimilarLabelMatrix)."""
+    """Returns (ids, raw, SimilarLabelMatrix); checks scores_normalized."""
     tensors = archive.read_archive(path, require=SIMILARITY_TENSORS)
     side = archive.read_sidecar(path, ("ids", "threshold"))
     n = len(side["ids"])
@@ -174,9 +172,7 @@ def load_similarity(path: str):
                 f"{path}: {name} has shape {tensors[name].shape}, expected "
                 f"({n}, {n}) for the {n} ids in its sidecar")
     labels = SimilarLabelMatrix(tensors["labels"] > 0.5, side["threshold"])
-    return (side["ids"], SimilarityMatrix(tensors["scores_raw"]),
-            SimilarityMatrix(tensors["scores_normalized"], normalized=True),
-            labels)
+    return side["ids"], SimilarityMatrix(tensors["scores_raw"]), labels
 
 
 def check_label_ids(items: list[DatasetItem], ids: list[str]):

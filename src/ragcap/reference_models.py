@@ -174,16 +174,6 @@ def build_tiny_lm(seed: int, vocab_size: int, d_model: int = 32,
     return lm
 
 
-class LmTextEncoder:
-    """TextEncoder adapter: caption tokens -> frozen-LM features (D_l, L)."""
-
-    def __init__(self, lm: TinyCausalLm):
-        self.lm = lm
-
-    def encode(self, caption) -> np.ndarray:
-        return self.lm.features(caption.token_ids).T.copy()
-
-
 # ---------------------------------------------------------------------------
 # audio feature stand-in and synthetic dataset
 # ---------------------------------------------------------------------------

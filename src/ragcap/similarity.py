@@ -4,12 +4,16 @@ Pipeline: greedy-matching BERTScore-style F1 between every caption pair,
 min-max normalization over the off-diagonal entries, then thresholding into
 a boolean similar / not-similar matrix. The F1 variant with no idf weighting
 is used; cosine similarity is taken on raw encoder features.
+
+The pairwise matrix stacks the captions of each token length once and
+scores each caption against all later ones of a length in one broadcast
+`bertscore` call, bit for bit as the call on each pair alone would; padding
+to one length would change the last bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,25 +23,8 @@ class DegenerateSimilarityError(ValueError):
 
 
 @dataclass
-class TokenizedCaption:
-    text: str
-    token_ids: list[int]
-
-    def __post_init__(self):
-        if len(self.token_ids) < 1:
-            raise ValueError(f"empty caption: {self.text!r}")
-
-
-class TextEncoder(Protocol):
-    """Maps a TokenizedCaption to a contextual embedding matrix (D_t, L)."""
-
-    def encode(self, caption: TokenizedCaption) -> np.ndarray: ...
-
-
-@dataclass
 class SimilarityMatrix:
     scores: np.ndarray  # (n, n) float64
-    normalized: bool = False
 
     @property
     def n(self) -> int:
@@ -62,36 +49,44 @@ class SimilarLabelMatrix:
                 np.flatnonzero(other & ~similar))
 
 
-def bertscore(cand: np.ndarray, ref: np.ndarray) -> tuple[float, float, float]:
-    """Greedy-matching (precision, recall, f1) between two embedding
-    matrices of shape (D_t, L_cand) and (D_t, L_ref)."""
-    if cand.ndim != 2 or ref.ndim != 2 or cand.shape[1] < 1 or ref.shape[1] < 1:
-        raise ValueError("embeddings must be (D_t, L) with L >= 1")
-    cn = np.linalg.norm(cand, axis=0)
-    rn = np.linalg.norm(ref, axis=0)
+def bertscore(cand: np.ndarray, ref: np.ndarray):
+    """Greedy-matching (precision, recall, f1) between (..., D_t, L_cand)
+    and (..., D_t, L_ref) embeddings, broadcast over the leading axes; two
+    plain matrices give three floats."""
+    if cand.ndim < 2 or ref.ndim < 2 or cand.shape[-1] < 1 or ref.shape[-1] < 1:
+        raise ValueError("embeddings must be (..., D_t, L) with L >= 1")
+    cn = np.linalg.norm(cand, axis=-2, keepdims=True)
+    rn = np.linalg.norm(ref, axis=-2, keepdims=True)
     if np.any(cn == 0) or np.any(rn == 0):
         raise ValueError("zero-norm embedding column")
-    sim = (cand / cn).T @ (ref / rn)  # (L_cand, L_ref) cosine similarities
-    precision = float(np.mean(sim.max(axis=1)))
-    recall = float(np.mean(sim.max(axis=0)))
+    sim = (cand / cn).swapaxes(-1, -2) @ (ref / rn)  # (..., L_c, L_r) cosines
+    precision = sim.max(axis=-1).mean(axis=-1)
+    recall = sim.max(axis=-2).mean(axis=-1)
     denom = precision + recall
-    f1 = 0.0 if denom == 0.0 else 2.0 * precision * recall / denom
+    f1 = np.divide(2.0 * precision * recall, denom,
+                   out=np.zeros_like(denom), where=denom != 0.0)
+    if f1.ndim == 0:
+        return float(precision), float(recall), float(f1)
     return precision, recall, f1
 
 
-def pairwise_similarity(captions: list[TokenizedCaption],
-                        encoder: TextEncoder) -> SimilarityMatrix:
-    """Raw F1 BERTScore between all caption pairs; diagonal fixed at 1."""
-    n = len(captions)
+def pairwise_similarity(embs: list[np.ndarray]) -> SimilarityMatrix:
+    """Raw F1 BERTScore between all pairs of the (D_t, L_i) caption
+    embeddings, which must be C-contiguous; diagonal fixed at 1."""
+    n = len(embs)
     if n < 2:
         raise ValueError("need at least two captions")
-    embs = [encoder.encode(c) for c in captions]
+    lengths = np.array([e.shape[-1] for e in embs])
+    groups = [(idx, np.stack([embs[j] for j in idx]))
+              for idx in (np.flatnonzero(lengths == length)
+                          for length in np.unique(lengths))]
     scores = np.eye(n)
     for i in range(n):
-        for j in range(i + 1, n):
-            _, _, f1 = bertscore(embs[i], embs[j])
-            scores[i, j] = scores[j, i] = f1
-    return SimilarityMatrix(scores, normalized=False)
+        for idx, stack in groups:
+            later = np.searchsorted(idx, i, side="right")
+            _, _, f1 = bertscore(embs[i], stack[later:])
+            scores[i, idx[later:]] = scores[idx[later:], i] = f1
+    return SimilarityMatrix(scores)
 
 
 def normalize_minmax(m: SimilarityMatrix) -> SimilarityMatrix:
@@ -107,7 +102,7 @@ def normalize_minmax(m: SimilarityMatrix) -> SimilarityMatrix:
             "all off-diagonal similarities equal; cannot min-max normalize")
     out = m.scores.copy()
     out[off] = (vals - lo) / (hi - lo)
-    return SimilarityMatrix(out, normalized=True)
+    return SimilarityMatrix(out)
 
 
 def label_similar(m: SimilarityMatrix, threshold: float = 0.7) -> SimilarLabelMatrix:

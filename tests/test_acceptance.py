@@ -257,8 +257,7 @@ def test_criterion_03_equation_hand_examples(rng):
     assert abs(out[1, 2] - 1.0) < tol
 
     # thresholding is strictly greater than 0.7
-    pair = SimilarityMatrix(np.array([[1.0, 0.7], [0.7, 1.0]]),
-                            normalized=True)
+    pair = SimilarityMatrix(np.array([[1.0, 0.7], [0.7, 1.0]]))
     assert not label_similar(pair, 0.7).labels[0, 1]
 
     # label smoothing 0 reduces to standard cross-entropy

@@ -236,6 +236,16 @@ def test_unresolvable_feature_path(tmp_path):
         load_manifest(mpath)
 
 
+def test_wordless_primary_caption_cites_line(tmp_path):
+    fpath = _feature_file(tmp_path)
+    mpath = str(tmp_path / "m.jsonl")
+    write_manifest(mpath, [ManifestRow("x", "train", fpath, ["a cap"]),
+                           ManifestRow("y", "train", fpath, ["!!!", "a cap"])])
+    with pytest.raises(ManifestError,
+                       match=r"line 2: caption '!!!' has no words"):
+        load_manifest(mpath)
+
+
 def test_manifest_requires_train_rows(tmp_path):
     fpath = _feature_file(tmp_path)
     mpath = str(tmp_path / "m.jsonl")

@@ -205,6 +205,15 @@ def test_exit_2_beam_zero(ws):
                  "--beam", "0"]) == 2
 
 
+def test_exit_2_retrieve_k_zero(ws, capsys):
+    feats = os.path.join(ws["data"], "features", "c00i000.ract")
+    assert main(["retrieve", "--config", ws["cfg"],
+                 "--checkpoint", os.path.join(ws["ret"], "retrieval.ckpt"),
+                 "--index", os.path.join(ws["ret"], "index.ract"),
+                 "--query-features", feats, "-K", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_exit_2_scope_without_inputs(ws):
     assert main(["evaluate", "--scope", "i"]) == 2
     assert main(["evaluate"]) == 2
@@ -215,6 +224,22 @@ def test_exit_3_missing_manifest(ws, tmp_path):
     assert main(["prepare-similarity", "--config", ws["cfg"],
                  "--manifest", str(tmp_path / "nope.jsonl"),
                  "--out", str(tmp_path / "s")]) == 3
+
+
+def test_exit_3_wordless_caption(ws, tmp_path, caplog):
+    data = tmp_path / "data"
+    shutil.copytree(ws["data"], data)
+    manifest = data / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    row = json.loads(lines[2])
+    row["captions"][0] = "!!!"
+    lines[2] = json.dumps(row)
+    manifest.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "sim"
+    assert main(["prepare-similarity", "--config", ws["cfg"],
+                 "--manifest", str(manifest), "--out", str(out)]) == 3
+    assert "line 3: caption '!!!' has no words" in caplog.text
+    assert not out.exists()
 
 
 def test_exit_3_corrupt_index(ws, tmp_path):

@@ -150,6 +150,22 @@ def test_beam_and_max_len_validated():
         dataclasses.replace(PipelineConfig(), generate_beam=0)
 
 
+@pytest.mark.parametrize("field", ["retrieval_k", "triplet_batch",
+                                   "decoder_batch"])
+def test_counts_validated(field):
+    with pytest.raises(ConfigError, match="must be >= 1"):
+        PipelineConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("values", [
+    {"embed_heads": 3}, {"embed_heads": 0}, {"decoder_heads": 3},
+    {"decoder_heads": 8, "decoder_d_r": 12}, {"lm_heads": 3},
+    {"lm_heads": 4, "decoder_heads": 2, "model_d_l": 6}])
+def test_heads_must_divide_attention_width(values):
+    with pytest.raises(ConfigError, match="must divide"):
+        PipelineConfig(**values)
+
+
 def test_hash_changes_with_config():
     a = PipelineConfig()
     b = PipelineConfig(triplet_epochs=5)

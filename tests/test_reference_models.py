@@ -9,8 +9,7 @@ from ragcap.reference_models import (BOS, EOS, PAD, SEP, UNK,
                                      TinyAudioExtractor, TinyCausalLm,
                                      TinyTokenizer, build_tiny_lm,
                                      generate_synthetic_dataset)
-from ragcap.similarity import TokenizedCaption, bertscore
-from ragcap.reference_models import LmTextEncoder
+from ragcap.similarity import bertscore
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +60,6 @@ def test_features_batch_matches_single_sequences():
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(batch[1, :2], lm.features([BOS, 8]),
                                rtol=0, atol=1e-12)
-    enc = LmTextEncoder(lm).encode(TokenizedCaption("x", [BOS, 5, 6]))
-    np.testing.assert_array_equal(enc, lm.features([BOS, 5, 6]).T)
 
 
 def test_causal_prefix_property():
@@ -149,8 +146,7 @@ def test_same_cluster_captions_more_similar(tmp_path):
     lm = build_tiny_lm(7, tok.vocab_size,
                        pretrain_seqs=[tok.encode(t) for t in texts],
                        pretrain_epochs=10)
-    enc = LmTextEncoder(lm)
-    embs = [enc.encode(TokenizedCaption(t, tok.encode(t))) for t in texts]
+    embs = [lm.features(tok.encode(t)).T.copy() for t in texts]
     same, cross = [], []
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
