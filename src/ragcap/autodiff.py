@@ -1,8 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Everything is 64-bit and deterministic: no threads, no fused kernels, no
-in-place tricks. Shapes broadcast like numpy; matmul supports stacked
-(batched) operands. Gradients from repeated backward() calls accumulate.
+Everything is 64-bit, single-threaded and deterministic.
+In-place arithmetic only touches arrays the same operation just allocated.
+Shapes broadcast like numpy; matmul supports stacked (batched) operands.
+Gradients from repeated backward() calls accumulate.
 """
 
 from __future__ import annotations
@@ -230,7 +231,10 @@ class Tensor:
         """Exact (erf-based) GELU."""
         a = self
         x = a.data
-        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        cdf = x * _INV_SQRT2
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
         out = x * cdf
 
         def vjp(g):
@@ -239,16 +243,23 @@ class Tensor:
 
         return _make(out, (a,), vjp)
 
-    def softmax(self, axis: int = -1):
-        """Numerically stabilized softmax along `axis`."""
+    def softmax(self, axis: int = -1, scale: float = 1.0,
+                mask: np.ndarray | None = None):
+        """Numerically stabilized softmax of `scale * self + mask` along
+        `axis`. The constant additive `mask` broadcasts to self's shape and
+        takes no gradient. One node and one array: it is the composition
+        (self * scale + mask).softmax() bit for bit, forward and backward."""
         a = self
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        out = e / e.sum(axis=axis, keepdims=True)
+        out = a.data * scale
+        if mask is not None:
+            out += mask
+        out -= out.max(axis=axis, keepdims=True)
+        np.exp(out, out=out)
+        out /= out.sum(axis=axis, keepdims=True)
 
         def vjp(g):
             dot = (g * out).sum(axis=axis, keepdims=True)
-            return (out * (g - dot),)
+            return (out * (g - dot) * scale,)
 
         return _make(out, (a,), vjp)
 

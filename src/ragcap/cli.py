@@ -140,9 +140,9 @@ def cmd_generate(args) -> int:
     if args.beam is not None:
         # only now: both checkpoints are checked against the file's config
         cfg = dataclasses.replace(cfg, generate_beam=args.beam)
-    caption = decoder.generate_caption(lm, tokenizer, dec_params, phi,
-                                       guidance, cfg.generate_beam,
-                                       cfg.decoder_max_len)
+    [caption] = decoder.generate_captions(lm, tokenizer, dec_params, [phi],
+                                          [guidance], cfg.generate_beam,
+                                          cfg.decoder_max_len)
     print(json.dumps({"caption": caption, "guidance": guidance},
                      sort_keys=True))
     return 0

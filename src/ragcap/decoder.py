@@ -231,14 +231,14 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
         chosen = rng.choice(pool, size=cfg.retrieval_k, replace=replace)
         return guidance_ids([caps[j] for j in chosen])
 
-    def batch_loss(rows: list[int], guidance: np.ndarray,
-                   training: bool) -> Tensor:
+    def batch_loss(rows: list[int], guidance: np.ndarray, training: bool,
+                   psi_guidance: np.ndarray | None = None) -> Tensor:
         """Mean loss of items `rows` in one forward, padded to their
         longest prefix."""
         n = lengths[rows].max()
         logits = position_logits(lm, params, feats[rows], guidance,
                                  prefixes[rows, :n], rng_drop, training,
-                                 psi[rows, :n])
+                                 psi[rows, :n], psi_guidance)
         return smoothed_cross_entropy(logits, targets[rows, :n],
                                       cfg.decoder_lambda)
 
@@ -246,6 +246,7 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
     rng_val = np.random.default_rng([seed, 14])
     val_rows = [i for i in valid_idx if len(sim_of[i])]
     val_guidance = pad_ids([pick_refs(i, rng_val) for i in val_rows])
+    val_psi = lm.features(val_guidance) if val_rows else None
     result.replacement_items = 0  # counting restarts with the training loop
 
     best = params.snapshot()
@@ -265,7 +266,8 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
             opt.zero_grad()
             epoch_losses.append(loss.item())
         train_loss = float(np.mean(epoch_losses))
-        val_loss = (batch_loss(val_rows, val_guidance, False).item()
+        val_loss = (batch_loss(val_rows, val_guidance, False,
+                               val_psi).item()
                     if val_rows else train_loss)
 
         result.history.append({"epoch": epoch, "train_loss": train_loss,
@@ -283,42 +285,72 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
 # beam search
 # ---------------------------------------------------------------------------
 
-def beam_search(lm: TinyCausalLm, params: DecoderParams, phi: np.ndarray,
-                guidance: list[int], beam: int, max_len: int) -> list[int]:
-    """Length-normalized beam search over SEP-joined guidance ids.
+def beam_search(lm: TinyCausalLm, params: DecoderParams, phis,
+                guidances: list[list[int]], beam: int,
+                max_len: int) -> list[list[int]]:
+    """Length-normalized beam search for N items in lockstep: item n has
+    audio features phis[n] (D_a, T) and SEP-joined guidance ids
+    guidances[n]. Returns N token lists (EOS included if generated).
 
-    The guidance is encoded once; each step scores all live beams in one
-    posterior call. Beams end at EOS or at max length; live beams are pruned
-    by cumulative log-probability, the final ranking uses mean
-    log-probability per emitted token. All ties break on the token sequence
-    itself, so decoding is deterministic.
-    Returns the emitted tokens (EOS included if generated)."""
-    psi_guidance = lm.features(guidance)
-    live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
-    finished: list[tuple[tuple[int, ...], float]] = []
+    Each guidance is encoded once, unpadded, and stored zero-padded with
+    its PAD key mask. Each step scores the live beams of every unfinished
+    item in one posterior call. Per item, beams end at EOS or at max_len;
+    live beams are pruned by cumulative log-probability, the final ranking
+    uses mean log-probability per emitted token. All ties break on the
+    token sequence itself, so decoding is deterministic.
+
+    An item stops early once its best finished score lp / len is strictly
+    greater than its best live lp divided by max_len. Every later candidate
+    descends from a live beam, and log-probabilities are <= 0, so its
+    cumulative lp is at most that beam's and its length at most max_len:
+    its score lp / len <= lp / max_len <= best live lp / max_len. Rounding
+    is monotone, so these inequalities also hold for the computed floats,
+    and no later candidate can outrank the best finished one. A stopped
+    item's live beams are therefore dropped, not force-finished."""
+    phis = np.asarray(phis, dtype=np.float64)
+    guidance = pad_ids(guidances)
+    psi_guidance = np.zeros(guidance.shape + (lm.d_model,))
+    for psi, g in zip(psi_guidance, guidances):
+        psi[:len(g)] = lm.features(g)
+    n = len(guidances)
+    live = [[((), 0.0)] for _ in range(n)]
+    finished = [[] for _ in range(n)]
+    best_done = [-np.inf] * n  # per item, the best finished lp / len
+    running = list(range(n))
     for _ in range(max_len):
-        if not live:
+        if not running:
             break
-        p = posterior(lm, params, phi, guidance,
-                      [(BOS,) + toks for toks, _ in live], psi_guidance)
-        logp = np.log(np.maximum(p, 1e-300))
-        next_live = []
-        for (toks, lp), row in zip(live, logp):
-            for v in range(len(row)):
-                (finished if v == EOS else next_live).append(
-                    (toks + (v,), lp + row[v]))
-        next_live.sort(key=lambda e: (-e[1], e[0]))
-        live = next_live[:beam]
-    finished.extend(live)  # force-finish at max length
-    best = max(finished, key=lambda e: (e[1] / len(e[0]),
-                                        tuple(-t for t in e[0])))
-    return list(best[0])
+        owner = [i for i in running for _ in live[i]]
+        p = posterior(lm, params, phis[owner], guidance[owner],
+                      [(BOS,) + toks for i in running for toks, _ in live[i]],
+                      psi_guidance[owner])
+        rows = iter(np.log(np.maximum(p, 1e-300)))
+        for i in running:
+            next_live = []
+            for (toks, lp), row in zip(live[i], rows):
+                for v in range(len(row)):
+                    (finished[i] if v == EOS else next_live).append(
+                        (toks + (v,), lp + row[v]))
+                best_done[i] = max(best_done[i],
+                                   (lp + row[EOS]) / (len(toks) + 1))
+            next_live.sort(key=lambda e: (-e[1], e[0]))
+            live[i] = next_live[:beam]
+        running = [i for i in running
+                   if live[i] and not best_done[i] > live[i][0][1] / max_len]
+    for i in running:
+        finished[i].extend(live[i])  # force-finish at max length
+    return [list(max(done, key=lambda e: (e[1] / len(e[0]),
+                                          tuple(-t for t in e[0])))[0])
+            for done in finished]
 
 
-def generate_caption(lm: TinyCausalLm, tokenizer: TinyTokenizer,
-                     params: DecoderParams, phi: np.ndarray,
-                     guidance_texts: list[str], beam: int,
-                     max_len: int) -> str:
-    guidance = guidance_ids([tokenizer.encode(c) for c in guidance_texts])
-    return tokenizer.decode(beam_search(lm, params, phi, guidance, beam,
-                                        max_len))
+def generate_captions(lm: TinyCausalLm, tokenizer: TinyTokenizer,
+                      params: DecoderParams, phis,
+                      guidance_texts: list[list[str]], beam: int,
+                      max_len: int) -> list[str]:
+    """One caption per item: audio features phis[n] (D_a, T), guided by the
+    captions guidance_texts[n]; all items are decoded in one beam search."""
+    guidances = [guidance_ids([tokenizer.encode(c) for c in texts])
+                 for texts in guidance_texts]
+    return [tokenizer.decode(toks) for toks in
+            beam_search(lm, params, phis, guidances, beam, max_len)]

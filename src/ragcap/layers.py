@@ -70,6 +70,13 @@ def causal_mask(n: int) -> np.ndarray:
     return np.triu(np.full((n, n), NEG_INF), k=1)
 
 
+def _broadcasts_to(shape: tuple, target: tuple) -> bool:
+    try:
+        return np.broadcast_shapes(shape, target) == target
+    except ValueError:
+        return False
+
+
 class MultiHeadAttention:
     """Scaled dot-product attention with `num_heads` heads.
 
@@ -103,8 +110,9 @@ class MultiHeadAttention:
 
     def __call__(self, query: Tensor, key_value: Tensor,
                  mask: np.ndarray | None = None) -> Tensor:
-        """`mask` is added to the (..., H, L_q, L_kv) attention scores:
-        NEG_INF where a query may not attend to a key, 0 elsewhere."""
+        """`mask` is added to the (..., H, L_q, L_kv) attention scores, to
+        whose shape it must broadcast: NEG_INF where a query may not attend
+        to a key, 0 elsewhere."""
         query = as_tensor(query)
         key_value = as_tensor(key_value)
         if query.shape[-1] != self.d_query:
@@ -116,14 +124,12 @@ class MultiHeadAttention:
         k = self._split(key_value @ self.W_k + self.b_k)
         v = self._split(key_value @ self.W_v + self.b_v)
 
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.d_head))
-        if mask is not None:
-            if mask.shape[-2] not in (1, scores.shape[-2]) or \
-                    mask.shape[-1] != scores.shape[-1]:
-                raise ShapeError(f"mask shape {mask.shape} does not fit "
-                                 f"scores {scores.shape}")
-            scores = scores + Tensor(mask)
-        attn = scores.softmax(axis=-1)
+        scores = q @ k.swapaxes(-1, -2)
+        if mask is not None and not _broadcasts_to(mask.shape, scores.shape):
+            raise ShapeError(f"mask shape {mask.shape} does not fit "
+                             f"scores {scores.shape}")
+        attn = scores.softmax(axis=-1, scale=1.0 / math.sqrt(self.d_head),
+                              mask=mask)
         heads = attn @ v  # (..., H, L_q, d_head)
         merged = heads.swapaxes(-3, -2).reshape(
             query.shape[:-1] + (self.d_model,))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import archive, decoder, retrieval
 from .config import LM_KEYS, PipelineConfig, config_hash
-from .data import DatasetItem, load_dataset
+from .data import DatasetItem
 from .errors import TrainingError
 from .metrics import EvalReport, evaluate_corpus
 from .reference_models import TinyCausalLm, TinyTokenizer, build_tiny_lm
@@ -305,27 +305,24 @@ def evaluate_scope(scope: str, cfg: PipelineConfig, items: list[DatasetItem],
     if not eval_items:
         raise TrainingError(f"no items in split {split!r}")
 
-    candidates = []
-    refs = []
-    ids = []
-    for pos, item in eval_items:
-        if scope == "ii":
-            cand = retrieved_guidance(embedder, index, item.features, 1,
-                                      item.id)[0]
+    if scope == "ii":
+        candidates = [retrieved_guidance(embedder, index, item.features, 1,
+                                         item.id)[0]
+                      for _, item in eval_items]
+    else:
+        if scope == "i":
+            guidance = [retrieved_guidance(embedder, index, item.features,
+                                           cfg.retrieval_k, item.id)
+                        for _, item in eval_items]
         else:
-            if scope == "i":
-                guidance = retrieved_guidance(embedder, index, item.features,
-                                              cfg.retrieval_k, item.id)
-            else:
-                guidance = oracle_guidance(scores, items, pos,
-                                           cfg.retrieval_k)
-            cand = decoder.generate_caption(lm, tokenizer, dec_params,
-                                            item.features, guidance,
-                                            cfg.generate_beam,
-                                            cfg.decoder_max_len)
-        candidates.append(cand)
-        refs.append(item.captions)
-        ids.append(item.id)
+            guidance = [oracle_guidance(scores, items, pos, cfg.retrieval_k)
+                        for pos, _ in eval_items]
+        candidates = decoder.generate_captions(
+            lm, tokenizer, dec_params,
+            [item.features for _, item in eval_items], guidance,
+            cfg.generate_beam, cfg.decoder_max_len)
+    refs = [item.captions for _, item in eval_items]
+    ids = [item.id for _, item in eval_items]
     report = evaluate_corpus(candidates, refs)
     return candidates, refs, ids, report
 

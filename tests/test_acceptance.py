@@ -216,8 +216,8 @@ def test_criterion_02_search_oracles(rng):
         params = DecoderParams(lm.d_model, 3, 4, 3, heads=2, drop_p=0.0,
                                rng=model_rng, std=0.5)
         phi = model_rng.normal(size=(3, 4))
-        assert beam_search(lm, params, phi, g, beam=9, max_len=3) == \
-            exhaustive(lm, params, phi, g, max_len=3)
+        assert beam_search(lm, params, [phi], [g], beam=9, max_len=3) == \
+            [exhaustive(lm, params, phi, g, max_len=3)]
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +368,9 @@ def test_criterion_07_decoder_overfit(tmp_path):
         pool = sorted(j for j in range(len(items))
                       if j != i and labels.labels[i, j])
         guidance = [items[j].caption for j in pool[:dcfg.retrieval_k]]
-        out = decoder.generate_caption(lm, tokenizer, result.params,
-                                       it.features, guidance, beam=4,
-                                       max_len=cfg.decoder_max_len)
+        [out] = decoder.generate_captions(lm, tokenizer, result.params,
+                                          [it.features], [guidance], beam=4,
+                                          max_len=cfg.decoder_max_len)
         exact += out == it.caption
     assert exact >= 6, f"{exact}/8 exact reproductions"
     assert time.monotonic() - start < 180.0

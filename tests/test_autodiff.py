@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from conftest import finite_diff_check, rand_tensor
-from ragcap.autodiff import (GraphError, ShapeError, Tensor, as_tensor,
-                             layer_norm, take_rows)
+from ragcap.autodiff import (GraphError, ShapeError, Tensor, _make,
+                             as_tensor, layer_norm, take_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,40 @@ def test_softmax_rows_sum_to_one(row, reps):
     out = x.softmax(axis=-1).data
     assert np.all(out >= 0)
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
+
+
+def _softmax_oracle(x: Tensor) -> Tensor:
+    """The plain last-axis softmax node, out of place."""
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
+    return _make(out, (x,), lambda g: (
+        out * (g - (g * out).sum(axis=-1, keepdims=True)),))
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_scaled_masked_softmax_is_the_composition_bitwise(rng, masked):
+    scale = 1.0 / np.sqrt(8.0)
+    mask = (np.where(rng.random((3, 1, 1, 6)) < 0.3, -1e30, 0.0) if masked
+            else None)
+    x = rand_tensor(rng, (3, 2, 5, 6), scale=3.0)
+    w = rng.normal(size=x.shape)
+    fused = x.softmax(axis=-1, scale=scale, mask=mask)
+    (fused * Tensor(w)).sum().backward()
+    fused_grad, x.grad = x.grad, None
+
+    chain = x * scale
+    if masked:
+        chain = chain + Tensor(mask)
+    chain = _softmax_oracle(chain)
+    (chain * Tensor(w)).sum().backward()
+    np.testing.assert_array_equal(fused.data, chain.data)
+    np.testing.assert_array_equal(fused_grad, x.grad)
+
+
+def test_gelu_matches_erf_formula_bitwise(rng):
+    x = rng.normal(size=(4, 9)) * 3.0
+    want = x * (0.5 * (1.0 + erf(x * 0.7071067811865476)))
+    np.testing.assert_array_equal(Tensor(x).gelu().data, want)
 
 
 def test_log_softmax_consistent(rng):

@@ -4,11 +4,12 @@ from itertools import product
 import numpy as np
 import pytest
 
+from ragcap import decoder
 from ragcap.autodiff import Tensor
 from ragcap.config import PipelineConfig
 from ragcap.data import DatasetItem
 from ragcap.decoder import (DecoderParams, _dropout_keep, beam_search,
-                            generate_caption, guidance_ids, pad_ids,
+                            generate_captions, guidance_ids, pad_ids,
                             posterior, position_logits,
                             smoothed_cross_entropy, train_decoder)
 from ragcap.reference_models import (BOS, EOS, PAD, SEP, TinyTokenizer,
@@ -302,8 +303,9 @@ def test_beam_matches_exhaustive_small_instances():
         params = DecoderParams(lm.d_model, D_A, 4, lm.vocab_size, heads=2,
                                drop_p=0.0, rng=rng, std=0.5)
         phi = rng.normal(size=(D_A, T))
-        assert beam_search(lm, params, phi, g, beam=36, max_len=3) == \
-            exhaustive_best(lm, params, phi, g, max_len=3)
+        assert beam_search(lm, params, [phi], [g], beam=36,
+                           max_len=3) == \
+            [exhaustive_best(lm, params, phi, g, max_len=3)]
 
 
 def test_beam_one_equals_greedy(lm, rng):
@@ -317,7 +319,7 @@ def test_beam_one_equals_greedy(lm, rng):
         toks.append(nxt)
         if nxt == EOS:
             break
-    assert beam_search(lm, params, phi, g, beam=1, max_len=5) == toks
+    assert beam_search(lm, params, [phi], [g], beam=1, max_len=5) == [toks]
 
 
 def test_beam_search_encodes_guidance_once(lm, rng, monkeypatch):
@@ -331,7 +333,8 @@ def test_beam_search_encodes_guidance_once(lm, rng, monkeypatch):
         return features(ids)
 
     monkeypatch.setattr(lm, "features", recording)
-    beam_search(lm, params, rng.normal(size=(D_A, T)), g, beam=3, max_len=6)
+    beam_search(lm, params, [rng.normal(size=(D_A, T))], [g], beam=3,
+                max_len=6)
     assert len(encoded) > 2
     assert encoded.count(g) == 1
 
@@ -340,15 +343,103 @@ def test_beam_is_deterministic(lm, rng):
     params = make_dec(lm, rng)
     phi = rng.normal(size=(D_A, T))
     g = guidance_ids([[5, 6], [7]])
-    assert beam_search(lm, params, phi, g, beam=3, max_len=6) == \
-        beam_search(lm, params, phi, g, beam=3, max_len=6)
+    assert beam_search(lm, params, [phi], [g], beam=3, max_len=6) == \
+        beam_search(lm, params, [phi], [g], beam=3, max_len=6)
 
 
 def test_beam_respects_max_len(lm, rng):
     params = make_dec(lm, rng)
-    out = beam_search(lm, params, rng.normal(size=(D_A, T)),
-                      [5], beam=2, max_len=4)
+    [out] = beam_search(lm, params, [rng.normal(size=(D_A, T))],
+                        [[5]], beam=2, max_len=4)
     assert 1 <= len(out) <= 4
+
+
+def full_length_beam(lm, params, phi, guidance, beam, max_len):
+    """One item's beam search without the early stop: it runs all max_len
+    steps and force-finishes the live beams."""
+    psi_guidance = lm.features(guidance)
+    live, finished = [((), 0.0)], []
+    for _ in range(max_len):
+        p = posterior(lm, params, phi, guidance,
+                      [(BOS,) + toks for toks, _ in live], psi_guidance)
+        next_live = []
+        for (toks, lp), row in zip(live, np.log(np.maximum(p, 1e-300))):
+            for v in range(len(row)):
+                (finished if v == EOS else next_live).append(
+                    (toks + (v,), lp + row[v]))
+        next_live.sort(key=lambda e: (-e[1], e[0]))
+        live = next_live[:beam]
+    best = max(finished + live, key=lambda e: (e[1] / len(e[0]),
+                                               tuple(-t for t in e[0])))
+    return list(best[0])
+
+
+def count_posterior_calls(monkeypatch) -> list[int]:
+    """Rows of each posterior call beam_search makes from now on."""
+    calls = []
+    inner = decoder.posterior
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[4]))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(decoder, "posterior", counting)
+    return calls
+
+
+def random_decoder(seed):
+    lm = build_tiny_lm(seed, vocab_size=8, d_model=8)
+    rng = np.random.default_rng([23, seed])
+    params = DecoderParams(lm.d_model, D_A, 4, lm.vocab_size, heads=2,
+                           drop_p=0.0, rng=rng, std=0.5)
+    # EOS at varied odds, so searches end at varied lengths
+    params.lmhead.b.data[EOS] += rng.uniform(-1.0, 2.0)
+    return lm, params, rng
+
+
+def test_lockstep_beam_equals_single_item_searches():
+    for seed in range(4):
+        lm, params, rng = random_decoder(seed)
+        guidances = [guidance_ids([[5, 6], [7]]), [6],
+                     guidance_ids([[7, 5, 5], [6]]), [5, 7]]
+        phis = rng.normal(size=(len(guidances), D_A, T))
+        together = beam_search(lm, params, phis, guidances, beam=3,
+                               max_len=8)
+        assert together == [
+            beam_search(lm, params, [phi], [g], beam=3, max_len=8)[0]
+            for phi, g in zip(phis, guidances)]
+
+
+def test_beam_early_stop_matches_full_length_search(monkeypatch):
+    calls = count_posterior_calls(monkeypatch)
+    stopped = 0
+    for seed in range(40):
+        lm, params, rng = random_decoder(seed)
+        phi = rng.normal(size=(D_A, T))
+        g = [int(t) for t in rng.integers(5, 8, size=3)]
+        calls.clear()
+        assert beam_search(lm, params, [phi], [g], beam=2, max_len=8) == \
+            [full_length_beam(lm, params, phi, g, beam=2, max_len=8)]
+        stopped += len(calls) < 8
+    assert stopped > 0
+
+
+def test_beam_search_one_features_call_per_step(lm, rng, monkeypatch):
+    params = make_dec(lm, rng)
+    guidances = [guidance_ids([[5, 6], [7]]), [8], [9, 10]]
+    encoded = []
+    features = lm.features
+
+    def recording(ids):
+        encoded.append(np.asarray(ids).tolist())
+        return features(ids)
+
+    monkeypatch.setattr(lm, "features", recording)
+    calls = count_posterior_calls(monkeypatch)
+    beam_search(lm, params, rng.normal(size=(3, D_A, T)), guidances, beam=3,
+                max_len=6)
+    assert encoded[:3] == guidances  # each guidance once, unpadded
+    assert calls and len(encoded) == 3 + len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +551,8 @@ def test_generate_caption_decodes(lm, rng):
     params = DecoderParams(small_lm.d_model, D_A, 4, small_lm.vocab_size,
                            heads=2, drop_p=0.0, rng=rng)
     phi = rng.normal(size=(D_A, T))
-    text = generate_caption(small_lm, tok, params, phi,
-                            ["a dog barks", "a cat"], beam=2, max_len=5)
+    texts = generate_captions(small_lm, tok, params, [phi],
+                              [["a dog barks", "a cat"]], beam=2, max_len=5)
     g = guidance_ids([tok.encode("a dog barks"), tok.encode("a cat")])
-    assert text == tok.decode(beam_search(small_lm, params, phi, g, beam=2,
-                                          max_len=5))
+    [toks] = beam_search(small_lm, params, [phi], [g], beam=2, max_len=5)
+    assert texts == [tok.decode(toks)]
