@@ -88,7 +88,7 @@ def cmd_retrieve(args) -> int:
         cfg = dataclasses.replace(cfg, retrieval_k=args.k)
     index = retrieval.RetrievalIndex.load(args.index)
     phi = read_features(args.query_features, cfg.model_d_a, cfg.model_t)
-    e = retrieval.embed(embedder, phi)
+    e = retrieval.embed_batch(embedder, phi[None]).data[0]
     hits = retrieval.retrieve_topk(index, e, cfg.retrieval_k, args.exclude)
     print(json.dumps([{"id": i, "distance": d, "caption": c}
                       for i, d, c in hits], sort_keys=True))
@@ -134,8 +134,8 @@ def cmd_generate(args) -> int:
                               "--oracle-guidance is given")
         embedder, _ = pipeline.load_retrieval_params(
             cfg, args.retrieval_checkpoint)
-        guidance = pipeline.retrieved_guidance(embedder, index, phi,
-                                               cfg.retrieval_k, args.exclude)
+        [guidance] = pipeline.retrieved_guidance(
+            embedder, index, phi[None], cfg.retrieval_k, [args.exclude])
 
     if args.beam is not None:
         # only now: both checkpoints are checked against the file's config
@@ -148,24 +148,40 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _read_jsonl(path: str, fields: tuple[str, ...]) -> list[dict]:
-    """The JSON-object rows of a JSON-lines file, each holding `fields`."""
-    rows = []
+def _is_texts(value) -> bool:
+    return (isinstance(value, list) and bool(value)
+            and all(isinstance(t, str) for t in value))
+
+
+def _read_jsonl(path: str, field: str, valid, want: str) -> dict:
+    """id -> (line number, row[field]) for the JSON-object rows of a
+    JSON-lines file. Each row needs a string `id`, unique in the file, and
+    a `field` for which valid() holds (`want` describes it)."""
+    rows = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as e:
                 raise archive.ManifestError(
-                    f"{path}:{lineno}: invalid JSON ({e})") from e
-            if not (isinstance(row, dict) and all(k in row for k in fields)):
+                    f"{where}: invalid JSON ({e})") from e
+            if not (isinstance(row, dict) and "id" in row and field in row):
                 raise archive.ManifestError(
-                    f"{path}:{lineno}: need an object with fields "
-                    f"{list(fields)}")
-            rows.append(row)
+                    f"{where}: need an object with fields ['id', '{field}']")
+            rid = row["id"]
+            if not isinstance(rid, str):
+                raise archive.ManifestError(f"{where}: id is not a string")
+            if not valid(row[field]):
+                raise archive.ManifestError(f"{where}: {field} is not {want}")
+            if rid in rows:
+                raise archive.ManifestError(
+                    f"{where}: duplicate id {rid!r} (first on line "
+                    f"{rows[rid][0]})")
+            rows[rid] = (lineno, row[field])
     return rows
 
 
@@ -173,17 +189,17 @@ def cmd_evaluate(args) -> int:
     if args.candidates or args.references:
         if not (args.candidates and args.references):
             raise ConfigError("--candidates and --references go together")
-        cand_rows = _read_jsonl(args.candidates, ("id", "text"))
-        ref_rows = {r["id"]: r["texts"]
-                    for r in _read_jsonl(args.references, ("id", "texts"))}
-        candidates, refs = [], []
-        for r in cand_rows:
-            if r["id"] not in ref_rows:
+        cand_rows = _read_jsonl(args.candidates, "text",
+                                lambda v: isinstance(v, str), "a string")
+        ref_rows = _read_jsonl(args.references, "texts", _is_texts,
+                               "a non-empty list of strings")
+        for cid, (lineno, _) in cand_rows.items():
+            if cid not in ref_rows:
                 raise archive.ManifestError(
-                    f"candidate id {r['id']!r} has no references")
-            candidates.append(r["text"])
-            refs.append(ref_rows[r["id"]])
-        report = evaluate_corpus(candidates, refs)
+                    f"{args.candidates}:{lineno}: candidate id {cid!r} has "
+                    f"no references in {args.references}")
+        report = evaluate_corpus([text for _, text in cand_rows.values()],
+                                 [ref_rows[cid][1] for cid in cand_rows])
         sys.stdout.write(report.table())
         if args.out:
             os.makedirs(args.out, exist_ok=True)

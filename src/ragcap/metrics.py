@@ -5,6 +5,9 @@ punctuation stripped, whitespace split. BLEU is corpus-level (clipped n-gram
 precision, geometric mean, brevity penalty); ROUGE-L is the LCS F-measure
 with beta = 1.2 averaged over the corpus; CIDEr-D uses tf-idf n-gram cosine
 similarity with a length-gaussian penalty (sigma = 6) and x10 scaling.
+
+Each sentence is normalized and its 1- to 4-gram counts are taken once per
+call; every score is computed from those counts.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 import string
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 log = logging.getLogger("ragcap.metrics")
 
@@ -22,7 +26,7 @@ _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 ROUGE_BETA = 1.2
 CIDER_SIGMA = 6.0
-CIDER_N = 4
+MAX_N = 4  # highest n-gram order of BLEU and CIDEr-D
 
 
 def normalize_words(text: str) -> list[str]:
@@ -32,6 +36,25 @@ def normalize_words(text: str) -> list[str]:
 
 def _ngram_counts(words: list[str], n: int) -> Counter:
     return Counter(tuple(words[i:i + n]) for i in range(len(words) - n + 1))
+
+
+class _Sentence(NamedTuple):
+    words: list[str]
+    counts: list[Counter]  # counts[k - 1]: k-gram counts for k = 1..MAX_N
+
+
+def _sentence(text: str) -> _Sentence:
+    """Normalize once, count the 1- to MAX_N-grams once."""
+    words = normalize_words(text)
+    return _Sentence(words, [_ngram_counts(words, k)
+                             for k in range(1, MAX_N + 1)])
+
+
+def _parse(candidates: list[str], reference_sets: list[list[str]]):
+    """The checked corpus as sentences: (candidates, reference sets)."""
+    _check_corpus(candidates, reference_sets)
+    return ([_sentence(c) for c in candidates],
+            [[_sentence(r) for r in refs] for refs in reference_sets])
 
 
 # ---------------------------------------------------------------------------
@@ -46,37 +69,45 @@ def brevity_penalty(cand_len: int, ref_len: int) -> float:
     return math.exp(1.0 - ref_len / cand_len)
 
 
+def _bleu_stats(cand: _Sentence, refs: list[_Sentence]) -> tuple:
+    """(clipped matches per order, totals per order, candidate length,
+    closest reference length with ties -> shorter) for one item."""
+    n_c = len(cand.words)
+    ref_len = min((abs(len(r.words) - n_c), len(r.words)) for r in refs)[1]
+    matched, total = [], []
+    for k, cc in enumerate(cand.counts):
+        matched.append(sum(min(c, max(r.counts[k][g] for r in refs))
+                           for g, c in cc.items()))
+        total.append(sum(cc.values()))
+    return matched, total, n_c, ref_len
+
+
+def _corpus_stats(stats: list[tuple]) -> tuple:
+    """The per-item _bleu_stats summed over the corpus."""
+    matched, total, cand_len, ref_len = zip(*stats)
+    return ([sum(col) for col in zip(*matched)],
+            [sum(col) for col in zip(*total)], sum(cand_len), sum(ref_len))
+
+
+def _bleu(matched: list[int], total: list[int], cand_len: int, ref_len: int,
+          n: int) -> float:
+    """Geometric mean of the clipped precisions of orders 1..n times the
+    brevity penalty."""
+    matched, total = matched[:n], total[:n]
+    if any(t == 0 for t in total) or any(m == 0 for m in matched):
+        return 0.0
+    log_prec = sum(math.log(m / t) for m, t in zip(matched, total)) / n
+    return brevity_penalty(cand_len, ref_len) * math.exp(log_prec)
+
+
 def bleu_n(candidates: list[str], reference_sets: list[list[str]],
            n: int) -> float:
     """Corpus BLEU of order n: geometric mean of clipped precisions for
     orders 1..n times the brevity penalty (closest reference length)."""
-    if n < 1 or n > 4:
-        raise ValueError("BLEU order must be in 1..4")
-    _check_corpus(candidates, reference_sets)
-    matched = [0] * n
-    total = [0] * n
-    cand_len_sum = 0
-    ref_len_sum = 0
-    for cand, refs in zip(candidates, reference_sets):
-        cw = normalize_words(cand)
-        rws = [normalize_words(r) for r in refs]
-        cand_len_sum += len(cw)
-        # closest reference length (ties -> shorter)
-        ref_len_sum += min((abs(len(rw) - len(cw)), len(rw)) for rw in rws)[1]
-        for k in range(1, n + 1):
-            cc = _ngram_counts(cw, k)
-            max_ref = Counter()
-            for rw in rws:
-                rc = _ngram_counts(rw, k)
-                for g, c in rc.items():
-                    if c > max_ref[g]:
-                        max_ref[g] = c
-            matched[k - 1] += sum(min(c, max_ref[g]) for g, c in cc.items())
-            total[k - 1] += sum(cc.values())
-    if any(t == 0 for t in total) or any(m == 0 for m in matched):
-        return 0.0
-    log_prec = sum(math.log(m / t) for m, t in zip(matched, total)) / n
-    return brevity_penalty(cand_len_sum, ref_len_sum) * math.exp(log_prec)
+    if n < 1 or n > MAX_N:
+        raise ValueError(f"BLEU order must be in 1..{MAX_N}")
+    cands, refs = _parse(candidates, reference_sets)
+    return _bleu(*_corpus_stats(list(map(_bleu_stats, cands, refs))), n)
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +126,10 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
-def rouge_l_sentence(cand: str, refs: list[str], beta: float = ROUGE_BETA) -> float:
-    """Max over references of the LCS F-measure."""
-    cw = normalize_words(cand)
+def _rouge_l(cw: list[str], rws: list[list[str]], beta: float) -> float:
+    """Max over the normalized references rws of the LCS F-measure."""
     best = 0.0
-    for ref in refs:
-        rw = normalize_words(ref)
+    for rw in rws:
         lcs = _lcs_length(cw, rw)
         if lcs == 0:
             continue
@@ -111,60 +140,76 @@ def rouge_l_sentence(cand: str, refs: list[str], beta: float = ROUGE_BETA) -> fl
     return best
 
 
+def rouge_l_sentence(cand: str, refs: list[str], beta: float = ROUGE_BETA) -> float:
+    """Max over references of the LCS F-measure."""
+    return _rouge_l(normalize_words(cand), [normalize_words(r) for r in refs],
+                    beta)
+
+
+def _rouge_items(cands: list[_Sentence],
+                 refs: list[list[_Sentence]]) -> list[float]:
+    return [_rouge_l(c.words, [r.words for r in rs], ROUGE_BETA)
+            for c, rs in zip(cands, refs)]
+
+
 def rouge_l(candidates: list[str], reference_sets: list[list[str]]) -> float:
-    _check_corpus(candidates, reference_sets)
-    return sum(rouge_l_sentence(c, rs)
-               for c, rs in zip(candidates, reference_sets)) / len(candidates)
+    items = _rouge_items(*_parse(candidates, reference_sets))
+    return sum(items) / len(items)
 
 
 # ---------------------------------------------------------------------------
 # CIDEr-D
 # ---------------------------------------------------------------------------
 
-def _cider_vec(words: list[str], doc_freq: dict, log_n: float):
+def _cider_vec(s: _Sentence, doc_freq: dict, log_n: float):
     """Per-order tf-idf vectors, their norms, and the sentence length."""
-    vecs = [defaultdict(float) for _ in range(CIDER_N)]
-    norms = [0.0] * CIDER_N
-    for k in range(1, CIDER_N + 1):
-        for g, c in _ngram_counts(words, k).items():
+    vecs = [defaultdict(float) for _ in range(MAX_N)]
+    norms = [0.0] * MAX_N
+    for k, counts in enumerate(s.counts):
+        for g, c in counts.items():
             idf = log_n - math.log(max(1.0, doc_freq[g]))
-            vecs[k - 1][g] = c * idf
-        norms[k - 1] = math.sqrt(sum(v * v for v in vecs[k - 1].values()))
-    return vecs, norms, len(words)
+            vecs[k][g] = c * idf
+        norms[k] = math.sqrt(sum(v * v for v in vecs[k].values()))
+    return vecs, norms, len(s.words)
 
 
-def cider(candidates: list[str], reference_sets: list[list[str]],
-          return_per_item: bool = False):
-    """CIDEr-D over the corpus (document frequencies from the references)."""
-    _check_corpus(candidates, reference_sets)
-    n_items = len(candidates)
+def _cider_items(cands: list[_Sentence],
+                 refs: list[list[_Sentence]]) -> list[float]:
+    """Per-item CIDEr-D (document frequencies from the references)."""
+    n_items = len(cands)
     if n_items < 2:
         raise ValueError("CIDEr needs a corpus of size >= 2 for idf")
     doc_freq: dict = defaultdict(float)
-    for refs in reference_sets:
+    for rs in refs:
         seen = set()
-        for ref in refs:
-            rw = normalize_words(ref)
-            for k in range(1, CIDER_N + 1):
-                seen.update(_ngram_counts(rw, k).keys())
+        for r in rs:
+            for counts in r.counts:
+                seen.update(counts)
         for g in seen:
             doc_freq[g] += 1.0
     log_n = math.log(float(n_items))
 
     per_item = []
-    for cand, refs in zip(candidates, reference_sets):
-        cvecs, cnorms, clen = _cider_vec(normalize_words(cand), doc_freq, log_n)
-        score_n = [0.0] * CIDER_N
-        for ref in refs:
-            rvecs, rnorms, rlen = _cider_vec(normalize_words(ref), doc_freq, log_n)
+    for cand, rs in zip(cands, refs):
+        cvecs, cnorms, clen = _cider_vec(cand, doc_freq, log_n)
+        score_n = [0.0] * MAX_N
+        for r in rs:
+            rvecs, rnorms, rlen = _cider_vec(r, doc_freq, log_n)
             penalty = math.exp(-((clen - rlen) ** 2) / (2.0 * CIDER_SIGMA ** 2))
-            for k in range(CIDER_N):
+            for k in range(MAX_N):
                 val = sum(min(cvecs[k][g], rvecs[k][g]) * rvecs[k][g]
                           for g in cvecs[k])
                 if cnorms[k] > 0 and rnorms[k] > 0:
                     score_n[k] += penalty * val / (cnorms[k] * rnorms[k])
-        per_item.append(10.0 * sum(s / len(refs) for s in score_n) / CIDER_N)
-    mean = sum(per_item) / n_items
+        per_item.append(10.0 * sum(s / len(rs) for s in score_n) / MAX_N)
+    return per_item
+
+
+def cider(candidates: list[str], reference_sets: list[list[str]],
+          return_per_item: bool = False):
+    """CIDEr-D over the corpus (document frequencies from the references)."""
+    per_item = _cider_items(*_parse(candidates, reference_sets))
+    mean = sum(per_item) / len(per_item)
     return (mean, per_item) if return_per_item else mean
 
 
@@ -206,22 +251,20 @@ def _check_corpus(candidates, reference_sets):
 
 def evaluate_corpus(candidates: list[str],
                     reference_sets: list[list[str]]) -> EvalReport:
-    _check_corpus(candidates, reference_sets)
-    for i, cand in enumerate(candidates):
-        if not normalize_words(cand):
+    """Every score from one pass over the corpus: each sentence is
+    normalized and its n-grams counted once."""
+    cands, refs = _parse(candidates, reference_sets)
+    for i, cand in enumerate(cands):
+        if not cand.words:
             log.warning("candidate %d is empty after normalization", i)
-    bleu = [bleu_n(candidates, reference_sets, n) for n in range(1, 5)]
-    cider_mean, cider_items = cider(candidates, reference_sets,
-                                    return_per_item=True)
-    per_item = []
-    for i, (cand, refs) in enumerate(zip(candidates, reference_sets)):
-        per_item.append({
-            "index": i,
-            "bleu1": bleu_n([cand], [refs], 1),
-            "rouge_l": rouge_l_sentence(cand, refs),
-            "cider": cider_items[i],
-        })
-    return EvalReport(bleu=bleu,
-                      rouge_l=rouge_l(candidates, reference_sets),
-                      cider=cider_mean,
+    stats = list(map(_bleu_stats, cands, refs))
+    corpus = _corpus_stats(stats)
+    rouge_items = _rouge_items(cands, refs)
+    cider_items = _cider_items(cands, refs)
+    per_item = [{"index": i, "bleu1": _bleu(*s, 1), "rouge_l": r, "cider": c}
+                for i, (s, r, c) in enumerate(zip(stats, rouge_items,
+                                                  cider_items))]
+    return EvalReport(bleu=[_bleu(*corpus, n) for n in range(1, MAX_N + 1)],
+                      rouge_l=sum(rouge_items) / len(rouge_items),
+                      cider=sum(cider_items) / len(cider_items),
                       per_item=per_item)

@@ -266,13 +266,14 @@ def load_decoder(cfg: PipelineConfig, path: str,
 # ---------------------------------------------------------------------------
 
 def retrieved_guidance(embedder, index: retrieval.RetrievalIndex,
-                       phi: np.ndarray, k: int,
-                       exclude: str | None) -> list[str]:
-    """Top-K captions by embedding distance from the (D_a, T) features phi,
-    ascending; `exclude` leaves the query's own training item out."""
-    hits = retrieval.retrieve_topk(index, retrieval.embed(embedder, phi),
-                                   k=k, exclude=exclude)
-    return [cap for _, _, cap in hits]
+                       phis: np.ndarray, k: int,
+                       excludes: list[str | None]) -> list[list[str]]:
+    """For each of the stacked (N, D_a, T) features phis, the top-K captions
+    by embedding distance, ascending; excludes[n] leaves item n's own
+    training item out. All N items are embedded in one batch."""
+    queries = retrieval.embed_batch(embedder, phis).data
+    return [[cap for _, _, cap in retrieval.retrieve_topk(index, q, k, x)]
+            for q, x in zip(queries, excludes, strict=True)]
 
 
 def oracle_guidance(scores: SimilarityMatrix, items: list[DatasetItem],
@@ -305,24 +306,22 @@ def evaluate_scope(scope: str, cfg: PipelineConfig, items: list[DatasetItem],
     if not eval_items:
         raise TrainingError(f"no items in split {split!r}")
 
+    phis = np.stack([item.features for _, item in eval_items])
+    ids = [item.id for _, item in eval_items]
     if scope == "ii":
-        candidates = [retrieved_guidance(embedder, index, item.features, 1,
-                                         item.id)[0]
-                      for _, item in eval_items]
+        candidates = [caps[0] for caps in
+                      retrieved_guidance(embedder, index, phis, 1, ids)]
     else:
         if scope == "i":
-            guidance = [retrieved_guidance(embedder, index, item.features,
-                                           cfg.retrieval_k, item.id)
-                        for _, item in eval_items]
+            guidance = retrieved_guidance(embedder, index, phis,
+                                          cfg.retrieval_k, ids)
         else:
             guidance = [oracle_guidance(scores, items, pos, cfg.retrieval_k)
                         for pos, _ in eval_items]
         candidates = decoder.generate_captions(
-            lm, tokenizer, dec_params,
-            [item.features for _, item in eval_items], guidance,
-            cfg.generate_beam, cfg.decoder_max_len)
+            lm, tokenizer, dec_params, phis, guidance, cfg.generate_beam,
+            cfg.decoder_max_len)
     refs = [item.captions for _, item in eval_items]
-    ids = [item.id for _, item in eval_items]
     report = evaluate_corpus(candidates, refs)
     return candidates, refs, ids, report
 

@@ -9,8 +9,10 @@ distance over the training items.
 
 from __future__ import annotations
 
+import bisect
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,13 +58,6 @@ def embed_batch(params: EmbedderParams, phis: np.ndarray,
     e = h.reshape((phis.shape[0], params.d_a * params.t))
     norm = (e * e).sum(axis=-1, keepdims=True) ** 0.5
     return e / norm
-
-
-def embed(params: EmbedderParams, phi: np.ndarray) -> np.ndarray:
-    """Evaluation-mode embedding of one (D_a, T) feature matrix."""
-    if phi.ndim != 2:
-        raise ShapeError(f"expected (D_a, T), got {phi.shape}")
-    return embed_batch(params, phi[None]).data[0].copy()
 
 
 def sq_l2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -248,6 +243,17 @@ class RetrievalIndex:
     embeddings: np.ndarray  # (n, D_a*T), unit-norm rows
     captions: list[list[str]]
 
+    @cached_property
+    def by_id(self) -> np.ndarray:
+        """Row positions in ascending-id order."""
+        return np.array(sorted(range(len(self.ids)), key=self.ids.__getitem__),
+                         dtype=np.intp)
+
+    @cached_property
+    def sorted_ids(self) -> list[str]:
+        """The ids in ascending order: the ids of the rows of by_id."""
+        return [self.ids[i] for i in self.by_id]
+
     def save(self, path: str):
         archive.write_archive(path, {"embeddings": self.embeddings})
         archive.write_sidecar(path, {"ids": self.ids,
@@ -279,11 +285,15 @@ def retrieve_topk(index: RetrievalIndex, query: np.ndarray, k: int = 5,
                   exclude: str | None = None) -> list[tuple]:
     """Top-K (id, distance, caption) by ascending squared l2 distance,
     ties broken by ascending id. `exclude` drops the query's own item."""
-    ids = np.array(index.ids)
     d = sq_l2(query, index.embeddings)
-    order = [i for i in np.lexsort((ids, d)) if ids[i] != exclude]
-    if k < 1 or k > len(order):
+    rows = index.by_id
+    if exclude is not None:
+        ids = index.sorted_ids
+        rows = np.delete(rows, slice(bisect.bisect_left(ids, exclude),
+                                     bisect.bisect_right(ids, exclude)))
+    if k < 1 or k > len(rows):
         raise ValueError(f"k={k} out of range for index of "
-                         f"{len(order)} usable items")
-    return [(index.ids[i], float(d[i]), index.captions[i][0])
-            for i in order[:k]]
+                         f"{len(rows)} usable items")
+    # a stable sort by distance of the rows in id order keeps ties by id
+    top = rows[np.argsort(d[rows], kind="stable")[:k]]
+    return [(index.ids[i], float(d[i]), index.captions[i][0]) for i in top]

@@ -530,6 +530,42 @@ def test_exit_3_jsonl_row_missing_field(ws, tmp_path, caplog, which):
     assert f"{bad}:1" in caplog.text
 
 
+_CAND_A = '{"id": "a", "text": "a dog barks"}'
+_CAND_B = '{"id": "b", "text": "rain falls"}'
+_REF_A = '{"id": "a", "texts": ["a dog barks"]}'
+_REF_B = '{"id": "b", "texts": ["rain falls"]}'
+
+
+@pytest.mark.parametrize("which, rows, line, message", [
+    ("candidates", [_CAND_A, '{"id": "b", "text": 5}'], 2,
+     "text is not a string"),
+    ("references", [_REF_A, '{"id": "b", "texts": "rain falls"}'], 2,
+     "texts is not a non-empty list of strings"),
+    ("references", [_REF_A, '{"id": "b", "texts": []}'], 2,
+     "texts is not a non-empty list of strings"),
+    ("references", [_REF_A, '{"id": "b", "texts": ["rain falls", 7]}'], 2,
+     "texts is not a non-empty list of strings"),
+    ("candidates", [_CAND_A, _CAND_B, "", '{"id": "a", "text": "a cat"}'], 4,
+     "duplicate id 'a' (first on line 1)"),
+    ("references", [_REF_A, _REF_B, '{"id": "b", "texts": ["a cat"]}'], 3,
+     "duplicate id 'b' (first on line 2)"),
+    ("candidates", [_CAND_A, _CAND_B, '{"id": "c", "text": "a cat"}'], 3,
+     "candidate id 'c' has no references"),
+    ("candidates", ['{"id": ["a"], "text": "a dog barks"}', _CAND_B], 1,
+     "id is not a string"),
+])
+def test_exit_3_jsonl_row_invalid(tmp_path, caplog, which, rows, line,
+                                  message):
+    files = {"candidates": tmp_path / "c.jsonl",
+             "references": tmp_path / "r.jsonl"}
+    files["candidates"].write_text(f"{_CAND_A}\n{_CAND_B}\n")
+    files["references"].write_text(f"{_REF_A}\n{_REF_B}\n")
+    files[which].write_text("\n".join(rows) + "\n")
+    assert main(["evaluate", "--candidates", str(files["candidates"]),
+                 "--references", str(files["references"])]) == 3
+    assert f"{files[which]}:{line}: {message}" in caplog.text
+
+
 def test_exit_3_sidecar_missing_key(ws, tmp_path, caplog):
     labels = str(tmp_path / "similarity.ract")
     shutil.copy(ws["labels"], labels)

@@ -2,7 +2,10 @@ import json
 import math
 from collections import Counter
 
+import metrics_reference as ref
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ragcap.metrics import (bleu_n, brevity_penalty, cider, evaluate_corpus,
                             normalize_words, rouge_l, rouge_l_sentence)
@@ -228,3 +231,53 @@ def test_mismatched_counts_rejected():
         evaluate_corpus(["a"], [["a"], ["b"]])
     with pytest.raises(ValueError):
         evaluate_corpus(["a", "b"], [["a"], []])
+
+
+# ---------------------------------------------------------------------------
+# oracle: the one-pass metrics against the pre-rewrite definitions
+# ---------------------------------------------------------------------------
+
+# few distinct words so that n-grams repeat within and across sentences;
+# case and punctuation variants normalize onto them or onto nothing
+_TOKENS = ["a", "dog", "Dog", "barks", "the", "the,", "rain", "falls!", ",",
+           "...", "?!"]
+_SENTENCE = st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join)
+_ITEM = st.tuples(_SENTENCE, st.lists(_SENTENCE, min_size=1, max_size=5))
+
+
+def _corpus(min_size):
+    return st.lists(_ITEM, min_size=min_size, max_size=6).map(
+        lambda items: ([c for c, _ in items], [rs for _, rs in items]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_corpus(2))
+def test_evaluate_corpus_matches_pre_rewrite_oracle(corpus):
+    cands, refs = corpus
+    assert (evaluate_corpus(cands, refs).to_json()
+            == ref.evaluate_corpus(cands, refs).to_json())
+    assert (cider(cands, refs, return_per_item=True)
+            == ref.cider(cands, refs, return_per_item=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_corpus(1))
+def test_bleu_and_rouge_match_pre_rewrite_oracle(corpus):
+    cands, refs = corpus
+    for n in range(1, 5):
+        assert bleu_n(cands, refs, n) == ref.bleu_n(cands, refs, n)
+    assert rouge_l(cands, refs) == ref.rouge_l(cands, refs)
+    for c, rs in zip(cands, refs):
+        assert rouge_l_sentence(c, rs) == ref.rouge_l_sentence(c, rs)
+
+
+def test_oracle_corpora_cover_the_edge_cases():
+    """The hand-picked corpus of the edge cases the generated ones aim at:
+    empty and punctuation-only candidates, repeated words, five references,
+    candidates longer and shorter than their references."""
+    cands = ["", ", ...", "dog dog dog dog the dog", "a", "the rain falls"]
+    refs = [["a dog"], ["rain falls"],
+            ["the dog barks", "a dog", "dog", "the the dog", "a dog barks"],
+            ["a dog barks at the rain"], ["rain", "the rain falls!"]]
+    assert (evaluate_corpus(cands, refs).to_json()
+            == ref.evaluate_corpus(cands, refs).to_json())

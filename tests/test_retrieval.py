@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import finite_diff_check
+from ragcap import decoder, pipeline, retrieval
 from ragcap.archive import ArchiveFormatError
 from ragcap.autodiff import ShapeError, Tensor
 from ragcap.config import PipelineConfig
 from ragcap.data import DatasetItem
 from ragcap.errors import SamplingError, TrainingError
-from ragcap.retrieval import (EmbedderParams, RetrievalIndex, build_index, embed, embed_batch, retrieve_topk,
+from ragcap.retrieval import (EmbedderParams, RetrievalIndex, build_index,
+                              embed_batch, retrieve_topk,
                               select_semi_hard_negative, sq_l2,
                               train_retrieval, triplet_loss)
 from ragcap.similarity import SimilarLabelMatrix
@@ -48,6 +50,11 @@ def make_items(rng, n_clusters=2, per_cluster=8, noise=0.3):
 # embedding
 # ---------------------------------------------------------------------------
 
+def embed(params, phi):
+    """Evaluation-mode embedding of one (D_a, T) matrix, as a stack of one."""
+    return embed_batch(params, phi[None]).data[0]
+
+
 def test_embed_unit_norm_and_dim(rng):
     params = make_params(rng)
     e = embed(params, rng.normal(size=(D_A, T)))
@@ -69,14 +76,15 @@ def test_embed_batch_matches_single(rng):
     phis = rng.normal(size=(3, D_A, T))
     batch = embed_batch(params, phis).data
     for b in range(3):
-        np.testing.assert_allclose(batch[b], embed(params, phis[b]),
-                                   atol=1e-12)
+        assert batch[b].tobytes() == embed(params, phis[b]).tobytes()
 
 
 def test_embed_shape_validation(rng):
     params = make_params(rng)
     with pytest.raises(ShapeError):
-        embed(params, np.ones((D_A + 1, T)))
+        embed_batch(params, np.ones((D_A, T)))
+    with pytest.raises(ShapeError):
+        embed_batch(params, np.ones((1, D_A + 1, T)))
     with pytest.raises(ShapeError):
         embed_batch(params, np.ones((2, D_A, T + 1)))
 
@@ -429,3 +437,80 @@ def test_topk_insertion_order_invariant(rng):
                          [caps[i] for i in perm])
     q = rng.normal(size=4)
     assert retrieve_topk(fwd, q, k=4) == retrieve_topk(rev, q, k=4)
+
+
+@pytest.mark.parametrize("exclude", [None, "i03", "absent"])
+def test_topk_ties_and_exclusion_match_bruteforce(rng, exclude):
+    half = rng.normal(size=(6, 5))
+    embs = np.vstack([half, half])  # rows k and k + 6 tie for every query
+    ids = [f"i{k:02d}" for k in rng.permutation(12)]  # id order != row order
+    index = RetrievalIndex(ids, embs, [[f"cap {i}"] for i in ids])
+    for q in [*half[:3], *rng.normal(size=(3, 5))]:
+        got = retrieve_topk(index, q, k=11 if exclude == "i03" else 12,
+                            exclude=exclude)
+        ranked = sorted((i for i in range(12) if ids[i] != exclude),
+                        key=lambda i: (scalar_sq_l2(embs[i], q), ids[i]))
+        assert got == [(ids[i], scalar_sq_l2(embs[i], q), f"cap {ids[i]}")
+                       for i in ranked]
+
+
+# ---------------------------------------------------------------------------
+# guidance for many items at once
+# ---------------------------------------------------------------------------
+
+def tied_index(params, items):
+    """The index of the train items with every row stored twice, first under
+    the id + "x" and then under the id, so each query meets distance ties
+    that only the id breaks."""
+    index = build_index(params, items)
+    ids = [i + "x" for i in index.ids] + index.ids
+    return RetrievalIndex(ids, np.vstack([index.embeddings] * 2),
+                          [[f"cap {i}"] for i in ids])
+
+
+def test_batched_guidance_equals_single_item_calls(rng):
+    items, _, _ = make_items(rng, per_cluster=4)
+    params = make_params(rng)
+    index = tied_index(params, items)
+    phis = np.stack([it.features for it in items])
+    # own id (present), None, and ids absent from the index, in turn
+    excludes = [[it.id, None, "absent", it.id + "y"][n % 4]
+                for n, it in enumerate(items)]
+    batched = pipeline.retrieved_guidance(params, index, phis, 3, excludes)
+    assert len(batched) == len(items)
+    for phi, x, got in zip(phis, excludes, batched):
+        assert got == pipeline.retrieved_guidance(params, index, phi[None], 3,
+                                                  [x])[0]
+    rows = embed_batch(params, phis).data
+    for row, phi in zip(rows, phis):
+        assert row.tobytes() == embed(params, phi).tobytes()
+    # a train item's own two rows are nearest, tied at distance 0, and the
+    # exclusion drops only the exact id
+    first = items[0]
+    assert first.split == "train" and excludes[0] == first.id
+    assert batched[0][0] == f"cap {first.id}x"
+    assert batched[1][:2] == [f"cap {items[1].id}", f"cap {items[1].id}x"]
+
+
+@pytest.mark.parametrize("scope", ["i", "ii"])
+def test_evaluate_scope_one_embed_batch_call(rng, monkeypatch, scope):
+    items, _, _ = make_items(rng, per_cluster=4)
+    params = make_params(rng)
+    index = build_index(params, items)
+    batches = []
+    real = retrieval.embed_batch
+
+    def recording(p, phis, *args, **kwargs):
+        batches.append(len(phis))
+        return real(p, phis, *args, **kwargs)
+
+    def fake_generate(lm, tokenizer, dec_params, phis, guidance, beam,
+                      max_len):
+        assert len(phis) == len(guidance) == len(items)
+        return [g[0] for g in guidance]
+
+    monkeypatch.setattr(retrieval, "embed_batch", recording)
+    monkeypatch.setattr(decoder, "generate_captions", fake_generate)
+    pipeline.evaluate_scope(scope, make_cfg(retrieval_k=2), items, "all",
+                            params, index)
+    assert batches == [len(items)]
