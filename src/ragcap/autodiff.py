@@ -4,6 +4,12 @@ Everything is 64-bit, single-threaded and deterministic.
 In-place arithmetic only touches arrays the same operation just allocated.
 Shapes broadcast like numpy; matmul supports stacked (batched) operands.
 Gradients from repeated backward() calls accumulate.
+
+An affine map x @ W + b (`affine`) and an affine layer norm (`layer_norm`)
+are one node each, so each keeps one activation rather than one per
+primitive. A graph lives as long as its loss tensor, so the trainers pass
+each step's loss straight to `layers.Adam.minimize` and keep no reference
+to it: at most one step's graph is alive at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +39,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _check_matmul(a, b):
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError("matmul needs >=2-d operands")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
 
 
 class Tensor:
@@ -165,10 +178,7 @@ class Tensor:
     def __matmul__(self, other):
         other = as_tensor(other)
         a, b = self, other
-        if a.ndim < 2 or b.ndim < 2:
-            raise ShapeError("matmul needs >=2-d operands")
-        if a.shape[-1] != b.shape[-2]:
-            raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
+        _check_matmul(a, b)
         out = a.data @ b.data
 
         def vjp(g):
@@ -301,17 +311,44 @@ def take_rows(table: Tensor, ids) -> Tensor:
     return _make(table.data[ids], (table,), vjp)
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (no affine part)."""
+def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """x @ W + b as one node that keeps one output array. It is the
+    two-node composition bit for bit, forward and backward; the backward
+    skips the matmul for x or W when it does not require a gradient."""
+    _check_matmul(x, W)
+    out = x.data @ W.data
+    out += b.data
+
+    def vjp(g):
+        gx = gW = None
+        if x.requires_grad:
+            gx = _unbroadcast(g @ np.swapaxes(W.data, -1, -2), x.shape)
+        if W.requires_grad:
+            gW = _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, W.shape)
+        return gx, gW, _unbroadcast(g, b.shape)
+
+    return _make(out, (x, W, b), vjp)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
+               eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale by
+    `gamma` and shift by `beta`, as one node. It is the composition
+    xhat * gamma + beta bit for bit, forward and backward."""
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
+    out = xhat * gamma.data
+    out += beta.data
     n = x.shape[-1]
 
     def vjp(g):
-        gsum = g.sum(axis=-1, keepdims=True)
-        gxhat = (g * xhat).sum(axis=-1, keepdims=True)
-        return (inv * (g - gsum / n - xhat * gxhat / n),)
+        gxhat = g * gamma.data
+        gsum = gxhat.sum(axis=-1, keepdims=True)
+        gdot = (gxhat * xhat).sum(axis=-1, keepdims=True)
+        gx = inv * (gxhat - gsum / n - xhat * gdot / n)
+        return (gx, _unbroadcast(g * xhat, gamma.shape),
+                _unbroadcast(g, beta.shape))
 
-    return _make(xhat, (x,), vjp)
+    return _make(out, (x, gamma, beta), vjp)

@@ -198,6 +198,10 @@ def cmd_evaluate(args) -> int:
                 raise archive.ManifestError(
                     f"{args.candidates}:{lineno}: candidate id {cid!r} has "
                     f"no references in {args.references}")
+        if len(cand_rows) < 2:
+            raise archive.ManifestError(
+                f"{args.candidates}: CIDEr's idf needs at least 2 "
+                f"candidates, got {len(cand_rows)}")
         report = evaluate_corpus([text for _, text in cand_rows.values()],
                                  [ref_rows[cid][1] for cid in cand_rows])
         sys.stdout.write(report.table())

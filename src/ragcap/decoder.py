@@ -23,7 +23,7 @@ import numpy as np
 from .autodiff import ShapeError, Tensor
 from .config import PipelineConfig
 from .data import DatasetItem
-from .errors import NumericError, TrainingError
+from .errors import TrainingError
 from .layers import (NEG_INF, Adam, Linear, MultiHeadAttention,
                      ParamContainer, cosine_lr)
 from .reference_models import BOS, EOS, PAD, SEP, TinyCausalLm, TinyTokenizer
@@ -258,13 +258,9 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
         for start in range(0, len(usable), cfg.decoder_batch):
             chunk = [usable[k] for k in order[start:start + cfg.decoder_batch]]
             guidance = pad_ids([pick_refs(i, rng_sample) for i in chunk])
-            loss = batch_loss(chunk, guidance, True)
-            if not np.isfinite(loss.data):
-                raise NumericError(f"non-finite decoder loss at epoch {epoch}")
-            loss.backward()
-            opt.step(lr)
-            opt.zero_grad()
-            epoch_losses.append(loss.item())
+            epoch_losses.append(opt.minimize(
+                batch_loss(chunk, guidance, True),
+                f"decoder loss at epoch {epoch}", lr))
         train_loss = float(np.mean(epoch_losses))
         val_loss = (batch_loss(val_rows, val_guidance, False,
                                val_psi).item()

@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from . import archive
-from .autodiff import ShapeError, Tensor, as_tensor, layer_norm
+from .autodiff import ShapeError, Tensor, affine, as_tensor, layer_norm
+from .errors import NumericError
 
 NEG_INF = -1e30  # additive mask value; large enough to zero out softmax mass
 
@@ -42,10 +43,7 @@ class Linear:
         self.b = gaussian(rng, (d_out,), std)
 
     def __call__(self, x: Tensor) -> Tensor:
-        x = as_tensor(x)
-        if x.shape[-1] != self.d_in:
-            raise ShapeError(f"Linear expects last dim {self.d_in}, got {x.shape}")
-        return x @ self.W + self.b
+        return affine(as_tensor(x), self.W, self.b)
 
     def named_params(self, prefix: str = ""):
         return [(prefix + "W", self.W), (prefix + "b", self.b)]
@@ -59,7 +57,7 @@ class LayerNorm:
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(as_tensor(x)) * self.gamma + self.beta
+        return layer_norm(as_tensor(x), self.gamma, self.beta)
 
     def named_params(self, prefix: str = ""):
         return [(prefix + "gamma", self.gamma), (prefix + "beta", self.beta)]
@@ -120,9 +118,9 @@ class MultiHeadAttention:
         if key_value.shape[-1] != self.d_kv:
             raise ShapeError(f"key/value dim {key_value.shape} != {self.d_kv}")
 
-        q = self._split(query @ self.W_q + self.b_q)
-        k = self._split(key_value @ self.W_k + self.b_k)
-        v = self._split(key_value @ self.W_v + self.b_v)
+        q = self._split(affine(query, self.W_q, self.b_q))
+        k = self._split(affine(key_value, self.W_k, self.b_k))
+        v = self._split(affine(key_value, self.W_v, self.b_v))
 
         scores = q @ k.swapaxes(-1, -2)
         if mask is not None and not _broadcasts_to(mask.shape, scores.shape):
@@ -133,7 +131,7 @@ class MultiHeadAttention:
         heads = attn @ v  # (..., H, L_q, d_head)
         merged = heads.swapaxes(-3, -2).reshape(
             query.shape[:-1] + (self.d_model,))
-        return merged @ self.W_o + self.b_o
+        return affine(merged, self.W_o, self.b_o)
 
     def named_params(self, prefix: str = ""):
         return [(prefix + name, getattr(self, name))
@@ -203,6 +201,21 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def minimize(self, loss: Tensor, what: str,
+                 lr: float | None = None) -> float:
+        """One training step on the scalar `loss`: backward, step and
+        zero-grad. Returns the loss value; raises NumericError, naming
+        `what`, before touching a weight if it is not finite. Callers pass
+        the loss straight in and keep no reference to it, so its graph is
+        freed when the step returns."""
+        value = loss.item()
+        if not math.isfinite(value):
+            raise NumericError(f"non-finite {what}")
+        loss.backward()
+        self.step(lr)
+        self.zero_grad()
+        return value
 
     def zero_grad(self):
         for p in self.params:

@@ -128,8 +128,9 @@ class TinyCausalLm(ParamContainer):
         for seq in token_seqs:
             wrapped = [BOS] + list(seq) + [EOS]
             buckets.setdefault(len(wrapped), []).append(wrapped)
-        for _ in range(epochs):
-            opt.zero_grad()
+
+        def epoch_loss() -> Tensor:
+            """Mean next-token cross-entropy over all buckets."""
             total = None
             n_pos = 0
             for length in sorted(buckets):
@@ -145,10 +146,10 @@ class TinyCausalLm(ParamContainer):
                 ce = -(logp * Tensor(onehot)).sum()
                 n_pos += targets.size
                 total = ce if total is None else total + ce
-            loss = total * (1.0 / n_pos)
-            loss.backward()
-            opt.step()
-            opt.zero_grad()
+            return total * (1.0 / n_pos)
+
+        for epoch in range(epochs):
+            opt.minimize(epoch_loss(), f"LM pretraining loss at epoch {epoch}")
         self.freeze()
 
     def freeze(self):

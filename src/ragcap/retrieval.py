@@ -20,7 +20,7 @@ from . import archive
 from .autodiff import ShapeError, Tensor
 from .config import PipelineConfig
 from .data import DatasetItem
-from .errors import NumericError, SamplingError, TrainingError
+from .errors import SamplingError, TrainingError
 from .layers import Adam, EncoderLayer, ParamContainer, dropout
 from .similarity import SimilarLabelMatrix
 
@@ -202,13 +202,9 @@ def train_retrieval(items: list[DatasetItem], labels: SimilarLabelMatrix,
                 tri.append((train[a], train[p], train[n]))
             if not tri:
                 continue
-            loss = batch_loss(tri, training=True)
-            if not np.isfinite(loss.data):
-                raise NumericError(f"non-finite triplet loss at epoch {epoch}")
-            loss.backward()
-            opt.step()
-            opt.zero_grad()
-            epoch_losses.append(loss.item())
+            epoch_losses.append(opt.minimize(
+                batch_loss(tri, training=True),
+                f"triplet loss at epoch {epoch}"))
 
         if not epoch_losses and epoch == 0:
             raise TrainingError("all anchors were skipped; nothing to train")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from conftest import finite_diff_check, rand_tensor
-from ragcap.autodiff import (GraphError, ShapeError, Tensor, _make,
+from ragcap.autodiff import (GraphError, ShapeError, Tensor, _make, affine,
                              as_tensor, layer_norm, take_rows)
 
 
@@ -250,10 +250,83 @@ def test_reshape_swapaxes_mean_gradcheck(rng):
 
 def test_layer_norm_output_and_grad(rng):
     x = rand_tensor(rng, (3, 6))
-    out = layer_norm(x)
+    gamma = Tensor(np.ones(6), requires_grad=True)
+    beta = Tensor(np.zeros(6), requires_grad=True)
+    out = layer_norm(x, gamma, beta)
     np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-9)
     np.testing.assert_allclose(out.data.var(axis=-1), 1.0, atol=1e-4)
-    finite_diff_check(lambda: (layer_norm(x) ** 3.0).sum(), [x])
+    gamma.data = rng.normal(size=6)
+    beta.data = rng.normal(size=6)
+    finite_diff_check(lambda: (layer_norm(x, gamma, beta) ** 3.0).sum(),
+                      [x, gamma, beta])
+
+
+# ---------------------------------------------------------------------------
+# fused nodes against the compositions they replace
+# ---------------------------------------------------------------------------
+
+def _layer_norm_oracle(x, eps=1e-5):
+    """The plain (non-affine) layer-norm node the fused one replaced."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv
+    n = x.shape[-1]
+
+    def vjp(g):
+        gsum = g.sum(axis=-1, keepdims=True)
+        gxhat = (g * xhat).sum(axis=-1, keepdims=True)
+        return (inv * (g - gsum / n - xhat * gxhat / n),)
+
+    return _make(xhat, (x,), vjp)
+
+
+def _assert_fused_is_composition(rng, fused, composed, x_shape, param_shapes,
+                                 d_out):
+    """Forward values and every gradient of fused(x, *params) equal those
+    of composed(x, *params) bit for bit. x feeds three calls, each with its
+    own parameters, plus a residual term, as the shared input of attention's
+    q/k/v projections does, so its gradient sums four contributions."""
+    x = rand_tensor(rng, x_shape)
+    params = [[rand_tensor(rng, s) for s in param_shapes] for _ in range(3)]
+    leaves = [x] + [p for ps in params for p in ps]
+    w_res = Tensor(rng.normal(size=x_shape))
+    ws = [Tensor(rng.normal(size=x_shape[:-1] + (d_out,))) for _ in params]
+    runs = []
+    for f in (fused, composed):
+        for t in leaves:
+            t.grad = None
+        outs = [f(x, *ps) for ps in params]
+        loss = (x * w_res).sum()
+        for out, w in zip(outs, ws):
+            loss = loss + (out * w).sum()
+        loss.backward()
+        runs.append(([o.data for o in outs], [t.grad for t in leaves]))
+    (fused_outs, fused_grads), (want_outs, want_grads) = runs
+    for got, want in zip(fused_outs + fused_grads, want_outs + want_grads):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4), (2, 3, 5, 4)])
+def test_affine_is_the_composition_bitwise(rng, x_shape):
+    _assert_fused_is_composition(rng, affine, lambda x, W, b: x @ W + b,
+                                 x_shape, [(4, 6), (6,)], 6)
+
+
+def test_affine_checks_shapes(rng):
+    W, b = rand_tensor(rng, (4, 6)), rand_tensor(rng, (6,))
+    with pytest.raises(ShapeError):
+        affine(rand_tensor(rng, (4,)), W, b)
+    with pytest.raises(ShapeError):
+        affine(rand_tensor(rng, (2, 5)), W, b)
+
+
+@pytest.mark.parametrize("x_shape", [(5, 6), (3, 5, 6), (2, 3, 5, 6)])
+def test_layer_norm_is_the_composition_bitwise(rng, x_shape):
+    _assert_fused_is_composition(
+        rng, layer_norm,
+        lambda x, gamma, beta: _layer_norm_oracle(x) * gamma + beta,
+        x_shape, [(6,), (6,)], 6)
 
 
 def test_as_tensor_passthrough():

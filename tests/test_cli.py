@@ -566,6 +566,18 @@ def test_exit_3_jsonl_row_invalid(tmp_path, caplog, which, rows, line,
     assert f"{files[which]}:{line}: {message}" in caplog.text
 
 
+@pytest.mark.parametrize("rows", [[], [_CAND_A]])
+def test_exit_3_too_few_candidates_names_file(tmp_path, caplog, rows):
+    cands = tmp_path / "c.jsonl"
+    refs = tmp_path / "r.jsonl"
+    cands.write_text("".join(row + "\n" for row in rows))
+    refs.write_text(f"{_REF_A}\n{_REF_B}\n")
+    assert main(["evaluate", "--candidates", str(cands),
+                 "--references", str(refs)]) == 3
+    assert (f"{cands}: CIDEr's idf needs at least 2 candidates, "
+            f"got {len(rows)}") in caplog.text
+
+
 def test_exit_3_sidecar_missing_key(ws, tmp_path, caplog):
     labels = str(tmp_path / "similarity.ract")
     shutil.copy(ws["labels"], labels)

@@ -12,6 +12,7 @@ from ragcap.decoder import (DecoderParams, _dropout_keep, beam_search,
                             generate_captions, guidance_ids, pad_ids,
                             posterior, position_logits,
                             smoothed_cross_entropy, train_decoder)
+from ragcap.errors import NumericError
 from ragcap.reference_models import (BOS, EOS, PAD, SEP, TinyTokenizer,
                                      build_tiny_lm)
 from ragcap.similarity import SimilarLabelMatrix
@@ -530,6 +531,18 @@ def test_train_decoder_history_matches_per_item_loop(texts):
     np.testing.assert_allclose(got, PER_ITEM_HISTORY[texts], rtol=0,
                                atol=1e-12)
     assert (result.replacement_items, result.best_epoch) == (6, 2)
+
+
+def test_train_decoder_nonfinite_loss_raises():
+    """A NaN learning rate makes every weight NaN after the first step; the
+    next step's loss is NaN and training stops there."""
+    lm, tok, items, labels = make_training_setup()
+    cfg = PipelineConfig(decoder_batch=2, decoder_epochs=2,
+                         decoder_lr_max=float("nan"), decoder_d_r=4,
+                         decoder_heads=2, retrieval_k=2, decoder_dropout=0.0)
+    with pytest.raises(NumericError,
+                       match="non-finite decoder loss at epoch 0"):
+        train_decoder(lm, tok, items, labels, cfg, seed=0)
 
 
 def test_train_decoder_skips_isolated_items():

@@ -9,7 +9,7 @@ from ragcap.archive import ArchiveFormatError
 from ragcap.autodiff import ShapeError, Tensor
 from ragcap.config import PipelineConfig
 from ragcap.data import DatasetItem
-from ragcap.errors import SamplingError, TrainingError
+from ragcap.errors import NumericError, SamplingError, TrainingError
 from ragcap.retrieval import (EmbedderParams, RetrievalIndex, build_index,
                               embed_batch, retrieve_topk,
                               select_semi_hard_negative, sq_l2,
@@ -335,6 +335,17 @@ def test_all_anchors_skipped_raises(rng):
     with pytest.raises(TrainingError):
         train_retrieval(items, empty,
                         make_cfg(triplet_batch=8, triplet_epochs=1), seed=0)
+
+
+def test_nonfinite_triplet_loss_raises(rng):
+    """A NaN learning rate makes every weight NaN after the first step; the
+    next step's loss is NaN and training stops there."""
+    items, labels, _ = make_items(rng)
+    cfg = make_cfg(triplet_batch=4, triplet_epochs=2, triplet_lr=float("nan"),
+                   embed_dropout=0.0)
+    with pytest.raises(NumericError,
+                       match="non-finite triplet loss at epoch 0"):
+        train_retrieval(items, labels, cfg, seed=0)
 
 
 def test_label_matrix_size_mismatch(rng):
