@@ -34,7 +34,8 @@ class ArchiveFormatError(ValueError):
 
 
 class ManifestError(ValueError):
-    """Malformed dataset manifest, with a line number in the message."""
+    """Malformed JSON-lines input (a dataset manifest, candidates or
+    references), with path:line in the message."""
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +178,52 @@ def read_sidecar(path: str, keys) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# dataset manifest
+# JSON-lines rows and the dataset manifest
 # ---------------------------------------------------------------------------
 
 SPLITS = ("train", "valid", "test")
+
+# field checks for read_jsonl: (valid, what a valid value is)
+STRING = (lambda v: isinstance(v, str), "a string")
+TEXTS = (lambda v: (isinstance(v, list) and bool(v)
+                    and all(isinstance(t, str) for t in v)),
+         "a non-empty list of strings")
+SPLIT = (lambda v: v in SPLITS, f"one of {', '.join(SPLITS)}")
+
+
+def read_jsonl(path: str, checks: dict) -> dict:
+    """id -> (line number, row) for the rows of the JSON-lines file at
+    `path`, in file order. Each row must be a JSON object with a string
+    `id`, unique in the file, and every field of `checks`, a map field ->
+    (valid, want), with valid(value) true. Every failure is a ManifestError
+    naming path:line."""
+    rows = {}
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ManifestError(f"{where}: invalid JSON ({e})") from e
+            if not isinstance(row, dict):
+                raise ManifestError(f"{where}: not a JSON object")
+            missing = [k for k in ("id", *checks) if k not in row]
+            if missing:
+                raise ManifestError(f"{where}: missing field(s) {missing}")
+            rid = row["id"]
+            if not isinstance(rid, str):
+                raise ManifestError(f"{where}: id is not a string")
+            for name, (valid, want) in checks.items():
+                if not valid(row[name]):
+                    raise ManifestError(f"{where}: {name} is not {want}")
+            if rid in rows:
+                raise ManifestError(f"{where}: duplicate id {rid!r} (first "
+                                    f"on line {rows[rid][0]})")
+            rows[rid] = (lineno, row)
+    return rows
 
 
 class ManifestRow:
@@ -208,42 +251,20 @@ def load_manifest(path: str, check_features: bool = True) -> list[ManifestRow]:
         raise ManifestError(f"manifest not found: {path}")
     base = os.path.dirname(os.path.abspath(path))
     rows: list[ManifestRow] = []
-    seen = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ManifestError(f"line {lineno}: invalid JSON ({e})") from e
-            for field in ("id", "split", "feature_path", "captions"):
-                if field not in rec:
-                    raise ManifestError(f"line {lineno}: missing field {field!r}")
-            if rec["id"] in seen:
-                raise ManifestError(f"line {lineno}: duplicate id {rec['id']!r}")
-            seen.add(rec["id"])
-            if rec["split"] not in SPLITS:
-                raise ManifestError(
-                    f"line {lineno}: unknown split {rec['split']!r}")
-            caps = rec["captions"]
-            if not isinstance(caps, list) or not caps:
-                raise ManifestError(f"line {lineno}: captions must be a "
-                                    "nonempty list")
-            # the primary caption is scored token by token for similarity
-            if not normalize_words(str(caps[0])):
-                raise ManifestError(f"line {lineno}: caption {caps[0]!r} "
-                                    "has no words")
-            fpath = rec["feature_path"]
-            if not os.path.isabs(fpath):
-                fpath = os.path.join(base, fpath)
-            if check_features and not os.path.exists(fpath):
-                raise ManifestError(
-                    f"line {lineno}: feature_path not resolvable: "
-                    f"{rec['feature_path']!r}")
-            rows.append(ManifestRow(rec["id"], rec["split"], fpath,
-                                    [str(c) for c in caps]))
+    for rid, (lineno, rec) in read_jsonl(path, {
+            "split": SPLIT, "feature_path": STRING,
+            "captions": TEXTS}).items():
+        caps = rec["captions"]
+        # the primary caption is scored token by token for similarity
+        if not normalize_words(caps[0]):
+            raise ManifestError(f"{path}:{lineno}: caption {caps[0]!r} "
+                                "has no words")
+        fpath = os.path.join(base, rec["feature_path"])
+        if check_features and not os.path.exists(fpath):
+            raise ManifestError(
+                f"{path}:{lineno}: feature_path not resolvable: "
+                f"{rec['feature_path']!r}")
+        rows.append(ManifestRow(rid, rec["split"], fpath, caps))
     if not any(r.split == "train" for r in rows):
         raise ManifestError("manifest has no train rows")
     return rows
@@ -265,8 +286,12 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], metadata: dict):
 
 def unpack_checkpoint(buf: bytes):
     """Returns (tensors, metadata) from checkpoint bytes."""
-    if len(buf) < 8 or buf[:4] != CKPT_MAGIC:
-        raise ArchiveFormatError(f"not a checkpoint: bad magic at byte 0")
+    if buf[:4] != CKPT_MAGIC:
+        raise ArchiveFormatError("not a checkpoint: bad magic at byte 0")
+    if len(buf) < 8:
+        raise ArchiveFormatError(
+            "truncated checkpoint: need 4 bytes for the metadata length at "
+            f"byte 4, only {len(buf) - 4} available")
     (meta_len,) = struct.unpack_from("<I", buf, 4)
     if 8 + meta_len > len(buf):
         raise ArchiveFormatError(

@@ -46,7 +46,7 @@ def cmd_make_dataset(args) -> int:
     spec = (SyntheticDatasetSpec.from_file(args.spec) if args.spec
             else SyntheticDatasetSpec())
     if args.seed is not None:
-        spec.seed = args.seed
+        spec = dataclasses.replace(spec, seed=args.seed)
     rows = generate_synthetic_dataset(spec, cfg.model_d_a, cfg.model_t,
                                       args.out)
     log.info("wrote %d items to %s", len(rows), args.out)
@@ -58,12 +58,14 @@ def cmd_prepare_similarity(args) -> int:
     items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
     captions = pipeline.train_captions(items)
     tokenizer, lm = pipeline.build_frozen_models(captions, cfg)
+    lm.pretrain([tokenizer.encode(c) for caps in captions for c in caps],
+                cfg.lm_pretrain_epochs)
     raw, norm, labels = pipeline.compute_similarity(items, tokenizer, lm, cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "similarity.ract")
     pipeline.save_similarity(path, items, raw, norm, labels)
     lm_path = os.path.join(args.out, pipeline.FROZEN_LM_FILE)
-    pipeline.save_frozen_lm(lm_path, tokenizer, lm, captions, cfg)
+    pipeline.save_frozen_lm(lm_path, lm, captions, cfg)
     log.info("wrote %s (%d captions, threshold %s) and %s", path, labels.n,
              labels.threshold, lm_path)
     return 0
@@ -148,51 +150,14 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _is_texts(value) -> bool:
-    return (isinstance(value, list) and bool(value)
-            and all(isinstance(t, str) for t in value))
-
-
-def _read_jsonl(path: str, field: str, valid, want: str) -> dict:
-    """id -> (line number, row[field]) for the JSON-object rows of a
-    JSON-lines file. Each row needs a string `id`, unique in the file, and
-    a `field` for which valid() holds (`want` describes it)."""
-    rows = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise archive.ManifestError(
-                    f"{where}: invalid JSON ({e})") from e
-            if not (isinstance(row, dict) and "id" in row and field in row):
-                raise archive.ManifestError(
-                    f"{where}: need an object with fields ['id', '{field}']")
-            rid = row["id"]
-            if not isinstance(rid, str):
-                raise archive.ManifestError(f"{where}: id is not a string")
-            if not valid(row[field]):
-                raise archive.ManifestError(f"{where}: {field} is not {want}")
-            if rid in rows:
-                raise archive.ManifestError(
-                    f"{where}: duplicate id {rid!r} (first on line "
-                    f"{rows[rid][0]})")
-            rows[rid] = (lineno, row[field])
-    return rows
-
-
 def cmd_evaluate(args) -> int:
     if args.candidates or args.references:
         if not (args.candidates and args.references):
             raise ConfigError("--candidates and --references go together")
-        cand_rows = _read_jsonl(args.candidates, "text",
-                                lambda v: isinstance(v, str), "a string")
-        ref_rows = _read_jsonl(args.references, "texts", _is_texts,
-                               "a non-empty list of strings")
+        cand_rows = archive.read_jsonl(args.candidates,
+                                       {"text": archive.STRING})
+        ref_rows = archive.read_jsonl(args.references,
+                                      {"texts": archive.TEXTS})
         for cid, (lineno, _) in cand_rows.items():
             if cid not in ref_rows:
                 raise archive.ManifestError(
@@ -202,8 +167,9 @@ def cmd_evaluate(args) -> int:
             raise archive.ManifestError(
                 f"{args.candidates}: CIDEr's idf needs at least 2 "
                 f"candidates, got {len(cand_rows)}")
-        report = evaluate_corpus([text for _, text in cand_rows.values()],
-                                 [ref_rows[cid][1] for cid in cand_rows])
+        report = evaluate_corpus(
+            [row["text"] for _, row in cand_rows.values()],
+            [ref_rows[cid][1]["texts"] for cid in cand_rows])
         sys.stdout.write(report.table())
         if args.out:
             os.makedirs(args.out, exist_ok=True)

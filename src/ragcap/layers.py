@@ -188,27 +188,25 @@ def cosine_lr(epoch: int, period: int, lr_max: float, lr_min: float) -> float:
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * t / period))
 
 
-class Adam:
-    """Bias-corrected Adam over a fixed parameter list."""
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Bias-corrected Adam over a fixed parameter list; the caller gives
+    the learning rate of each step."""
+
+    def __init__(self, params):
         self.params = list(params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def minimize(self, loss: Tensor, what: str,
-                 lr: float | None = None) -> float:
-        """One training step on the scalar `loss`: backward, step and
-        zero-grad. Returns the loss value; raises NumericError, naming
-        `what`, before touching a weight if it is not finite. Callers pass
-        the loss straight in and keep no reference to it, so its graph is
-        freed when the step returns."""
+    def minimize(self, loss: Tensor, what: str, lr: float) -> float:
+        """One training step at learning rate `lr` on the scalar `loss`:
+        backward, step and zero-grad. Returns the loss value; raises
+        NumericError, naming `what`, before touching a weight if it is not
+        finite. Callers pass the loss straight in and keep no reference to
+        it, so its graph is freed when the step returns."""
         value = loss.item()
         if not math.isfinite(value):
             raise NumericError(f"non-finite {what}")
@@ -221,11 +219,9 @@ class Adam:
         for p in self.params:
             p.grad = None
 
-    def step(self, lr: float | None = None):
-        if lr is None:
-            lr = self.lr
+    def step(self, lr: float):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
@@ -236,4 +232,4 @@ class Adam:
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
             m_hat = self.m[i] / (1.0 - b1 ** self.t)
             v_hat = self.v[i] / (1.0 - b2 ** self.t)
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

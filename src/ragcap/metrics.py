@@ -50,13 +50,6 @@ def _sentence(text: str) -> _Sentence:
                              for k in range(1, MAX_N + 1)])
 
 
-def _parse(candidates: list[str], reference_sets: list[list[str]]):
-    """The checked corpus as sentences: (candidates, reference sets)."""
-    _check_corpus(candidates, reference_sets)
-    return ([_sentence(c) for c in candidates],
-            [[_sentence(r) for r in refs] for refs in reference_sets])
-
-
 # ---------------------------------------------------------------------------
 # BLEU
 # ---------------------------------------------------------------------------
@@ -100,16 +93,6 @@ def _bleu(matched: list[int], total: list[int], cand_len: int, ref_len: int,
     return brevity_penalty(cand_len, ref_len) * math.exp(log_prec)
 
 
-def bleu_n(candidates: list[str], reference_sets: list[list[str]],
-           n: int) -> float:
-    """Corpus BLEU of order n: geometric mean of clipped precisions for
-    orders 1..n times the brevity penalty (closest reference length)."""
-    if n < 1 or n > MAX_N:
-        raise ValueError(f"BLEU order must be in 1..{MAX_N}")
-    cands, refs = _parse(candidates, reference_sets)
-    return _bleu(*_corpus_stats(list(map(_bleu_stats, cands, refs))), n)
-
-
 # ---------------------------------------------------------------------------
 # ROUGE-L
 # ---------------------------------------------------------------------------
@@ -126,35 +109,19 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
-def _rouge_l(cw: list[str], rws: list[list[str]], beta: float) -> float:
-    """Max over the normalized references rws of the LCS F-measure."""
+def _rouge_l(cand: _Sentence, refs: list[_Sentence]) -> float:
+    """Max over the references of the LCS F-measure."""
     best = 0.0
-    for rw in rws:
-        lcs = _lcs_length(cw, rw)
+    b2 = ROUGE_BETA ** 2
+    for r in refs:
+        lcs = _lcs_length(cand.words, r.words)
         if lcs == 0:
             continue
-        prec = lcs / len(cw)
-        rec = lcs / len(rw)
-        f = (1 + beta ** 2) * prec * rec / (rec + beta ** 2 * prec)
+        prec = lcs / len(cand.words)
+        rec = lcs / len(r.words)
+        f = (1 + b2) * prec * rec / (rec + b2 * prec)
         best = max(best, f)
     return best
-
-
-def rouge_l_sentence(cand: str, refs: list[str], beta: float = ROUGE_BETA) -> float:
-    """Max over references of the LCS F-measure."""
-    return _rouge_l(normalize_words(cand), [normalize_words(r) for r in refs],
-                    beta)
-
-
-def _rouge_items(cands: list[_Sentence],
-                 refs: list[list[_Sentence]]) -> list[float]:
-    return [_rouge_l(c.words, [r.words for r in rs], ROUGE_BETA)
-            for c, rs in zip(cands, refs)]
-
-
-def rouge_l(candidates: list[str], reference_sets: list[list[str]]) -> float:
-    items = _rouge_items(*_parse(candidates, reference_sets))
-    return sum(items) / len(items)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +172,6 @@ def _cider_items(cands: list[_Sentence],
     return per_item
 
 
-def cider(candidates: list[str], reference_sets: list[list[str]],
-          return_per_item: bool = False):
-    """CIDEr-D over the corpus (document frequencies from the references)."""
-    per_item = _cider_items(*_parse(candidates, reference_sets))
-    mean = sum(per_item) / len(per_item)
-    return (mean, per_item) if return_per_item else mean
-
-
 # ---------------------------------------------------------------------------
 # aggregate report
 # ---------------------------------------------------------------------------
@@ -239,7 +198,10 @@ class EvalReport:
         return header + "\n" + row + "\n"
 
 
-def _check_corpus(candidates, reference_sets):
+def evaluate_corpus(candidates: list[str],
+                    reference_sets: list[list[str]]) -> EvalReport:
+    """Every score from one pass over the corpus: each sentence is
+    normalized and its n-grams counted once."""
     if not candidates:
         raise ValueError("empty corpus")
     if len(candidates) != len(reference_sets):
@@ -247,19 +209,14 @@ def _check_corpus(candidates, reference_sets):
                          f"{len(candidates)} vs {len(reference_sets)}")
     if any(not rs for rs in reference_sets):
         raise ValueError("every candidate needs at least one reference")
-
-
-def evaluate_corpus(candidates: list[str],
-                    reference_sets: list[list[str]]) -> EvalReport:
-    """Every score from one pass over the corpus: each sentence is
-    normalized and its n-grams counted once."""
-    cands, refs = _parse(candidates, reference_sets)
+    cands = [_sentence(c) for c in candidates]
+    refs = [[_sentence(r) for r in rs] for rs in reference_sets]
     for i, cand in enumerate(cands):
         if not cand.words:
             log.warning("candidate %d is empty after normalization", i)
     stats = list(map(_bleu_stats, cands, refs))
     corpus = _corpus_stats(stats)
-    rouge_items = _rouge_items(cands, refs)
+    rouge_items = list(map(_rouge_l, cands, refs))
     cider_items = _cider_items(cands, refs)
     per_item = [{"index": i, "bleu1": _bleu(*s, 1), "rouge_l": r, "cider": c}
                 for i, (s, r, c) in enumerate(zip(stats, rouge_items,

@@ -18,9 +18,9 @@ from .config import LM_KEYS, PipelineConfig, config_hash
 from .data import DatasetItem
 from .errors import TrainingError
 from .metrics import EvalReport, evaluate_corpus
-from .reference_models import TinyCausalLm, TinyTokenizer, build_tiny_lm
-from .similarity import (SimilarLabelMatrix, SimilarityMatrix, label_similar,
-                         normalize_minmax, pairwise_similarity)
+from .reference_models import TinyCausalLm, TinyTokenizer
+from .similarity import (SimilarLabelMatrix, label_similar, normalize_minmax,
+                         pairwise_similarity)
 
 log = logging.getLogger("ragcap.pipeline")
 
@@ -30,10 +30,9 @@ log = logging.getLogger("ragcap.pipeline")
 # ---------------------------------------------------------------------------
 
 FROZEN_LM_FILE = "frozen_lm.ckpt"
-# metadata that ties a stored frozen LM to its vocabulary, weights, training
-# captions and lm.*/model.D_l config
-LM_META_KEYS = ("lm_vocab", "lm_weight_hash", "lm_caption_hash",
-                "lm_config_hash")
+# metadata that ties a stored frozen LM to its weights, training captions
+# and lm.*/model.D_l config; the captions also fix its vocabulary
+LM_META_KEYS = ("lm_weight_hash", "lm_caption_hash", "lm_config_hash")
 
 
 def train_captions(items: list[DatasetItem]) -> list[list[str]]:
@@ -46,35 +45,29 @@ def caption_hash(caption_lists: list[list[str]]) -> str:
     return hashlib.sha256(json.dumps(caption_lists).encode()).hexdigest()
 
 
-def _tiny_lm(cfg: PipelineConfig, vocab_size: int, pretrain_seqs=None):
-    return build_tiny_lm(cfg.lm_seed, vocab_size, d_model=cfg.model_d_l,
-                         num_layers=cfg.lm_layers, num_heads=cfg.lm_heads,
-                         d_ff=cfg.lm_ff, pretrain_seqs=pretrain_seqs,
-                         pretrain_epochs=cfg.lm_pretrain_epochs)
-
-
 def build_frozen_models(caption_lists: list[list[str]], cfg: PipelineConfig):
-    """Tokenizer + frozen tiny LM pretrained on the training captions.
+    """(tokenizer, lm): the tokenizer over the training captions and the
+    frozen tiny LM at its seeded initial weights. prepare-similarity
+    pretrains the LM on those captions and stores it (save_frozen_lm);
+    every later command restores the stored weights into it
+    (restore_frozen_lm)."""
+    tokenizer = TinyTokenizer([c for caps in caption_lists for c in caps])
+    return tokenizer, TinyCausalLm(
+        tokenizer.vocab_size, d_model=cfg.model_d_l, num_layers=cfg.lm_layers,
+        num_heads=cfg.lm_heads, d_ff=cfg.lm_ff, seed=cfg.lm_seed)
 
-    Only prepare-similarity builds them (see save_frozen_lm); every later
-    command loads the stored LM."""
-    texts = [c for caps in caption_lists for c in caps]
-    tokenizer = TinyTokenizer(texts)
-    return tokenizer, _tiny_lm(cfg, tokenizer.vocab_size,
-                               [tokenizer.encode(t) for t in texts])
 
-
-def lm_metadata(tokenizer: TinyTokenizer, lm: TinyCausalLm,
-                caption_lists: list[list[str]], cfg: PipelineConfig) -> dict:
-    return {"lm_vocab": tokenizer.words, "lm_weight_hash": lm.weight_hash(),
+def lm_metadata(lm: TinyCausalLm, caption_lists: list[list[str]],
+                cfg: PipelineConfig) -> dict:
+    return {"lm_weight_hash": lm.weight_hash(),
             "lm_caption_hash": caption_hash(caption_lists),
             "lm_config_hash": config_hash(cfg, LM_KEYS)}
 
 
-def save_frozen_lm(path: str, tokenizer: TinyTokenizer, lm: TinyCausalLm,
+def save_frozen_lm(path: str, lm: TinyCausalLm,
                    caption_lists: list[list[str]], cfg: PipelineConfig):
     archive.save_checkpoint(path, lm.snapshot(), {
-        "kind": "frozen_lm", **lm_metadata(tokenizer, lm, caption_lists, cfg)})
+        "kind": "frozen_lm", **lm_metadata(lm, caption_lists, cfg)})
 
 
 def _restore(path: str, named_params, tensors: dict[str, np.ndarray]):
@@ -89,7 +82,8 @@ def restore_frozen_lm(path: str, tensors: dict[str, np.ndarray], meta: dict,
                       captions_from: str):
     """(tokenizer, lm) from the lm.* tensors and LM metadata of the
     checkpoint at `path`, checked against the current lm.*/model.D_l config
-    and against the training captions read from `captions_from`."""
+    and against the training captions read from `captions_from`, from which
+    the tokenizer is rebuilt."""
     archive.require_keys(f"{path} metadata", meta, LM_META_KEYS)
     want = config_hash(cfg, LM_KEYS)
     if meta["lm_config_hash"] != want:
@@ -101,16 +95,7 @@ def restore_frozen_lm(path: str, tensors: dict[str, np.ndarray], meta: dict,
         raise archive.ArchiveFormatError(
             f"{path}: frozen LM was pretrained on other training captions "
             f"than those of {captions_from}")
-    vocab = meta["lm_vocab"]
-    if not (isinstance(vocab, list)
-            and all(isinstance(w, str) for w in vocab)):
-        raise archive.ArchiveFormatError(f"{path}: lm_vocab is not a list "
-                                         "of words")
-    tokenizer = TinyTokenizer(vocab)  # each word, read as a text, is itself
-    if tokenizer.words != vocab:
-        raise archive.ArchiveFormatError(
-            f"{path}: lm_vocab is not a sorted list of distinct words")
-    lm = _tiny_lm(cfg, tokenizer.vocab_size)
+    tokenizer, lm = build_frozen_models(caption_lists, cfg)
     _restore(path, lm.named_params(), tensors)
     if lm.weight_hash() != meta["lm_weight_hash"]:
         raise archive.ArchiveFormatError(
@@ -147,11 +132,11 @@ def compute_similarity(items: list[DatasetItem], tokenizer: TinyTokenizer,
 
 
 def save_similarity(path: str, items: list[DatasetItem],
-                    raw: SimilarityMatrix, norm: SimilarityMatrix,
+                    raw: np.ndarray, norm: np.ndarray,
                     labels: SimilarLabelMatrix):
     archive.write_archive(path, {
-        "scores_raw": raw.scores,
-        "scores_normalized": norm.scores,
+        "scores_raw": raw,
+        "scores_normalized": norm,
         "labels": labels.labels.astype(np.float64),
     })
     archive.write_sidecar(path, {"ids": [it.id for it in items],
@@ -162,7 +147,8 @@ SIMILARITY_TENSORS = ("scores_raw", "scores_normalized", "labels")
 
 
 def load_similarity(path: str):
-    """Returns (ids, raw, SimilarLabelMatrix); checks scores_normalized."""
+    """Returns (ids, raw scores, SimilarLabelMatrix); checks
+    scores_normalized."""
     tensors = archive.read_archive(path, require=SIMILARITY_TENSORS)
     side = archive.read_sidecar(path, ("ids", "threshold"))
     n = len(side["ids"])
@@ -172,7 +158,7 @@ def load_similarity(path: str):
                 f"{path}: {name} has shape {tensors[name].shape}, expected "
                 f"({n}, {n}) for the {n} ids in its sidecar")
     labels = SimilarLabelMatrix(tensors["labels"] > 0.5, side["threshold"])
-    return side["ids"], SimilarityMatrix(tensors["scores_raw"]), labels
+    return side["ids"], tensors["scores_raw"], labels
 
 
 def check_label_ids(items: list[DatasetItem], ids: list[str]):
@@ -197,7 +183,7 @@ def negatives_tsv(selections) -> str:
     lines = ["anchor\tnegative\td_ap\td_an\tsemi_hard_available\tfallback"]
     for s in selections:
         lines.append(f"{s.anchor_id}\t{s.negative_id}\t{s.d_ap!r}\t{s.d_an!r}"
-                     f"\t{int(s.semi_hard_available)}\t{s.fallback}")
+                     f"\t{int(s.fallback == 'none')}\t{s.fallback}")
     return "\n".join(lines) + "\n"
 
 
@@ -231,13 +217,14 @@ def run_train_decoder(cfg: PipelineConfig, items: list[DatasetItem],
                       labels: SimilarLabelMatrix, lm: TinyCausalLm,
                       tokenizer: TinyTokenizer, seed: int, out_dir: str):
     """Train the decoder and write decoder.ckpt, which also holds the frozen
-    LM (lm.* tensors, vocabulary and hashes): all that generation needs."""
+    LM (lm.* tensors and hashes): with the training captions, all that
+    generation needs."""
     result = decoder.train_decoder(lm, tokenizer, items, labels, cfg, seed)
     os.makedirs(out_dir, exist_ok=True)
     meta = {"config_hash": config_hash(cfg), "seed": seed,
             "epoch": result.best_epoch, "val_loss": result.best_val_loss,
             "kind": "decoder",
-            **lm_metadata(tokenizer, lm, train_captions(items), cfg)}
+            **lm_metadata(lm, train_captions(items), cfg)}
     archive.save_checkpoint(os.path.join(out_dir, "decoder.ckpt"),
                             {**result.params.snapshot(), **lm.snapshot()},
                             meta)
@@ -276,13 +263,14 @@ def retrieved_guidance(embedder, index: retrieval.RetrievalIndex,
             for q, x in zip(queries, excludes, strict=True)]
 
 
-def oracle_guidance(scores: SimilarityMatrix, items: list[DatasetItem],
+def oracle_guidance(scores: np.ndarray, items: list[DatasetItem],
                     query_pos: int, k: int) -> list[str]:
-    """Top-K training captions by ground-truth caption similarity."""
+    """Top-K training captions by ground-truth caption similarity: the raw
+    (n, n) `scores` of prepare-similarity."""
     train_pos = [i for i, it in enumerate(items)
                  if it.split == "train" and i != query_pos]
     ranked = sorted(train_pos,
-                    key=lambda i: (-scores.scores[query_pos, i], items[i].id))
+                    key=lambda i: (-scores[query_pos, i], items[i].id))
     return [items[i].caption for i in ranked[:k]]
 
 
@@ -292,7 +280,7 @@ def oracle_guidance(scores: SimilarityMatrix, items: list[DatasetItem],
 
 def evaluate_scope(scope: str, cfg: PipelineConfig, items: list[DatasetItem],
                    split: str, embedder, index, lm=None, tokenizer=None,
-                   dec_params=None, scores: SimilarityMatrix | None = None):
+                   dec_params=None, scores: np.ndarray | None = None):
     """Scope i: generate with retrieved guidance. Scope ii: emit the top-1
     retrieved caption. Scope iii: generate with oracle guidance.
     Returns (candidates, reference_sets, eval_ids, EvalReport)."""

@@ -1,10 +1,10 @@
 """Deterministic stand-ins for the frozen pretrained models.
 
 - TinyTokenizer: word-level vocabulary built from the training captions.
-- TinyCausalLm: a small causal Transformer LM, optionally pretrained for a
-  fixed budget on the training captions, then frozen. It serves both as the
-  frozen language model for the decoder and as the text encoder behind the
-  caption-similarity scores.
+- TinyCausalLm: a small causal Transformer LM, frozen when built;
+  pretrain() trains it for a fixed budget on the training captions and
+  freezes it again. It serves both as the frozen language model for the
+  decoder and as the text encoder behind the caption-similarity scores.
 - TinyAudioExtractor: a frozen seeded generator standing in for a pretrained
   audio feature extractor.
 - generate_synthetic_dataset: clustered audio features with
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +26,11 @@ from .metrics import normalize_words
 
 PAD, BOS, EOS, SEP, UNK = 0, 1, 2, 3, 4
 SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<sep>", "<unk>")
+
+# token identity must dominate position in the LM features, otherwise
+# greedy token matching on them degenerates to position matching
+EMB_STD, POS_SCALE = 0.4, 0.1
+PRETRAIN_LR = 1e-3
 
 
 class TinyTokenizer:
@@ -56,24 +61,21 @@ def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
 
 class TinyCausalLm(ParamContainer):
     """Causal Transformer LM used frozen: features() exposes the pre-head
-    representation, head_matrix() the (tied) token-prediction weights."""
+    representation, head_matrix() the (tied) token-prediction weights. It is
+    built frozen, from seeded initial weights."""
 
     def __init__(self, vocab_size: int, d_model: int = 32, num_layers: int = 2,
                  num_heads: int = 4, d_ff: int = 64, max_len: int = 128,
-                 seed: int = 7, std: float = 0.02, emb_std: float = 0.4,
-                 pos_scale: float = 0.1):
+                 seed: int = 7):
         rng = np.random.default_rng(seed)
         self.vocab_size = vocab_size
         self.d_model = d_model
         self.max_len = max_len
-        # token identity must dominate position in the features, otherwise
-        # greedy token matching on them degenerates to position matching
-        self.emb = Tensor(rng.normal(0.0, emb_std, size=(vocab_size, d_model)),
-                          requires_grad=True)
-        self.pos = pos_scale * sinusoidal_positions(max_len, d_model)
-        self.layers = [EncoderLayer(d_model, num_heads, d_ff, rng, std)
+        self.emb = Tensor(rng.normal(0.0, EMB_STD, size=(vocab_size, d_model)))
+        self.pos = POS_SCALE * sinusoidal_positions(max_len, d_model)
+        self.layers = [EncoderLayer(d_model, num_heads, d_ff, rng)
                        for _ in range(num_layers)]
-        self.frozen = False
+        self.freeze()
 
     # -- forward -----------------------------------------------------------
 
@@ -116,13 +118,13 @@ class TinyCausalLm(ParamContainer):
 
     # -- pretraining -------------------------------------------------------
 
-    def pretrain(self, token_seqs: list[list[int]], epochs: int = 30,
-                 lr: float = 1e-3):
-        """Next-token prediction on BOS-wrapped sequences, then freeze."""
-        if self.frozen:
-            raise RuntimeError("model is frozen")
+    def pretrain(self, token_seqs: list[list[int]], epochs: int):
+        """`epochs` full-batch Adam steps of next-token prediction on the
+        BOS-wrapped sequences; the LM is frozen again afterwards."""
         params = [p for _, p in self.named_params()]
-        opt = Adam(params, lr=lr)
+        for p in params:
+            p.requires_grad = True
+        opt = Adam(params)
         # bucket by length so each bucket trains as one batch
         buckets: dict[int, list[list[int]]] = {}
         for seq in token_seqs:
@@ -148,31 +150,18 @@ class TinyCausalLm(ParamContainer):
                 total = ce if total is None else total + ce
             return total * (1.0 / n_pos)
 
-        for epoch in range(epochs):
-            opt.minimize(epoch_loss(), f"LM pretraining loss at epoch {epoch}")
-        self.freeze()
+        try:
+            for epoch in range(epochs):
+                opt.minimize(epoch_loss(),
+                             f"LM pretraining loss at epoch {epoch}",
+                             PRETRAIN_LR)
+        finally:
+            self.freeze()
 
     def freeze(self):
         for _, p in self.named_params():
             p.requires_grad = False
             p.grad = None
-        self.frozen = True
-
-
-def build_tiny_lm(seed: int, vocab_size: int, d_model: int = 32,
-                  num_layers: int = 2, num_heads: int = 4, d_ff: int = 64,
-                  max_len: int = 128, pretrain_seqs=None,
-                  pretrain_epochs: int = 30) -> TinyCausalLm:
-    """Deterministic construction; optional fixed-budget pretraining pass,
-    after which the model is frozen."""
-    lm = TinyCausalLm(vocab_size, d_model=d_model, num_layers=num_layers,
-                      num_heads=num_heads, d_ff=d_ff, max_len=max_len,
-                      seed=seed)
-    if pretrain_seqs and pretrain_epochs > 0:
-        lm.pretrain(pretrain_seqs, epochs=pretrain_epochs)
-    else:
-        lm.freeze()
-    return lm
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +226,20 @@ class SyntheticDatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for fld in fields(self):  # a bool is no count, nor a noise level
+            value = getattr(self, fld.name)
+            number = fld.type == "float"
+            if type(value) not in ((int, float) if number else (int,)):
+                raise ValueError(f"{fld.name} must be "
+                                 f"{'a number' if number else 'an integer'}, "
+                                 f"got {value!r}")
+        if self.captions_per_item < 1:
+            raise ValueError("captions_per_item must be >= 1")
+        if not self.noise_level >= 0:  # NaN too
+            raise ValueError(
+                f"noise_level must be >= 0, got {self.noise_level!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.clusters < 2:
             raise ValueError("need at least 2 clusters")
         if self.clusters > len(_THEMES):
@@ -248,14 +251,19 @@ class SyntheticDatasetSpec:
 
     @classmethod
     def from_file(cls, path: str) -> "SyntheticDatasetSpec":
+        """The spec in the JSON object at `path`; errors name the file."""
         with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-        known = {"clusters", "items_per_cluster", "captions_per_item",
-                 "templates_per_cluster", "noise_level", "seed"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown dataset-spec keys: {sorted(unknown)}")
-        return cls(**raw)
+            try:
+                raw = json.load(f)
+                if not isinstance(raw, dict):
+                    raise ValueError("not a JSON object")
+                unknown = set(raw) - {fld.name for fld in fields(cls)}
+                if unknown:
+                    raise ValueError(
+                        f"unknown dataset-spec keys: {sorted(unknown)}")
+                return cls(**raw)
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from None
 
 
 def _caption_for(rng: np.random.Generator, theme, n_templates: int) -> str:

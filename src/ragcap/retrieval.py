@@ -118,9 +118,7 @@ class NegativeSelection:
     negative_id: str
     d_ap: float
     d_an: float
-    margin: float
-    semi_hard_available: bool
-    fallback: str
+    fallback: str  # "none" when the semi-hard set was nonempty
 
 
 @dataclass
@@ -148,7 +146,7 @@ def train_retrieval(items: list[DatasetItem], labels: SimilarLabelMatrix,
         raise TrainingError("no training items")
 
     params = EmbedderParams(cfg, np.random.default_rng([seed, 1]))
-    opt = Adam([p for _, p in params.named_params()], lr=cfg.triplet_lr)
+    opt = Adam([p for _, p in params.named_params()])
     rng_sample = np.random.default_rng([seed, 2])
     rng_drop = np.random.default_rng([seed, 3])
 
@@ -198,13 +196,13 @@ def train_retrieval(items: list[DatasetItem], labels: SimilarLabelMatrix,
                     d_ap, neg, d[neg], cfg.triplet_margin, rng_sample)
                 result.negative_log.append(NegativeSelection(
                     items[train[a]].id, items[train[n]].id, d_ap, d_an,
-                    cfg.triplet_margin, fallback == "none", fallback))
+                    fallback))
                 tri.append((train[a], train[p], train[n]))
             if not tri:
                 continue
             epoch_losses.append(opt.minimize(
                 batch_loss(tri, training=True),
-                f"triplet loss at epoch {epoch}"))
+                f"triplet loss at epoch {epoch}", cfg.triplet_lr))
 
         if not epoch_losses and epoch == 0:
             raise TrainingError("all anchors were skipped; nothing to train")

@@ -23,15 +23,6 @@ class DegenerateSimilarityError(ValueError):
 
 
 @dataclass
-class SimilarityMatrix:
-    scores: np.ndarray  # (n, n) float64
-
-    @property
-    def n(self) -> int:
-        return self.scores.shape[0]
-
-
-@dataclass
 class SimilarLabelMatrix:
     labels: np.ndarray  # (n, n) bool; diagonal False
     threshold: float
@@ -70,8 +61,8 @@ def bertscore(cand: np.ndarray, ref: np.ndarray):
     return precision, recall, f1
 
 
-def pairwise_similarity(embs: list[np.ndarray]) -> SimilarityMatrix:
-    """Raw F1 BERTScore between all pairs of the (D_t, L_i) caption
+def pairwise_similarity(embs: list[np.ndarray]) -> np.ndarray:
+    """Raw F1 BERTScore (n, n) between all pairs of the (D_t, L_i) caption
     embeddings, which must be C-contiguous; diagonal fixed at 1."""
     n = len(embs)
     if n < 2:
@@ -86,27 +77,30 @@ def pairwise_similarity(embs: list[np.ndarray]) -> SimilarityMatrix:
             later = np.searchsorted(idx, i, side="right")
             _, _, f1 = bertscore(embs[i], stack[later:])
             scores[i, idx[later:]] = scores[idx[later:], i] = f1
-    return SimilarityMatrix(scores)
+    return scores
 
 
-def normalize_minmax(m: SimilarityMatrix) -> SimilarityMatrix:
-    """Affine rescale of the off-diagonal entries onto [0, 1].
+def normalize_minmax(scores: np.ndarray) -> np.ndarray:
+    """Affine rescale of the off-diagonal entries of the (n, n) scores onto
+    [0, 1].
 
     The diagonal (self-similarity) is excluded from the statistics and left
     untouched; it is never a retrieval or sampling candidate."""
-    off = ~np.eye(m.n, dtype=bool)
-    vals = m.scores[off]
+    off = ~np.eye(scores.shape[0], dtype=bool)
+    vals = scores[off]
     lo, hi = vals.min(), vals.max()
     if hi == lo:
         raise DegenerateSimilarityError(
             "all off-diagonal similarities equal; cannot min-max normalize")
-    out = m.scores.copy()
+    out = scores.copy()
     out[off] = (vals - lo) / (hi - lo)
-    return SimilarityMatrix(out)
+    return out
 
 
-def label_similar(m: SimilarityMatrix, threshold: float = 0.7) -> SimilarLabelMatrix:
-    """Strictly-greater thresholding; the diagonal is labeled not-similar."""
-    labels = m.scores > threshold
+def label_similar(scores: np.ndarray,
+                  threshold: float = 0.7) -> SimilarLabelMatrix:
+    """Strictly-greater thresholding of the (n, n) scores; the diagonal is
+    labeled not-similar."""
+    labels = scores > threshold
     np.fill_diagonal(labels, False)
     return SimilarLabelMatrix(labels, threshold)

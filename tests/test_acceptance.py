@@ -28,14 +28,14 @@ from ragcap.decoder import (DecoderParams, beam_search, guidance_ids,
                             smoothed_cross_entropy, train_decoder)
 from ragcap.layers import (EncoderLayer, LayerNorm, Linear, MultiHeadAttention,
                            causal_mask)
-from ragcap.metrics import bleu_n, rouge_l, rouge_l_sentence, cider
-from ragcap.reference_models import (BOS, SyntheticDatasetSpec, build_tiny_lm,
+from ragcap.metrics import evaluate_corpus
+from ragcap.reference_models import (BOS, SyntheticDatasetSpec, TinyCausalLm,
                                      generate_synthetic_dataset)
 from ragcap.retrieval import (EmbedderParams, RetrievalIndex, embed_batch,
                               retrieve_topk, select_semi_hard_negative,
                               triplet_loss)
-from ragcap.similarity import (SimilarityMatrix, SimilarLabelMatrix,
-                               bertscore, label_similar, normalize_minmax)
+from ragcap.similarity import (SimilarLabelMatrix, bertscore, label_similar,
+                               normalize_minmax)
 
 HERE = os.path.dirname(__file__)
 DESK_CFG = os.path.join(HERE, "..", "configs", "desk.cfg")
@@ -54,8 +54,10 @@ def desk(tmp_path_factory):
                                cfg.model_t, data)
     items = load_dataset(os.path.join(data, "manifest.jsonl"),
                          cfg.model_d_a, cfg.model_t)
-    tokenizer, lm = pipeline.build_frozen_models(
-        pipeline.train_captions(items), cfg)
+    captions = pipeline.train_captions(items)
+    tokenizer, lm = pipeline.build_frozen_models(captions, cfg)
+    lm.pretrain([tokenizer.encode(c) for caps in captions for c in caps],
+                cfg.lm_pretrain_epochs)
     raw, _, labels = pipeline.compute_similarity(items, tokenizer, lm, cfg)
 
     t0 = time.monotonic()
@@ -138,7 +140,7 @@ def test_criterion_01_gradient_suite(rng):
                                  3.0).sum(),
             [p for _, p in params.named_params()], rel_tol=1e-4)
 
-    lm = build_tiny_lm(5, vocab_size=8, d_model=8)
+    lm = TinyCausalLm(8, d_model=8, seed=5)
     for _ in range(5):  # decoder fusion path through smoothed cross-entropy
         dec = DecoderParams(lm.d_model, 3, 4, lm.vocab_size, heads=2,
                             drop_p=0.0, rng=rng, std=0.5)
@@ -212,7 +214,7 @@ def test_criterion_02_search_oracles(rng):
     g = [1]
     for seed in range(20):
         model_rng = np.random.default_rng([71, seed])
-        lm = build_tiny_lm(seed, vocab_size=3, d_model=8)
+        lm = TinyCausalLm(3, d_model=8, seed=seed)
         params = DecoderParams(lm.d_model, 3, 4, 3, heads=2, drop_p=0.0,
                                rng=model_rng, std=0.5)
         phi = model_rng.normal(size=(3, 4))
@@ -251,13 +253,13 @@ def test_criterion_03_equation_hand_examples(rng):
     m[0, 1] = m[1, 0] = 0.2
     m[0, 2] = m[2, 0] = 0.5
     m[1, 2] = m[2, 1] = 0.8
-    out = normalize_minmax(SimilarityMatrix(m)).scores
+    out = normalize_minmax(m)
     assert abs(out[0, 1] - 0.0) < tol
     assert abs(out[0, 2] - 0.5) < tol
     assert abs(out[1, 2] - 1.0) < tol
 
     # thresholding is strictly greater than 0.7
-    pair = SimilarityMatrix(np.array([[1.0, 0.7], [0.7, 1.0]]))
+    pair = np.array([[1.0, 0.7], [0.7, 1.0]])
     assert not label_similar(pair, 0.7).labels[0, 1]
 
     # label smoothing 0 reduces to standard cross-entropy
@@ -284,22 +286,24 @@ def test_criterion_03_equation_hand_examples(rng):
 
 def test_criterion_04_metric_values():
     tol = 1e-6
-    assert abs(bleu_n(["a b c"], [["a b d"]], 1) - 2 / 3) < tol
-    assert abs(bleu_n(["a a a"], [["a b"]], 1) - 1 / 3) < tol
-    assert abs(rouge_l_sentence("a b c d", ["a c b d"]) - 0.75) < tol
+    # per-item BLEU-1 and ROUGE-L of item 0 of hand-computed corpora
+    hand = evaluate_corpus(["a b c", "a a a", "a b c d"],
+                           [["a b d"], ["a b"], ["a c b d"]]).per_item
+    assert abs(hand[0]["bleu1"] - 2 / 3) < tol
+    assert abs(hand[1]["bleu1"] - 1 / 3) < tol
+    assert abs(hand[2]["rouge_l"] - 0.75) < tol
 
-    mean, per_item = cider(_CORPUS_CANDS, _CORPUS_REFS, return_per_item=True)
+    report = evaluate_corpus(_CORPUS_CANDS, _CORPUS_REFS)
     oracle_mean, oracle_items = _cider_oracle(_CORPUS_CANDS, _CORPUS_REFS)
-    assert abs(mean - oracle_mean) < tol
-    for got, want in zip(per_item, oracle_items):
-        assert abs(got - want) < tol
+    assert abs(report.cider - oracle_mean) < tol
+    for item, want in zip(report.per_item, oracle_items):
+        assert abs(item["cider"] - want) < tol
 
     # identity corpora score exactly 1.0
-    refs = [[c] for c in _CORPUS_CANDS]
-    for n in range(1, 5):
-        assert bleu_n(_CORPUS_CANDS, refs, n) == pytest.approx(1.0,
-                                                               abs=1e-12)
-    assert rouge_l(_CORPUS_CANDS, refs) == pytest.approx(1.0, abs=1e-12)
+    report = evaluate_corpus(_CORPUS_CANDS, [[c] for c in _CORPUS_CANDS])
+    for b in report.bleu:
+        assert b == pytest.approx(1.0, abs=1e-12)
+    assert report.rouge_l == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +329,13 @@ def test_criterion_06_oracle_guidance_at_least_retrieved(desk):
 
 def test_criterion_09_semi_hard_contract(desk):
     log = desk["trained"].negative_log
+    margin = desk["cfg"].triplet_margin
     assert log, "training produced no negative selections"
     fallbacks = {"none": 0, "nearest_geq": 0, "farthest": 0}
     for sel in log:
         fallbacks[sel.fallback] += 1
-        if sel.semi_hard_available:
-            assert sel.fallback == "none"
-            assert sel.d_ap <= sel.d_an < sel.d_ap + sel.margin
+        if sel.fallback == "none":
+            assert sel.d_ap <= sel.d_an < sel.d_ap + margin
         else:
             assert sel.fallback in ("nearest_geq", "farthest")
     print(f"negative selections: {len(log)}, fallback counts: {fallbacks}")
@@ -351,8 +355,10 @@ def test_criterion_07_decoder_overfit(tmp_path):
                          cfg.model_t)
     items = [DatasetItem(it.id, "train", it.features, it.captions)
              for it in items]
-    tokenizer, lm = pipeline.build_frozen_models(
-        pipeline.train_captions(items), cfg)
+    captions = pipeline.train_captions(items)
+    tokenizer, lm = pipeline.build_frozen_models(captions, cfg)
+    lm.pretrain([tokenizer.encode(c) for caps in captions for c in caps],
+                cfg.lm_pretrain_epochs)
     labels = SimilarLabelMatrix(~np.eye(len(items), dtype=bool), 0.7)
 
     dcfg = dataclasses.replace(
@@ -467,7 +473,7 @@ def test_criterion_08_cli_determinism(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_posterior_contract():
-    lm = build_tiny_lm(4, vocab_size=8, d_model=8)
+    lm = TinyCausalLm(8, d_model=8, seed=4)
     g = guidance_ids([[5, 6], [7]])
     rows_checked = 0
     for model_seed in range(100):

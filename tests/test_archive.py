@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -207,7 +208,8 @@ def test_duplicate_id_cites_line(tmp_path):
     rows.append(ManifestRow("i3", "train", fpath, ["c"]))
     mpath = str(tmp_path / "m.jsonl")
     write_manifest(mpath, rows)
-    with pytest.raises(ManifestError, match="line 7"):
+    with pytest.raises(ManifestError, match=re.escape(
+            f"{mpath}:7: duplicate id 'i3' (first on line 4)")):
         load_manifest(mpath)
 
 
@@ -225,7 +227,7 @@ def test_unknown_split_and_missing_field(tmp_path):
 def test_invalid_json_cites_line(tmp_path):
     mpath = str(tmp_path / "m.jsonl")
     atomic_write_bytes(mpath, b"not json\n")
-    with pytest.raises(ManifestError, match="line 1"):
+    with pytest.raises(ManifestError, match=re.escape(f"{mpath}:1: invalid")):
         load_manifest(mpath)
 
 
@@ -241,8 +243,8 @@ def test_wordless_primary_caption_cites_line(tmp_path):
     mpath = str(tmp_path / "m.jsonl")
     write_manifest(mpath, [ManifestRow("x", "train", fpath, ["a cap"]),
                            ManifestRow("y", "train", fpath, ["!!!", "a cap"])])
-    with pytest.raises(ManifestError,
-                       match=r"line 2: caption '!!!' has no words"):
+    with pytest.raises(ManifestError, match=re.escape(
+            f"{mpath}:2: caption '!!!' has no words")):
         load_manifest(mpath)
 
 
@@ -296,6 +298,15 @@ def test_checkpoint_bad_magic(tmp_path):
     atomic_write_bytes(path, b"JUNKJUNKJUNK")
     with pytest.raises(ArchiveFormatError, match="magic"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("size", [4, 5, 6, 7])
+def test_checkpoint_truncated_in_metadata_length(size):
+    buf = pack_checkpoint({}, {})[:size]
+    with pytest.raises(ArchiveFormatError, match=re.escape(
+            "truncated checkpoint: need 4 bytes for the metadata length at "
+            f"byte 4, only {size - 4} available")):
+        unpack_checkpoint(buf)
 
 
 def test_restore_params_checks_shapes():

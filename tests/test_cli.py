@@ -238,7 +238,59 @@ def test_exit_3_wordless_caption(ws, tmp_path, caplog):
     out = tmp_path / "sim"
     assert main(["prepare-similarity", "--config", ws["cfg"],
                  "--manifest", str(manifest), "--out", str(out)]) == 3
-    assert "line 3: caption '!!!' has no words" in caplog.text
+    assert f"{manifest}:3: caption '!!!' has no words" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: 5, "not a JSON object"),
+    (lambda row: {**row, "id": ["x"]}, "id is not a string"),
+    (lambda row: {**row, "feature_path": 5}, "feature_path is not a string"),
+    (lambda row: {**row, "captions": [None]},
+     "captions is not a non-empty list of strings"),
+    (lambda row: {**row, "split": ["train"]},
+     "split is not one of train, valid, test"),
+], ids=["row", "id", "feature_path", "null_caption", "split"])
+def test_exit_3_manifest_row_invalid(ws, tmp_path, caplog, edit, message):
+    data = tmp_path / "data"
+    shutil.copytree(ws["data"], data)
+    manifest = data / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    lines[2] = json.dumps(edit(json.loads(lines[2])))
+    manifest.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "sim"
+    assert main(["prepare-similarity", "--config", ws["cfg"],
+                 "--manifest", str(manifest), "--out", str(out)]) == 3
+    assert f"{manifest}:3: {message}" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ('{"clusters": "4"}', "clusters must be an integer, got '4'"),
+    ('{"clusters": 2.5}', "clusters must be an integer, got 2.5"),
+    ('{"items_per_cluster": true}',
+     "items_per_cluster must be an integer, got True"),
+    ('{"noise_level": "3"}', "noise_level must be a number, got '3'"),
+    ("null", "not a JSON object"),
+    ('{"captions_per_item": 0}', "captions_per_item must be >= 1"),
+    ('{"noise_level": -1}', "noise_level must be >= 0, got -1"),
+    ('{"noise_level": NaN}', "noise_level must be >= 0, got nan"),
+    ('{"seed": -1}', "seed must be >= 0, got -1"),
+], ids=["str", "float", "bool", "noise_str", "null", "no_captions",
+        "noise_negative", "noise_nan", "seed_negative"])
+def test_exit_3_bad_dataset_spec(tmp_path, caplog, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    out = tmp_path / "data"
+    assert main(["make-dataset", "--spec", str(path), "--out", str(out)]) == 3
+    assert f"{path}: {message}" in caplog.text
+    assert not out.exists()
+
+
+def test_exit_3_negative_dataset_seed(tmp_path, caplog):
+    out = tmp_path / "data"
+    assert main(["make-dataset", "--seed", "-1", "--out", str(out)]) == 3
+    assert "seed must be >= 0, got -1" in caplog.text
     assert not out.exists()
 
 
@@ -492,9 +544,21 @@ def _corrupt_lm(key):
     return edit
 
 
-@pytest.mark.parametrize("key", ["lm_vocab", "lm_weight_hash",
-                                 "lm_caption_hash", "lm_config_hash",
-                                 "tensor", "missing_tensor"])
+def test_frozen_lm_metadata_is_three_hashes(ws):
+    """The vocabulary is not stored: the caption hash pins the training
+    captions, and the tokenizer is rebuilt from them."""
+    hashes = {"lm_weight_hash", "lm_caption_hash", "lm_config_hash"}
+    _, meta = load_checkpoint(os.path.join(os.path.dirname(ws["labels"]),
+                                           "frozen_lm.ckpt"))
+    assert set(meta) == {"kind"} | hashes
+    _, dec_meta = load_checkpoint(os.path.join(ws["dec"], "decoder.ckpt"))
+    assert {k for k in dec_meta if k.startswith("lm_")} == hashes
+    assert {k: dec_meta[k] for k in hashes} == {k: meta[k] for k in hashes}
+
+
+@pytest.mark.parametrize("key", ["lm_weight_hash", "lm_caption_hash",
+                                 "lm_config_hash", "tensor",
+                                 "missing_tensor"])
 def test_exit_3_bad_frozen_lm(ws, tmp_path, caplog, key):
     sim = tmp_path / "sim"
     shutil.copytree(os.path.dirname(ws["labels"]), sim)

@@ -13,8 +13,8 @@ from ragcap.decoder import (DecoderParams, _dropout_keep, beam_search,
                             posterior, position_logits,
                             smoothed_cross_entropy, train_decoder)
 from ragcap.errors import NumericError
-from ragcap.reference_models import (BOS, EOS, PAD, SEP, TinyTokenizer,
-                                     build_tiny_lm)
+from ragcap.reference_models import (BOS, EOS, PAD, SEP, TinyCausalLm,
+                                     TinyTokenizer)
 from ragcap.similarity import SimilarLabelMatrix
 
 D_A, T = 3, 4
@@ -22,7 +22,7 @@ D_A, T = 3, 4
 
 @pytest.fixture(scope="module")
 def lm():
-    return build_tiny_lm(3, vocab_size=12, d_model=16)
+    return TinyCausalLm(12, d_model=16, seed=3)
 
 
 def make_dec(lm, rng, d_r=6, drop=0.0, head_init=None):
@@ -297,7 +297,7 @@ def exhaustive_best(lm, params, phi, guidance, max_len):
 
 
 def test_beam_matches_exhaustive_small_instances():
-    lm = build_tiny_lm(9, vocab_size=6, d_model=8)
+    lm = TinyCausalLm(6, d_model=8, seed=9)
     g = [5]
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -389,7 +389,7 @@ def count_posterior_calls(monkeypatch) -> list[int]:
 
 
 def random_decoder(seed):
-    lm = build_tiny_lm(seed, vocab_size=8, d_model=8)
+    lm = TinyCausalLm(8, d_model=8, seed=seed)
     rng = np.random.default_rng([23, seed])
     params = DecoderParams(lm.d_model, D_A, 4, lm.vocab_size, heads=2,
                            drop_p=0.0, rng=rng, std=0.5)
@@ -457,9 +457,8 @@ MIXED_TEXTS = ["a dog barks", "a dog howls loudly", "a cat purrs",
 
 def make_training_setup(texts=TEXTS):
     tok = TinyTokenizer(texts)
-    lm = build_tiny_lm(3, tok.vocab_size, d_model=16,
-                       pretrain_seqs=[tok.encode(t) for t in texts],
-                       pretrain_epochs=5)
+    lm = TinyCausalLm(tok.vocab_size, d_model=16, seed=3)
+    lm.pretrain([tok.encode(t) for t in texts], epochs=5)
     rng = np.random.default_rng(0)
     items = []
     for i, t in enumerate(texts):
@@ -560,7 +559,7 @@ def test_train_decoder_skips_isolated_items():
 
 def test_generate_caption_decodes(lm, rng):
     tok = TinyTokenizer(["a dog barks", "a cat purrs"])
-    small_lm = build_tiny_lm(3, tok.vocab_size, d_model=8)
+    small_lm = TinyCausalLm(tok.vocab_size, d_model=8, seed=3)
     params = DecoderParams(small_lm.d_model, D_A, 4, small_lm.vocab_size,
                            heads=2, drop_p=0.0, rng=rng)
     phi = rng.normal(size=(D_A, T))

@@ -200,21 +200,21 @@ def test_adam_zero_grad_keeps_params(rng):
     p = gaussian(rng, (3,), 1.0)
     before = p.data.copy()
     opt = Adam([p])
-    opt.step()
+    opt.step(1e-4)
     np.testing.assert_array_equal(p.data, before)
 
 
 def test_adam_first_step_magnitude():
     p = Tensor(np.zeros(1), requires_grad=True)
     p.grad = np.ones(1)
-    Adam([p], lr=1e-4).step()
+    Adam([p]).step(1e-4)
     # bias correction makes m_hat = g, v_hat = g^2 on step one
     assert p.data[0] == pytest.approx(-1e-4, rel=1e-6)
 
 
 def test_adam_matches_scalar_oracle():
     p = Tensor(np.array([2.0]), requires_grad=True)
-    opt = Adam([p], lr=0.1)
+    opt = Adam([p])
     theta, m, v, b1, b2, eps = 2.0, 0.0, 0.0, 0.9, 0.999, 1e-8
     for t in range(1, 6):
         g = 2.0 * theta  # gradient of theta^2
@@ -223,14 +223,17 @@ def test_adam_matches_scalar_oracle():
         theta -= 0.1 * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
 
         p.grad = 2.0 * p.data
-        opt.step()
+        opt.step(0.1)
     assert p.data[0] == pytest.approx(theta, abs=1e-12)
 
 
 def test_adam_respects_schedule_lr():
     p = Tensor(np.zeros(1), requires_grad=True)
     p.grad = np.ones(1)
-    Adam([p], lr=1.0).step(lr=1e-3)
+    opt = Adam([p])
+    opt.step(1e-3)
+    assert p.data[0] == pytest.approx(-1e-3, rel=1e-6)
+    opt.step(0.0)  # each step takes its own rate
     assert p.data[0] == pytest.approx(-1e-3, rel=1e-6)
 
 
@@ -238,4 +241,4 @@ def test_adam_shape_mismatch(rng):
     p = gaussian(rng, (3,), 1.0)
     p.grad = np.ones(4)
     with pytest.raises(ShapeError):
-        Adam([p]).step()
+        Adam([p]).step(1e-4)

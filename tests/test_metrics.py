@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ragcap.metrics import (bleu_n, brevity_penalty, cider, evaluate_corpus,
-                            normalize_words, rouge_l, rouge_l_sentence)
+from ragcap.metrics import brevity_penalty, evaluate_corpus, normalize_words
+
+
+def _item0(cand: str, refs: list[str]) -> dict:
+    """The per-item scores of (cand, refs) as item 0 of a two-item corpus:
+    CIDEr's idf needs two items, and BLEU-1 and ROUGE-L per item do not
+    depend on the other item."""
+    return evaluate_corpus([cand, "x"], [refs, ["x"]]).per_item[0]
 
 
 # ---------------------------------------------------------------------------
@@ -27,19 +33,20 @@ def test_normalize_words():
 def test_bleu_identity_all_orders():
     cands = ["a dog barks in the yard", "rain falls on the roof"]
     refs = [[c] for c in cands]
-    for n in range(1, 5):
-        assert bleu_n(cands, refs, n) == pytest.approx(1.0, abs=1e-12)
+    for b in evaluate_corpus(cands, refs).bleu:
+        assert b == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bleu1_hand_example_two_thirds():
-    assert bleu_n(["a b c"], [["a b d"]], 1) == pytest.approx(2 / 3, abs=1e-6)
+    assert _item0("a b c", ["a b d"])["bleu1"] == pytest.approx(2 / 3,
+                                                                abs=1e-6)
 
 
 def test_bleu1_clipping_hand_example():
     # "a a a" vs "a b": the unigram "a" is clipped to the reference count 1,
     # so precision is 1/3; the candidate is longer than the reference so the
     # brevity penalty is 1
-    assert bleu_n(["a a a"], [["a b"]], 1) == pytest.approx(1 / 3, abs=1e-6)
+    assert _item0("a a a", ["a b"])["bleu1"] == pytest.approx(1 / 3, abs=1e-6)
 
 
 def test_brevity_penalty_values():
@@ -52,33 +59,34 @@ def test_brevity_penalty_values():
 
 def test_bleu_closest_ref_length_prefers_shorter_tie():
     # candidate length 3; refs of length 2 and 4 tie -> use 2 -> BP = 1
-    score = bleu_n(["a b c"], [["a b", "a b c d"]], 1)
+    score = _item0("a b c", ["a b", "a b c d"])["bleu1"]
     assert score == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bleu_monotone_nonincreasing_in_n():
     cands = ["a dog barks loudly in the yard", "the cat sleeps on the mat"]
     refs = [["a dog barks in the yard"], ["the cat sits on the mat"]]
-    scores = [bleu_n(cands, refs, n) for n in range(1, 5)]
+    scores = evaluate_corpus(cands, refs).bleu
     for lo, hi in zip(scores[1:], scores[:-1]):
         assert lo <= hi + 1e-12
 
 
 def test_bleu_no_match_is_zero():
-    assert bleu_n(["x y"], [["a b"]], 1) == 0.0
+    report = evaluate_corpus(["x y", "p q"], [["a b"], ["c d"]])
+    assert report.bleu == [0.0] * 4
+    assert [item["bleu1"] for item in report.per_item] == [0.0, 0.0]
 
 
-def test_bleu_rejects_bad_order_and_empty():
-    with pytest.raises(ValueError):
-        bleu_n(["a"], [["a"]], 5)
-    with pytest.raises(ValueError):
-        bleu_n([], [], 1)
+def test_empty_corpus_rejected():
+    with pytest.raises(ValueError, match="empty corpus"):
+        evaluate_corpus([], [])
 
 
 def test_bleu_reference_order_invariant():
-    refs_a = [["a b c", "x y z"]]
-    refs_b = [["x y z", "a b c"]]
-    assert bleu_n(["a b c"], refs_a, 2) == bleu_n(["a b c"], refs_b, 2)
+    cands = ["a b c", "x y"]
+    a = evaluate_corpus(cands, [["a b c", "x y z"], ["x y"]])
+    b = evaluate_corpus(cands, [["x y z", "a b c"], ["x y"]])
+    assert a.bleu == b.bleu
 
 
 # ---------------------------------------------------------------------------
@@ -86,29 +94,30 @@ def test_bleu_reference_order_invariant():
 # ---------------------------------------------------------------------------
 
 def test_rouge_identity():
-    assert rouge_l(["a b c"], [["a b c"]]) == pytest.approx(1.0, abs=1e-12)
+    report = evaluate_corpus(["a b c", "d e"], [["a b c"], ["d e"]])
+    assert report.rouge_l == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rouge_hand_example():
     # LCS("a b c d", "a c b d") = 3 (e.g. "a b d"); P = R = 3/4
-    assert rouge_l_sentence("a b c d", ["a c b d"]) == pytest.approx(
+    assert _item0("a b c d", ["a c b d"])["rouge_l"] == pytest.approx(
         0.75, abs=1e-6)
 
 
 def test_rouge_disjoint_zero():
-    assert rouge_l(["x y"], [["a b"]]) == 0.0
+    assert evaluate_corpus(["x y", "p q"], [["a b"], ["c d"]]).rouge_l == 0.0
 
 
 def test_rouge_beta_weighting():
     # cand "a b", ref "a b c": P = 1, R = 2/3; beta favors recall
     p, r, beta = 1.0, 2 / 3, 1.2
     expected = (1 + beta ** 2) * p * r / (r + beta ** 2 * p)
-    assert rouge_l_sentence("a b", ["a b c"]) == pytest.approx(expected,
-                                                               abs=1e-9)
+    assert _item0("a b", ["a b c"])["rouge_l"] == pytest.approx(expected,
+                                                                abs=1e-9)
 
 
 def test_rouge_max_over_references():
-    score = rouge_l_sentence("a b c", ["x y z", "a b c"])
+    score = _item0("a b c", ["x y z", "a b c"])["rouge_l"]
     assert score == pytest.approx(1.0, abs=1e-12)
 
 
@@ -172,29 +181,29 @@ _CORPUS_REFS = [
 
 
 def test_cider_matches_independent_oracle():
-    mean, per_item = cider(_CORPUS_CANDS, _CORPUS_REFS, return_per_item=True)
+    report = evaluate_corpus(_CORPUS_CANDS, _CORPUS_REFS)
     oracle_mean, oracle_items = _cider_oracle(_CORPUS_CANDS, _CORPUS_REFS)
-    assert mean == pytest.approx(oracle_mean, abs=1e-6)
-    for got, want in zip(per_item, oracle_items):
-        assert got == pytest.approx(want, abs=1e-6)
+    assert report.cider == pytest.approx(oracle_mean, abs=1e-6)
+    for item, want in zip(report.per_item, oracle_items):
+        assert item["cider"] == pytest.approx(want, abs=1e-6)
 
 
 def test_cider_disjoint_zero():
-    mean = cider(["x y z", "p q r"], [["a b c"], ["d e f"]])
-    assert mean == 0.0
+    report = evaluate_corpus(["x y z", "p q r"], [["a b c"], ["d e f"]])
+    assert report.cider == 0.0
 
 
 def test_cider_order_invariant():
-    a = cider(_CORPUS_CANDS, _CORPUS_REFS)
+    a = evaluate_corpus(_CORPUS_CANDS, _CORPUS_REFS).cider
     perm = [3, 1, 4, 0, 2]
-    b = cider([_CORPUS_CANDS[i] for i in perm],
-              [_CORPUS_REFS[i] for i in perm])
+    b = evaluate_corpus([_CORPUS_CANDS[i] for i in perm],
+                        [_CORPUS_REFS[i] for i in perm]).cider
     assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_cider_needs_two_items():
-    with pytest.raises(ValueError):
-        cider(["a"], [["a"]])
+    with pytest.raises(ValueError, match="CIDEr"):
+        evaluate_corpus(["a"], [["a"]])
 
 
 # ---------------------------------------------------------------------------
@@ -245,30 +254,30 @@ _SENTENCE = st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join)
 _ITEM = st.tuples(_SENTENCE, st.lists(_SENTENCE, min_size=1, max_size=5))
 
 
-def _corpus(min_size):
-    return st.lists(_ITEM, min_size=min_size, max_size=6).map(
-        lambda items: ([c for c, _ in items], [rs for _, rs in items]))
+_CORPUS = st.lists(_ITEM, min_size=2, max_size=6).map(
+    lambda items: ([c for c, _ in items], [rs for _, rs in items]))
 
 
 @settings(max_examples=150, deadline=None)
-@given(_corpus(2))
+@given(_CORPUS)
 def test_evaluate_corpus_matches_pre_rewrite_oracle(corpus):
     cands, refs = corpus
     assert (evaluate_corpus(cands, refs).to_json()
             == ref.evaluate_corpus(cands, refs).to_json())
-    assert (cider(cands, refs, return_per_item=True)
-            == ref.cider(cands, refs, return_per_item=True))
 
 
 @settings(max_examples=100, deadline=None)
-@given(_corpus(1))
+@given(_CORPUS)
 def test_bleu_and_rouge_match_pre_rewrite_oracle(corpus):
+    """Each BLEU and ROUGE-L score of the report against the oracle's own
+    scorer for it."""
     cands, refs = corpus
-    for n in range(1, 5):
-        assert bleu_n(cands, refs, n) == ref.bleu_n(cands, refs, n)
-    assert rouge_l(cands, refs) == ref.rouge_l(cands, refs)
-    for c, rs in zip(cands, refs):
-        assert rouge_l_sentence(c, rs) == ref.rouge_l_sentence(c, rs)
+    report = evaluate_corpus(cands, refs)
+    assert report.bleu == [ref.bleu_n(cands, refs, n) for n in range(1, 5)]
+    assert report.rouge_l == ref.rouge_l(cands, refs)
+    for item, c, rs in zip(report.per_item, cands, refs):
+        assert item["bleu1"] == ref.bleu_n([c], [rs], 1)
+        assert item["rouge_l"] == ref.rouge_l_sentence(c, rs)
 
 
 def test_oracle_corpora_cover_the_edge_cases():

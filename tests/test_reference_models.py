@@ -10,7 +10,7 @@ from ragcap.errors import NumericError
 from ragcap.reference_models import (BOS, EOS, PAD, SEP, UNK,
                                      SyntheticDatasetSpec,
                                      TinyAudioExtractor, TinyCausalLm,
-                                     TinyTokenizer, build_tiny_lm,
+                                     TinyTokenizer,
                                      generate_synthetic_dataset)
 from ragcap.similarity import bertscore
 
@@ -42,21 +42,21 @@ def test_tokenizer_vocabulary_is_sorted_and_stable():
 # ---------------------------------------------------------------------------
 
 def test_same_seed_bitwise_identical_weights():
-    a = build_tiny_lm(7, vocab_size=20)
-    b = build_tiny_lm(7, vocab_size=20)
+    a = TinyCausalLm(20, seed=7)
+    b = TinyCausalLm(20, seed=7)
     assert a.weight_hash() == b.weight_hash()
-    assert a.weight_hash() != build_tiny_lm(8, vocab_size=20).weight_hash()
+    assert a.weight_hash() != TinyCausalLm(20, seed=8).weight_hash()
 
 
 def test_features_shape_and_determinism():
-    lm = build_tiny_lm(7, vocab_size=20, d_model=16)
+    lm = TinyCausalLm(20, d_model=16, seed=7)
     f = lm.features([BOS, 5, 6])
     assert f.shape == (3, 16)
     np.testing.assert_array_equal(f, lm.features([BOS, 5, 6]))
 
 
 def test_features_batch_matches_single_sequences():
-    lm = build_tiny_lm(7, vocab_size=20, d_model=16)
+    lm = TinyCausalLm(20, d_model=16, seed=7)
     batch = lm.features([[BOS, 5, 6, 7], [BOS, 8, PAD, PAD]])
     assert batch.shape == (2, 4, 16)
     np.testing.assert_allclose(batch[0], lm.features([BOS, 5, 6, 7]),
@@ -66,14 +66,14 @@ def test_features_batch_matches_single_sequences():
 
 
 def test_causal_prefix_property():
-    lm = build_tiny_lm(7, vocab_size=20)
+    lm = TinyCausalLm(20, seed=7)
     short = lm.features([BOS, 5, 6])
     long = lm.features([BOS, 5, 6, 7, 8])
     np.testing.assert_allclose(long[:3], short, atol=1e-12)
 
 
 def test_lm_rejects_bad_tokens():
-    lm = build_tiny_lm(7, vocab_size=20)
+    lm = TinyCausalLm(20, seed=7)
     with pytest.raises(ValueError):
         lm.features([BOS, 25])
     with pytest.raises(ValueError):
@@ -81,24 +81,33 @@ def test_lm_rejects_bad_tokens():
 
 
 def test_head_matrix_tied_to_embedding():
-    lm = build_tiny_lm(7, vocab_size=20, d_model=16)
+    lm = TinyCausalLm(20, d_model=16, seed=7)
     np.testing.assert_array_equal(lm.head_matrix(), lm.emb.data.T)
     assert lm.head_matrix().shape == (16, 20)
 
 
+def _frozen(lm) -> bool:
+    return all(not p.requires_grad and p.grad is None
+               for _, p in lm.named_params())
+
+
+def _pretrained(seqs, epochs):
+    lm = TinyCausalLm(20, seed=7)
+    lm.pretrain(seqs, epochs=epochs)
+    return lm
+
+
 def test_pretraining_changes_weights_then_freezes():
     seqs = [[5, 6, 7], [6, 7, 8], [5, 8]]
-    plain = build_tiny_lm(7, vocab_size=20)
-    trained = build_tiny_lm(7, vocab_size=20, pretrain_seqs=seqs,
-                            pretrain_epochs=3)
+    plain = TinyCausalLm(20, seed=7)
+    assert _frozen(plain)  # built frozen
+    trained = _pretrained(seqs, 3)
     assert plain.weight_hash() != trained.weight_hash()
-    assert trained.frozen
-    with pytest.raises(RuntimeError):
-        trained.pretrain(seqs)
+    assert _frozen(trained)  # and frozen again after pretraining
     # pretraining is deterministic
-    again = build_tiny_lm(7, vocab_size=20, pretrain_seqs=seqs,
-                          pretrain_epochs=3)
-    assert trained.weight_hash() == again.weight_hash()
+    assert trained.weight_hash() == _pretrained(seqs, 3).weight_hash()
+    # zero epochs keep the built weights
+    assert _pretrained(seqs, 0).weight_hash() == plain.weight_hash()
 
 
 def test_pretraining_raises_on_nonfinite_loss_before_stepping():
@@ -111,6 +120,7 @@ def test_pretraining_raises_on_nonfinite_loss_before_stepping():
         lm.pretrain(seqs, epochs=3)
     for name, p in lm.named_params():
         np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+    assert _frozen(lm)
 
 
 def _pretrain_peak_bytes(seqs, vocab_size, epochs):
@@ -183,9 +193,8 @@ def test_same_cluster_captions_more_similar(tmp_path):
     rows = generate_synthetic_dataset(spec, 8, 16, str(tmp_path))
     texts = [r.captions[0] for r in rows]
     tok = TinyTokenizer(texts)
-    lm = build_tiny_lm(7, tok.vocab_size,
-                       pretrain_seqs=[tok.encode(t) for t in texts],
-                       pretrain_epochs=10)
+    lm = TinyCausalLm(tok.vocab_size, seed=7)
+    lm.pretrain([tok.encode(t) for t in texts], epochs=10)
     embs = [lm.features(tok.encode(t)).T.copy() for t in texts]
     same, cross = [], []
     for i in range(len(rows)):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ragcap.similarity import (DegenerateSimilarityError, SimilarLabelMatrix,
-                               SimilarityMatrix, bertscore, label_similar,
-                               normalize_minmax, pairwise_similarity)
+                               bertscore, label_similar, normalize_minmax,
+                               pairwise_similarity)
 
 
 def stub_embed(token_ids, dim=8):
@@ -84,14 +84,14 @@ def test_bertscore_broadcast_matches_per_slice_calls(rng):
 def test_pairwise_symmetric_unit_diagonal():
     embs = [stub_embed(ids) for ids in ([0, 1], [0, 2], [3], [1, 2, 3])]
     m = pairwise_similarity(embs)
-    assert m.scores.shape == (4, 4)
-    np.testing.assert_array_equal(np.diag(m.scores), np.ones(4))
-    np.testing.assert_array_equal(m.scores, m.scores.T)
+    assert m.shape == (4, 4)
+    np.testing.assert_array_equal(np.diag(m), np.ones(4))
+    np.testing.assert_array_equal(m, m.T)
 
 
 def test_identical_captions_full_offdiagonal_score():
     m = pairwise_similarity([stub_embed([1, 2]), stub_embed([1, 2])])
-    assert m.scores[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert m[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pairwise_matches_per_pair_oracle(rng):
@@ -104,7 +104,7 @@ def test_pairwise_matches_per_pair_oracle(rng):
     for i in range(12):
         for j in range(i + 1, 12):
             want[i, j] = want[j, i] = bertscore(embs[i], embs[j])[2]
-    np.testing.assert_array_equal(m.scores, want)
+    np.testing.assert_array_equal(m, want)
 
 
 def test_pairwise_needs_two_captions():
@@ -122,21 +122,21 @@ def _sym(values):
     m[0, 1] = m[1, 0] = values[0]
     m[0, 2] = m[2, 0] = values[1]
     m[1, 2] = m[2, 1] = values[2]
-    return SimilarityMatrix(m)
+    return m
 
 
 def test_minmax_hand_example():
     out = normalize_minmax(_sym([0.2, 0.5, 0.8]))
-    assert out.scores[0, 1] == pytest.approx(0.0, abs=1e-12)
-    assert out.scores[0, 2] == pytest.approx(0.5, abs=1e-12)
-    assert out.scores[1, 2] == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_array_equal(np.diag(out.scores), np.ones(3))
+    assert out[0, 1] == pytest.approx(0.0, abs=1e-12)
+    assert out[0, 2] == pytest.approx(0.5, abs=1e-12)
+    assert out[1, 2] == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_array_equal(np.diag(out), np.ones(3))
 
 
 def test_minmax_idempotent():
     once = normalize_minmax(_sym([0.2, 0.5, 0.8]))
     twice = normalize_minmax(once)
-    np.testing.assert_allclose(twice.scores, once.scores, atol=1e-12)
+    np.testing.assert_allclose(twice, once, atol=1e-12)
 
 
 def test_minmax_preserves_order(rng):
@@ -144,9 +144,9 @@ def test_minmax_preserves_order(rng):
     raw = _sym(list(vals))
     out = normalize_minmax(raw)
     off = ~np.eye(3, dtype=bool)
-    assert np.all(np.argsort(raw.scores[off]) == np.argsort(out.scores[off]))
-    assert out.scores[off].min() == 0.0
-    assert out.scores[off].max() == 1.0
+    assert np.all(np.argsort(raw[off]) == np.argsort(out[off]))
+    assert out[off].min() == 0.0
+    assert out[off].max() == 1.0
 
 
 def test_minmax_degenerate_rejected():
@@ -155,15 +155,15 @@ def test_minmax_degenerate_rejected():
 
 
 def test_threshold_strictly_greater():
-    m = SimilarityMatrix(np.array([[1.0, 0.7], [0.7, 1.0]]))
+    m = np.array([[1.0, 0.7], [0.7, 1.0]])
     labels = label_similar(m, 0.7)
     assert not labels.labels[0, 1]  # exactly 0.70 is not similar
-    m2 = SimilarityMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    m2 = np.array([[1.0, 1.0], [1.0, 1.0]])
     assert label_similar(m2, 0.7).labels[0, 1]
 
 
 def test_threshold_diagonal_never_similar():
-    m = SimilarityMatrix(np.ones((3, 3)))
+    m = np.ones((3, 3))
     labels = label_similar(m, 0.0)
     assert not labels.labels.diagonal().any()
     off = ~np.eye(3, dtype=bool)
