@@ -322,15 +322,3 @@ def load_checkpoint(path: str, expected_config_hash: str | None = None):
                     metadata.get("config_hash"), expected_config_hash)
     return tensors, metadata
 
-
-def restore_params(named_params, tensors: dict[str, np.ndarray]):
-    """Copy archived values into live parameters, checking shapes."""
-    for name, p in named_params:
-        if name not in tensors:
-            raise ArchiveFormatError(f"checkpoint missing parameter {name!r}")
-        arr = tensors[name]
-        if arr.shape != p.data.shape:
-            raise ArchiveFormatError(
-                f"parameter {name!r} has shape {arr.shape}, "
-                f"expected {p.data.shape}")
-        p.data = arr.copy()

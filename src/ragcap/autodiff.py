@@ -299,18 +299,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def take_rows(table: Tensor, ids) -> Tensor:
-    """Row gather (embedding lookup) with scatter-add backward."""
-    ids = np.asarray(ids, dtype=np.int64)
-
-    def vjp(g):
-        z = np.zeros_like(table.data)
-        np.add.at(z, ids, g)
-        return (z,)
-
-    return _make(table.data[ids], (table,), vjp)
-
-
 def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """x @ W + b as one node that keeps one output array. It is the
     two-node composition bit for bit, forward and backward; the backward

@@ -63,19 +63,19 @@ def cmd_prepare_similarity(args) -> int:
     raw, norm, labels = pipeline.compute_similarity(items, tokenizer, lm, cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "similarity.ract")
-    pipeline.save_similarity(path, items, raw, norm, labels)
+    pipeline.save_similarity(path, items, raw, norm, labels,
+                             cfg.similarity_threshold)
     lm_path = os.path.join(args.out, pipeline.FROZEN_LM_FILE)
     pipeline.save_frozen_lm(lm_path, lm, captions, cfg)
-    log.info("wrote %s (%d captions, threshold %s) and %s", path, labels.n,
-             labels.threshold, lm_path)
+    log.info("wrote %s (%d captions, threshold %s) and %s", path, len(labels),
+             cfg.similarity_threshold, lm_path)
     return 0
 
 
 def cmd_train_retrieval(args) -> int:
     cfg = _load(args)
     items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
-    ids, _, labels = pipeline.load_similarity(args.labels)
-    pipeline.check_label_ids(items, ids)
+    _, labels = pipeline.load_similarity(args.labels, items)
     result, index = pipeline.run_train_retrieval(cfg, items, labels,
                                                  args.seed, args.out)
     log.info("best validation loss %s at epoch %d; index of %d items",
@@ -100,8 +100,7 @@ def cmd_retrieve(args) -> int:
 def cmd_train_decoder(args) -> int:
     cfg = _load(args)
     items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
-    ids, _, labels = pipeline.load_similarity(args.labels)
-    pipeline.check_label_ids(items, ids)
+    _, labels = pipeline.load_similarity(args.labels, items)
     tokenizer, lm = pipeline.load_frozen_lm(
         cfg, args.labels, pipeline.train_captions(items), args.manifest)
     result = pipeline.run_train_decoder(cfg, items, labels, lm, tokenizer,
@@ -123,8 +122,7 @@ def cmd_generate(args) -> int:
             raise ConfigError("--oracle-guidance needs --manifest and "
                               "--query-id")
         items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
-        ids, raw, _ = pipeline.load_similarity(args.oracle_guidance)
-        pipeline.check_label_ids(items, ids)
+        raw, _ = pipeline.load_similarity(args.oracle_guidance, items)
         pos = [i for i, it in enumerate(items) if it.id == args.query_id]
         if not pos:
             raise archive.ManifestError(f"unknown query id {args.query_id!r}")
@@ -184,8 +182,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("--scope needs --manifest and --labels")
     cfg = _load(args)
     items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
-    ids, raw, _ = pipeline.load_similarity(args.labels)
-    pipeline.check_label_ids(items, ids)
+    raw, _ = pipeline.load_similarity(args.labels, items)
     embedder = index = lm = tokenizer = dec_params = None
     if args.scope in ("i", "ii"):
         if not args.retrieval_checkpoint or not args.index:

@@ -45,7 +45,6 @@ class PipelineConfig:
     decoder_heads: int = 4
     decoder_max_len: int = 24
     generate_beam: int = 4
-    init_std: float = 0.02
     # model dims (desk-scale defaults; set the published large values when
     # ingesting real precomputed features)
     model_d_a: int = dataclasses.field(default=8,

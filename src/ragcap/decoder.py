@@ -27,7 +27,7 @@ from .errors import TrainingError
 from .layers import (NEG_INF, Adam, Linear, MultiHeadAttention,
                      ParamContainer, cosine_lr)
 from .reference_models import BOS, EOS, PAD, SEP, TinyCausalLm, TinyTokenizer
-from .similarity import SimilarLabelMatrix
+from .similarity import train_pools
 
 log = logging.getLogger("ragcap.decoder")
 
@@ -54,6 +54,8 @@ def pad_ids(seqs: list[list[int]]) -> np.ndarray:
 class DecoderParams(ParamContainer):
     """Trainable fusion blocks around the frozen LM."""
 
+    prefix = "decoder."
+
     def __init__(self, d_l: int, d_a: int, d_r: int, vocab: int, heads: int,
                  drop_p: float, rng: np.random.Generator, std: float = 0.02,
                  head_init: np.ndarray | None = None):
@@ -72,15 +74,6 @@ class DecoderParams(ParamContainer):
                                  f"expected {(d_l, vocab)}")
             self.lmhead.W.data = head_init.copy()
             self.lmhead.b.data = np.zeros(vocab)
-
-    def named_params(self, prefix: str = "decoder."):
-        out = self.fuse_mha.named_params(prefix + "fuse_mha.")
-        out += self.reduce_hyp.named_params(prefix + "reduce_hyp.")
-        out += self.reduce_audio.named_params(prefix + "reduce_audio.")
-        out += self.audio_mha.named_params(prefix + "audio_mha.")
-        out += self.expand.named_params(prefix + "expand.")
-        out += self.lmhead.named_params(prefix + "lmhead.")
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +174,15 @@ class DecoderTrainResult:
 
 
 def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
-                  items: list[DatasetItem], labels: SimilarLabelMatrix,
+                  items: list[DatasetItem], labels: np.ndarray,
                   cfg: PipelineConfig, seed: int) -> DecoderTrainResult:
     """Teacher-forced training with per-step random guidance selection.
 
     Guidance for each item is K captions drawn from its similar-labeled
     training captions, randomly selected and ordered each epoch (sampling
-    with replacement when fewer than K are available)."""
-    if labels.n != len(items):
+    with replacement when fewer than K are available). `labels` is the
+    (n, n) bool similar-caption matrix over `items`."""
+    if len(labels) != len(items):
         raise ShapeError("label matrix size does not match item count")
     train_idx = [i for i, it in enumerate(items) if it.split == "train"]
     valid_idx = [i for i, it in enumerate(items) if it.split == "valid"]
@@ -198,14 +192,14 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
     rng_init = np.random.default_rng([seed, 11])
     params = DecoderParams(lm.d_model, items[0].features.shape[0],
                            cfg.decoder_d_r, lm.vocab_size, cfg.decoder_heads,
-                           cfg.decoder_dropout, rng_init, cfg.init_std,
+                           cfg.decoder_dropout, rng_init,
                            head_init=lm.head_matrix())
     opt = Adam([p for _, p in params.named_params()])
     rng_sample = np.random.default_rng([seed, 12])
     rng_drop = np.random.default_rng([seed, 13])
 
     train = np.array(train_idx)
-    sim_of = {i: train[labels.train_pools(i, train)[0]]
+    sim_of = {i: train[train_pools(labels, i, train)[0]]
               for i in train_idx + valid_idx}
     usable = [i for i in train_idx if len(sim_of[i])]
     result = DecoderTrainResult(params=params)
@@ -251,6 +245,7 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
 
     best = params.snapshot()
     for epoch in range(cfg.decoder_epochs):
+        params.freeze(False)
         lr = cosine_lr(epoch, cfg.decoder_lr_period, cfg.decoder_lr_max,
                        cfg.decoder_lr_min)
         order = rng_sample.permutation(len(usable))
@@ -262,6 +257,7 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
                 batch_loss(chunk, guidance, True),
                 f"decoder loss at epoch {epoch}", lr))
         train_loss = float(np.mean(epoch_losses))
+        params.freeze(True)  # validation records no autodiff tape
         val_loss = (batch_loss(val_rows, val_guidance, False,
                                val_psi).item()
                     if val_rows else train_loss)

@@ -1,7 +1,8 @@
-"""Trainable blocks: linear maps, multi-head attention, a Transformer-encoder
-layer, inverted dropout, Adam, and the restarting cosine learning-rate
-schedule. All parameters are float64 Tensors initialized from a caller-owned
-numpy Generator so runs are bitwise reproducible.
+"""Trainable blocks: the ParamContainer protocol every model part shares,
+linear maps, multi-head attention, a Transformer-encoder layer, inverted
+dropout, Adam, and the restarting cosine learning-rate schedule. All
+parameters are float64 Tensors initialized from a caller-owned numpy
+Generator so runs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -22,17 +23,57 @@ def gaussian(rng: np.random.Generator, shape, std: float) -> Tensor:
 
 
 class ParamContainer:
-    """A model part whose trainable tensors come from `named_params()`;
-    snapshot/restore copy their values out and back in by name."""
+    """A model part. Its parameters are the Tensors it holds as attributes,
+    found by walking them in assignment order: a Tensor `x` is named `x`,
+    the parameters of a nested container `c` are named `c.<name>`, and
+    those of the i-th container in a list `l` `l<i>.<name>`. The class-level
+    `prefix` starts every name. snapshot/restore copy the values out and
+    back in by name; freeze switches their gradients off or on."""
+
+    prefix = ""
+
+    def named_params(self) -> list[tuple[str, Tensor]]:
+        out = []
+
+        def walk(prefix: str, part: ParamContainer):
+            for attr, value in vars(part).items():
+                if isinstance(value, Tensor):
+                    out.append((prefix + attr, value))
+                elif isinstance(value, ParamContainer):
+                    walk(f"{prefix}{attr}.", value)
+                elif isinstance(value, list):
+                    for i, item in enumerate(value):
+                        walk(f"{prefix}{attr}{i}.", item)
+
+        walk(self.prefix, self)
+        return out
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_params()}
 
     def restore(self, tensors: dict[str, np.ndarray]):
-        archive.restore_params(self.named_params(), tensors)
+        """Copy archived values into the parameters, checking shapes."""
+        for name, p in self.named_params():
+            if name not in tensors:
+                raise archive.ArchiveFormatError(
+                    f"checkpoint missing parameter {name!r}")
+            arr = tensors[name]
+            if arr.shape != p.data.shape:
+                raise archive.ArchiveFormatError(
+                    f"parameter {name!r} has shape {arr.shape}, "
+                    f"expected {p.data.shape}")
+            p.data = arr.copy()
+
+    def freeze(self, frozen: bool):
+        """Stop (frozen=True) or restart gradients for every parameter and
+        drop their gradients. A forward pass through frozen parameters
+        records no autodiff tape."""
+        for _, p in self.named_params():
+            p.requires_grad = not frozen
+            p.grad = None
 
 
-class Linear:
+class Linear(ParamContainer):
     """y = x @ W + b with W of shape (d_in, d_out)."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
@@ -45,11 +86,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return affine(as_tensor(x), self.W, self.b)
 
-    def named_params(self, prefix: str = ""):
-        return [(prefix + "W", self.W), (prefix + "b", self.b)]
 
-
-class LayerNorm:
+class LayerNorm(ParamContainer):
     """Last-axis layer normalization with learnable scale and shift."""
 
     def __init__(self, dim: int):
@@ -58,9 +96,6 @@ class LayerNorm:
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(as_tensor(x), self.gamma, self.beta)
-
-    def named_params(self, prefix: str = ""):
-        return [(prefix + "gamma", self.gamma), (prefix + "beta", self.beta)]
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -75,7 +110,7 @@ def _broadcasts_to(shape: tuple, target: tuple) -> bool:
         return False
 
 
-class MultiHeadAttention:
+class MultiHeadAttention(ParamContainer):
     """Scaled dot-product attention with `num_heads` heads.
 
     Query rows have dimension d_query, key/value rows d_kv; all heads
@@ -133,13 +168,8 @@ class MultiHeadAttention:
             query.shape[:-1] + (self.d_model,))
         return affine(merged, self.W_o, self.b_o)
 
-    def named_params(self, prefix: str = ""):
-        return [(prefix + name, getattr(self, name))
-                for name in ("W_q", "b_q", "W_k", "b_k", "W_v", "b_v",
-                             "W_o", "b_o")]
 
-
-class EncoderLayer:
+class EncoderLayer(ParamContainer):
     """Post-norm Transformer-encoder layer: self-attention + GELU feed-forward,
     each wrapped in a residual connection followed by layer normalization.
     Input and output feature dimension are equal."""
@@ -161,14 +191,6 @@ class EncoderLayer:
         mask = causal_mask(x.shape[-2]) if causal else None
         h = self.ln1(x + self.attn(x, x, mask))
         return self.ln2(h + self.ff2(self.ff1(h).gelu()))
-
-    def named_params(self, prefix: str = ""):
-        out = self.attn.named_params(prefix + "attn.")
-        out += self.ff1.named_params(prefix + "ff1.")
-        out += self.ff2.named_params(prefix + "ff2.")
-        out += self.ln1.named_params(prefix + "ln1.")
-        out += self.ln2.named_params(prefix + "ln2.")
-        return out
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator,

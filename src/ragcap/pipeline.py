@@ -19,8 +19,7 @@ from .data import DatasetItem
 from .errors import TrainingError
 from .metrics import EvalReport, evaluate_corpus
 from .reference_models import TinyCausalLm, TinyTokenizer
-from .similarity import (SimilarLabelMatrix, label_similar, normalize_minmax,
-                         pairwise_similarity)
+from .similarity import label_similar, normalize_minmax, pairwise_similarity
 
 log = logging.getLogger("ragcap.pipeline")
 
@@ -70,9 +69,9 @@ def save_frozen_lm(path: str, lm: TinyCausalLm,
         "kind": "frozen_lm", **lm_metadata(lm, caption_lists, cfg)})
 
 
-def _restore(path: str, named_params, tensors: dict[str, np.ndarray]):
+def _restore(path: str, part, tensors: dict[str, np.ndarray]):
     try:
-        archive.restore_params(named_params, tensors)
+        part.restore(tensors)
     except archive.ArchiveFormatError as e:
         raise archive.ArchiveFormatError(f"{path}: {e}") from None
 
@@ -96,7 +95,7 @@ def restore_frozen_lm(path: str, tensors: dict[str, np.ndarray], meta: dict,
             f"{path}: frozen LM was pretrained on other training captions "
             f"than those of {captions_from}")
     tokenizer, lm = build_frozen_models(caption_lists, cfg)
-    _restore(path, lm.named_params(), tensors)
+    _restore(path, lm, tensors)
     if lm.weight_hash() != meta["lm_weight_hash"]:
         raise archive.ArchiveFormatError(
             f"{path}: lm.* tensors do not match lm_weight_hash")
@@ -123,7 +122,8 @@ def load_frozen_lm(cfg: PipelineConfig, labels_path: str,
 
 def compute_similarity(items: list[DatasetItem], tokenizer: TinyTokenizer,
                        lm: TinyCausalLm, cfg: PipelineConfig):
-    """(raw, normalized, labels) over the primary caption of every item."""
+    """(raw, normalized, labels) over the primary caption of every item;
+    labels is the (n, n) bool similar-caption matrix."""
     raw = pairwise_similarity([
         lm.features(tokenizer.encode(it.caption)).T.copy() for it in items])
     norm = normalize_minmax(raw)
@@ -132,22 +132,23 @@ def compute_similarity(items: list[DatasetItem], tokenizer: TinyTokenizer,
 
 
 def save_similarity(path: str, items: list[DatasetItem],
-                    raw: np.ndarray, norm: np.ndarray,
-                    labels: SimilarLabelMatrix):
+                    raw: np.ndarray, norm: np.ndarray, labels: np.ndarray,
+                    threshold: float):
     archive.write_archive(path, {
         "scores_raw": raw,
         "scores_normalized": norm,
-        "labels": labels.labels.astype(np.float64),
+        "labels": labels.astype(np.float64),
     })
     archive.write_sidecar(path, {"ids": [it.id for it in items],
-                                 "threshold": labels.threshold})
+                                 "threshold": threshold})
 
 
 SIMILARITY_TENSORS = ("scores_raw", "scores_normalized", "labels")
 
 
-def load_similarity(path: str):
-    """Returns (ids, raw scores, SimilarLabelMatrix); checks
+def load_similarity(path: str, items: list[DatasetItem]):
+    """Returns (raw scores, (n, n) bool labels) over `items`, whose ids
+    must be those of the archive's sidecar, in order; checks
     scores_normalized."""
     tensors = archive.read_archive(path, require=SIMILARITY_TENSORS)
     side = archive.read_sidecar(path, ("ids", "threshold"))
@@ -157,14 +158,10 @@ def load_similarity(path: str):
             raise archive.ArchiveFormatError(
                 f"{path}: {name} has shape {tensors[name].shape}, expected "
                 f"({n}, {n}) for the {n} ids in its sidecar")
-    labels = SimilarLabelMatrix(tensors["labels"] > 0.5, side["threshold"])
-    return side["ids"], tensors["scores_raw"], labels
-
-
-def check_label_ids(items: list[DatasetItem], ids: list[str]):
-    if ids != [it.id for it in items]:
+    if side["ids"] != [it.id for it in items]:
         raise archive.ManifestError(
             "similarity archive ids do not match the manifest")
+    return tensors["scores_raw"], tensors["labels"] > 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +185,7 @@ def negatives_tsv(selections) -> str:
 
 
 def run_train_retrieval(cfg: PipelineConfig, items: list[DatasetItem],
-                        labels: SimilarLabelMatrix, seed: int, out_dir: str):
+                        labels: np.ndarray, seed: int, out_dir: str):
     result = retrieval.train_retrieval(items, labels, cfg, seed)
     os.makedirs(out_dir, exist_ok=True)
     meta = {"config_hash": config_hash(cfg), "seed": seed,
@@ -207,14 +204,16 @@ def run_train_retrieval(cfg: PipelineConfig, items: list[DatasetItem],
 
 
 def load_retrieval_params(cfg: PipelineConfig, path: str):
+    """(frozen embedder params, metadata) from a retrieval checkpoint."""
     tensors, meta = archive.load_checkpoint(path, config_hash(cfg))
     params = retrieval.EmbedderParams(cfg, np.random.default_rng(0))
-    _restore(path, params.named_params(), tensors)
+    _restore(path, params, tensors)
+    params.freeze(True)
     return params, meta
 
 
 def run_train_decoder(cfg: PipelineConfig, items: list[DatasetItem],
-                      labels: SimilarLabelMatrix, lm: TinyCausalLm,
+                      labels: np.ndarray, lm: TinyCausalLm,
                       tokenizer: TinyTokenizer, seed: int, out_dir: str):
     """Train the decoder and write decoder.ckpt, which also holds the frozen
     LM (lm.* tensors and hashes): with the training captions, all that
@@ -235,8 +234,8 @@ def run_train_decoder(cfg: PipelineConfig, items: list[DatasetItem],
 
 def load_decoder(cfg: PipelineConfig, path: str,
                  caption_lists: list[list[str]], captions_from: str):
-    """(tokenizer, lm, decoder params) from a decoder checkpoint; its frozen
-    LM is checked as in restore_frozen_lm."""
+    """(tokenizer, lm, decoder params), all frozen, from a decoder
+    checkpoint; its frozen LM is checked as in restore_frozen_lm."""
     tensors, meta = archive.load_checkpoint(path, config_hash(cfg))
     tokenizer, lm = restore_frozen_lm(path, tensors, meta, cfg, caption_lists,
                                       captions_from)
@@ -244,7 +243,8 @@ def load_decoder(cfg: PipelineConfig, path: str,
                                    lm.vocab_size, cfg.decoder_heads,
                                    cfg.decoder_dropout,
                                    np.random.default_rng(0))
-    _restore(path, params.named_params(), tensors)
+    _restore(path, params, tensors)
+    params.freeze(True)
     return tokenizer, lm, params
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import archive
-from .autodiff import Tensor, take_rows
+from .autodiff import Tensor
 from .layers import Adam, EncoderLayer, ParamContainer
 from .metrics import normalize_words
 
@@ -64,6 +64,8 @@ class TinyCausalLm(ParamContainer):
     representation, head_matrix() the (tied) token-prediction weights. It is
     built frozen, from seeded initial weights."""
 
+    prefix = "lm."
+
     def __init__(self, vocab_size: int, d_model: int = 32, num_layers: int = 2,
                  num_heads: int = 4, d_ff: int = 64, max_len: int = 128,
                  seed: int = 7):
@@ -73,9 +75,10 @@ class TinyCausalLm(ParamContainer):
         self.max_len = max_len
         self.emb = Tensor(rng.normal(0.0, EMB_STD, size=(vocab_size, d_model)))
         self.pos = POS_SCALE * sinusoidal_positions(max_len, d_model)
-        self.layers = [EncoderLayer(d_model, num_heads, d_ff, rng)
-                       for _ in range(num_layers)]
-        self.freeze()
+        # stored as lm.layer0.*, lm.layer1.*, ...
+        self.layer = [EncoderLayer(d_model, num_heads, d_ff, rng)
+                      for _ in range(num_layers)]
+        self.freeze(True)
 
     # -- forward -----------------------------------------------------------
 
@@ -86,8 +89,8 @@ class TinyCausalLm(ParamContainer):
             raise ValueError(f"sequence length {length} > max_len {self.max_len}")
         if np.any(ids < 0) or np.any(ids >= self.vocab_size):
             raise ValueError("token id out of vocabulary")
-        h = take_rows(self.emb, ids) + Tensor(self.pos[:length])
-        for layer in self.layers:
+        h = self.emb[ids] + Tensor(self.pos[:length])
+        for layer in self.layer:
             h = layer(h, causal=True)
         return h
 
@@ -103,12 +106,6 @@ class TinyCausalLm(ParamContainer):
         """Token-prediction weights (d_model, vocab), tied to the embedding."""
         return self.emb.data.T.copy()
 
-    def named_params(self, prefix: str = "lm."):
-        out = [(prefix + "emb", self.emb)]
-        for i, layer in enumerate(self.layers):
-            out += layer.named_params(f"{prefix}layer{i}.")
-        return out
-
     def weight_hash(self) -> int:
         import hashlib
         h = hashlib.sha256()
@@ -121,10 +118,8 @@ class TinyCausalLm(ParamContainer):
     def pretrain(self, token_seqs: list[list[int]], epochs: int):
         """`epochs` full-batch Adam steps of next-token prediction on the
         BOS-wrapped sequences; the LM is frozen again afterwards."""
-        params = [p for _, p in self.named_params()]
-        for p in params:
-            p.requires_grad = True
-        opt = Adam(params)
+        self.freeze(False)
+        opt = Adam([p for _, p in self.named_params()])
         # bucket by length so each bucket trains as one batch
         buckets: dict[int, list[list[int]]] = {}
         for seq in token_seqs:
@@ -156,12 +151,7 @@ class TinyCausalLm(ParamContainer):
                              f"LM pretraining loss at epoch {epoch}",
                              PRETRAIN_LR)
         finally:
-            self.freeze()
-
-    def freeze(self):
-        for _, p in self.named_params():
-            p.requires_grad = False
-            p.grad = None
+            self.freeze(True)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .config import PipelineConfig
 from .data import DatasetItem
 from .errors import SamplingError, TrainingError
 from .layers import Adam, EncoderLayer, ParamContainer, dropout
-from .similarity import SimilarLabelMatrix
+from .similarity import train_pools
 
 log = logging.getLogger("ragcap.retrieval")
 
@@ -30,15 +30,14 @@ log = logging.getLogger("ragcap.retrieval")
 class EmbedderParams(ParamContainer):
     """One encoder layer over the T time steps plus input dropout."""
 
+    prefix = "embedder."
+
     def __init__(self, cfg: PipelineConfig, rng: np.random.Generator):
         self.d_a = cfg.model_d_a
         self.t = cfg.model_t
         self.dropout = cfg.embed_dropout
         self.layer = EncoderLayer(cfg.model_d_a, cfg.embed_heads, cfg.embed_ff,
-                                  rng, cfg.init_std)
-
-    def named_params(self, prefix: str = "embedder."):
-        return self.layer.named_params(prefix + "layer.")
+                                  rng)
 
 
 def embed_batch(params: EmbedderParams, phis: np.ndarray,
@@ -131,14 +130,15 @@ class RetrievalTrainResult:
     best_val_loss: float = float("inf")
 
 
-def train_retrieval(items: list[DatasetItem], labels: SimilarLabelMatrix,
+def train_retrieval(items: list[DatasetItem], labels: np.ndarray,
                     cfg: PipelineConfig, seed: int) -> RetrievalTrainResult:
     """Triplet training of the embedder; keeps the best-validation weights.
 
-    `labels` is indexed by position in `items` (all splits); anchors,
-    positives, and negatives are drawn from the train split, validation
-    anchors from the valid split with fixed seeded triplets."""
-    if labels.n != len(items):
+    `labels`, the (n, n) bool similar-caption matrix, is indexed by
+    position in `items` (all splits); anchors, positives, and negatives are
+    drawn from the train split, validation anchors from the valid split
+    with fixed seeded triplets."""
+    if len(labels) != len(items):
         raise ShapeError("label matrix size does not match item count")
     train_idx = [i for i, it in enumerate(items) if it.split == "train"]
     valid_idx = [i for i, it in enumerate(items) if it.split == "valid"]
@@ -153,7 +153,7 @@ def train_retrieval(items: list[DatasetItem], labels: SimilarLabelMatrix,
     seqs = np.stack([it.features for it in items])  # (n, D_a, T)
     train = np.array(train_idx)
     # (similar, dissimilar) positions in `train`, for anchors of both splits
-    pools = {i: labels.train_pools(i, train) for i in train_idx + valid_idx}
+    pools = {i: train_pools(labels, i, train) for i in train_idx + valid_idx}
 
     # fixed seeded validation triplets
     rng_val = np.random.default_rng([seed, 4])
@@ -175,10 +175,14 @@ def train_retrieval(items: list[DatasetItem], labels: SimilarLabelMatrix,
 
     result = RetrievalTrainResult(params=params)
     best = params.snapshot()
+    # frozen outside the training steps: the mining and validation forwards
+    # and the returned embedder record no autodiff tape
+    params.freeze(True)
 
     for epoch in range(cfg.triplet_epochs):
         # offline mining distances from the epoch-start embeddings
         emb = embed_batch(params, seqs[train]).data  # rows in train order
+        params.freeze(False)
 
         order = rng_sample.permutation(len(train))
         epoch_losses = []
@@ -207,6 +211,7 @@ def train_retrieval(items: list[DatasetItem], labels: SimilarLabelMatrix,
         if not epoch_losses and epoch == 0:
             raise TrainingError("all anchors were skipped; nothing to train")
         train_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
+        params.freeze(True)
 
         if val_triplets:
             val_loss = float(batch_loss(val_triplets, training=False).data)

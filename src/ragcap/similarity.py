@@ -13,31 +13,11 @@ to one length would change the last bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 class DegenerateSimilarityError(ValueError):
     """All off-diagonal scores equal; min-max normalization undefined."""
-
-
-@dataclass
-class SimilarLabelMatrix:
-    labels: np.ndarray  # (n, n) bool; diagonal False
-    threshold: float
-
-    @property
-    def n(self) -> int:
-        return self.labels.shape[0]
-
-    def train_pools(self, i: int, train: np.ndarray):
-        """(similar, dissimilar) positions in `train`, the ascending item
-        positions of the training split, for item i; i is in neither."""
-        other = train != i
-        similar = self.labels[i, train]
-        return (np.flatnonzero(other & similar),
-                np.flatnonzero(other & ~similar))
 
 
 def bertscore(cand: np.ndarray, ref: np.ndarray):
@@ -97,10 +77,19 @@ def normalize_minmax(scores: np.ndarray) -> np.ndarray:
     return out
 
 
-def label_similar(scores: np.ndarray,
-                  threshold: float = 0.7) -> SimilarLabelMatrix:
-    """Strictly-greater thresholding of the (n, n) scores; the diagonal is
-    labeled not-similar."""
+def label_similar(scores: np.ndarray, threshold: float = 0.7) -> np.ndarray:
+    """The (n, n) bool labels: strictly-greater thresholding of the (n, n)
+    scores; the diagonal is labeled not-similar."""
     labels = scores > threshold
     np.fill_diagonal(labels, False)
-    return SimilarLabelMatrix(labels, threshold)
+    return labels
+
+
+def train_pools(labels: np.ndarray, i: int, train: np.ndarray):
+    """(similar, dissimilar) positions in `train`, the ascending item
+    positions of the training split, for item i of the (n, n) bool
+    `labels`; i is in neither."""
+    other = train != i
+    similar = labels[i, train]
+    return (np.flatnonzero(other & similar),
+            np.flatnonzero(other & ~similar))

@@ -34,8 +34,7 @@ from ragcap.reference_models import (BOS, SyntheticDatasetSpec, TinyCausalLm,
 from ragcap.retrieval import (EmbedderParams, RetrievalIndex, embed_batch,
                               retrieve_topk, select_semi_hard_negative,
                               triplet_loss)
-from ragcap.similarity import (SimilarLabelMatrix, bertscore, label_similar,
-                               normalize_minmax)
+from ragcap.similarity import bertscore, label_similar, normalize_minmax
 
 HERE = os.path.dirname(__file__)
 DESK_CFG = os.path.join(HERE, "..", "configs", "desk.cfg")
@@ -260,7 +259,7 @@ def test_criterion_03_equation_hand_examples(rng):
 
     # thresholding is strictly greater than 0.7
     pair = np.array([[1.0, 0.7], [0.7, 1.0]])
-    assert not label_similar(pair, 0.7).labels[0, 1]
+    assert not label_similar(pair, 0.7)[0, 1]
 
     # label smoothing 0 reduces to standard cross-entropy
     logits = Tensor(rng.normal(size=(3, 5)))
@@ -359,7 +358,7 @@ def test_criterion_07_decoder_overfit(tmp_path):
     tokenizer, lm = pipeline.build_frozen_models(captions, cfg)
     lm.pretrain([tokenizer.encode(c) for caps in captions for c in caps],
                 cfg.lm_pretrain_epochs)
-    labels = SimilarLabelMatrix(~np.eye(len(items), dtype=bool), 0.7)
+    labels = ~np.eye(len(items), dtype=bool)
 
     dcfg = dataclasses.replace(
         cfg, decoder_lambda=0.0, decoder_batch=8, decoder_epochs=200,
@@ -372,7 +371,7 @@ def test_criterion_07_decoder_overfit(tmp_path):
     exact = 0
     for i, it in enumerate(items):
         pool = sorted(j for j in range(len(items))
-                      if j != i and labels.labels[i, j])
+                      if j != i and labels[i, j])
         guidance = [items[j].caption for j in pool[:dcfg.retrieval_k]]
         [out] = decoder.generate_captions(lm, tokenizer, result.params,
                                           [it.features], [guidance], beam=4,

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from ragcap.archive import (ArchiveFormatError, ManifestError, ManifestRow,
                             atomic_write_bytes, load_checkpoint,
                             load_manifest, pack_archive, pack_checkpoint,
-                            read_archive, restore_params, save_checkpoint,
+                            read_archive, save_checkpoint,
                             unpack_archive, unpack_checkpoint, write_archive,
                             write_manifest)
-from ragcap.autodiff import Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +306,6 @@ def test_checkpoint_truncated_in_metadata_length(size):
             "truncated checkpoint: need 4 bytes for the metadata length at "
             f"byte 4, only {size - 4} available")):
         unpack_checkpoint(buf)
-
-
-def test_restore_params_checks_shapes():
-    p = Tensor(np.zeros((2, 2)), requires_grad=True)
-    with pytest.raises(ArchiveFormatError, match="missing"):
-        restore_params([("w", p)], {})
-    with pytest.raises(ArchiveFormatError, match="shape"):
-        restore_params([("w", p)], {"w": np.zeros(3)})
-    restore_params([("w", p)], {"w": np.ones((2, 2))})
-    np.testing.assert_array_equal(p.data, np.ones((2, 2)))
 
 
 def test_checkpoint_metadata_is_sorted_json(tmp_path):

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 import ragcap
-from ragcap import cli
+from ragcap import autodiff, cli, pipeline
 from ragcap.archive import (load_checkpoint, read_archive, save_checkpoint,
                            write_archive)
 from ragcap.cli import main
+from ragcap.config import load_config
+from ragcap.data import load_dataset
 from ragcap.reference_models import TinyCausalLm
 
 CONFIG = """\
@@ -139,6 +141,50 @@ def test_generate_oracle_guidance(ws, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["guidance"]) == 2
+
+
+def test_loaded_parts_are_frozen(ws):
+    cfg = load_config(ws["cfg"])
+    items = load_dataset(ws["manifest"], cfg.model_d_a, cfg.model_t)
+    embedder, _ = pipeline.load_retrieval_params(
+        cfg, os.path.join(ws["ret"], "retrieval.ckpt"))
+    _, lm, dec = pipeline.load_decoder(
+        cfg, os.path.join(ws["dec"], "decoder.ckpt"),
+        pipeline.train_captions(items), ws["manifest"])
+    for part in (embedder, lm, dec):
+        assert not any(p.requires_grad for _, p in part.named_params())
+
+
+def test_inference_records_no_tape(ws, monkeypatch, capsys):
+    """retrieve, generate and evaluate run on frozen parts only."""
+    taped = []
+    make = autodiff._make
+
+    def recording(*args):
+        out = make(*args)
+        taped.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(autodiff, "_make", recording)
+    feats = os.path.join(ws["data"], "features", "c00i005.ract")
+    ckpt = os.path.join(ws["ret"], "retrieval.ckpt")
+    index = os.path.join(ws["ret"], "index.ract")
+    dec = os.path.join(ws["dec"], "decoder.ckpt")
+    assert main(["retrieve", "--config", ws["cfg"], "--checkpoint", ckpt,
+                 "--index", index, "--query-features", feats]) == 0
+    assert main(["generate", "--config", ws["cfg"], "--checkpoint", dec,
+                 "--index", index, "--features", feats,
+                 "--retrieval-checkpoint", ckpt]) == 0
+    assert main(["generate", "--config", ws["cfg"], "--checkpoint", dec,
+                 "--index", index, "--features", feats,
+                 "--oracle-guidance", ws["labels"],
+                 "--manifest", ws["manifest"], "--query-id", "c00i005"]) == 0
+    for scope in ("i", "ii", "iii"):
+        assert main(["evaluate", "--config", ws["cfg"], "--scope", scope,
+                     "--manifest", ws["manifest"], "--labels", ws["labels"],
+                     "--retrieval-checkpoint", ckpt, "--index", index,
+                     "--decoder-checkpoint", dec]) == 0
+    assert taped and not any(taped)
 
 
 def test_evaluate_scope(ws, capsys, tmp_path):
@@ -503,6 +549,35 @@ def test_exit_3_lm_from_other_manifest(ws, tmp_path, caplog, other_manifest):
                  "--manifest", other_manifest, "--labels", ws["labels"],
                  "--decoder-checkpoint",
                  os.path.join(ws["dec"], "decoder.ckpt")]) == 3
+
+
+def test_exit_3_labels_of_other_items(ws, tmp_path, caplog):
+    """Every command that reads --labels checks its ids against the
+    manifest's."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(SPEC.replace('"items_per_cluster": 10',
+                                 '"items_per_cluster": 9'))
+    data = tmp_path / "data"
+    assert main(["make-dataset", "--config", ws["cfg"], "--spec", str(spec),
+                 "--out", str(data)]) == 0
+    manifest = str(data / "manifest.jsonl")
+    dec = os.path.join(ws["dec"], "decoder.ckpt")
+    train = ["--config", ws["cfg"], "--manifest", manifest,
+             "--labels", ws["labels"], "--seed", "0",
+             "--out", str(tmp_path / "out")]
+    for argv in (["train-retrieval", *train], ["train-decoder", *train],
+                 ["evaluate", "--config", ws["cfg"], "--scope", "iii",
+                  "--manifest", manifest, "--labels", ws["labels"],
+                  "--decoder-checkpoint", dec],
+                 ["generate", "--config", ws["cfg"], "--checkpoint", dec,
+                  "--index", os.path.join(ws["ret"], "index.ract"),
+                  "--features", str(data / "features" / "c00i000.ract"),
+                  "--oracle-guidance", ws["labels"], "--manifest", manifest,
+                  "--query-id", "c00i000"]):
+        caplog.clear()
+        assert main(argv) == 3, argv[0]
+        assert "similarity archive ids do not match the manifest" in (
+            caplog.text), argv[0]
 
 
 def test_exit_3_changed_lm_key(ws, tmp_path, caplog):

@@ -27,7 +27,6 @@ embed.dropout=0.3
 embed.ff=32
 embed.heads=4
 generate.beam=4
-init.std=0.02
 lm.ff=64
 lm.heads=4
 lm.layers=2
@@ -63,7 +62,6 @@ def test_published_defaults():
     assert cfg.decoder_dropout == 0.3
     assert cfg.decoder_d_r == 60
     assert cfg.generate_beam == 4
-    assert cfg.init_std == 0.02
 
 
 def test_load_config_overrides(tmp_path):
@@ -119,7 +117,7 @@ def test_resolved_text_covers_all_keys_sorted():
 
 def test_default_resolved_text_and_hash_are_pinned():
     assert resolved_text(PipelineConfig()) == DEFAULT_RESOLVED
-    assert config_hash(PipelineConfig()) == "01bc447761597acb"
+    assert config_hash(PipelineConfig()) == "f1956d7f744892d5"
 
 
 def test_every_field_is_read_outside_config():

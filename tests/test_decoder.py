@@ -15,7 +15,6 @@ from ragcap.decoder import (DecoderParams, _dropout_keep, beam_search,
 from ragcap.errors import NumericError
 from ragcap.reference_models import (BOS, EOS, PAD, SEP, TinyCausalLm,
                                      TinyTokenizer)
-from ragcap.similarity import SimilarLabelMatrix
 
 D_A, T = 3, 4
 
@@ -470,7 +469,7 @@ def make_training_setup(texts=TEXTS):
     for i in range(n):
         for j in range(n):
             lab[i, j] = i != j and texts[i].split()[1] == texts[j].split()[1]
-    return lm, tok, items, SimilarLabelMatrix(lab, 0.7)
+    return lm, tok, items, lab
 
 
 def test_train_decoder_runs_and_freezes_lm():
@@ -490,6 +489,24 @@ def test_train_decoder_runs_and_freezes_lm():
         if h["val_loss"] == result.best_val_loss)
     # pool sizes are 2 similar captions, below k=2 only after excluding self
     assert result.replacement_items > 0
+
+
+def test_train_decoder_validation_records_no_tape(monkeypatch):
+    lm, tok, items, labels = make_training_setup()
+    calls = []
+    logits = decoder.position_logits
+
+    def recording(*args):
+        out = logits(*args)
+        calls.append((args[6], out.requires_grad))  # (training, taped)
+        return out
+
+    monkeypatch.setattr(decoder, "position_logits", recording)
+    cfg = PipelineConfig(decoder_batch=4, decoder_epochs=2, decoder_d_r=4,
+                         decoder_heads=2, retrieval_k=2)
+    train_decoder(lm, tok, items, labels, cfg, seed=0)
+    assert {c for c, _ in calls} == {True, False}
+    assert all(training == taped for training, taped in calls)
 
 
 def test_train_decoder_deterministic():
@@ -546,14 +563,13 @@ def test_train_decoder_nonfinite_loss_raises():
 
 def test_train_decoder_skips_isolated_items():
     lm, tok, items, labels = make_training_setup()
-    lab = labels.labels.copy()
+    lab = labels.copy()
     lab[0, :] = False
     lab[:, 0] = False
     cfg = PipelineConfig(decoder_batch=4, decoder_epochs=1,
                          decoder_lr_max=1e-3, decoder_d_r=4, decoder_heads=2,
                          retrieval_k=2, decoder_dropout=0.0)
-    result = train_decoder(lm, tok, items, SimilarLabelMatrix(lab, 0.7),
-                           cfg, seed=0)
+    result = train_decoder(lm, tok, items, lab, cfg, seed=0)
     assert result.skipped_items == 1
 
 

@@ -1,13 +1,122 @@
+import ast
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
 
 from conftest import finite_diff_check, rand_tensor
+from ragcap.archive import ArchiveFormatError
 from ragcap.autodiff import ShapeError, Tensor
+from ragcap.config import PipelineConfig
+from ragcap.decoder import DecoderParams
 from ragcap.layers import (Adam, EncoderLayer, LayerNorm, Linear,
-                           MultiHeadAttention, causal_mask, cosine_lr,
-                           dropout, gaussian)
+                           MultiHeadAttention, ParamContainer, causal_mask,
+                           cosine_lr, dropout, gaussian)
+from ragcap.reference_models import TinyCausalLm
+from ragcap.retrieval import EmbedderParams
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "ragcap")
+
+
+# ---------------------------------------------------------------------------
+# parameter containers
+# ---------------------------------------------------------------------------
+
+class _Part(ParamContainer):
+    prefix = "part."
+
+    def __init__(self, rng):
+        self.w = gaussian(rng, (2,), 1.0)
+        self.width = 2  # not a Tensor: not a parameter
+        self.inner = Linear(2, 2, rng)
+        self.blocks = [LayerNorm(2), LayerNorm(2)]
+
+
+def test_walk_names_tensors_nested_parts_and_lists(rng):
+    part = _Part(rng)
+    assert [name for name, _ in part.named_params()] == [
+        "part.w", "part.inner.W", "part.inner.b",
+        "part.blocks0.gamma", "part.blocks0.beta",
+        "part.blocks1.gamma", "part.blocks1.beta"]
+    assert part.named_params()[3][1] is part.blocks[0].gamma
+
+
+ATTN = ["W_q", "b_q", "W_k", "b_k", "W_v", "b_v", "W_o", "b_o"]
+ENCODER = [f"attn.{n}" for n in ATTN] + [
+    "ff1.W", "ff1.b", "ff2.W", "ff2.b",
+    "ln1.gamma", "ln1.beta", "ln2.gamma", "ln2.beta"]
+
+
+def test_checkpoint_names_and_order_are_pinned(rng):
+    """The stored tensor names and their order, which is also Adam's
+    parameter order."""
+    lm = TinyCausalLm(10, num_layers=2)
+    assert [name for name, _ in lm.named_params()] == ["lm.emb"] + [
+        f"lm.layer{i}.{n}" for i in (0, 1) for n in ENCODER]
+    dec = DecoderParams(8, 3, 4, 10, 2, 0.0, rng)
+    assert [name for name, _ in dec.named_params()] == [
+        f"decoder.{n}" for n in
+        [f"fuse_mha.{n}" for n in ATTN]
+        + ["reduce_hyp.W", "reduce_hyp.b", "reduce_audio.W", "reduce_audio.b"]
+        + [f"audio_mha.{n}" for n in ATTN]
+        + ["expand.W", "expand.b", "lmhead.W", "lmhead.b"]]
+    emb = EmbedderParams(PipelineConfig(), rng)
+    assert [name for name, _ in emb.named_params()] == [
+        f"embedder.layer.{n}" for n in ENCODER]
+
+
+def test_only_param_container_defines_named_params():
+    owners = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        owners += [node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)
+                   and any(isinstance(d, ast.FunctionDef)
+                           and d.name == "named_params" for d in node.body)]
+    assert owners == ["ParamContainer"]
+
+
+def test_snapshot_restore_round_trip(rng):
+    part = _Part(rng)
+    saved = part.snapshot()
+    for _, p in part.named_params():
+        p.data = p.data + 1.0
+    part.restore(saved)
+    for name, p in part.named_params():
+        np.testing.assert_array_equal(p.data, saved[name])
+        assert p.data is not saved[name]
+
+
+def test_restore_checks_names_and_shapes(rng):
+    lin = Linear(2, 2, rng)
+    with pytest.raises(ArchiveFormatError,
+                       match="checkpoint missing parameter 'W'"):
+        lin.restore({})
+    with pytest.raises(ArchiveFormatError, match=r"parameter 'W' has shape "
+                       r"\(3,\), expected \(2, 2\)"):
+        lin.restore({"W": np.zeros(3), "b": np.zeros(2)})
+    lin.restore({"W": np.ones((2, 2)), "b": np.ones(2)})
+    np.testing.assert_array_equal(lin.W.data, np.ones((2, 2)))
+
+
+def test_frozen_part_records_no_tape(rng):
+    layer = EncoderLayer(4, 2, 8, rng)
+    x = Tensor(rng.normal(size=(3, 4)))
+    trainable = layer(x)
+    assert trainable.requires_grad
+    layer.freeze(True)
+    assert not any(p.requires_grad for _, p in layer.named_params())
+    frozen = layer(x)
+    assert not frozen.requires_grad and frozen._parents == ()
+    np.testing.assert_array_equal(frozen.data, trainable.data)
+    layer.freeze(False)
+    layer(x).sum().backward()
+    assert all(p.grad is not None for _, p in layer.named_params())
+    layer.freeze(True)
+    assert all(p.grad is None for _, p in layer.named_params())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from ragcap.retrieval import (EmbedderParams, RetrievalIndex, build_index,
                               embed_batch, retrieve_topk,
                               select_semi_hard_negative, sq_l2,
                               train_retrieval, triplet_loss)
-from ragcap.similarity import SimilarLabelMatrix
 
 D_A, T = 4, 5
 
@@ -43,7 +42,7 @@ def make_items(rng, n_clusters=2, per_cluster=8, noise=0.3):
     for i in range(n):
         for j in range(n):
             labels[i, j] = i != j and cluster_of[i] == cluster_of[j]
-    return items, SimilarLabelMatrix(labels, 0.7), cluster_of
+    return items, labels, cluster_of
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +315,31 @@ def test_logged_negatives_respect_semi_hard_rule(rng):
             assert sel.d_ap <= sel.d_an < sel.d_ap + cfg.triplet_margin
 
 
+def test_only_training_forwards_record_tape(rng, monkeypatch):
+    """Mining, validation and the index embed frozen parameters."""
+    items, labels, _ = make_items(rng)
+    calls = []
+    embed = retrieval.embed_batch
+
+    def recording(params, phis, rng=None, training=False):
+        out = embed(params, phis, rng, training)
+        calls.append((training, out.requires_grad))
+        return out
+
+    monkeypatch.setattr(retrieval, "embed_batch", recording)
+    result = train_retrieval(items, labels, make_cfg(
+        triplet_batch=8, triplet_epochs=2, triplet_lr=1e-3), seed=0)
+    build_index(result.params, items)
+    assert {c for c, _ in calls} == {True, False}
+    assert all(training == taped for training, taped in calls)
+
+
 def test_anchor_without_positives_is_skipped(rng):
     items, labels, _ = make_items(rng, per_cluster=4)
-    lab = labels.labels.copy()
+    lab = labels.copy()
     lab[0, :] = False  # item 0 has no similar partners
     lab[:, 0] = False
-    result = train_retrieval(items, SimilarLabelMatrix(lab, 0.7),
+    result = train_retrieval(items, lab,
                              make_cfg(triplet_batch=8, triplet_epochs=2,
                                       triplet_lr=1e-3, embed_dropout=0.0),
                              seed=0)
@@ -330,7 +348,7 @@ def test_anchor_without_positives_is_skipped(rng):
 
 def test_all_anchors_skipped_raises(rng):
     items, labels, _ = make_items(rng, per_cluster=3)
-    empty = SimilarLabelMatrix(np.zeros_like(labels.labels), 0.7)
+    empty = np.zeros_like(labels)
     with pytest.raises(TrainingError):
         train_retrieval(items, empty,
                         make_cfg(triplet_batch=8, triplet_epochs=1), seed=0)
@@ -349,7 +367,7 @@ def test_nonfinite_triplet_loss_raises(rng):
 
 def test_label_matrix_size_mismatch(rng):
     items, labels, _ = make_items(rng, per_cluster=3)
-    small = SimilarLabelMatrix(labels.labels[:-1, :-1], 0.7)
+    small = labels[:-1, :-1]
     with pytest.raises(ShapeError):
         train_retrieval(items, small, make_cfg(), seed=0)
 

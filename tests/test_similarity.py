@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ragcap.similarity import (DegenerateSimilarityError, SimilarLabelMatrix,
-                               bertscore, label_similar, normalize_minmax,
-                               pairwise_similarity)
+from ragcap.similarity import (DegenerateSimilarityError, bertscore,
+                               label_similar, normalize_minmax,
+                               pairwise_similarity, train_pools)
 
 
 def stub_embed(token_ids, dim=8):
@@ -157,31 +157,30 @@ def test_minmax_degenerate_rejected():
 def test_threshold_strictly_greater():
     m = np.array([[1.0, 0.7], [0.7, 1.0]])
     labels = label_similar(m, 0.7)
-    assert not labels.labels[0, 1]  # exactly 0.70 is not similar
+    assert not labels[0, 1]  # exactly 0.70 is not similar
     m2 = np.array([[1.0, 1.0], [1.0, 1.0]])
-    assert label_similar(m2, 0.7).labels[0, 1]
+    assert label_similar(m2, 0.7)[0, 1]
 
 
 def test_threshold_diagonal_never_similar():
     m = np.ones((3, 3))
     labels = label_similar(m, 0.0)
-    assert not labels.labels.diagonal().any()
+    assert not labels.diagonal().any()
     off = ~np.eye(3, dtype=bool)
-    assert labels.labels[off].all()
+    assert labels[off].all()
 
 
 def test_labels_symmetric_for_symmetric_scores(rng):
     vals = rng.uniform(size=3)
     labels = label_similar(normalize_minmax(_sym(list(vals))), 0.5)
-    np.testing.assert_array_equal(labels.labels, labels.labels.T)
+    np.testing.assert_array_equal(labels, labels.T)
 
 
 def test_train_pools_split_training_partners(rng):
     labels = rng.random((7, 7)) > 0.5
-    m = SimilarLabelMatrix(labels, 0.7)
     train = np.array([0, 2, 3, 5])
     for i in range(7):
-        similar, dissimilar = m.train_pools(i, train)
+        similar, dissimilar = train_pools(labels, i, train)
         want_sim = [k for k, j in enumerate(train) if j != i and labels[i, j]]
         want_dis = [k for k, j in enumerate(train)
                     if j != i and not labels[i, j]]
