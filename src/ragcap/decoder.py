@@ -289,7 +289,8 @@ def beam_search(lm: TinyCausalLm, params: DecoderParams, phis,
     item in one posterior call. Per item, beams end at EOS or at max_len;
     live beams are pruned by cumulative log-probability, the final ranking
     uses mean log-probability per emitted token. All ties break on the
-    token sequence itself, so decoding is deterministic.
+    token sequence itself, so decoding is deterministic. Each beam offers
+    only its own best `beam` non-EOS extensions: they hold every one kept.
 
     An item stops early once its best finished score lp / len is strictly
     greater than its best live lp divided by max_len. Every later candidate
@@ -320,11 +321,11 @@ def beam_search(lm: TinyCausalLm, params: DecoderParams, phis,
         for i in running:
             next_live = []
             for (toks, lp), row in zip(live[i], rows):
-                for v in range(len(row)):
-                    (finished[i] if v == EOS else next_live).append(
-                        (toks + (v,), lp + row[v]))
-                best_done[i] = max(best_done[i],
-                                   (lp + row[EOS]) / (len(toks) + 1))
+                s = lp + row
+                finished[i].append((toks + (EOS,), s[EOS]))
+                best_done[i] = max(best_done[i], s[EOS] / (len(toks) + 1))
+                next_live += [(toks + (v,), s[v]) for v in np.argsort(
+                    -s, kind="stable")[:beam + 1].tolist() if v != EOS]
             next_live.sort(key=lambda e: (-e[1], e[0]))
             live[i] = next_live[:beam]
         running = [i for i in running

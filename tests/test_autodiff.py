@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from conftest import finite_diff_check, rand_tensor
-from ragcap.autodiff import (GraphError, ShapeError, Tensor, _make, affine,
-                             as_tensor, layer_norm)
+from ragcap.autodiff import (GraphError, ShapeError, Tensor, _erf, _make,
+                             affine, as_tensor, layer_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +121,26 @@ def test_scaled_masked_softmax_is_the_composition_bitwise(rng, masked):
 
 
 def test_gelu_matches_erf_formula_bitwise(rng):
-    x = rng.normal(size=(4, 9)) * 3.0
-    want = x * (0.5 * (1.0 + erf(x * 0.7071067811865476)))
-    np.testing.assert_array_equal(Tensor(x).gelu().data, want)
+    """gelu's numpy erf is scipy's (Cephes) erf bit for bit: at scales from
+    1e-300 to 30, at special values, and with x / sqrt(2) on each side of
+    every branch edge of Cephes' erf and erfc."""
+    special = [0.0, 1.0, np.nextafter(1.0, 2.0), 8.0, np.inf, 5e-324]
+    x = np.concatenate([[*special, *np.negative(special), np.nan],
+                        *(rng.normal(size=20_000) * s for s in
+                          (1e-300, 1e-8, 0.3, 1.0, 3.0, 10.0, 30.0))])
+    # 1-d, 3-d and a transposed (Fortran-order) input
+    for x in (rng.permutation(x), x.reshape(-1, 1, 1),
+              x[13:].reshape(400, -1).T):
+        with np.errstate(invalid="ignore"):  # gelu(-inf) = -inf * 0
+            want = x * (0.5 * (1.0 + erf(x * 0.7071067811865476)))
+            np.testing.assert_array_equal(Tensor(x).gelu().data, want)
+
+    edges = [1.0, 8.0, math.sqrt(7.09782712893383996843E2), 27.0, np.inf]
+    u = np.array([np.nextafter(e, d) for e in edges for d in (0.0, e, 99.0)])
+    u = np.concatenate([u, -u, [np.nan, 1e200, -1e300, 1.7e308]])
+    got = u.copy()
+    _erf(got)
+    np.testing.assert_array_equal(got, erf(u))
 
 
 def test_log_softmax_consistent(rng):
@@ -185,6 +204,18 @@ def test_diamond_graph_grad(rng):
     y = rand_tensor(rng, (3,))
     ((y + y) * y).sum().backward()
     np.testing.assert_allclose(y.grad, 4 * y.data, atol=1e-12)
+
+
+def test_shared_gradient_views_are_not_written_in_place(rng):
+    # x + y hands x and y views of one gradient; adding x's share of x * y
+    # to its view must not reach y's
+    w, c = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    for swap in (False, True):
+        x, y = rand_tensor(rng, (3, 4)), rand_tensor(rng, (3, 4))
+        terms = [((x + y) * Tensor(w)).sum(), (x * y * Tensor(c)).sum()]
+        (terms[swap] + terms[not swap]).backward()
+        np.testing.assert_array_equal(x.grad, w + c * y.data)
+        np.testing.assert_array_equal(y.grad, w + c * x.data)
 
 
 def test_backward_requires_scalar():

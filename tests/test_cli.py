@@ -820,6 +820,16 @@ def test_train_retrieval_bitwise_across_openblas_threads(ws, tmp_path):
         assert a == b, fname
 
 
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(ragcap.__file__))
+    probe = ("import sys, ragcap.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
+
+
 def test_generate_deterministic_output(ws, capsys):
     feats = os.path.join(ws["data"], "features", "c00i003.ract")
     args = ["generate", "--config", ws["cfg"],

@@ -354,14 +354,16 @@ def test_beam_respects_max_len(lm, rng):
     assert 1 <= len(out) <= 4
 
 
-def full_length_beam(lm, params, phi, guidance, beam, max_len):
+def full_length_beam(lm, params, phi, guidance, beam, max_len,
+                     rows_of=posterior):
     """One item's beam search without the early stop: it runs all max_len
-    steps and force-finishes the live beams."""
+    steps, extends every beam by every token and force-finishes the live
+    beams. rows_of stands in for posterior."""
     psi_guidance = lm.features(guidance)
     live, finished = [((), 0.0)], []
     for _ in range(max_len):
-        p = posterior(lm, params, phi, guidance,
-                      [(BOS,) + toks for toks, _ in live], psi_guidance)
+        p = rows_of(lm, params, phi, guidance,
+                    [(BOS,) + toks for toks, _ in live], psi_guidance)
         next_live = []
         for (toks, lp), row in zip(live, np.log(np.maximum(p, 1e-300))):
             for v in range(len(row)):
@@ -422,6 +424,25 @@ def test_beam_early_stop_matches_full_length_search(monkeypatch):
             [full_length_beam(lm, params, phi, g, beam=2, max_len=8)]
         stopped += len(calls) < 8
     assert stopped > 0
+
+
+def test_beam_step_matches_full_expansion_on_tied_scores(monkeypatch):
+    """Each beam offers only its own best extensions; on rows full of tied
+    scores the search still keeps what expanding every token keeps."""
+    def tied_posterior(lm, params, phis, guidance, prefixes, psi_guidance):
+        p = np.array([np.random.default_rng([seed, *prefix]).integers(
+            1, 4, size=lm.vocab_size) for prefix in prefixes], dtype=float)
+        return p / p.sum(axis=1, keepdims=True)
+
+    monkeypatch.setattr(decoder, "posterior", tied_posterior)
+    for seed in range(20):
+        lm, params, rng = random_decoder(seed)
+        phi = rng.normal(size=(D_A, T))
+        for beam in (1, 2, 3, lm.vocab_size + 1):
+            assert beam_search(lm, params, [phi], [[5]], beam=beam,
+                               max_len=6) == \
+                [full_length_beam(lm, params, phi, [5], beam, max_len=6,
+                                  rows_of=tied_posterior)]
 
 
 def test_beam_search_one_features_call_per_step(lm, rng, monkeypatch):
