@@ -7,9 +7,10 @@ Gradients from repeated backward() calls accumulate.
 
 An affine map x @ W + b (`affine`) and an affine layer norm (`layer_norm`)
 are one node each, so each keeps one activation rather than one per
-primitive. A graph lives as long as its loss tensor, so the trainers pass
-each step's loss straight to `layers.Adam.minimize` and keep no reference
-to it: at most one step's graph is alive at a time.
+primitive. A graph lives as long as its loss tensor. The trainers hand
+`layers.Adam.minimize` a function that builds each step's loss, and only
+that step holds it: at most one step's graph is alive at a time. Only
+minimize lets a model part's parameters take gradients.
 """
 
 from __future__ import annotations
@@ -253,9 +254,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = as_tensor(other)
         a, b = self, other
@@ -271,9 +269,6 @@ class Tensor:
         return _make(a.data / b.data, (a, b),
                      lambda g: (_unbroadcast(g / b.data, a.shape),
                                 _unbroadcast(-g * a.data / (b.data ** 2), b.shape)))
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
 
     def __pow__(self, exponent: float):
         a = self

@@ -22,18 +22,17 @@ class DatasetItem:
         return self.captions[0]
 
 
-def read_features(path: str, d_a: int | None = None,
-                  t: int | None = None) -> np.ndarray:
+def read_features(path: str, d_a: int, t: int) -> np.ndarray:
     """The (D_a, T) `features` tensor of one feature archive, with its dims
     validated and non-finite values rejected."""
     feats = archive.read_archive(path, require=("features",))["features"]
     if feats.ndim != 2:
         raise archive.ArchiveFormatError(
             f"{path}: features must be 2-d, got {feats.shape}")
-    if d_a is not None and feats.shape[0] != d_a:
+    if feats.shape[0] != d_a:
         raise archive.ArchiveFormatError(
             f"{path}: expected D_a={d_a}, got {feats.shape[0]}")
-    if t is not None and feats.shape[1] != t:
+    if feats.shape[1] != t:
         raise archive.ArchiveFormatError(
             f"{path}: expected T={t}, got {feats.shape[1]}")
     if not np.all(np.isfinite(feats)):
@@ -41,8 +40,7 @@ def read_features(path: str, d_a: int | None = None,
     return feats
 
 
-def load_dataset(manifest_path: str, d_a: int | None = None,
-                 t: int | None = None) -> list[DatasetItem]:
+def load_dataset(manifest_path: str, d_a: int, t: int) -> list[DatasetItem]:
     """Load every manifest row and its checked feature archive."""
     return [DatasetItem(row.id, row.split,
                         read_features(row.feature_path, d_a, t), row.captions)

@@ -25,9 +25,9 @@ from .config import PipelineConfig
 from .data import DatasetItem
 from .errors import TrainingError
 from .layers import (NEG_INF, Adam, Linear, MultiHeadAttention,
-                     ParamContainer, cosine_lr)
+                     ParamContainer, best_of_epochs, cosine_lr)
 from .reference_models import BOS, EOS, PAD, SEP, TinyCausalLm, TinyTokenizer
-from .similarity import train_pools
+from .similarity import training_pools
 
 log = logging.getLogger("ragcap.decoder")
 
@@ -182,28 +182,20 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
     training captions, randomly selected and ordered each epoch (sampling
     with replacement when fewer than K are available). `labels` is the
     (n, n) bool similar-caption matrix over `items`."""
-    if len(labels) != len(items):
-        raise ShapeError("label matrix size does not match item count")
-    train_idx = [i for i, it in enumerate(items) if it.split == "train"]
-    valid_idx = [i for i, it in enumerate(items) if it.split == "valid"]
-    if not train_idx:
-        raise TrainingError("no training items")
-
+    train, valid, pools = training_pools(items, labels)
     rng_init = np.random.default_rng([seed, 11])
     params = DecoderParams(lm.d_model, items[0].features.shape[0],
                            cfg.decoder_d_r, lm.vocab_size, cfg.decoder_heads,
                            cfg.decoder_dropout, rng_init,
                            head_init=lm.head_matrix())
-    opt = Adam([p for _, p in params.named_params()])
+    opt = Adam(params)
     rng_sample = np.random.default_rng([seed, 12])
     rng_drop = np.random.default_rng([seed, 13])
 
-    train = np.array(train_idx)
-    sim_of = {i: train[train_pools(labels, i, train)[0]]
-              for i in train_idx + valid_idx}
-    usable = [i for i in train_idx if len(sim_of[i])]
+    sim_of = {i: train[similar] for i, (similar, _) in pools.items()}
+    usable = [i for i in train.tolist() if len(sim_of[i])]
     result = DecoderTrainResult(params=params)
-    result.skipped_items = len(train_idx) - len(usable)
+    result.skipped_items = len(train) - len(usable)
     if result.skipped_items:
         log.info("skipped %d items with no similar-labeled captions",
                  result.skipped_items)
@@ -238,38 +230,30 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
 
     # fixed seeded validation guidance
     rng_val = np.random.default_rng([seed, 14])
-    val_rows = [i for i in valid_idx if len(sim_of[i])]
+    val_rows = [i for i in valid if len(sim_of[i])]
     val_guidance = pad_ids([pick_refs(i, rng_val) for i in val_rows])
     val_psi = lm.features(val_guidance) if val_rows else None
     result.replacement_items = 0  # counting restarts with the training loop
 
-    best = params.snapshot()
-    for epoch in range(cfg.decoder_epochs):
-        params.freeze(False)
+    def run_epoch(epoch: int):
         lr = cosine_lr(epoch, cfg.decoder_lr_period, cfg.decoder_lr_max,
                        cfg.decoder_lr_min)
         order = rng_sample.permutation(len(usable))
-        epoch_losses = []
+        losses = []
         for start in range(0, len(usable), cfg.decoder_batch):
             chunk = [usable[k] for k in order[start:start + cfg.decoder_batch]]
             guidance = pad_ids([pick_refs(i, rng_sample) for i in chunk])
-            epoch_losses.append(opt.minimize(
-                batch_loss(chunk, guidance, True),
+            losses.append(opt.minimize(
+                lambda: batch_loss(chunk, guidance, True),
                 f"decoder loss at epoch {epoch}", lr))
-        train_loss = float(np.mean(epoch_losses))
-        params.freeze(True)  # validation records no autodiff tape
-        val_loss = (batch_loss(val_rows, val_guidance, False,
-                               val_psi).item()
-                    if val_rows else train_loss)
+        return lr, losses
 
-        result.history.append({"epoch": epoch, "train_loss": train_loss,
-                               "val_loss": val_loss, "lr": lr})
-        if val_loss < result.best_val_loss:
-            result.best_val_loss = val_loss
-            result.best_epoch = epoch
-            best = params.snapshot()
+    def val_loss():
+        return (batch_loss(val_rows, val_guidance, False, val_psi).item()
+                if val_rows else None)
 
-    params.restore(best)
+    result.history, result.best_epoch, result.best_val_loss = best_of_epochs(
+        opt, cfg.decoder_epochs, run_epoch, val_loss)
     return result
 
 

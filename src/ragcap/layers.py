@@ -1,8 +1,12 @@
 """Trainable blocks: the ParamContainer protocol every model part shares,
 linear maps, multi-head attention, a Transformer-encoder layer, inverted
-dropout, Adam, and the restarting cosine learning-rate schedule. All
-parameters are float64 Tensors initialized from a caller-owned numpy
-Generator so runs are bitwise reproducible.
+dropout, Adam, the best-validation epoch loop both trainers run, and the
+restarting cosine learning-rate schedule. All parameters are float64
+Tensors initialized from a caller-owned numpy Generator so runs are bitwise
+reproducible.
+
+Parts are built frozen: a forward pass through them records no autodiff
+tape. Only `Adam.minimize` unfreezes a part, for the one step it takes.
 """
 
 from __future__ import annotations
@@ -13,13 +17,13 @@ import numpy as np
 
 from . import archive
 from .autodiff import ShapeError, Tensor, affine, as_tensor, layer_norm
-from .errors import NumericError
+from .errors import NumericError, TrainingError
 
 NEG_INF = -1e30  # additive mask value; large enough to zero out softmax mass
 
 
 def gaussian(rng: np.random.Generator, shape, std: float) -> Tensor:
-    return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
+    return Tensor(rng.normal(0.0, std, size=shape))
 
 
 class ParamContainer:
@@ -28,7 +32,8 @@ class ParamContainer:
     the parameters of a nested container `c` are named `c.<name>`, and
     those of the i-th container in a list `l` `l<i>.<name>`. The class-level
     `prefix` starts every name. snapshot/restore copy the values out and
-    back in by name; freeze switches their gradients off or on."""
+    back in by name; freeze switches their gradients off or on, which only
+    Adam.minimize does."""
 
     prefix = ""
 
@@ -91,8 +96,8 @@ class LayerNorm(ParamContainer):
     """Last-axis layer normalization with learnable scale and shift."""
 
     def __init__(self, dim: int):
-        self.gamma = Tensor(np.ones(dim), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim), requires_grad=True)
+        self.gamma = Tensor(np.ones(dim))
+        self.beta = Tensor(np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(as_tensor(x), self.gamma, self.beta)
@@ -214,32 +219,34 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed parameter list; the caller gives
+    """Bias-corrected Adam over the parameters of one part; the caller gives
     the learning rate of each step."""
 
-    def __init__(self, params):
-        self.params = list(params)
+    def __init__(self, part: ParamContainer):
+        self.part = part
+        self.params = [p for _, p in part.named_params()]
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def minimize(self, loss: Tensor, what: str, lr: float) -> float:
-        """One training step at learning rate `lr` on the scalar `loss`:
-        backward, step and zero-grad. Returns the loss value; raises
-        NumericError, naming `what`, before touching a weight if it is not
-        finite. Callers pass the loss straight in and keep no reference to
-        it, so its graph is freed when the step returns."""
-        value = loss.item()
-        if not math.isfinite(value):
-            raise NumericError(f"non-finite {what}")
-        loss.backward()
-        self.step(lr)
-        self.zero_grad()
-        return value
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+    def minimize(self, loss_fn, what: str, lr: float) -> float:
+        """One training step at learning rate `lr` on the scalar loss that
+        `loss_fn()` builds with the part unfrozen: backward and step.
+        Returns the loss value; raises NumericError, naming `what`, before
+        touching a weight if it is not finite. However the step ends, the
+        part is frozen again and its gradients dropped, and the loss graph
+        is freed when the step returns."""
+        self.part.freeze(False)
+        try:
+            loss = loss_fn()
+            value = loss.item()
+            if not math.isfinite(value):
+                raise NumericError(f"non-finite {what}")
+            loss.backward()
+            self.step(lr)
+            return value
+        finally:
+            self.part.freeze(True)
 
     def step(self, lr: float):
         self.t += 1
@@ -255,3 +262,32 @@ class Adam:
             m_hat = self.m[i] / (1.0 - b1 ** self.t)
             v_hat = self.v[i] / (1.0 - b2 ** self.t)
             p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def best_of_epochs(opt: Adam, epochs: int, run_epoch, val_loss):
+    """Train opt's part for `epochs` epochs and keep the weights of the
+    epoch with the lowest validation loss, the first one on a tie.
+
+    `run_epoch(epoch)` takes the epoch's steps and returns (lr, their
+    losses); an epoch without a step has training loss 0.0, and a first
+    epoch without one raises TrainingError. `val_loss()` is the validation
+    loss of the current weights, or None without a validation set, when
+    the epoch's training loss stands in. Returns (history rows, best epoch,
+    best validation loss); the part ends at the best epoch's weights."""
+    history, best_epoch, best_loss = [], -1, float("inf")
+    best = opt.part.snapshot()
+    for epoch in range(epochs):
+        lr, losses = run_epoch(epoch)
+        if not losses and epoch == 0:
+            raise TrainingError("the first epoch took no training step; "
+                                "nothing to train")
+        train_loss = float(np.mean(losses)) if losses else 0.0
+        loss = val_loss()
+        if loss is None:
+            loss = train_loss
+        history.append({"epoch": epoch, "train_loss": train_loss,
+                        "val_loss": loss, "lr": lr})
+        if loss < best_loss:
+            best_epoch, best_loss, best = epoch, loss, opt.part.snapshot()
+    opt.part.restore(best)
+    return history, best_epoch, best_loss

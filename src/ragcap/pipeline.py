@@ -184,18 +184,25 @@ def negatives_tsv(selections) -> str:
     return "\n".join(lines) + "\n"
 
 
+def save_training(out_dir: str, kind: str, cfg: PipelineConfig, seed: int,
+                  result, tensors: dict[str, np.ndarray], meta: dict):
+    """Write <kind>.ckpt, the `tensors` with the run's metadata and `meta`,
+    and <kind>_curve.tsv, the per-epoch losses of the training `result`."""
+    os.makedirs(out_dir, exist_ok=True)
+    archive.save_checkpoint(os.path.join(out_dir, f"{kind}.ckpt"), tensors, {
+        "config_hash": config_hash(cfg), "seed": seed,
+        "epoch": result.best_epoch, "val_loss": result.best_val_loss,
+        "kind": kind, **meta})
+    archive.atomic_write_bytes(os.path.join(out_dir, f"{kind}_curve.tsv"),
+                               history_tsv(result.history).encode())
+
+
 def run_train_retrieval(cfg: PipelineConfig, items: list[DatasetItem],
                         labels: np.ndarray, seed: int, out_dir: str):
     result = retrieval.train_retrieval(items, labels, cfg, seed)
-    os.makedirs(out_dir, exist_ok=True)
-    meta = {"config_hash": config_hash(cfg), "seed": seed,
-            "epoch": result.best_epoch, "val_loss": result.best_val_loss,
-            "optimizer": "adam (published setup used adabound)",
-            "kind": "retrieval"}
-    archive.save_checkpoint(os.path.join(out_dir, "retrieval.ckpt"),
-                            result.params.snapshot(), meta)
-    archive.atomic_write_bytes(os.path.join(out_dir, "retrieval_curve.tsv"),
-                               history_tsv(result.history).encode())
+    save_training(out_dir, "retrieval", cfg, seed, result,
+                  result.params.snapshot(),
+                  {"optimizer": "adam (published setup used adabound)"})
     archive.atomic_write_bytes(os.path.join(out_dir, "negatives.tsv"),
                                negatives_tsv(result.negative_log).encode())
     index = retrieval.build_index(result.params, items)
@@ -208,7 +215,6 @@ def load_retrieval_params(cfg: PipelineConfig, path: str):
     tensors, meta = archive.load_checkpoint(path, config_hash(cfg))
     params = retrieval.EmbedderParams(cfg, np.random.default_rng(0))
     _restore(path, params, tensors)
-    params.freeze(True)
     return params, meta
 
 
@@ -219,16 +225,9 @@ def run_train_decoder(cfg: PipelineConfig, items: list[DatasetItem],
     LM (lm.* tensors and hashes): with the training captions, all that
     generation needs."""
     result = decoder.train_decoder(lm, tokenizer, items, labels, cfg, seed)
-    os.makedirs(out_dir, exist_ok=True)
-    meta = {"config_hash": config_hash(cfg), "seed": seed,
-            "epoch": result.best_epoch, "val_loss": result.best_val_loss,
-            "kind": "decoder",
-            **lm_metadata(lm, train_captions(items), cfg)}
-    archive.save_checkpoint(os.path.join(out_dir, "decoder.ckpt"),
-                            {**result.params.snapshot(), **lm.snapshot()},
-                            meta)
-    archive.atomic_write_bytes(os.path.join(out_dir, "decoder_curve.tsv"),
-                               history_tsv(result.history).encode())
+    save_training(out_dir, "decoder", cfg, seed, result,
+                  {**result.params.snapshot(), **lm.snapshot()},
+                  lm_metadata(lm, train_captions(items), cfg))
     return result
 
 
@@ -244,7 +243,6 @@ def load_decoder(cfg: PipelineConfig, path: str,
                                    cfg.decoder_dropout,
                                    np.random.default_rng(0))
     _restore(path, params, tensors)
-    params.freeze(True)
     return tokenizer, lm, params
 
 

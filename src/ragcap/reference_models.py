@@ -1,10 +1,11 @@
 """Deterministic stand-ins for the frozen pretrained models.
 
 - TinyTokenizer: word-level vocabulary built from the training captions.
-- TinyCausalLm: a small causal Transformer LM, frozen when built;
-  pretrain() trains it for a fixed budget on the training captions and
-  freezes it again. It serves both as the frozen language model for the
-  decoder and as the text encoder behind the caption-similarity scores.
+- TinyCausalLm: a small causal Transformer LM, frozen like every part;
+  pretrain() trains it for a fixed budget on the training captions, each
+  Adam step unfreezing it for that step only. It serves both as the frozen
+  language model for the decoder and as the text encoder behind the
+  caption-similarity scores.
 - TinyAudioExtractor: a frozen seeded generator standing in for a pretrained
   audio feature extractor.
 - generate_synthetic_dataset: clustered audio features with
@@ -78,7 +79,6 @@ class TinyCausalLm(ParamContainer):
         # stored as lm.layer0.*, lm.layer1.*, ...
         self.layer = [EncoderLayer(d_model, num_heads, d_ff, rng)
                       for _ in range(num_layers)]
-        self.freeze(True)
 
     # -- forward -----------------------------------------------------------
 
@@ -117,9 +117,8 @@ class TinyCausalLm(ParamContainer):
 
     def pretrain(self, token_seqs: list[list[int]], epochs: int):
         """`epochs` full-batch Adam steps of next-token prediction on the
-        BOS-wrapped sequences; the LM is frozen again afterwards."""
-        self.freeze(False)
-        opt = Adam([p for _, p in self.named_params()])
+        BOS-wrapped sequences."""
+        opt = Adam(self)
         # bucket by length so each bucket trains as one batch
         buckets: dict[int, list[list[int]]] = {}
         for seq in token_seqs:
@@ -145,13 +144,9 @@ class TinyCausalLm(ParamContainer):
                 total = ce if total is None else total + ce
             return total * (1.0 / n_pos)
 
-        try:
-            for epoch in range(epochs):
-                opt.minimize(epoch_loss(),
-                             f"LM pretraining loss at epoch {epoch}",
-                             PRETRAIN_LR)
-        finally:
-            self.freeze(True)
+        for epoch in range(epochs):
+            opt.minimize(epoch_loss, f"LM pretraining loss at epoch {epoch}",
+                         PRETRAIN_LR)
 
 
 # ---------------------------------------------------------------------------

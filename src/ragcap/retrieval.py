@@ -21,8 +21,8 @@ from .autodiff import ShapeError, Tensor
 from .config import PipelineConfig
 from .data import DatasetItem
 from .errors import SamplingError, TrainingError
-from .layers import Adam, EncoderLayer, ParamContainer, dropout
-from .similarity import train_pools
+from .layers import Adam, EncoderLayer, ParamContainer, best_of_epochs, dropout
+from .similarity import training_pools
 
 log = logging.getLogger("ragcap.retrieval")
 
@@ -138,27 +138,17 @@ def train_retrieval(items: list[DatasetItem], labels: np.ndarray,
     position in `items` (all splits); anchors, positives, and negatives are
     drawn from the train split, validation anchors from the valid split
     with fixed seeded triplets."""
-    if len(labels) != len(items):
-        raise ShapeError("label matrix size does not match item count")
-    train_idx = [i for i, it in enumerate(items) if it.split == "train"]
-    valid_idx = [i for i, it in enumerate(items) if it.split == "valid"]
-    if not train_idx:
-        raise TrainingError("no training items")
-
+    train, valid, pools = training_pools(items, labels)
     params = EmbedderParams(cfg, np.random.default_rng([seed, 1]))
-    opt = Adam([p for _, p in params.named_params()])
+    opt = Adam(params)
     rng_sample = np.random.default_rng([seed, 2])
     rng_drop = np.random.default_rng([seed, 3])
-
     seqs = np.stack([it.features for it in items])  # (n, D_a, T)
-    train = np.array(train_idx)
-    # (similar, dissimilar) positions in `train`, for anchors of both splits
-    pools = {i: train_pools(labels, i, train) for i in train_idx + valid_idx}
 
     # fixed seeded validation triplets
     rng_val = np.random.default_rng([seed, 4])
     val_triplets = []
-    for a in valid_idx:
+    for a in valid:
         pos, neg = pools[a]
         if len(pos) and len(neg):
             p = train[int(rng_val.choice(pos))]
@@ -174,18 +164,12 @@ def train_retrieval(items: list[DatasetItem], labels: np.ndarray,
                             cfg.triplet_margin).mean()
 
     result = RetrievalTrainResult(params=params)
-    best = params.snapshot()
-    # frozen outside the training steps: the mining and validation forwards
-    # and the returned embedder record no autodiff tape
-    params.freeze(True)
 
-    for epoch in range(cfg.triplet_epochs):
+    def run_epoch(epoch: int):
         # offline mining distances from the epoch-start embeddings
         emb = embed_batch(params, seqs[train]).data  # rows in train order
-        params.freeze(False)
-
         order = rng_sample.permutation(len(train))
-        epoch_losses = []
+        losses = []
         for start in range(0, len(order), cfg.triplet_batch):
             tri = []
             for a in order[start:start + cfg.triplet_batch]:
@@ -202,33 +186,21 @@ def train_retrieval(items: list[DatasetItem], labels: np.ndarray,
                     items[train[a]].id, items[train[n]].id, d_ap, d_an,
                     fallback))
                 tri.append((train[a], train[p], train[n]))
-            if not tri:
-                continue
-            epoch_losses.append(opt.minimize(
-                batch_loss(tri, training=True),
-                f"triplet loss at epoch {epoch}", cfg.triplet_lr))
+            if tri:
+                losses.append(opt.minimize(
+                    lambda: batch_loss(tri, training=True),
+                    f"triplet loss at epoch {epoch}", cfg.triplet_lr))
+        return cfg.triplet_lr, losses
 
-        if not epoch_losses and epoch == 0:
-            raise TrainingError("all anchors were skipped; nothing to train")
-        train_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
-        params.freeze(True)
+    def val_loss():
+        return (float(batch_loss(val_triplets, training=False).data)
+                if val_triplets else None)
 
-        if val_triplets:
-            val_loss = float(batch_loss(val_triplets, training=False).data)
-        else:
-            val_loss = train_loss
-
-        result.history.append({"epoch": epoch, "train_loss": train_loss,
-                               "val_loss": val_loss, "lr": cfg.triplet_lr})
-        if val_loss < result.best_val_loss:
-            result.best_val_loss = val_loss
-            result.best_epoch = epoch
-            best = params.snapshot()
-
+    result.history, result.best_epoch, result.best_val_loss = best_of_epochs(
+        opt, cfg.triplet_epochs, run_epoch, val_loss)
     if result.skipped_anchors:
         log.info("skipped %d anchors with empty positive or negative pools",
                  result.skipped_anchors)
-    params.restore(best)
     return result
 
 

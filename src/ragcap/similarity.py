@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .autodiff import ShapeError
+from .errors import TrainingError
+
 
 class DegenerateSimilarityError(ValueError):
     """All off-diagonal scores equal; min-max normalization undefined."""
@@ -93,3 +96,19 @@ def train_pools(labels: np.ndarray, i: int, train: np.ndarray):
     similar = labels[i, train]
     return (np.flatnonzero(other & similar),
             np.flatnonzero(other & ~similar))
+
+
+def training_pools(items, labels: np.ndarray):
+    """(train, valid, pools) for training on `items` (anything with a
+    `split`) against their (n, n) bool `labels`: the ascending positions of
+    the training split as an array and of the validation split as a list,
+    and the train_pools of every item of either split, by position."""
+    if len(labels) != len(items):
+        raise ShapeError("label matrix size does not match item count")
+    train = [i for i, it in enumerate(items) if it.split == "train"]
+    valid = [i for i, it in enumerate(items) if it.split == "valid"]
+    if not train:
+        raise TrainingError("no training items")
+    train_pos = np.array(train)
+    return train_pos, valid, {i: train_pools(labels, i, train_pos)
+                              for i in train + valid}

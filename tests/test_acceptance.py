@@ -98,6 +98,7 @@ def test_criterion_01_gradient_suite(rng):
         b, din, dout = rng.integers(1, 4), rng.integers(1, 6), \
             rng.integers(1, 6)
         lin = Linear(int(din), int(dout), rng, std=0.5)
+        lin.freeze(False)  # parts are built frozen
         x = rng.normal(size=(int(b), int(din)))
         finite_diff_check(lambda: sq_sum(lin(Tensor(x))),
                           [p for _, p in lin.named_params()], rel_tol=1e-4)
@@ -105,6 +106,7 @@ def test_criterion_01_gradient_suite(rng):
     for _ in range(5):  # LayerNorm
         b, d = rng.integers(1, 4), rng.integers(2, 6)
         ln = LayerNorm(int(d))
+        ln.freeze(False)
         x = rng.normal(size=(int(b), int(d)))
         finite_diff_check(lambda: sq_sum(ln(Tensor(x))),
                           [ln.gamma, ln.beta], rel_tol=1e-4)
@@ -114,6 +116,7 @@ def test_criterion_01_gradient_suite(rng):
         dq = heads * int(rng.integers(1, 3))
         lq = int(rng.integers(1, 4))
         mha = MultiHeadAttention(heads, dq, dq, dq, rng, std=0.5)
+        mha.freeze(False)
         q = rng.normal(size=(lq, dq))
         mask = causal_mask(lq) if trial % 2 else None
         finite_diff_check(
@@ -124,6 +127,7 @@ def test_criterion_01_gradient_suite(rng):
         heads = int(rng.choice([1, 2]))
         d = heads * 2
         enc = EncoderLayer(d, heads, int(rng.integers(2, 5)), rng, std=0.5)
+        enc.freeze(False)
         x = rng.normal(size=(int(rng.integers(1, 4)), d))
         finite_diff_check(lambda: sq_sum(enc(Tensor(x))),
                           [p for _, p in enc.named_params()], rel_tol=1e-4)
@@ -133,6 +137,7 @@ def test_criterion_01_gradient_suite(rng):
         params = EmbedderParams(
             PipelineConfig(model_d_a=d_a, model_t=t, embed_heads=1,
                            embed_ff=4, embed_dropout=0.0), rng)
+        params.freeze(False)
         phis = rng.normal(size=(3, d_a, t))
         finite_diff_check(
             lambda: triplet_loss(*np.split(embed_batch(params, phis), 3),
@@ -143,6 +148,7 @@ def test_criterion_01_gradient_suite(rng):
     for _ in range(5):  # decoder fusion path through smoothed cross-entropy
         dec = DecoderParams(lm.d_model, 3, 4, lm.vocab_size, heads=2,
                             drop_p=0.0, rng=rng, std=0.5)
+        dec.freeze(False)
         n = int(rng.integers(1, 4))
         prefix = [BOS] + [int(v) for v in rng.integers(0, 8, size=n)]
         phi = rng.normal(size=(3, int(rng.integers(1, 4))))
@@ -155,6 +161,7 @@ def test_criterion_01_gradient_suite(rng):
     for _ in range(5):  # the same path on a padded two-item batch
         dec = DecoderParams(lm.d_model, 3, 4, lm.vocab_size, heads=2,
                             drop_p=0.0, rng=rng, std=0.5)
+        dec.freeze(False)
         lengths = rng.integers(1, 5, size=2)
         prefixes = pad_ids([[BOS] + [int(v) for v in rng.integers(1, 8, n)]
                             for n in lengths])

@@ -100,6 +100,7 @@ def test_fuse_audio_shape_and_t1(lm, rng):
 
 def test_fuse_audio_gradients_reach_all_blocks(lm, rng):
     params = make_dec(lm, rng)
+    params.freeze(False)  # parts are built frozen
     psi = Tensor(rng.normal(size=(2, 3, lm.d_model)), requires_grad=True)
     out = position_logits(lm, params, rng.normal(size=(2, D_A, T)),
                           [[5, 6], [7, PAD]], [[BOS, 5, 6], [BOS, 7, PAD]],

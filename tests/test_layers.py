@@ -11,9 +11,10 @@ from ragcap.archive import ArchiveFormatError
 from ragcap.autodiff import ShapeError, Tensor
 from ragcap.config import PipelineConfig
 from ragcap.decoder import DecoderParams
+from ragcap.errors import NumericError, TrainingError
 from ragcap.layers import (Adam, EncoderLayer, LayerNorm, Linear,
-                           MultiHeadAttention, ParamContainer, causal_mask,
-                           cosine_lr, dropout, gaussian)
+                           MultiHeadAttention, ParamContainer, best_of_epochs,
+                           causal_mask, cosine_lr, dropout, gaussian)
 from ragcap.reference_models import TinyCausalLm
 from ragcap.retrieval import EmbedderParams
 
@@ -103,20 +104,83 @@ def test_restore_checks_names_and_shapes(rng):
 
 
 def test_frozen_part_records_no_tape(rng):
-    layer = EncoderLayer(4, 2, 8, rng)
-    x = Tensor(rng.normal(size=(3, 4)))
-    trainable = layer(x)
-    assert trainable.requires_grad
-    layer.freeze(True)
+    layer = EncoderLayer(4, 2, 8, rng)  # built frozen
     assert not any(p.requires_grad for _, p in layer.named_params())
+    x = Tensor(rng.normal(size=(3, 4)))
     frozen = layer(x)
     assert not frozen.requires_grad and frozen._parents == ()
-    np.testing.assert_array_equal(frozen.data, trainable.data)
-    layer.freeze(False)
-    layer(x).sum().backward()
-    assert all(p.grad is not None for _, p in layer.named_params())
-    layer.freeze(True)
-    assert all(p.grad is None for _, p in layer.named_params())
+    before = layer.snapshot()
+    weights = Tensor(rng.normal(size=(3, 4)))
+    taped = []
+
+    def loss():
+        out = layer(x)
+        taped.append(out.requires_grad)
+        np.testing.assert_array_equal(out.data, frozen.data)
+        return (out * weights).sum()
+
+    Adam(layer).minimize(loss, "loss", 1e-3)
+    assert taped == [True]  # trainable only inside the step
+    assert all(not p.requires_grad and p.grad is None
+               for _, p in layer.named_params())
+    assert all(np.any(p.data != before[name])
+               for name, p in layer.named_params())
+
+
+def _violations(tree, module: str) -> set[tuple[str, str, str]]:
+    """(module, enclosing def, kind) of every `.freeze(` call and every
+    assignment or keyword of `requires_grad` in `tree`."""
+    out = set()
+
+    def visit(node, where: str):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}".lstrip(".")
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "freeze"):
+                out.add((module, where, "freeze call"))
+            if isinstance(child, ast.keyword) and child.arg == "requires_grad":
+                out.add((module, where, "requires_grad keyword"))
+            targets = (child.targets if isinstance(child, ast.Assign)
+                       else [child.target]
+                       if isinstance(child, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            if any(isinstance(t, ast.Attribute) and t.attr == "requires_grad"
+                   for t in targets):
+                out.add((module, where, "requires_grad assignment"))
+            visit(child, inner)
+
+    visit(tree, "")
+    return out
+
+
+def test_only_layers_switches_gradients():
+    """Parts are built frozen; ParamContainer.freeze is the one place that
+    sets requires_grad and Adam.minimize the one place that calls it.
+    autodiff.py, which owns Tensor, sets the flag of the tensors it makes."""
+    found = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)
+        if module == "autodiff.py":
+            continue
+        with open(path, encoding="utf-8") as f:
+            found |= _violations(ast.parse(f.read(), path), module)
+    assert found == {
+        ("layers.py", "ParamContainer.freeze", "requires_grad assignment"),
+        ("layers.py", "Adam.minimize", "freeze call")}
+
+
+def test_gradient_rule_check_sees_each_kind():
+    tree = ast.parse("def f(t, part):\n"
+                     "    part.freeze(False)\n"
+                     "    t.requires_grad = True\n"
+                     "    return Tensor(0.0, requires_grad=True)\n")
+    assert _violations(tree, "m.py") == {
+        ("m.py", "f", "freeze call"),
+        ("m.py", "f", "requires_grad assignment"),
+        ("m.py", "f", "requires_grad keyword")}
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +189,7 @@ def test_frozen_part_records_no_tape(rng):
 
 def test_linear_shapes_and_gradcheck(rng):
     lin = Linear(4, 3, rng)
+    lin.freeze(False)  # parts are built frozen
     x = rand_tensor(rng, (5, 4))
     out = lin(x)
     assert out.shape == (5, 3)
@@ -139,6 +204,7 @@ def test_linear_rejects_wrong_dim(rng):
 
 def test_layernorm_affine_gradcheck(rng):
     ln = LayerNorm(6)
+    ln.freeze(False)
     ln.gamma.data = rng.normal(1.0, 0.1, size=6)
     ln.beta.data = rng.normal(0.0, 0.1, size=6)
     x = rand_tensor(rng, (4, 6))
@@ -233,6 +299,7 @@ def test_mha_batched_leading_dims(rng):
 
 def test_mha_gradcheck(rng):
     mha = MultiHeadAttention(2, 4, 3, 8, rng, std=0.3)
+    mha.freeze(False)
     q = rand_tensor(rng, (3, 4))
     kv = rand_tensor(rng, (5, 3))
     finite_diff_check(lambda: (mha(q, kv) ** 2.0).sum(),
@@ -262,6 +329,7 @@ def test_encoder_layer_permutation_equivariant(rng):
 
 def test_encoder_layer_gradcheck(rng):
     layer = EncoderLayer(4, 2, 8, rng, std=0.3)
+    layer.freeze(False)
     x = rand_tensor(rng, (3, 4))
     finite_diff_check(lambda: (layer(x) ** 2.0).sum(),
                       [p for _, p in layer.named_params()] + [x])
@@ -305,10 +373,17 @@ def test_cosine_lr_rejects_bad_period():
         cosine_lr(0, 0, 1e-4, 1e-6)
 
 
+class _One(ParamContainer):
+    """A part holding the one parameter p."""
+
+    def __init__(self, p: Tensor):
+        self.p = p
+
+
 def test_adam_zero_grad_keeps_params(rng):
     p = gaussian(rng, (3,), 1.0)
     before = p.data.copy()
-    opt = Adam([p])
+    opt = Adam(_One(p))
     opt.step(1e-4)
     np.testing.assert_array_equal(p.data, before)
 
@@ -316,14 +391,14 @@ def test_adam_zero_grad_keeps_params(rng):
 def test_adam_first_step_magnitude():
     p = Tensor(np.zeros(1), requires_grad=True)
     p.grad = np.ones(1)
-    Adam([p]).step(1e-4)
+    Adam(_One(p)).step(1e-4)
     # bias correction makes m_hat = g, v_hat = g^2 on step one
     assert p.data[0] == pytest.approx(-1e-4, rel=1e-6)
 
 
 def test_adam_matches_scalar_oracle():
     p = Tensor(np.array([2.0]), requires_grad=True)
-    opt = Adam([p])
+    opt = Adam(_One(p))
     theta, m, v, b1, b2, eps = 2.0, 0.0, 0.0, 0.9, 0.999, 1e-8
     for t in range(1, 6):
         g = 2.0 * theta  # gradient of theta^2
@@ -339,7 +414,7 @@ def test_adam_matches_scalar_oracle():
 def test_adam_respects_schedule_lr():
     p = Tensor(np.zeros(1), requires_grad=True)
     p.grad = np.ones(1)
-    opt = Adam([p])
+    opt = Adam(_One(p))
     opt.step(1e-3)
     assert p.data[0] == pytest.approx(-1e-3, rel=1e-6)
     opt.step(0.0)  # each step takes its own rate
@@ -350,4 +425,85 @@ def test_adam_shape_mismatch(rng):
     p = gaussian(rng, (3,), 1.0)
     p.grad = np.ones(4)
     with pytest.raises(ShapeError):
-        Adam([p]).step(1e-4)
+        Adam(_One(p)).step(1e-4)
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: Linear(3, 2, rng), lambda rng: LayerNorm(3),
+    lambda rng: EncoderLayer(4, 2, 8, rng), _Part])
+def test_minimize_leaves_part_frozen_and_unchanged_on_error(build, rng):
+    """A non-finite loss raises NumericError before backward or step, and
+    an error while the loss is built leaves the part as it found it too."""
+    part = build(rng)
+    opt = Adam(part)
+    before = part.snapshot()
+
+    def nonfinite():
+        for _, p in part.named_params():
+            assert p.requires_grad  # unfrozen while the loss is built
+        loss = sum((p * p).sum() for _, p in part.named_params())
+        return loss * np.inf
+
+    def broken():
+        (part.named_params()[0][1] * 2.0).sum().backward()  # a stray grad
+        raise ShapeError("broken loss")
+
+    with pytest.raises(NumericError, match="non-finite toy loss"):
+        opt.minimize(nonfinite, "toy loss", 1.0)
+    with pytest.raises(ShapeError, match="broken loss"):
+        opt.minimize(broken, "toy loss", 1.0)
+    assert opt.t == 0
+    for name, p in part.named_params():
+        assert not p.requires_grad and p.grad is None, name
+        np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# best-validation epoch loop
+# ---------------------------------------------------------------------------
+
+def _epochs(step_losses, val_losses, lr=0.5):
+    """best_of_epochs on a one-parameter part whose weight is set to the
+    epoch number in each epoch; returns (result, final weight)."""
+    part = _One(Tensor(np.array([-1.0])))
+
+    def run_epoch(epoch):
+        part.p.data = np.array([float(epoch)])
+        return lr, list(step_losses[epoch])
+
+    vals = iter(val_losses)
+    result = best_of_epochs(Adam(part), len(step_losses), run_epoch,
+                            lambda: next(vals))
+    return result, part.p.data[0]
+
+
+def test_best_of_epochs_keeps_first_best_and_restores_it():
+    (history, best_epoch, best_loss), weight = _epochs(
+        [[9.0], [9.0], [9.0], [9.0]], [3.0, 1.0, 1.0, 2.0])
+    assert (best_epoch, best_loss) == (1, 1.0)
+    assert weight == 1.0  # epoch 1's weights, not the last epoch's
+    assert history == [{"epoch": e, "train_loss": 9.0, "val_loss": v,
+                        "lr": 0.5} for e, v in enumerate([3.0, 1.0, 1.0, 2.0])]
+
+
+def test_best_of_epochs_without_validation_uses_training_loss():
+    (history, best_epoch, best_loss), weight = _epochs(
+        [[4.0, 2.0], [1.0, 2.0], [5.0]], [None, None, None])
+    assert [h["train_loss"] for h in history] == [3.0, 1.5, 5.0]
+    assert [h["val_loss"] for h in history] == [3.0, 1.5, 5.0]
+    assert (best_epoch, best_loss, weight) == (1, 1.5, 1.0)
+
+
+def test_best_of_epochs_empty_epochs():
+    with pytest.raises(TrainingError, match="first epoch took no training"):
+        _epochs([[], [1.0]], [None, None])
+    # a later epoch without a step has training loss 0.0
+    (history, best_epoch, _), weight = _epochs([[2.0], []], [None, None])
+    assert [h["train_loss"] for h in history] == [2.0, 0.0]
+    assert (best_epoch, weight) == (1, 1.0)
+
+
+def test_best_of_epochs_no_epoch_keeps_initial_weights():
+    (history, best_epoch, best_loss), weight = _epochs([], [])
+    assert (history, best_epoch, best_loss, weight) == (
+        [], -1, float("inf"), -1.0)

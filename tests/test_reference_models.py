@@ -228,16 +228,16 @@ def test_spec_from_file(tmp_path):
 # manifest is read by load_dataset
 # ---------------------------------------------------------------------------
 
-def ingest(tmp_path, name: str, d_a: int):
+def ingest(tmp_path, name: str, d_a: int, t: int):
     manifest = str(tmp_path / "manifest.jsonl")
     write_manifest(manifest, [ManifestRow("x", "train", name, ["a cap"])])
-    return load_dataset(manifest, d_a=d_a)[0].features
+    return load_dataset(manifest, d_a, t)[0].features
 
 
 def test_ingest_valid_audio_features(tmp_path, rng):
     write_archive(str(tmp_path / "vggish.ract"),
                   {"features": rng.normal(size=(128, 10))})
-    feats = ingest(tmp_path, "vggish.ract", 128)
+    feats = ingest(tmp_path, "vggish.ract", 128, 10)
     assert feats.shape == (128, 10)
 
 
@@ -245,7 +245,7 @@ def test_ingest_dim_mismatch(tmp_path, rng):
     write_archive(str(tmp_path / "f.ract"),
                   {"features": rng.normal(size=(64, 10))})
     with pytest.raises(ArchiveFormatError, match="128"):
-        ingest(tmp_path, "f.ract", 128)
+        ingest(tmp_path, "f.ract", 128, 10)
 
 
 def test_ingest_truncated_file_names_offset(tmp_path, rng):
@@ -254,7 +254,7 @@ def test_ingest_truncated_file_names_offset(tmp_path, rng):
     data = open(path, "rb").read()
     open(path, "wb").write(data[:-16])
     with pytest.raises(ArchiveFormatError, match=r"byte \d+"):
-        ingest(tmp_path, "f.ract", 4)
+        ingest(tmp_path, "f.ract", 4, 3)
 
 
 def test_ingest_rejects_nonfinite(tmp_path):
@@ -263,7 +263,7 @@ def test_ingest_rejects_nonfinite(tmp_path):
         bad[0, 0] = bad_value
         write_archive(str(tmp_path / "f.ract"), {"features": bad})
         with pytest.raises(ArchiveFormatError, match=r"f\.ract.*non-finite"):
-            ingest(tmp_path, "f.ract", 4)
+            ingest(tmp_path, "f.ract", 4, 3)
 
 
 def test_sep_bos_eos_distinct():

@@ -151,6 +151,7 @@ def test_triplet_loss_inactive_region_zero_grads():
 
 def test_triplet_gradcheck_through_embedder(rng):
     params = make_params(rng)
+    params.freeze(False)  # parts are built frozen
     phis = rng.normal(size=(3, D_A, T))
 
     def loss_fn():
