@@ -3,7 +3,9 @@
 Everything is 64-bit, single-threaded and deterministic.
 In-place arithmetic only touches arrays the same operation just allocated.
 Shapes broadcast like numpy; matmul supports stacked (batched) operands.
-Gradients from repeated backward() calls accumulate.
+Gradients from repeated backward() calls accumulate. A Tensor is made
+without gradients; only an operation on one that has them, or
+`layers.ParamContainer.freeze`, sets `requires_grad`.
 
 An affine map x @ W + b (`affine`) and an affine layer norm (`layer_norm`)
 are one node each, so each keeps one activation rather than one per
@@ -30,6 +32,7 @@ class GraphError(RuntimeError):
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
+LN_EPS = 1e-5  # added to layer_norm's variance
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
 # erfc(x) = exp(-x^2) P(x) / Q(x) for 1 < x < 8, exp(-x^2) R(x) / S(x) above.
@@ -149,10 +152,10 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = bool(requires_grad)
+        self.requires_grad = False
         self._parents = ()
         self._vjp = None
 
@@ -421,15 +424,14 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     return _make(out, (x, W, b), vjp)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale by
     `gamma` and shift by `beta`, as one node. It is the composition
     xhat * gamma + beta bit for bit, forward and backward."""
     n = x.shape[-1]
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     var = np.square(xhat).sum(axis=-1, keepdims=True) / n  # np.var's steps
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     out = xhat * gamma.data
     out += beta.data

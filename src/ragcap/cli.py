@@ -60,10 +60,10 @@ def cmd_prepare_similarity(args) -> int:
     tokenizer, lm = pipeline.build_frozen_models(captions, cfg)
     lm.pretrain([tokenizer.encode(c) for caps in captions for c in caps],
                 cfg.lm_pretrain_epochs)
-    raw, norm, labels = pipeline.compute_similarity(items, tokenizer, lm, cfg)
+    raw, labels = pipeline.compute_similarity(items, tokenizer, lm, cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "similarity.ract")
-    pipeline.save_similarity(path, items, raw, norm, labels,
+    pipeline.save_similarity(path, items, raw, labels,
                              cfg.similarity_threshold)
     lm_path = os.path.join(args.out, pipeline.FROZEN_LM_FILE)
     pipeline.save_frozen_lm(lm_path, lm, captions, cfg)
@@ -85,7 +85,7 @@ def cmd_train_retrieval(args) -> int:
 
 def cmd_retrieve(args) -> int:
     cfg = _load(args)
-    embedder, _ = pipeline.load_retrieval_params(cfg, args.checkpoint)
+    embedder = pipeline.load_retrieval_params(cfg, args.checkpoint)
     if args.k is not None:  # after the checkpoint's config check
         cfg = dataclasses.replace(cfg, retrieval_k=args.k)
     index = retrieval.RetrievalIndex.load(args.index)
@@ -132,7 +132,7 @@ def cmd_generate(args) -> int:
         if not args.retrieval_checkpoint:
             raise ConfigError("--retrieval-checkpoint is required unless "
                               "--oracle-guidance is given")
-        embedder, _ = pipeline.load_retrieval_params(
+        embedder = pipeline.load_retrieval_params(
             cfg, args.retrieval_checkpoint)
         [guidance] = pipeline.retrieved_guidance(
             embedder, index, phi[None], cfg.retrieval_k, [args.exclude])
@@ -188,7 +188,7 @@ def cmd_evaluate(args) -> int:
         if not args.retrieval_checkpoint or not args.index:
             raise ConfigError(f"scope {args.scope} needs "
                               "--retrieval-checkpoint and --index")
-        embedder, _ = pipeline.load_retrieval_params(
+        embedder = pipeline.load_retrieval_params(
             cfg, args.retrieval_checkpoint)
         index = retrieval.RetrievalIndex.load(args.index)
     if args.scope in ("i", "iii"):
@@ -197,7 +197,7 @@ def cmd_evaluate(args) -> int:
         tokenizer, lm, dec_params = pipeline.load_decoder(
             cfg, args.decoder_checkpoint, pipeline.train_captions(items),
             args.manifest)
-    candidates, _, eval_ids, report = pipeline.evaluate_scope(
+    candidates, eval_ids, report = pipeline.evaluate_scope(
         args.scope, cfg, items, args.split, embedder, index, lm, tokenizer,
         dec_params, scores=raw)
     sys.stdout.write(report.table())

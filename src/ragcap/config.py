@@ -64,9 +64,11 @@ class PipelineConfig:
         if not self.triplet_margin > 0:
             raise ConfigError(
                 f"triplet.margin must be > 0, got {self.triplet_margin!r}")
-        if not 0.0 <= self.decoder_lambda < 1.0:
-            raise ConfigError("decoder.lambda (label smoothing) must be in "
-                              f"[0, 1), got {self.decoder_lambda!r}")
+        # label smoothing and dropout rates
+        for key in ("decoder.lambda", "embed.dropout", "decoder.dropout"):
+            value = getattr(self, KEY_TO_FIELD[key])
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"{key} must be in [0, 1), got {value!r}")
         for key in ("decoder.lr_period", "decoder.max_len", "generate.beam",
                     "retrieval.K", "triplet.batch", "decoder.batch"):
             value = getattr(self, KEY_TO_FIELD[key])

@@ -52,28 +52,26 @@ def pad_ids(seqs: list[list[int]]) -> np.ndarray:
 
 
 class DecoderParams(ParamContainer):
-    """Trainable fusion blocks around the frozen LM."""
+    """Trainable fusion blocks around the frozen LM `lm`, at the widths of
+    `lm` and of the decoder.* and model.D_a config keys. The token head
+    starts as the LM's own head with a zero bias."""
 
     prefix = "decoder."
 
-    def __init__(self, d_l: int, d_a: int, d_r: int, vocab: int, heads: int,
-                 drop_p: float, rng: np.random.Generator, std: float = 0.02,
-                 head_init: np.ndarray | None = None):
-        self.d_l = d_l
-        self.d_r = d_r
-        self.dropout = drop_p
-        self.fuse_mha = MultiHeadAttention(heads, d_l, d_l, d_l, rng, std)
-        self.reduce_hyp = Linear(d_l, d_r, rng, std)
-        self.reduce_audio = Linear(d_a, d_r, rng, std)
-        self.audio_mha = MultiHeadAttention(heads, d_r, d_r, d_r, rng, std)
-        self.expand = Linear(d_r, d_l, rng, std)
-        self.lmhead = Linear(d_l, vocab, rng, std)
-        if head_init is not None:
-            if head_init.shape != (d_l, vocab):
-                raise ShapeError(f"head init shape {head_init.shape}, "
-                                 f"expected {(d_l, vocab)}")
-            self.lmhead.W.data = head_init.copy()
-            self.lmhead.b.data = np.zeros(vocab)
+    def __init__(self, cfg: PipelineConfig, lm: TinyCausalLm,
+                 rng: np.random.Generator):
+        self.d_l = d_l = lm.d_model
+        self.d_r = d_r = cfg.decoder_d_r
+        self.dropout = cfg.decoder_dropout
+        heads = cfg.decoder_heads
+        self.fuse_mha = MultiHeadAttention(heads, d_l, d_l, d_l, rng)
+        self.reduce_hyp = Linear(d_l, d_r, rng)
+        self.reduce_audio = Linear(cfg.model_d_a, d_r, rng)
+        self.audio_mha = MultiHeadAttention(heads, d_r, d_r, d_r, rng)
+        self.expand = Linear(d_r, d_l, rng)
+        self.lmhead = Linear(d_l, lm.vocab_size, rng)
+        self.lmhead.W.data = lm.head_matrix()
+        self.lmhead.b.data = np.zeros(lm.vocab_size)
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +181,7 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
     with replacement when fewer than K are available). `labels` is the
     (n, n) bool similar-caption matrix over `items`."""
     train, valid, pools = training_pools(items, labels)
-    rng_init = np.random.default_rng([seed, 11])
-    params = DecoderParams(lm.d_model, items[0].features.shape[0],
-                           cfg.decoder_d_r, lm.vocab_size, cfg.decoder_heads,
-                           cfg.decoder_dropout, rng_init,
-                           head_init=lm.head_matrix())
+    params = DecoderParams(cfg, lm, np.random.default_rng([seed, 11]))
     opt = Adam(params)
     rng_sample = np.random.default_rng([seed, 12])
     rng_drop = np.random.default_rng([seed, 13])

@@ -3,7 +3,8 @@ linear maps, multi-head attention, a Transformer-encoder layer, inverted
 dropout, Adam, the best-validation epoch loop both trainers run, and the
 restarting cosine learning-rate schedule. All parameters are float64
 Tensors initialized from a caller-owned numpy Generator so runs are bitwise
-reproducible.
+reproducible: weights and biases are gaussian with standard deviation
+INIT_STD, layer-norm scales and shifts start at 1 and 0.
 
 Parts are built frozen: a forward pass through them records no autodiff
 tape. Only `Adam.minimize` unfreezes a part, for the one step it takes.
@@ -20,10 +21,11 @@ from .autodiff import ShapeError, Tensor, affine, as_tensor, layer_norm
 from .errors import NumericError, TrainingError
 
 NEG_INF = -1e30  # additive mask value; large enough to zero out softmax mass
+INIT_STD = 0.02  # of every gaussian initial weight and bias
 
 
-def gaussian(rng: np.random.Generator, shape, std: float) -> Tensor:
-    return Tensor(rng.normal(0.0, std, size=shape))
+def gaussian(rng: np.random.Generator, shape) -> Tensor:
+    return Tensor(rng.normal(0.0, INIT_STD, size=shape))
 
 
 class ParamContainer:
@@ -81,12 +83,11 @@ class ParamContainer:
 class Linear(ParamContainer):
     """y = x @ W + b with W of shape (d_in, d_out)."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 std: float = 0.02):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.d_in = d_in
         self.d_out = d_out
-        self.W = gaussian(rng, (d_in, d_out), std)
-        self.b = gaussian(rng, (d_out,), std)
+        self.W = gaussian(rng, (d_in, d_out))
+        self.b = gaussian(rng, (d_out,))
 
     def __call__(self, x: Tensor) -> Tensor:
         return affine(as_tensor(x), self.W, self.b)
@@ -124,7 +125,7 @@ class MultiHeadAttention(ParamContainer):
     """
 
     def __init__(self, num_heads: int, d_query: int, d_kv: int, d_model: int,
-                 rng: np.random.Generator, std: float = 0.02):
+                 rng: np.random.Generator):
         if d_model % num_heads != 0:
             raise ShapeError(f"d_model {d_model} not divisible by {num_heads} heads")
         self.num_heads = num_heads
@@ -132,14 +133,14 @@ class MultiHeadAttention(ParamContainer):
         self.d_kv = d_kv
         self.d_model = d_model
         self.d_head = d_model // num_heads
-        self.W_q = gaussian(rng, (d_query, d_model), std)
-        self.b_q = gaussian(rng, (d_model,), std)
-        self.W_k = gaussian(rng, (d_kv, d_model), std)
-        self.b_k = gaussian(rng, (d_model,), std)
-        self.W_v = gaussian(rng, (d_kv, d_model), std)
-        self.b_v = gaussian(rng, (d_model,), std)
-        self.W_o = gaussian(rng, (d_model, d_query), std)
-        self.b_o = gaussian(rng, (d_query,), std)
+        self.W_q = gaussian(rng, (d_query, d_model))
+        self.b_q = gaussian(rng, (d_model,))
+        self.W_k = gaussian(rng, (d_kv, d_model))
+        self.b_k = gaussian(rng, (d_model,))
+        self.W_v = gaussian(rng, (d_kv, d_model))
+        self.b_v = gaussian(rng, (d_model,))
+        self.W_o = gaussian(rng, (d_model, d_query))
+        self.b_o = gaussian(rng, (d_query,))
 
     def _split(self, x: Tensor):
         # (..., L, d_model) -> (..., H, L, d_head)
@@ -180,12 +181,12 @@ class EncoderLayer(ParamContainer):
     Input and output feature dimension are equal."""
 
     def __init__(self, d_model: int, num_heads: int, d_ff: int,
-                 rng: np.random.Generator, std: float = 0.02):
+                 rng: np.random.Generator):
         self.d_model = d_model
         self.attn = MultiHeadAttention(num_heads, d_model, d_model, d_model,
-                                       rng, std)
-        self.ff1 = Linear(d_model, d_ff, rng, std)
-        self.ff2 = Linear(d_ff, d_model, rng, std)
+                                       rng)
+        self.ff1 = Linear(d_model, d_ff, rng)
+        self.ff2 = Linear(d_ff, d_model, rng)
         self.ln1 = LayerNorm(d_model)
         self.ln2 = LayerNorm(d_model)
 

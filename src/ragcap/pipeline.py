@@ -51,9 +51,7 @@ def build_frozen_models(caption_lists: list[list[str]], cfg: PipelineConfig):
     every later command restores the stored weights into it
     (restore_frozen_lm)."""
     tokenizer = TinyTokenizer([c for caps in caption_lists for c in caps])
-    return tokenizer, TinyCausalLm(
-        tokenizer.vocab_size, d_model=cfg.model_d_l, num_layers=cfg.lm_layers,
-        num_heads=cfg.lm_heads, d_ff=cfg.lm_ff, seed=cfg.lm_seed)
+    return tokenizer, TinyCausalLm(tokenizer.vocab_size, cfg)
 
 
 def lm_metadata(lm: TinyCausalLm, caption_lists: list[list[str]],
@@ -122,34 +120,29 @@ def load_frozen_lm(cfg: PipelineConfig, labels_path: str,
 
 def compute_similarity(items: list[DatasetItem], tokenizer: TinyTokenizer,
                        lm: TinyCausalLm, cfg: PipelineConfig):
-    """(raw, normalized, labels) over the primary caption of every item;
-    labels is the (n, n) bool similar-caption matrix."""
+    """(raw, labels) over the primary caption of every item: the raw
+    (n, n) scores, and labels, the (n, n) bool similar-caption matrix of
+    their min-max normalization."""
     raw = pairwise_similarity([
         lm.features(tokenizer.encode(it.caption)).T.copy() for it in items])
-    norm = normalize_minmax(raw)
-    labels = label_similar(norm, cfg.similarity_threshold)
-    return raw, norm, labels
+    return raw, label_similar(normalize_minmax(raw), cfg.similarity_threshold)
 
 
-def save_similarity(path: str, items: list[DatasetItem],
-                    raw: np.ndarray, norm: np.ndarray, labels: np.ndarray,
-                    threshold: float):
-    archive.write_archive(path, {
-        "scores_raw": raw,
-        "scores_normalized": norm,
-        "labels": labels.astype(np.float64),
-    })
+def save_similarity(path: str, items: list[DatasetItem], raw: np.ndarray,
+                    labels: np.ndarray, threshold: float):
+    archive.write_archive(path, {"scores_raw": raw,
+                                 "labels": labels.astype(np.float64)})
     archive.write_sidecar(path, {"ids": [it.id for it in items],
                                  "threshold": threshold})
 
 
-SIMILARITY_TENSORS = ("scores_raw", "scores_normalized", "labels")
+SIMILARITY_TENSORS = ("scores_raw", "labels")
 
 
 def load_similarity(path: str, items: list[DatasetItem]):
     """Returns (raw scores, (n, n) bool labels) over `items`, whose ids
-    must be those of the archive's sidecar, in order; checks
-    scores_normalized."""
+    must be those of the archive's sidecar, in order. Other tensors, such
+    as the scores_normalized of older archives, are ignored."""
     tensors = archive.read_archive(path, require=SIMILARITY_TENSORS)
     side = archive.read_sidecar(path, ("ids", "threshold"))
     n = len(side["ids"])
@@ -201,8 +194,7 @@ def run_train_retrieval(cfg: PipelineConfig, items: list[DatasetItem],
                         labels: np.ndarray, seed: int, out_dir: str):
     result = retrieval.train_retrieval(items, labels, cfg, seed)
     save_training(out_dir, "retrieval", cfg, seed, result,
-                  result.params.snapshot(),
-                  {"optimizer": "adam (published setup used adabound)"})
+                  result.params.snapshot(), {})
     archive.atomic_write_bytes(os.path.join(out_dir, "negatives.tsv"),
                                negatives_tsv(result.negative_log).encode())
     index = retrieval.build_index(result.params, items)
@@ -211,11 +203,11 @@ def run_train_retrieval(cfg: PipelineConfig, items: list[DatasetItem],
 
 
 def load_retrieval_params(cfg: PipelineConfig, path: str):
-    """(frozen embedder params, metadata) from a retrieval checkpoint."""
-    tensors, meta = archive.load_checkpoint(path, config_hash(cfg))
+    """The frozen embedder params of a retrieval checkpoint."""
+    tensors, _ = archive.load_checkpoint(path, config_hash(cfg))
     params = retrieval.EmbedderParams(cfg, np.random.default_rng(0))
     _restore(path, params, tensors)
-    return params, meta
+    return params
 
 
 def run_train_decoder(cfg: PipelineConfig, items: list[DatasetItem],
@@ -238,10 +230,7 @@ def load_decoder(cfg: PipelineConfig, path: str,
     tensors, meta = archive.load_checkpoint(path, config_hash(cfg))
     tokenizer, lm = restore_frozen_lm(path, tensors, meta, cfg, caption_lists,
                                       captions_from)
-    params = decoder.DecoderParams(lm.d_model, cfg.model_d_a, cfg.decoder_d_r,
-                                   lm.vocab_size, cfg.decoder_heads,
-                                   cfg.decoder_dropout,
-                                   np.random.default_rng(0))
+    params = decoder.DecoderParams(cfg, lm, np.random.default_rng(0))
     _restore(path, params, tensors)
     return tokenizer, lm, params
 
@@ -281,7 +270,7 @@ def evaluate_scope(scope: str, cfg: PipelineConfig, items: list[DatasetItem],
                    dec_params=None, scores: np.ndarray | None = None):
     """Scope i: generate with retrieved guidance. Scope ii: emit the top-1
     retrieved caption. Scope iii: generate with oracle guidance.
-    Returns (candidates, reference_sets, eval_ids, EvalReport)."""
+    Returns (candidates, eval_ids, EvalReport)."""
     if scope not in ("i", "ii", "iii"):
         raise ValueError(f"unknown scope {scope!r}")
     if split == "all":
@@ -307,9 +296,9 @@ def evaluate_scope(scope: str, cfg: PipelineConfig, items: list[DatasetItem],
         candidates = decoder.generate_captions(
             lm, tokenizer, dec_params, phis, guidance, cfg.generate_beam,
             cfg.decoder_max_len)
-    refs = [item.captions for _, item in eval_items]
-    report = evaluate_corpus(candidates, refs)
-    return candidates, refs, ids, report
+    report = evaluate_corpus(candidates,
+                             [item.captions for _, item in eval_items])
+    return candidates, ids, report
 
 
 def save_scope_outputs(out_dir: str, scope: str, ids: list[str],

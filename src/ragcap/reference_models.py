@@ -1,11 +1,12 @@
 """Deterministic stand-ins for the frozen pretrained models.
 
 - TinyTokenizer: word-level vocabulary built from the training captions.
-- TinyCausalLm: a small causal Transformer LM, frozen like every part;
-  pretrain() trains it for a fixed budget on the training captions, each
-  Adam step unfreezing it for that step only. It serves both as the frozen
-  language model for the decoder and as the text encoder behind the
-  caption-similarity scores.
+- TinyCausalLm: a small causal Transformer LM over sequences of at most
+  MAX_LEN tokens, built from the lm.* and model.D_l config keys and frozen
+  like every part; pretrain() trains it for a fixed budget on the training
+  captions, each Adam step unfreezing it for that step only. It serves both
+  as the frozen language model for the decoder and as the text encoder
+  behind the caption-similarity scores.
 - TinyAudioExtractor: a frozen seeded generator standing in for a pretrained
   audio feature extractor.
 - generate_synthetic_dataset: clustered audio features with
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import archive
 from .autodiff import Tensor
+from .config import PipelineConfig
 from .layers import Adam, EncoderLayer, ParamContainer
 from .metrics import normalize_words
 
@@ -32,6 +34,7 @@ SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<sep>", "<unk>")
 # greedy token matching on them degenerates to position matching
 EMB_STD, POS_SCALE = 0.4, 0.1
 PRETRAIN_LR = 1e-3
+MAX_LEN = 128  # the longest token sequence the LM takes
 
 
 class TinyTokenizer:
@@ -63,30 +66,27 @@ def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
 class TinyCausalLm(ParamContainer):
     """Causal Transformer LM used frozen: features() exposes the pre-head
     representation, head_matrix() the (tied) token-prediction weights. It is
-    built frozen, from seeded initial weights."""
+    built frozen, from initial weights seeded by lm.seed."""
 
     prefix = "lm."
 
-    def __init__(self, vocab_size: int, d_model: int = 32, num_layers: int = 2,
-                 num_heads: int = 4, d_ff: int = 64, max_len: int = 128,
-                 seed: int = 7):
-        rng = np.random.default_rng(seed)
+    def __init__(self, vocab_size: int, cfg: PipelineConfig):
+        rng = np.random.default_rng(cfg.lm_seed)
         self.vocab_size = vocab_size
-        self.d_model = d_model
-        self.max_len = max_len
+        self.d_model = d_model = cfg.model_d_l
         self.emb = Tensor(rng.normal(0.0, EMB_STD, size=(vocab_size, d_model)))
-        self.pos = POS_SCALE * sinusoidal_positions(max_len, d_model)
+        self.pos = POS_SCALE * sinusoidal_positions(MAX_LEN, d_model)
         # stored as lm.layer0.*, lm.layer1.*, ...
-        self.layer = [EncoderLayer(d_model, num_heads, d_ff, rng)
-                      for _ in range(num_layers)]
+        self.layer = [EncoderLayer(d_model, cfg.lm_heads, cfg.lm_ff, rng)
+                      for _ in range(cfg.lm_layers)]
 
     # -- forward -----------------------------------------------------------
 
     def _forward(self, ids: np.ndarray) -> Tensor:
         """ids (..., L) -> hidden states (..., L, d_model)."""
         length = ids.shape[-1]
-        if length > self.max_len:
-            raise ValueError(f"sequence length {length} > max_len {self.max_len}")
+        if length > MAX_LEN:
+            raise ValueError(f"sequence length {length} > max_len {MAX_LEN}")
         if np.any(ids < 0) or np.any(ids >= self.vocab_size):
             raise ValueError("token id out of vocabulary")
         h = self.emb[ids] + Tensor(self.pos[:length])
@@ -158,7 +158,7 @@ class TinyAudioExtractor:
     (D_a, T) feature matrix: a per-cluster pattern plus seeded item noise."""
 
     def __init__(self, d_a: int, t: int, num_clusters: int,
-                 noise_level: float = 1.0, seed: int = 0):
+                 noise_level: float, seed: int):
         self.d_a = d_a
         self.t = t
         self.noise_level = noise_level
@@ -270,9 +270,8 @@ def _split_for(index: int) -> str:
 def generate_synthetic_dataset(spec: SyntheticDatasetSpec, d_a: int, t: int,
                                out_dir: str) -> list[archive.ManifestRow]:
     """Write manifest + per-item feature archives; returns the rows."""
-    extractor = TinyAudioExtractor(d_a, t, spec.clusters,
-                                   noise_level=spec.noise_level,
-                                   seed=spec.seed)
+    extractor = TinyAudioExtractor(d_a, t, spec.clusters, spec.noise_level,
+                                   spec.seed)
     feat_dir = os.path.join(out_dir, "features")
     os.makedirs(feat_dir, exist_ok=True)
     rows = []

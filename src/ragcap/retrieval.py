@@ -252,7 +252,7 @@ def build_index(params: EmbedderParams,
                           [it.captions for it in train])
 
 
-def retrieve_topk(index: RetrievalIndex, query: np.ndarray, k: int = 5,
+def retrieve_topk(index: RetrievalIndex, query: np.ndarray, k: int,
                   exclude: str | None = None) -> list[tuple]:
     """Top-K (id, distance, caption) by ascending squared l2 distance,
     ties broken by ascending id. `exclude` drops the query's own item."""

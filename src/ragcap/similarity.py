@@ -80,7 +80,7 @@ def normalize_minmax(scores: np.ndarray) -> np.ndarray:
     return out
 
 
-def label_similar(scores: np.ndarray, threshold: float = 0.7) -> np.ndarray:
+def label_similar(scores: np.ndarray, threshold: float) -> np.ndarray:
     """The (n, n) bool labels: strictly-greater thresholding of the (n, n)
     scores; the diagonal is labeled not-similar."""
     labels = scores > threshold

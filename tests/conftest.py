@@ -4,7 +4,9 @@ deterministic fixtures."""
 import numpy as np
 import pytest
 
+from ragcap import layers
 from ragcap.autodiff import Tensor
+from ragcap.config import PipelineConfig
 
 
 def finite_diff_check(loss_fn, params, h=1e-5, rel_tol=1e-4, abs_tol=1e-7,
@@ -47,9 +49,33 @@ def finite_diff_check(loss_fn, params, h=1e-5, rel_tol=1e-4, abs_tol=1e-7,
     return worst
 
 
+def trainable(data) -> Tensor:
+    """A Tensor that takes gradients, as a part's parameter does inside an
+    Adam step."""
+    t = Tensor(data)
+    t.requires_grad = True
+    return t
+
+
 def rand_tensor(rng, shape, scale=1.0, requires_grad=True):
-    return Tensor(rng.normal(0.0, scale, size=shape),
-                  requires_grad=requires_grad)
+    data = rng.normal(0.0, scale, size=shape)
+    return trainable(data) if requires_grad else Tensor(data)
+
+
+def make_cfg(**overrides) -> PipelineConfig:
+    """A PipelineConfig for building small parts. embed.heads defaults to
+    1, which divides any model.D_a."""
+    return PipelineConfig(**{"embed_heads": 1, **overrides})
+
+
+def random_head(params, rng):
+    """Replace a decoder's token head, which starts as the frozen LM's, by
+    a gaussian one like its other weights (standard deviation
+    layers.INIT_STD)."""
+    params.lmhead.W.data = rng.normal(0.0, layers.INIT_STD,
+                                      size=params.lmhead.W.shape)
+    params.lmhead.b.data = rng.normal(0.0, layers.INIT_STD,
+                                      size=params.lmhead.b.shape)
 
 
 @pytest.fixture

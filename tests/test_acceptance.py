@@ -15,10 +15,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import finite_diff_check
+from conftest import finite_diff_check, make_cfg, random_head
 from test_metrics import _CORPUS_CANDS, _CORPUS_REFS, _cider_oracle
 
-from ragcap import decoder, pipeline
+from ragcap import decoder, layers, pipeline
 from ragcap.autodiff import Tensor
 from ragcap.cli import main as cli_main
 from ragcap.config import PipelineConfig, load_config
@@ -57,7 +57,7 @@ def desk(tmp_path_factory):
     tokenizer, lm = pipeline.build_frozen_models(captions, cfg)
     lm.pretrain([tokenizer.encode(c) for caps in captions for c in caps],
                 cfg.lm_pretrain_epochs)
-    raw, _, labels = pipeline.compute_similarity(items, tokenizer, lm, cfg)
+    raw, labels = pipeline.compute_similarity(items, tokenizer, lm, cfg)
 
     t0 = time.monotonic()
     trained, trained_index = pipeline.run_train_retrieval(
@@ -69,7 +69,7 @@ def desk(tmp_path_factory):
     for name, params, index in (("trained", trained.params, trained_index),
                                 ("untrained", untrained.params,
                                  untrained_index)):
-        _, _, _, report = pipeline.evaluate_scope(
+        _, _, report = pipeline.evaluate_scope(
             "ii", cfg, items, "test", params, index)
         bleu1[name] = report.bleu[0]
     retrieval_seconds = time.monotonic() - t0
@@ -91,13 +91,14 @@ def sq_sum(t):
     return (t * t).sum()
 
 
-def test_criterion_01_gradient_suite(rng):
+def test_criterion_01_gradient_suite(rng, monkeypatch):
     start = time.monotonic()
+    monkeypatch.setattr(layers, "INIT_STD", 0.5)
 
     for _ in range(5):  # Linear
         b, din, dout = rng.integers(1, 4), rng.integers(1, 6), \
             rng.integers(1, 6)
-        lin = Linear(int(din), int(dout), rng, std=0.5)
+        lin = Linear(int(din), int(dout), rng)
         lin.freeze(False)  # parts are built frozen
         x = rng.normal(size=(int(b), int(din)))
         finite_diff_check(lambda: sq_sum(lin(Tensor(x))),
@@ -115,7 +116,7 @@ def test_criterion_01_gradient_suite(rng):
         heads = int(rng.choice([1, 2]))
         dq = heads * int(rng.integers(1, 3))
         lq = int(rng.integers(1, 4))
-        mha = MultiHeadAttention(heads, dq, dq, dq, rng, std=0.5)
+        mha = MultiHeadAttention(heads, dq, dq, dq, rng)
         mha.freeze(False)
         q = rng.normal(size=(lq, dq))
         mask = causal_mask(lq) if trial % 2 else None
@@ -126,12 +127,13 @@ def test_criterion_01_gradient_suite(rng):
     for _ in range(5):  # encoder layer
         heads = int(rng.choice([1, 2]))
         d = heads * 2
-        enc = EncoderLayer(d, heads, int(rng.integers(2, 5)), rng, std=0.5)
+        enc = EncoderLayer(d, heads, int(rng.integers(2, 5)), rng)
         enc.freeze(False)
         x = rng.normal(size=(int(rng.integers(1, 4)), d))
         finite_diff_check(lambda: sq_sum(enc(Tensor(x))),
                           [p for _, p in enc.named_params()], rel_tol=1e-4)
 
+    monkeypatch.undo()  # the embedder at the shipped INIT_STD
     for _ in range(5):  # retrieval embedder through the triplet loss
         d_a, t = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         params = EmbedderParams(
@@ -144,10 +146,12 @@ def test_criterion_01_gradient_suite(rng):
                                  3.0).sum(),
             [p for _, p in params.named_params()], rel_tol=1e-4)
 
-    lm = TinyCausalLm(8, d_model=8, seed=5)
+    lm = TinyCausalLm(8, make_cfg(model_d_l=8, lm_seed=5))
+    monkeypatch.setattr(layers, "INIT_STD", 0.5)
+    dec_cfg = make_cfg(model_d_a=3, model_d_l=8, decoder_d_r=4,
+                       decoder_heads=2, decoder_dropout=0.0)
     for _ in range(5):  # decoder fusion path through smoothed cross-entropy
-        dec = DecoderParams(lm.d_model, 3, 4, lm.vocab_size, heads=2,
-                            drop_p=0.0, rng=rng, std=0.5)
+        dec = DecoderParams(dec_cfg, lm, rng)
         dec.freeze(False)
         n = int(rng.integers(1, 4))
         prefix = [BOS] + [int(v) for v in rng.integers(0, 8, size=n)]
@@ -159,8 +163,7 @@ def test_criterion_01_gradient_suite(rng):
             [p for _, p in dec.named_params()], rel_tol=1e-4)
 
     for _ in range(5):  # the same path on a padded two-item batch
-        dec = DecoderParams(lm.d_model, 3, 4, lm.vocab_size, heads=2,
-                            drop_p=0.0, rng=rng, std=0.5)
+        dec = DecoderParams(dec_cfg, lm, rng)
         dec.freeze(False)
         lengths = rng.integers(1, 5, size=2)
         prefixes = pad_ids([[BOS] + [int(v) for v in rng.integers(1, 8, n)]
@@ -220,9 +223,13 @@ def test_criterion_02_search_oracles(rng):
     g = [1]
     for seed in range(20):
         model_rng = np.random.default_rng([71, seed])
-        lm = TinyCausalLm(3, d_model=8, seed=seed)
-        params = DecoderParams(lm.d_model, 3, 4, 3, heads=2, drop_p=0.0,
-                               rng=model_rng, std=0.5)
+        cfg = make_cfg(model_d_a=3, model_d_l=8, lm_seed=seed, decoder_d_r=4,
+                       decoder_heads=2, decoder_dropout=0.0)
+        lm = TinyCausalLm(3, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(layers, "INIT_STD", 0.5)
+            params = DecoderParams(cfg, lm, model_rng)
+            random_head(params, model_rng)
         phi = model_rng.normal(size=(3, 4))
         assert beam_search(lm, params, [phi], [g], beam=9, max_len=3) == \
             [exhaustive(lm, params, phi, g, max_len=3)]
@@ -326,7 +333,7 @@ def test_criterion_06_oracle_guidance_at_least_retrieved(desk):
     cfg, items = desk["cfg"], desk["items"]
     reports = {}
     for scope in ("i", "iii"):
-        _, _, _, reports[scope] = pipeline.evaluate_scope(
+        _, _, reports[scope] = pipeline.evaluate_scope(
             scope, cfg, items, "test", desk["trained"].params,
             desk["trained_index"], desk["lm"], desk["tokenizer"],
             desk["decoder"].params, scores=desk["raw"])
@@ -478,15 +485,17 @@ def test_criterion_08_cli_determinism(tmp_path, capsys):
 # criterion 10: posterior contract
 # ---------------------------------------------------------------------------
 
-def test_criterion_10_posterior_contract():
-    lm = TinyCausalLm(8, d_model=8, seed=4)
+def test_criterion_10_posterior_contract(monkeypatch):
+    cfg = make_cfg(model_d_a=3, model_d_l=8, lm_seed=4, decoder_d_r=4,
+                   decoder_heads=2, decoder_dropout=0.0)
+    lm = TinyCausalLm(8, cfg)
     g = guidance_ids([[5, 6], [7]])
     rows_checked = 0
     for model_seed in range(100):
         rng = np.random.default_rng([10, model_seed])
-        params = DecoderParams(lm.d_model, 3, 4, lm.vocab_size, heads=2,
-                               drop_p=0.0, rng=rng,
-                               std=float(rng.uniform(0.05, 1.0)))
+        monkeypatch.setattr(layers, "INIT_STD", float(rng.uniform(0.05, 1.0)))
+        params = DecoderParams(cfg, lm, rng)
+        random_head(params, rng)
         phi = rng.normal(size=(3, 4))
         for _ in range(10):
             prefix = [BOS] + [int(v) for v in rng.integers(0, 8, size=9)]

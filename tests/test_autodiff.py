@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from conftest import finite_diff_check, rand_tensor
+from conftest import finite_diff_check, rand_tensor, trainable
 from ragcap.autodiff import (GraphError, ShapeError, Tensor, _erf, _make,
                              affine, as_tensor, layer_norm)
 
@@ -219,7 +219,7 @@ def test_shared_gradient_views_are_not_written_in_place(rng):
 
 
 def test_backward_requires_scalar():
-    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    x = trainable(np.ones((2, 2)))
     with pytest.raises(GraphError):
         (x * 2).backward()
 
@@ -252,7 +252,7 @@ def test_exp_log_relu_gelu_gradcheck(rng):
                       + (x.log_softmax() * x).sum(), [x])
     finite_diff_check(lambda: x.gelu().sum(), [x])
     # relu gradient away from the kink
-    y = Tensor(np.array([-2.0, -0.5, 0.7, 1.5]), requires_grad=True)
+    y = trainable(np.array([-2.0, -0.5, 0.7, 1.5]))
     y.relu().sum().backward()
     np.testing.assert_array_equal(y.grad, [0.0, 0.0, 1.0, 1.0])
 
@@ -281,8 +281,8 @@ def test_reshape_swapaxes_mean_gradcheck(rng):
 
 def test_layer_norm_output_and_grad(rng):
     x = rand_tensor(rng, (3, 6))
-    gamma = Tensor(np.ones(6), requires_grad=True)
-    beta = Tensor(np.zeros(6), requires_grad=True)
+    gamma = trainable(np.ones(6))
+    beta = trainable(np.zeros(6))
     out = layer_norm(x, gamma, beta)
     np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-9)
     np.testing.assert_allclose(out.data.var(axis=-1), 1.0, atol=1e-4)

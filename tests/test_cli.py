@@ -19,6 +19,7 @@ from ragcap.cli import main
 from ragcap.config import load_config
 from ragcap.data import load_dataset
 from ragcap.reference_models import TinyCausalLm
+from ragcap.similarity import normalize_minmax
 
 CONFIG = """\
 model.D_a = 4
@@ -146,7 +147,7 @@ def test_generate_oracle_guidance(ws, capsys):
 def test_loaded_parts_are_frozen(ws):
     cfg = load_config(ws["cfg"])
     items = load_dataset(ws["manifest"], cfg.model_d_a, cfg.model_t)
-    embedder, _ = pipeline.load_retrieval_params(
+    embedder = pipeline.load_retrieval_params(
         cfg, os.path.join(ws["ret"], "retrieval.ckpt"))
     _, lm, dec = pipeline.load_decoder(
         cfg, os.path.join(ws["dec"], "decoder.ckpt"),
@@ -233,7 +234,8 @@ def test_exit_2_unknown_config_key(ws, tmp_path):
 
 @pytest.mark.parametrize("line", [
     "triplet.margin = 0", "triplet.margin = nan", "decoder.lambda = 1.5",
-    "decoder.lr_period = 0", "generate.beam = 0", "decoder.max_len = 0"])
+    "decoder.lr_period = 0", "generate.beam = 0", "decoder.max_len = 0",
+    "decoder.dropout = 1", "embed.dropout = -0.1"])
 def test_exit_2_out_of_range_config_value(ws, tmp_path, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(CONFIG + line + "\n")
@@ -617,6 +619,37 @@ def _corrupt_lm(key):
         else:
             del meta[key]
     return edit
+
+
+def test_similarity_archive_holds_raw_scores_and_labels(ws):
+    assert set(read_archive(ws["labels"])) == {"scores_raw", "labels"}
+
+
+def test_similarity_archive_with_normalized_scores_still_loads(ws, tmp_path):
+    """Archives written before scores_normalized was dropped load to the
+    same raw scores and labels."""
+    cfg = load_config(ws["cfg"])
+    items = load_dataset(ws["manifest"], cfg.model_d_a, cfg.model_t)
+    tensors = read_archive(ws["labels"])
+    old = str(tmp_path / "similarity.ract")
+    write_archive(old, {"scores_raw": tensors["scores_raw"],
+                        "scores_normalized": normalize_minmax(
+                            tensors["scores_raw"]),
+                        "labels": tensors["labels"]})
+    shutil.copy(ws["labels"] + ".json", old + ".json")
+    raw, labels = pipeline.load_similarity(old, items)
+    want_raw, want_labels = pipeline.load_similarity(ws["labels"], items)
+    np.testing.assert_array_equal(raw, want_raw)
+    np.testing.assert_array_equal(labels, want_labels)
+
+
+def test_training_checkpoint_metadata_keys_are_pinned(ws):
+    run = {"config_hash", "seed", "epoch", "val_loss", "kind"}
+    _, meta = load_checkpoint(os.path.join(ws["ret"], "retrieval.ckpt"))
+    assert set(meta) == run
+    _, meta = load_checkpoint(os.path.join(ws["dec"], "decoder.ckpt"))
+    assert set(meta) == run | {"lm_weight_hash", "lm_caption_hash",
+                               "lm_config_hash"}
 
 
 def test_frozen_lm_metadata_is_three_hashes(ws):

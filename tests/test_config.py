@@ -139,6 +139,14 @@ def test_label_smoothing_range_validated():
         PipelineConfig(decoder_lambda=-0.1)
 
 
+@pytest.mark.parametrize("field", ["embed_dropout", "decoder_dropout"])
+def test_dropout_range_validated(field):
+    PipelineConfig(**{field: 0.0})
+    for bad in (1.0, -0.1, float("nan")):
+        with pytest.raises(ConfigError, match=r"dropout must be in \[0, 1\)"):
+            PipelineConfig(**{field: bad})
+
+
 def test_beam_and_max_len_validated():
     with pytest.raises(ConfigError):
         PipelineConfig(generate_beam=0)

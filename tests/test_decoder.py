@@ -4,9 +4,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ragcap import decoder
+from conftest import make_cfg, random_head, trainable
+from ragcap import decoder, layers
 from ragcap.autodiff import Tensor
-from ragcap.config import PipelineConfig
 from ragcap.data import DatasetItem
 from ragcap.decoder import (DecoderParams, _dropout_keep, beam_search,
                             generate_captions, guidance_ids, pad_ids,
@@ -21,12 +21,13 @@ D_A, T = 3, 4
 
 @pytest.fixture(scope="module")
 def lm():
-    return TinyCausalLm(12, d_model=16, seed=3)
+    return TinyCausalLm(12, make_cfg(model_d_l=16, lm_seed=3))
 
 
-def make_dec(lm, rng, d_r=6, drop=0.0, head_init=None):
-    return DecoderParams(lm.d_model, D_A, d_r, lm.vocab_size, heads=2,
-                         drop_p=drop, rng=rng, head_init=head_init)
+def make_dec(lm, rng, d_r=6, drop=0.0):
+    return DecoderParams(make_cfg(model_d_a=D_A, model_d_l=lm.d_model,
+                                  decoder_d_r=d_r, decoder_heads=2,
+                                  decoder_dropout=drop), lm, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +102,7 @@ def test_fuse_audio_shape_and_t1(lm, rng):
 def test_fuse_audio_gradients_reach_all_blocks(lm, rng):
     params = make_dec(lm, rng)
     params.freeze(False)  # parts are built frozen
-    psi = Tensor(rng.normal(size=(2, 3, lm.d_model)), requires_grad=True)
+    psi = trainable(rng.normal(size=(2, 3, lm.d_model)))
     out = position_logits(lm, params, rng.normal(size=(2, D_A, T)),
                           [[5, 6], [7, PAD]], [[BOS, 5, 6], [BOS, 7, PAD]],
                           psi_hyps=psi)
@@ -221,7 +222,7 @@ def test_zero_head_gives_uniform_posterior(lm, rng):
 
 
 def test_head_init_copies_frozen_lm_head(lm, rng):
-    params = make_dec(lm, rng, head_init=lm.head_matrix())
+    params = make_dec(lm, rng)
     np.testing.assert_array_equal(params.lmhead.W.data, lm.head_matrix())
     np.testing.assert_array_equal(params.lmhead.b.data,
                                   np.zeros(lm.vocab_size))
@@ -296,13 +297,14 @@ def exhaustive_best(lm, params, phi, guidance, max_len):
     return list(best[0])
 
 
-def test_beam_matches_exhaustive_small_instances():
-    lm = TinyCausalLm(6, d_model=8, seed=9)
+def test_beam_matches_exhaustive_small_instances(monkeypatch):
+    lm = TinyCausalLm(6, make_cfg(model_d_l=8, lm_seed=9))
+    monkeypatch.setattr(layers, "INIT_STD", 0.5)
     g = [5]
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        params = DecoderParams(lm.d_model, D_A, 4, lm.vocab_size, heads=2,
-                               drop_p=0.0, rng=rng, std=0.5)
+        params = make_dec(lm, rng, d_r=4)
+        random_head(params, rng)
         phi = rng.normal(size=(D_A, T))
         assert beam_search(lm, params, [phi], [g], beam=36,
                            max_len=3) == \
@@ -391,10 +393,12 @@ def count_posterior_calls(monkeypatch) -> list[int]:
 
 
 def random_decoder(seed):
-    lm = TinyCausalLm(8, d_model=8, seed=seed)
+    lm = TinyCausalLm(8, make_cfg(model_d_l=8, lm_seed=seed))
     rng = np.random.default_rng([23, seed])
-    params = DecoderParams(lm.d_model, D_A, 4, lm.vocab_size, heads=2,
-                           drop_p=0.0, rng=rng, std=0.5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layers, "INIT_STD", 0.5)
+        params = make_dec(lm, rng, d_r=4)
+        random_head(params, rng)
     # EOS at varied odds, so searches end at varied lengths
     params.lmhead.b.data[EOS] += rng.uniform(-1.0, 2.0)
     return lm, params, rng
@@ -478,7 +482,7 @@ MIXED_TEXTS = ["a dog barks", "a dog howls loudly", "a cat purrs",
 
 def make_training_setup(texts=TEXTS):
     tok = TinyTokenizer(texts)
-    lm = TinyCausalLm(tok.vocab_size, d_model=16, seed=3)
+    lm = TinyCausalLm(tok.vocab_size, make_cfg(model_d_l=16, lm_seed=3))
     lm.pretrain([tok.encode(t) for t in texts], epochs=5)
     rng = np.random.default_rng(0)
     items = []
@@ -497,10 +501,10 @@ def make_training_setup(texts=TEXTS):
 def test_train_decoder_runs_and_freezes_lm():
     lm, tok, items, labels = make_training_setup()
     before = lm.weight_hash()
-    cfg = PipelineConfig(decoder_batch=4, decoder_epochs=4,
-                         decoder_lr_max=3e-3, decoder_lr_min=1e-5,
-                         decoder_lr_period=4, decoder_dropout=0.0,
-                         decoder_d_r=4, decoder_heads=2, retrieval_k=2)
+    cfg = make_cfg(model_d_a=D_A, decoder_batch=4, decoder_epochs=4,
+                   decoder_lr_max=3e-3, decoder_lr_min=1e-5,
+                   decoder_lr_period=4, decoder_dropout=0.0, decoder_d_r=4,
+                   decoder_heads=2, retrieval_k=2)
     result = train_decoder(lm, tok, items, labels, cfg, seed=0)
     assert lm.weight_hash() == before
     assert len(result.history) == 4
@@ -524,8 +528,8 @@ def test_train_decoder_validation_records_no_tape(monkeypatch):
         return out
 
     monkeypatch.setattr(decoder, "position_logits", recording)
-    cfg = PipelineConfig(decoder_batch=4, decoder_epochs=2, decoder_d_r=4,
-                         decoder_heads=2, retrieval_k=2)
+    cfg = make_cfg(model_d_a=D_A, decoder_batch=4, decoder_epochs=2,
+                   decoder_d_r=4, decoder_heads=2, retrieval_k=2)
     train_decoder(lm, tok, items, labels, cfg, seed=0)
     assert {c for c, _ in calls} == {True, False}
     assert all(training == taped for training, taped in calls)
@@ -533,10 +537,10 @@ def test_train_decoder_validation_records_no_tape(monkeypatch):
 
 def test_train_decoder_deterministic():
     lm, tok, items, labels = make_training_setup()
-    cfg = PipelineConfig(decoder_batch=4, decoder_epochs=2,
-                         decoder_lr_max=1e-3, decoder_lr_min=1e-5,
-                         decoder_lr_period=2, decoder_dropout=0.3,
-                         decoder_d_r=4, decoder_heads=2, retrieval_k=2)
+    cfg = make_cfg(model_d_a=D_A, decoder_batch=4, decoder_epochs=2,
+                   decoder_lr_max=1e-3, decoder_lr_min=1e-5,
+                   decoder_lr_period=2, decoder_dropout=0.3, decoder_d_r=4,
+                   decoder_heads=2, retrieval_k=2)
     r1 = train_decoder(lm, tok, items, labels, cfg, seed=5)
     r2 = train_decoder(lm, tok, items, labels, cfg, seed=5)
     assert r1.history == r2.history
@@ -560,10 +564,10 @@ PER_ITEM_HISTORY = {
 @pytest.mark.parametrize("texts", ["TEXTS", "MIXED_TEXTS"])
 def test_train_decoder_history_matches_per_item_loop(texts):
     lm, tok, items, labels = make_training_setup(globals()[texts])
-    cfg = PipelineConfig(decoder_batch=4, decoder_epochs=3,
-                         decoder_lr_max=3e-3, decoder_lr_min=1e-5,
-                         decoder_lr_period=3, decoder_dropout=0.3,
-                         decoder_d_r=4, decoder_heads=2, retrieval_k=2)
+    cfg = make_cfg(model_d_a=D_A, decoder_batch=4, decoder_epochs=3,
+                   decoder_lr_max=3e-3, decoder_lr_min=1e-5,
+                   decoder_lr_period=3, decoder_dropout=0.3, decoder_d_r=4,
+                   decoder_heads=2, retrieval_k=2)
     result = train_decoder(lm, tok, items, labels, cfg, seed=5)
     got = [(h["train_loss"], h["val_loss"]) for h in result.history]
     np.testing.assert_allclose(got, PER_ITEM_HISTORY[texts], rtol=0,
@@ -575,9 +579,9 @@ def test_train_decoder_nonfinite_loss_raises():
     """A NaN learning rate makes every weight NaN after the first step; the
     next step's loss is NaN and training stops there."""
     lm, tok, items, labels = make_training_setup()
-    cfg = PipelineConfig(decoder_batch=2, decoder_epochs=2,
-                         decoder_lr_max=float("nan"), decoder_d_r=4,
-                         decoder_heads=2, retrieval_k=2, decoder_dropout=0.0)
+    cfg = make_cfg(model_d_a=D_A, decoder_batch=2, decoder_epochs=2,
+                   decoder_lr_max=float("nan"), decoder_d_r=4,
+                   decoder_heads=2, retrieval_k=2, decoder_dropout=0.0)
     with pytest.raises(NumericError,
                        match="non-finite decoder loss at epoch 0"):
         train_decoder(lm, tok, items, labels, cfg, seed=0)
@@ -588,18 +592,17 @@ def test_train_decoder_skips_isolated_items():
     lab = labels.copy()
     lab[0, :] = False
     lab[:, 0] = False
-    cfg = PipelineConfig(decoder_batch=4, decoder_epochs=1,
-                         decoder_lr_max=1e-3, decoder_d_r=4, decoder_heads=2,
-                         retrieval_k=2, decoder_dropout=0.0)
+    cfg = make_cfg(model_d_a=D_A, decoder_batch=4, decoder_epochs=1,
+                   decoder_lr_max=1e-3, decoder_d_r=4, decoder_heads=2,
+                   retrieval_k=2, decoder_dropout=0.0)
     result = train_decoder(lm, tok, items, lab, cfg, seed=0)
     assert result.skipped_items == 1
 
 
 def test_generate_caption_decodes(lm, rng):
     tok = TinyTokenizer(["a dog barks", "a cat purrs"])
-    small_lm = TinyCausalLm(tok.vocab_size, d_model=8, seed=3)
-    params = DecoderParams(small_lm.d_model, D_A, 4, small_lm.vocab_size,
-                           heads=2, drop_p=0.0, rng=rng)
+    small_lm = TinyCausalLm(tok.vocab_size, make_cfg(model_d_l=8, lm_seed=3))
+    params = make_dec(small_lm, rng, d_r=4)
     phi = rng.normal(size=(D_A, T))
     texts = generate_captions(small_lm, tok, params, [phi],
                               [["a dog barks", "a cat"]], beam=2, max_len=5)

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from conftest import finite_diff_check, rand_tensor
+from conftest import finite_diff_check, make_cfg, rand_tensor, trainable
+from ragcap import layers
 from ragcap.archive import ArchiveFormatError
 from ragcap.autodiff import ShapeError, Tensor
 from ragcap.config import PipelineConfig
@@ -14,7 +15,7 @@ from ragcap.decoder import DecoderParams
 from ragcap.errors import NumericError, TrainingError
 from ragcap.layers import (Adam, EncoderLayer, LayerNorm, Linear,
                            MultiHeadAttention, ParamContainer, best_of_epochs,
-                           causal_mask, cosine_lr, dropout, gaussian)
+                           causal_mask, cosine_lr, dropout)
 from ragcap.reference_models import TinyCausalLm
 from ragcap.retrieval import EmbedderParams
 
@@ -29,7 +30,7 @@ class _Part(ParamContainer):
     prefix = "part."
 
     def __init__(self, rng):
-        self.w = gaussian(rng, (2,), 1.0)
+        self.w = Tensor(rng.normal(0.0, 1.0, size=(2,)))
         self.width = 2  # not a Tensor: not a parameter
         self.inner = Linear(2, 2, rng)
         self.blocks = [LayerNorm(2), LayerNorm(2)]
@@ -53,10 +54,11 @@ ENCODER = [f"attn.{n}" for n in ATTN] + [
 def test_checkpoint_names_and_order_are_pinned(rng):
     """The stored tensor names and their order, which is also Adam's
     parameter order."""
-    lm = TinyCausalLm(10, num_layers=2)
+    lm = TinyCausalLm(10, make_cfg(lm_layers=2))
     assert [name for name, _ in lm.named_params()] == ["lm.emb"] + [
         f"lm.layer{i}.{n}" for i in (0, 1) for n in ENCODER]
-    dec = DecoderParams(8, 3, 4, 10, 2, 0.0, rng)
+    dec = DecoderParams(make_cfg(model_d_a=3, decoder_d_r=4, decoder_heads=2),
+                        lm, rng)
     assert [name for name, _ in dec.named_params()] == [
         f"decoder.{n}" for n in
         [f"fuse_mha.{n}" for n in ATTN]
@@ -242,9 +244,10 @@ def test_two_equal_logit_keys_average_values(rng):
     np.testing.assert_allclose(out[0], values.mean(axis=0), atol=1e-12)
 
 
-def test_mha_matches_per_head_oracle(rng):
+def test_mha_matches_per_head_oracle(rng, monkeypatch):
+    monkeypatch.setattr(layers, "INIT_STD", 0.3)
     heads, d_q, d_kv, d_model = 2, 6, 5, 8
-    mha = MultiHeadAttention(heads, d_q, d_kv, d_model, rng, std=0.3)
+    mha = MultiHeadAttention(heads, d_q, d_kv, d_model, rng)
     q = rng.normal(size=(4, d_q))
     kv = rng.normal(size=(7, d_kv))
     out = mha(Tensor(q), Tensor(kv)).data
@@ -264,8 +267,9 @@ def test_mha_matches_per_head_oracle(rng):
     np.testing.assert_allclose(out, ref, atol=1e-10)
 
 
-def test_causal_mask_blocks_future(rng):
-    mha = MultiHeadAttention(2, 4, 4, 8, rng, std=0.3)
+def test_causal_mask_blocks_future(rng, monkeypatch):
+    monkeypatch.setattr(layers, "INIT_STD", 0.3)
+    mha = MultiHeadAttention(2, 4, 4, 8, rng)
     x = rng.normal(size=(5, 4))
     base = mha(Tensor(x), Tensor(x), causal_mask(5)).data
     mutated = x.copy()
@@ -286,8 +290,9 @@ def test_causal_requires_square(rng):
         mha(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), causal_mask(2))
 
 
-def test_mha_batched_leading_dims(rng):
-    mha = MultiHeadAttention(2, 4, 4, 8, rng, std=0.3)
+def test_mha_batched_leading_dims(rng, monkeypatch):
+    monkeypatch.setattr(layers, "INIT_STD", 0.3)
+    mha = MultiHeadAttention(2, 4, 4, 8, rng)
     q = rng.normal(size=(3, 5, 4))
     kv = rng.normal(size=(3, 6, 4))
     out = mha(Tensor(q), Tensor(kv)).data
@@ -297,8 +302,9 @@ def test_mha_batched_leading_dims(rng):
         np.testing.assert_allclose(out[b], single, atol=1e-12)
 
 
-def test_mha_gradcheck(rng):
-    mha = MultiHeadAttention(2, 4, 3, 8, rng, std=0.3)
+def test_mha_gradcheck(rng, monkeypatch):
+    monkeypatch.setattr(layers, "INIT_STD", 0.3)
+    mha = MultiHeadAttention(2, 4, 3, 8, rng)
     mha.freeze(False)
     q = rand_tensor(rng, (3, 4))
     kv = rand_tensor(rng, (5, 3))
@@ -317,9 +323,10 @@ def test_encoder_layer_preserves_shape(rng):
         assert out.shape == (t, 6)
 
 
-def test_encoder_layer_permutation_equivariant(rng):
+def test_encoder_layer_permutation_equivariant(rng, monkeypatch):
+    monkeypatch.setattr(layers, "INIT_STD", 0.3)
     # no positional information inside the layer itself
-    layer = EncoderLayer(6, 2, 12, rng, std=0.3)
+    layer = EncoderLayer(6, 2, 12, rng)
     x = rng.normal(size=(3, 6))
     perm = [2, 0, 1]
     out = layer(Tensor(x)).data
@@ -327,8 +334,9 @@ def test_encoder_layer_permutation_equivariant(rng):
     np.testing.assert_allclose(out_perm, out[perm], atol=1e-10)
 
 
-def test_encoder_layer_gradcheck(rng):
-    layer = EncoderLayer(4, 2, 8, rng, std=0.3)
+def test_encoder_layer_gradcheck(rng, monkeypatch):
+    monkeypatch.setattr(layers, "INIT_STD", 0.3)
+    layer = EncoderLayer(4, 2, 8, rng)
     layer.freeze(False)
     x = rand_tensor(rng, (3, 4))
     finite_diff_check(lambda: (layer(x) ** 2.0).sum(),
@@ -381,7 +389,7 @@ class _One(ParamContainer):
 
 
 def test_adam_zero_grad_keeps_params(rng):
-    p = gaussian(rng, (3,), 1.0)
+    p = Tensor(rng.normal(0.0, 1.0, size=(3,)))
     before = p.data.copy()
     opt = Adam(_One(p))
     opt.step(1e-4)
@@ -389,7 +397,7 @@ def test_adam_zero_grad_keeps_params(rng):
 
 
 def test_adam_first_step_magnitude():
-    p = Tensor(np.zeros(1), requires_grad=True)
+    p = trainable(np.zeros(1))
     p.grad = np.ones(1)
     Adam(_One(p)).step(1e-4)
     # bias correction makes m_hat = g, v_hat = g^2 on step one
@@ -397,7 +405,7 @@ def test_adam_first_step_magnitude():
 
 
 def test_adam_matches_scalar_oracle():
-    p = Tensor(np.array([2.0]), requires_grad=True)
+    p = trainable(np.array([2.0]))
     opt = Adam(_One(p))
     theta, m, v, b1, b2, eps = 2.0, 0.0, 0.0, 0.9, 0.999, 1e-8
     for t in range(1, 6):
@@ -412,7 +420,7 @@ def test_adam_matches_scalar_oracle():
 
 
 def test_adam_respects_schedule_lr():
-    p = Tensor(np.zeros(1), requires_grad=True)
+    p = trainable(np.zeros(1))
     p.grad = np.ones(1)
     opt = Adam(_One(p))
     opt.step(1e-3)
@@ -422,7 +430,7 @@ def test_adam_respects_schedule_lr():
 
 
 def test_adam_shape_mismatch(rng):
-    p = gaussian(rng, (3,), 1.0)
+    p = Tensor(rng.normal(0.0, 1.0, size=(3,)))
     p.grad = np.ones(4)
     with pytest.raises(ShapeError):
         Adam(_One(p)).step(1e-4)

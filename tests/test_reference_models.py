@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import make_cfg
+from ragcap import reference_models
 from ragcap.archive import (ArchiveFormatError, ManifestRow, load_manifest,
                             write_archive, write_manifest)
 from ragcap.data import load_dataset
@@ -42,21 +44,22 @@ def test_tokenizer_vocabulary_is_sorted_and_stable():
 # ---------------------------------------------------------------------------
 
 def test_same_seed_bitwise_identical_weights():
-    a = TinyCausalLm(20, seed=7)
-    b = TinyCausalLm(20, seed=7)
+    a = TinyCausalLm(20, make_cfg(lm_seed=7))
+    b = TinyCausalLm(20, make_cfg(lm_seed=7))
     assert a.weight_hash() == b.weight_hash()
-    assert a.weight_hash() != TinyCausalLm(20, seed=8).weight_hash()
+    assert a.weight_hash() != TinyCausalLm(
+        20, make_cfg(lm_seed=8)).weight_hash()
 
 
 def test_features_shape_and_determinism():
-    lm = TinyCausalLm(20, d_model=16, seed=7)
+    lm = TinyCausalLm(20, make_cfg(model_d_l=16, lm_seed=7))
     f = lm.features([BOS, 5, 6])
     assert f.shape == (3, 16)
     np.testing.assert_array_equal(f, lm.features([BOS, 5, 6]))
 
 
 def test_features_batch_matches_single_sequences():
-    lm = TinyCausalLm(20, d_model=16, seed=7)
+    lm = TinyCausalLm(20, make_cfg(model_d_l=16, lm_seed=7))
     batch = lm.features([[BOS, 5, 6, 7], [BOS, 8, PAD, PAD]])
     assert batch.shape == (2, 4, 16)
     np.testing.assert_allclose(batch[0], lm.features([BOS, 5, 6, 7]),
@@ -66,14 +69,14 @@ def test_features_batch_matches_single_sequences():
 
 
 def test_causal_prefix_property():
-    lm = TinyCausalLm(20, seed=7)
+    lm = TinyCausalLm(20, make_cfg(lm_seed=7))
     short = lm.features([BOS, 5, 6])
     long = lm.features([BOS, 5, 6, 7, 8])
     np.testing.assert_allclose(long[:3], short, atol=1e-12)
 
 
 def test_lm_rejects_bad_tokens():
-    lm = TinyCausalLm(20, seed=7)
+    lm = TinyCausalLm(20, make_cfg(lm_seed=7))
     with pytest.raises(ValueError):
         lm.features([BOS, 25])
     with pytest.raises(ValueError):
@@ -81,7 +84,7 @@ def test_lm_rejects_bad_tokens():
 
 
 def test_head_matrix_tied_to_embedding():
-    lm = TinyCausalLm(20, d_model=16, seed=7)
+    lm = TinyCausalLm(20, make_cfg(model_d_l=16, lm_seed=7))
     np.testing.assert_array_equal(lm.head_matrix(), lm.emb.data.T)
     assert lm.head_matrix().shape == (16, 20)
 
@@ -92,14 +95,14 @@ def _frozen(lm) -> bool:
 
 
 def _pretrained(seqs, epochs):
-    lm = TinyCausalLm(20, seed=7)
+    lm = TinyCausalLm(20, make_cfg(lm_seed=7))
     lm.pretrain(seqs, epochs=epochs)
     return lm
 
 
 def test_pretraining_changes_weights_then_freezes():
     seqs = [[5, 6, 7], [6, 7, 8], [5, 8]]
-    plain = TinyCausalLm(20, seed=7)
+    plain = TinyCausalLm(20, make_cfg(lm_seed=7))
     assert _frozen(plain)  # built frozen
     trained = _pretrained(seqs, 3)
     assert plain.weight_hash() != trained.weight_hash()
@@ -112,7 +115,7 @@ def test_pretraining_changes_weights_then_freezes():
 
 def test_pretraining_raises_on_nonfinite_loss_before_stepping():
     seqs = [[5, 6, 7], [6, 7, 8], [5, 8]]
-    lm = TinyCausalLm(20)
+    lm = TinyCausalLm(20, make_cfg())
     lm.emb.data[5, 0] = np.inf
     before = {name: p.data.copy() for name, p in lm.named_params()}
     with np.errstate(invalid="ignore"), pytest.raises(
@@ -124,7 +127,7 @@ def test_pretraining_raises_on_nonfinite_loss_before_stepping():
 
 
 def _pretrain_peak_bytes(seqs, vocab_size, epochs):
-    lm = TinyCausalLm(vocab_size)
+    lm = TinyCausalLm(vocab_size, make_cfg())
     tracemalloc.start()
     try:
         lm.pretrain(seqs, epochs=epochs)
@@ -148,8 +151,9 @@ def test_pretraining_frees_each_epoch_graph(tmp_path):
     assert four <= 1.2 * one, (four, one)
 
 
-def test_max_len_enforced():
-    lm = TinyCausalLm(10, max_len=4)
+def test_max_len_enforced(monkeypatch):
+    monkeypatch.setattr(reference_models, "MAX_LEN", 4)
+    lm = TinyCausalLm(10, make_cfg())
     with pytest.raises(ValueError, match="max_len"):
         lm.features([1, 2, 3, 4, 5])
 
@@ -193,7 +197,7 @@ def test_same_cluster_captions_more_similar(tmp_path):
     rows = generate_synthetic_dataset(spec, 8, 16, str(tmp_path))
     texts = [r.captions[0] for r in rows]
     tok = TinyTokenizer(texts)
-    lm = TinyCausalLm(tok.vocab_size, seed=7)
+    lm = TinyCausalLm(tok.vocab_size, make_cfg(lm_seed=7))
     lm.pretrain([tok.encode(t) for t in texts], epochs=10)
     embs = [lm.features(tok.encode(t)).T.copy() for t in texts]
     same, cross = [], []

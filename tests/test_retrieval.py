@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import finite_diff_check
+from conftest import finite_diff_check, trainable
 from ragcap import decoder, pipeline, retrieval
 from ragcap.archive import ArchiveFormatError
 from ragcap.autodiff import ShapeError, Tensor
@@ -139,9 +139,9 @@ def test_triplet_loss_equal_pos_neg_is_margin(rng):
 
 
 def test_triplet_loss_inactive_region_zero_grads():
-    e_a = Tensor(np.array([0.0]), requires_grad=True)
-    e_p = Tensor(np.array([0.1]), requires_grad=True)
-    e_n = Tensor(np.array([2.0]), requires_grad=True)
+    e_a = trainable(np.array([0.0]))
+    e_p = trainable(np.array([0.1]))
+    e_n = trainable(np.array([2.0]))
     loss = triplet_loss(e_a, e_p, e_n, 0.3)
     assert loss.item() == 0.0
     loss.backward()
