@@ -11,7 +11,6 @@ Trailing bytes after the last tensor are rejected.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import struct
@@ -20,8 +19,6 @@ import tempfile
 import numpy as np
 
 from .metrics import normalize_words
-
-log = logging.getLogger("ragcap.archive")
 
 MAGIC = b"RACT"
 VERSION = 1
@@ -307,18 +304,13 @@ def unpack_checkpoint(buf: bytes):
     return unpack_archive(buf[8 + meta_len:]), metadata
 
 
-def load_checkpoint(path: str, expected_config_hash: str | None = None):
-    """Returns (tensors, metadata). Warns on config-hash mismatch. Format
-    errors name the file."""
+def load_checkpoint(path: str):
+    """Returns (tensors, metadata). Format errors name the file."""
     with open(path, "rb") as f:
         buf = f.read()
     try:
         tensors, metadata = unpack_checkpoint(buf)
     except ArchiveFormatError as e:
         raise ArchiveFormatError(f"{path}: {e}") from None
-    if (expected_config_hash is not None
-            and metadata.get("config_hash") != expected_config_hash):
-        log.warning("checkpoint config hash %s does not match current config %s",
-                    metadata.get("config_hash"), expected_config_hash)
     return tensors, metadata
 

@@ -75,7 +75,7 @@ def cmd_prepare_similarity(args) -> int:
 def cmd_train_retrieval(args) -> int:
     cfg = _load(args)
     items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
-    _, labels = pipeline.load_similarity(args.labels, items)
+    _, labels = pipeline.load_similarity(args.labels, items, cfg)
     result, index = pipeline.run_train_retrieval(cfg, items, labels,
                                                  args.seed, args.out)
     log.info("best validation loss %s at epoch %d; index of %d items",
@@ -85,9 +85,9 @@ def cmd_train_retrieval(args) -> int:
 
 def cmd_retrieve(args) -> int:
     cfg = _load(args)
-    embedder = pipeline.load_retrieval_params(cfg, args.checkpoint)
-    if args.k is not None:  # after the checkpoint's config check
+    if args.k is not None:
         cfg = dataclasses.replace(cfg, retrieval_k=args.k)
+    embedder = pipeline.load_retrieval_params(cfg, args.checkpoint)
     index = retrieval.RetrievalIndex.load(args.index)
     phi = read_features(args.query_features, cfg.model_d_a, cfg.model_t)
     e = retrieval.embed_batch(embedder, phi[None]).data[0]
@@ -100,7 +100,7 @@ def cmd_retrieve(args) -> int:
 def cmd_train_decoder(args) -> int:
     cfg = _load(args)
     items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
-    _, labels = pipeline.load_similarity(args.labels, items)
+    _, labels = pipeline.load_similarity(args.labels, items, cfg)
     tokenizer, lm = pipeline.load_frozen_lm(
         cfg, args.labels, pipeline.train_captions(items), args.manifest)
     result = pipeline.run_train_decoder(cfg, items, labels, lm, tokenizer,
@@ -112,6 +112,8 @@ def cmd_train_decoder(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = _load(args)
+    if args.beam is not None:
+        cfg = dataclasses.replace(cfg, generate_beam=args.beam)
     index = retrieval.RetrievalIndex.load(args.index)
     tokenizer, lm, dec_params = pipeline.load_decoder(
         cfg, args.checkpoint, index.captions, args.index)
@@ -122,7 +124,7 @@ def cmd_generate(args) -> int:
             raise ConfigError("--oracle-guidance needs --manifest and "
                               "--query-id")
         items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
-        raw, _ = pipeline.load_similarity(args.oracle_guidance, items)
+        raw, _ = pipeline.load_similarity(args.oracle_guidance, items, cfg)
         pos = [i for i, it in enumerate(items) if it.id == args.query_id]
         if not pos:
             raise archive.ManifestError(f"unknown query id {args.query_id!r}")
@@ -137,9 +139,6 @@ def cmd_generate(args) -> int:
         [guidance] = pipeline.retrieved_guidance(
             embedder, index, phi[None], cfg.retrieval_k, [args.exclude])
 
-    if args.beam is not None:
-        # only now: both checkpoints are checked against the file's config
-        cfg = dataclasses.replace(cfg, generate_beam=args.beam)
     [caption] = decoder.generate_captions(lm, tokenizer, dec_params, [phi],
                                           [guidance], cfg.generate_beam,
                                           cfg.decoder_max_len)
@@ -182,7 +181,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("--scope needs --manifest and --labels")
     cfg = _load(args)
     items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
-    raw, _ = pipeline.load_similarity(args.labels, items)
+    raw, _ = pipeline.load_similarity(args.labels, items, cfg)
     embedder = index = lm = tokenizer = dec_params = None
     if args.scope in ("i", "ii"):
         if not args.retrieval_checkpoint or not args.index:
@@ -217,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Retrieval-augmented caption generation pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, manifest=False, labels=False, seed=False, out=False):
+    def add_common(p, manifest=False, labels=False, seed=False):
         p.add_argument("--config", help="key=value config file")
         if manifest:
             p.add_argument("--manifest", required=True)
@@ -226,22 +225,21 @@ def build_parser() -> argparse.ArgumentParser:
                            help="similarity archive from prepare-similarity")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        if out:
-            p.add_argument("--out", required=True)
+        p.add_argument("--out", required=True)
 
     p = sub.add_parser("make-dataset", help="generate a synthetic dataset")
     p.add_argument("--spec", help="JSON dataset spec (default: shipped spec)")
     p.add_argument("--seed", type=int, default=None)
-    add_common(p, out=True)
+    add_common(p)
     p.set_defaults(func=cmd_make_dataset)
 
     p = sub.add_parser("prepare-similarity",
                        help="compute caption-pair similarity labels")
-    add_common(p, manifest=True, out=True)
+    add_common(p, manifest=True)
     p.set_defaults(func=cmd_prepare_similarity)
 
     p = sub.add_parser("train-retrieval", help="train the audio embedder")
-    add_common(p, manifest=True, labels=True, seed=True, out=True)
+    add_common(p, manifest=True, labels=True, seed=True)
     p.set_defaults(func=cmd_train_retrieval)
 
     p = sub.add_parser("retrieve", help="query the retrieval index")
@@ -255,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("train-decoder", help="train the fusion decoder")
-    add_common(p, manifest=True, labels=True, seed=True, out=True)
+    add_common(p, manifest=True, labels=True, seed=True)
     p.set_defaults(func=cmd_train_decoder)
 
     p = sub.add_parser("generate", help="generate a caption for one item")

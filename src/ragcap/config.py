@@ -126,12 +126,6 @@ def load_config(path: str | None) -> PipelineConfig:
     return PipelineConfig(**values)
 
 
-# the keys the frozen LM is built from; decoder and generation keys do not
-# change it
-LM_KEYS = tuple(key for key in KEY_TO_FIELD
-                if key.startswith("lm.") or key == "model.D_l")
-
-
 def resolved_text(cfg: PipelineConfig, keys=KEY_TO_FIELD) -> str:
     """Canonical key=value rendering of `keys` (default: all), sorted."""
     lines = []

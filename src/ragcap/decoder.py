@@ -57,6 +57,8 @@ class DecoderParams(ParamContainer):
     starts as the LM's own head with a zero bias."""
 
     prefix = "decoder."
+    # the widths of the frozen LM are checked by its own keys
+    KEYS = ("model.D_a", "decoder.D_r", "decoder.heads", "decoder.dropout")
 
     def __init__(self, cfg: PipelineConfig, lm: TinyCausalLm,
                  rng: np.random.Generator):
@@ -166,7 +168,6 @@ class DecoderTrainResult:
     params: DecoderParams
     history: list[dict] = field(default_factory=list)
     skipped_items: int = 0
-    replacement_items: int = 0
     best_epoch: int = -1
     best_val_loss: float = float("inf")
 
@@ -206,9 +207,8 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
 
     def pick_refs(i: int, rng: np.random.Generator) -> list[int]:
         pool = sim_of[i]
-        replace = len(pool) < cfg.retrieval_k
-        result.replacement_items += replace
-        chosen = rng.choice(pool, size=cfg.retrieval_k, replace=replace)
+        chosen = rng.choice(pool, size=cfg.retrieval_k,
+                            replace=len(pool) < cfg.retrieval_k)
         return guidance_ids([caps[j] for j in chosen])
 
     def batch_loss(rows: list[int], guidance: np.ndarray, training: bool,
@@ -227,7 +227,6 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
     val_rows = [i for i in valid if len(sim_of[i])]
     val_guidance = pad_ids([pick_refs(i, rng_val) for i in val_rows])
     val_psi = lm.features(val_guidance) if val_rows else None
-    result.replacement_items = 0  # counting restarts with the training loop
 
     def run_epoch(epoch: int):
         lr = cosine_lr(epoch, cfg.decoder_lr_period, cfg.decoder_lr_max,

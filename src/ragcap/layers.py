@@ -84,8 +84,6 @@ class Linear(ParamContainer):
     """y = x @ W + b with W of shape (d_in, d_out)."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
-        self.d_in = d_in
-        self.d_out = d_out
         self.W = gaussian(rng, (d_in, d_out))
         self.b = gaussian(rng, (d_out,))
 

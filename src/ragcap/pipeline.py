@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from . import archive, decoder, retrieval
-from .config import LM_KEYS, PipelineConfig, config_hash
+from .config import PipelineConfig, config_hash
 from .data import DatasetItem
 from .errors import TrainingError
 from .metrics import EvalReport, evaluate_corpus
@@ -30,7 +30,7 @@ log = logging.getLogger("ragcap.pipeline")
 
 FROZEN_LM_FILE = "frozen_lm.ckpt"
 # metadata that ties a stored frozen LM to its weights, training captions
-# and lm.*/model.D_l config; the captions also fix its vocabulary
+# and TinyCausalLm.KEYS config; the captions also fix its vocabulary
 LM_META_KEYS = ("lm_weight_hash", "lm_caption_hash", "lm_config_hash")
 
 
@@ -58,7 +58,7 @@ def lm_metadata(lm: TinyCausalLm, caption_lists: list[list[str]],
                 cfg: PipelineConfig) -> dict:
     return {"lm_weight_hash": lm.weight_hash(),
             "lm_caption_hash": caption_hash(caption_lists),
-            "lm_config_hash": config_hash(cfg, LM_KEYS)}
+            "lm_config_hash": config_hash(cfg, lm.KEYS)}
 
 
 def save_frozen_lm(path: str, lm: TinyCausalLm,
@@ -67,7 +67,23 @@ def save_frozen_lm(path: str, lm: TinyCausalLm,
         "kind": "frozen_lm", **lm_metadata(lm, caption_lists, cfg)})
 
 
-def _restore(path: str, part, tensors: dict[str, np.ndarray]):
+# each stored part: its name in load errors, the commands that rebuild it
+_BUILT_BY = {TinyCausalLm: ("frozen LM", "prepare-similarity, train-decoder"),
+             retrieval.EmbedderParams: ("embedder", "train-retrieval"),
+             decoder.DecoderParams: ("decoder", "train-decoder")}
+
+
+def _restore(path: str, part, tensors: dict[str, np.ndarray],
+             stored_hash: str | None, cfg: PipelineConfig):
+    """Copy the `tensors` of the checkpoint at `path` into `part` once
+    `stored_hash` is the current config's hash of part.KEYS."""
+    want = config_hash(cfg, part.KEYS)
+    if stored_hash != want:
+        name, commands = _BUILT_BY[type(part)]
+        raise archive.ArchiveFormatError(
+            f"{path}: {name} built with config hash {stored_hash} of "
+            f"{', '.join(sorted(part.KEYS))}; the current config has "
+            f"{want}; rerun {commands}")
     try:
         part.restore(tensors)
     except archive.ArchiveFormatError as e:
@@ -78,22 +94,16 @@ def restore_frozen_lm(path: str, tensors: dict[str, np.ndarray], meta: dict,
                       cfg: PipelineConfig, caption_lists: list[list[str]],
                       captions_from: str):
     """(tokenizer, lm) from the lm.* tensors and LM metadata of the
-    checkpoint at `path`, checked against the current lm.*/model.D_l config
-    and against the training captions read from `captions_from`, from which
-    the tokenizer is rebuilt."""
+    checkpoint at `path`, checked against the current config and against
+    the training captions read from `captions_from`, from which the
+    tokenizer is rebuilt."""
     archive.require_keys(f"{path} metadata", meta, LM_META_KEYS)
-    want = config_hash(cfg, LM_KEYS)
-    if meta["lm_config_hash"] != want:
-        raise archive.ArchiveFormatError(
-            f"{path}: frozen LM built with lm.*/model.D_l config hash "
-            f"{meta['lm_config_hash']}, the current config has {want}; "
-            "rerun prepare-similarity")
     if meta["lm_caption_hash"] != caption_hash(caption_lists):
         raise archive.ArchiveFormatError(
             f"{path}: frozen LM was pretrained on other training captions "
             f"than those of {captions_from}")
     tokenizer, lm = build_frozen_models(caption_lists, cfg)
-    _restore(path, lm, tensors)
+    _restore(path, lm, tensors, meta["lm_config_hash"], cfg)
     if lm.weight_hash() != meta["lm_weight_hash"]:
         raise archive.ArchiveFormatError(
             f"{path}: lm.* tensors do not match lm_weight_hash")
@@ -139,12 +149,17 @@ def save_similarity(path: str, items: list[DatasetItem], raw: np.ndarray,
 SIMILARITY_TENSORS = ("scores_raw", "labels")
 
 
-def load_similarity(path: str, items: list[DatasetItem]):
-    """Returns (raw scores, (n, n) bool labels) over `items`, whose ids
-    must be those of the archive's sidecar, in order. Other tensors, such
-    as the scores_normalized of older archives, are ignored."""
+def load_similarity(path: str, items: list[DatasetItem], cfg: PipelineConfig):
+    """(raw scores, (n, n) bool labels) at `cfg`'s threshold over `items`,
+    whose ids must be those of the archive's sidecar, in order. Other
+    tensors, such as the scores_normalized of older archives, are ignored."""
     tensors = archive.read_archive(path, require=SIMILARITY_TENSORS)
     side = archive.read_sidecar(path, ("ids", "threshold"))
+    if side["threshold"] != cfg.similarity_threshold:
+        raise archive.ArchiveFormatError(
+            f"{path}: labels made at similarity.threshold = "
+            f"{side['threshold']!r}, the current config has "
+            f"{cfg.similarity_threshold!r}; rerun prepare-similarity")
     n = len(side["ids"])
     for name in SIMILARITY_TENSORS:
         if tensors[name].shape != (n, n):
@@ -183,7 +198,7 @@ def save_training(out_dir: str, kind: str, cfg: PipelineConfig, seed: int,
     and <kind>_curve.tsv, the per-epoch losses of the training `result`."""
     os.makedirs(out_dir, exist_ok=True)
     archive.save_checkpoint(os.path.join(out_dir, f"{kind}.ckpt"), tensors, {
-        "config_hash": config_hash(cfg), "seed": seed,
+        "config_hash": config_hash(cfg, result.params.KEYS), "seed": seed,
         "epoch": result.best_epoch, "val_loss": result.best_val_loss,
         "kind": kind, **meta})
     archive.atomic_write_bytes(os.path.join(out_dir, f"{kind}_curve.tsv"),
@@ -204,9 +219,9 @@ def run_train_retrieval(cfg: PipelineConfig, items: list[DatasetItem],
 
 def load_retrieval_params(cfg: PipelineConfig, path: str):
     """The frozen embedder params of a retrieval checkpoint."""
-    tensors, _ = archive.load_checkpoint(path, config_hash(cfg))
+    tensors, meta = archive.load_checkpoint(path)
     params = retrieval.EmbedderParams(cfg, np.random.default_rng(0))
-    _restore(path, params, tensors)
+    _restore(path, params, tensors, meta.get("config_hash"), cfg)
     return params
 
 
@@ -227,11 +242,11 @@ def load_decoder(cfg: PipelineConfig, path: str,
                  caption_lists: list[list[str]], captions_from: str):
     """(tokenizer, lm, decoder params), all frozen, from a decoder
     checkpoint; its frozen LM is checked as in restore_frozen_lm."""
-    tensors, meta = archive.load_checkpoint(path, config_hash(cfg))
+    tensors, meta = archive.load_checkpoint(path)
     tokenizer, lm = restore_frozen_lm(path, tensors, meta, cfg, caption_lists,
                                       captions_from)
     params = decoder.DecoderParams(cfg, lm, np.random.default_rng(0))
-    _restore(path, params, tensors)
+    _restore(path, params, tensors, meta.get("config_hash"), cfg)
     return tokenizer, lm, params
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import archive
 from .autodiff import Tensor
-from .config import PipelineConfig
+from .config import KEY_TO_FIELD, PipelineConfig
 from .layers import Adam, EncoderLayer, ParamContainer
 from .metrics import normalize_words
 
@@ -41,9 +41,8 @@ class TinyTokenizer:
     """Word-level tokenizer over a fixed vocabulary plus special tokens."""
 
     def __init__(self, texts: list[str]):
-        words = sorted({w for t in texts for w in normalize_words(t)})
-        self.words = words
-        self.itos = list(SPECIAL_TOKENS) + words
+        self.itos = list(SPECIAL_TOKENS) + sorted(
+            {w for t in texts for w in normalize_words(t)})
         self.stoi = {w: i for i, w in enumerate(self.itos)}
         self.vocab_size = len(self.itos)
 
@@ -69,6 +68,8 @@ class TinyCausalLm(ParamContainer):
     built frozen, from initial weights seeded by lm.seed."""
 
     prefix = "lm."
+    # lm.pretrain_epochs too: every command loads the LM already pretrained
+    KEYS = ("model.D_l", *(k for k in KEY_TO_FIELD if k.startswith("lm.")))
 
     def __init__(self, vocab_size: int, cfg: PipelineConfig):
         rng = np.random.default_rng(cfg.lm_seed)

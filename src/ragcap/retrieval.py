@@ -31,6 +31,7 @@ class EmbedderParams(ParamContainer):
     """One encoder layer over the T time steps plus input dropout."""
 
     prefix = "embedder."
+    KEYS = ("model.D_a", "model.T", "embed.heads", "embed.ff", "embed.dropout")
 
     def __init__(self, cfg: PipelineConfig, rng: np.random.Generator):
         self.d_a = cfg.model_d_a

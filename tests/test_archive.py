@@ -278,18 +278,10 @@ def test_checkpoint_roundtrip_and_metadata(tmp_path, rng):
     meta = {"config_hash": "abc", "seed": 0, "epoch": 7, "val_loss": 0.25}
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(path, tensors, meta)
-    out, got_meta = load_checkpoint(path, expected_config_hash="abc")
+    out, got_meta = load_checkpoint(path)
     assert got_meta == meta
     for name in tensors:
         assert out[name].tobytes() == tensors[name].tobytes()
-
-
-def test_checkpoint_hash_mismatch_warns(tmp_path, caplog):
-    path = str(tmp_path / "model.ckpt")
-    save_checkpoint(path, {"w": np.ones(2)}, {"config_hash": "abc"})
-    with caplog.at_level("WARNING", logger="ragcap.archive"):
-        load_checkpoint(path, expected_config_hash="other")
-    assert any("hash" in r.message for r in caplog.records)
 
 
 def test_checkpoint_bad_magic(tmp_path):

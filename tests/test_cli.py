@@ -439,18 +439,77 @@ def test_exit_3_similarity_sidecar_row_mismatch(ws, tmp_path, caplog):
     assert labels in caplog.text
 
 
-def test_generate_beam_keeps_checkpoint_hashes(ws, tmp_path, caplog):
+def _scope_args(ws, scope):
+    return ["evaluate", "--config", ws["cfg"], "--scope", scope,
+            "--manifest", ws["manifest"], "--labels", ws["labels"],
+            "--retrieval-checkpoint",
+            os.path.join(ws["ret"], "retrieval.ckpt"),
+            "--index", os.path.join(ws["ret"], "index.ract"),
+            "--decoder-checkpoint", os.path.join(ws["dec"], "decoder.ckpt")]
+
+
+def test_keys_outside_each_part_load_silently(ws, tmp_path, caplog):
+    """Neither checkpoint is built from generation, retrieval-size or
+    training keys, so changing them in the file loads both as they are."""
     caplog.set_level(logging.WARNING)
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(CONFIG + "generate.beam = 2\nretrieval.K = 3\n"
+                   "decoder.max_len = 6\ntriplet.epochs = 3\n"
+                   "decoder.lr_max = 2e-3\n")
     feats = os.path.join(ws["data"], "features", "c00i003.ract")
-    args = _query_args(ws, "generate", feats)
-    assert main(args + ["--beam", "2"]) == 0
-    assert "does not match" not in caplog.text
-    # the same setting from the file does change the config the checkpoints
-    # are checked against
-    cfg = tmp_path / "beam2.cfg"
-    cfg.write_text(CONFIG + "generate.beam = 2\n")
-    assert main([a if a != ws["cfg"] else str(cfg) for a in args]) == 0
-    assert caplog.text.count("does not match") == 2
+    for argv in (_query_args(ws, "generate", feats),
+                 _query_args(ws, "retrieve", feats), _scope_args(ws, "i")):
+        assert main([str(cfg) if a == ws["cfg"] else a for a in argv]) == 0
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("line, ckpt, commands", [
+    ("embed.heads = 4", "retrieval.ckpt", ("retrieve", "generate", "ii")),
+    ("decoder.heads = 4", "decoder.ckpt", ("generate", "iii"))],
+    ids=["embed.heads", "decoder.heads"])
+def test_exit_3_changed_part_key(ws, tmp_path, caplog, line, ckpt, commands):
+    """Head counts change no tensor shape; the checkpoint's hash of the
+    keys its part is built from still refuses the file."""
+    cfg = tmp_path / "part.cfg"
+    cfg.write_text(CONFIG + line + "\n")
+    feats = os.path.join(ws["data"], "features", "c00i003.ract")
+    path = os.path.join(ws["ret" if ckpt == "retrieval.ckpt" else "dec"],
+                        ckpt)
+    for command in commands:
+        argv = (_scope_args(ws, command) if command in ("ii", "iii")
+                else _query_args(ws, command, feats))
+        caplog.clear()
+        assert main([str(cfg) if a == ws["cfg"] else a
+                     for a in argv]) == 3, command
+        assert f"{path}: " in caplog.text, command
+        assert line.split(" = ")[0] in caplog.text, command
+        assert "built with config hash" in caplog.text, command
+
+
+def test_exit_3_labels_of_other_threshold(ws, tmp_path, caplog):
+    """Every command that reads --labels checks the threshold they were
+    made at against similarity.threshold."""
+    cfg = tmp_path / "threshold.cfg"
+    cfg.write_text(CONFIG + "similarity.threshold = 0.3\n")
+    train = ["--config", str(cfg), "--manifest", ws["manifest"],
+             "--labels", ws["labels"], "--seed", "0",
+             "--out", str(tmp_path / "out")]
+    evaluate = [str(cfg) if a == ws["cfg"] else a
+                for a in _scope_args(ws, "iii")]
+    generate = ["generate", "--config", str(cfg),
+                "--checkpoint", os.path.join(ws["dec"], "decoder.ckpt"),
+                "--index", os.path.join(ws["ret"], "index.ract"),
+                "--features", os.path.join(ws["data"], "features",
+                                           "c00i000.ract"),
+                "--oracle-guidance", ws["labels"],
+                "--manifest", ws["manifest"], "--query-id", "c00i000"]
+    for argv in (["train-retrieval", *train], ["train-decoder", *train],
+                 evaluate, generate):
+        caplog.clear()
+        assert main(argv) == 3, argv[0]
+        assert (f"{ws['labels']}: labels made at similarity.threshold = 0.7"
+                in caplog.text), argv[0]
+        assert "rerun prepare-similarity" in caplog.text, argv[0]
 
 
 def test_exit_4_nonfinite_training(ws, tmp_path):
@@ -637,8 +696,8 @@ def test_similarity_archive_with_normalized_scores_still_loads(ws, tmp_path):
                             tensors["scores_raw"]),
                         "labels": tensors["labels"]})
     shutil.copy(ws["labels"] + ".json", old + ".json")
-    raw, labels = pipeline.load_similarity(old, items)
-    want_raw, want_labels = pipeline.load_similarity(ws["labels"], items)
+    raw, labels = pipeline.load_similarity(old, items, cfg)
+    want_raw, want_labels = pipeline.load_similarity(ws["labels"], items, cfg)
     np.testing.assert_array_equal(raw, want_raw)
     np.testing.assert_array_equal(labels, want_labels)
 

@@ -3,10 +3,14 @@ import glob
 import os
 import re
 
+import numpy as np
 import pytest
 
 from ragcap.config import (ConfigError, KEY_TO_FIELD, PipelineConfig,
                            config_hash, load_config, resolved_text)
+from ragcap.decoder import DecoderParams
+from ragcap.reference_models import TinyCausalLm
+from ragcap.retrieval import EmbedderParams
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "ragcap")
 
@@ -185,3 +189,53 @@ def test_shipped_desk_config_loads():
     cfg = load_config(path)
     assert cfg.triplet_epochs == 120
     assert cfg.decoder_d_r == 8
+
+
+# ---------------------------------------------------------------------------
+# the keys each stored part is built from
+# ---------------------------------------------------------------------------
+
+class RecordingConfig:
+    """Delegates to a PipelineConfig and records every field read."""
+
+    def __init__(self, cfg: PipelineConfig):
+        self.cfg = cfg
+        self.fields_read = set()
+
+    def __getattr__(self, name):
+        self.fields_read.add(name)
+        return getattr(self.cfg, name)
+
+
+def _unchecked_keys(part, build) -> set[str]:
+    """The config keys `build(cfg)` reads that `part.KEYS` leaves out."""
+    cfg = RecordingConfig(PipelineConfig())
+    build(cfg)
+    assert cfg.fields_read, "the recording config saw no read"
+    field_to_key = {f: k for k, f in KEY_TO_FIELD.items()}
+    return {field_to_key[f] for f in cfg.fields_read} - set(part.KEYS)
+
+
+def _stored_parts():
+    """(part class, build(cfg)) for each part a checkpoint stores."""
+    rng = np.random.default_rng(0)
+    lm = TinyCausalLm(10, PipelineConfig())
+    return {"lm": (TinyCausalLm, lambda cfg: TinyCausalLm(10, cfg)),
+            "embedder": (EmbedderParams,
+                         lambda cfg: EmbedderParams(cfg, rng)),
+            "decoder": (DecoderParams,
+                        lambda cfg: DecoderParams(cfg, lm, rng))}
+
+
+@pytest.mark.parametrize("name", ["lm", "embedder", "decoder"])
+def test_part_keys_cover_every_config_field_it_reads(name):
+    part, build = _stored_parts()[name]
+    assert set(part.KEYS) <= set(KEY_TO_FIELD)
+    assert _unchecked_keys(part, build) == set()
+
+
+def test_part_keys_check_sees_a_dropped_key(monkeypatch):
+    part, build = _stored_parts()["embedder"]
+    monkeypatch.setattr(part, "KEYS", tuple(k for k in part.KEYS
+                                            if k != "embed.heads"))
+    assert _unchecked_keys(part, build) == {"embed.heads"}

@@ -513,8 +513,6 @@ def test_train_decoder_runs_and_freezes_lm():
     assert result.best_epoch == min(
         e for e, h in enumerate(result.history)
         if h["val_loss"] == result.best_val_loss)
-    # pool sizes are 2 similar captions, below k=2 only after excluding self
-    assert result.replacement_items > 0
 
 
 def test_train_decoder_validation_records_no_tape(monkeypatch):
@@ -572,7 +570,7 @@ def test_train_decoder_history_matches_per_item_loop(texts):
     got = [(h["train_loss"], h["val_loss"]) for h in result.history]
     np.testing.assert_allclose(got, PER_ITEM_HISTORY[texts], rtol=0,
                                atol=1e-12)
-    assert (result.replacement_items, result.best_epoch) == (6, 2)
+    assert result.best_epoch == 2
 
 
 def test_train_decoder_nonfinite_loss_raises():
