@@ -9,6 +9,7 @@ environment variable (DEBUG/INFO/WARNING, default INFO).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import logging
@@ -23,6 +24,19 @@ from .metrics import evaluate_corpus
 from .reference_models import (SyntheticDatasetSpec, generate_synthetic_dataset)
 
 log = logging.getLogger("ragcap.cli")
+
+# glibc hands freed blocks above its mmap and trim thresholds back to the
+# OS and faults them in again on the next allocation, which training steps
+# make over and over for arrays of a few MB; main raises both to this size
+MALLOC_KEEP_BYTES = 256 * 2**20
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory():
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "mallopt"):
+        for param in (M_MMAP_THRESHOLD, M_TRIM_THRESHOLD):
+            libc.mallopt(param, MALLOC_KEEP_BYTES)
 
 
 def _setup_logging():
@@ -63,8 +77,7 @@ def cmd_prepare_similarity(args) -> int:
     raw, labels = pipeline.compute_similarity(items, tokenizer, lm, cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "similarity.ract")
-    pipeline.save_similarity(path, items, raw, labels,
-                             cfg.similarity_threshold)
+    pipeline.save_similarity(path, items, raw, labels, cfg)
     lm_path = os.path.join(args.out, pipeline.FROZEN_LM_FILE)
     pipeline.save_frozen_lm(lm_path, lm, captions, cfg)
     log.info("wrote %s (%d captions, threshold %s) and %s", path, len(labels),
@@ -100,9 +113,9 @@ def cmd_retrieve(args) -> int:
 def cmd_train_decoder(args) -> int:
     cfg = _load(args)
     items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
-    _, labels = pipeline.load_similarity(args.labels, items, cfg)
     tokenizer, lm = pipeline.load_frozen_lm(
         cfg, args.labels, pipeline.train_captions(items), args.manifest)
+    _, labels = pipeline.load_similarity(args.labels, items, cfg)
     result = pipeline.run_train_decoder(cfg, items, labels, lm, tokenizer,
                                         args.seed, args.out)
     log.info("best validation loss %s at epoch %d", result.best_val_loss,
@@ -289,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:

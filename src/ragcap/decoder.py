@@ -25,7 +25,7 @@ from .config import PipelineConfig
 from .data import DatasetItem
 from .errors import TrainingError
 from .layers import (NEG_INF, Adam, Linear, MultiHeadAttention,
-                     ParamContainer, best_of_epochs, cosine_lr)
+                     ParamContainer, best_of_epochs, cosine_lr, dropout_keep)
 from .reference_models import BOS, EOS, PAD, SEP, TinyCausalLm, TinyTokenizer
 from .similarity import training_pools
 
@@ -80,20 +80,6 @@ class DecoderParams(ParamContainer):
 # fusion forward path
 # ---------------------------------------------------------------------------
 
-def _dropout_keep(prefix: np.ndarray, dims, p: float,
-                  rng: np.random.Generator) -> list[np.ndarray]:
-    """Inverted-dropout keep masks, one (..., L, d) array per width d. Item
-    by item, each width draws a (length, d) mask in turn, so padding does
-    not change an item's masks."""
-    lengths = (prefix != PAD).sum(-1)
-    keep = [np.zeros(prefix.shape + (d,)) for d in dims]
-    for item in np.ndindex(lengths.shape):
-        n = lengths[item]
-        for k, d in zip(keep, dims):
-            k[item][:n] = (rng.random((n, d)) >= p) / (1.0 - p)
-    return keep
-
-
 def position_logits(lm: TinyCausalLm, params: DecoderParams,
                     phi: np.ndarray, guidance, prefix,
                     rng: np.random.Generator | None = None,
@@ -106,7 +92,8 @@ def position_logits(lm: TinyCausalLm, params: DecoderParams,
     phi is (..., D_a, T) audio features and guidance (..., M) PAD-padded
     guidance ids; batch axes of size 1 broadcast. psi_hyps, if given,
     stands for lm.features(prefix), or for its last rows only;
-    psi_guidance, if given, for lm.features(guidance)."""
+    psi_guidance, if given, for the guidance features, as lm.features gives
+    them for the unpadded guidance rows."""
     prefix = np.asarray(prefix, dtype=np.int64)
     if prefix.shape[-1] == 0 or np.any(prefix[..., 0] != BOS):
         raise ValueError("prefix must start with BOS")
@@ -114,8 +101,8 @@ def position_logits(lm: TinyCausalLm, params: DecoderParams,
         psi_hyps = lm.features(prefix)
     keep = (1.0, 1.0)
     if training and params.dropout > 0.0:
-        keep = _dropout_keep(prefix, (params.d_l, params.d_r),
-                             params.dropout, rng)
+        keep = dropout_keep(prefix != PAD, (params.d_l, params.d_r),
+                            params.dropout, rng)
     guidance = np.asarray(guidance, dtype=np.int64)
     if psi_guidance is None:
         psi_guidance = lm.features(guidance)
@@ -135,7 +122,7 @@ def posterior(lm: TinyCausalLm, params: DecoderParams, phi: np.ndarray,
 
     Fusion runs on the last position only. Fusion rows are independent and
     the LM is causal, so this is the softmax of position_logits' last row."""
-    psi_last = lm.features(prefix)[..., -1:, :]
+    psi_last = lm.features(np.asarray(prefix))[..., -1:, :]
     logits = position_logits(lm, params, phi, guidance, prefix,
                              psi_hyps=psi_last, psi_guidance=psi_guidance)
     return logits.softmax().data[..., 0, :]
@@ -175,11 +162,12 @@ class DecoderTrainResult:
 def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
                   items: list[DatasetItem], labels: np.ndarray,
                   cfg: PipelineConfig, seed: int) -> DecoderTrainResult:
-    """Teacher-forced training with per-step random guidance selection.
+    """Teacher-forced training with per-epoch random guidance selection.
 
     Guidance for each item is K captions drawn from its similar-labeled
     training captions, randomly selected and ordered each epoch (sampling
-    with replacement when fewer than K are available). `labels` is the
+    with replacement when fewer than K are available); each epoch encodes
+    the guidance of all its steps in one frozen-LM call. `labels` is the
     (n, n) bool similar-caption matrix over `items`."""
     train, valid, pools = training_pools(items, labels)
     params = DecoderParams(cfg, lm, np.random.default_rng([seed, 11]))
@@ -199,10 +187,10 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
 
     # teacher forcing fixes the prefixes, so their features are computed once
     caps = [tokenizer.encode(it.caption) for it in items]
+    psi = lm.features([[BOS] + cap for cap in caps])
     prefixes = pad_ids([[BOS] + cap for cap in caps])
     targets = pad_ids([cap + [EOS] for cap in caps])
     lengths = (prefixes != PAD).sum(1)
-    psi = lm.features(prefixes)
     feats = np.stack([it.features for it in items])
 
     def pick_refs(i: int, rng: np.random.Generator) -> list[int]:
@@ -211,10 +199,10 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
                             replace=len(pool) < cfg.retrieval_k)
         return guidance_ids([caps[j] for j in chosen])
 
-    def batch_loss(rows: list[int], guidance: np.ndarray, training: bool,
-                   psi_guidance: np.ndarray | None = None) -> Tensor:
+    def batch_loss(rows: list[int], guidance: np.ndarray,
+                   psi_guidance: np.ndarray, training: bool) -> Tensor:
         """Mean loss of items `rows` in one forward, padded to their
-        longest prefix."""
+        longest prefix, given their PAD-padded guidance and its features."""
         n = lengths[rows].max()
         logits = position_logits(lm, params, feats[rows], guidance,
                                  prefixes[rows, :n], rng_drop, training,
@@ -225,24 +213,29 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
     # fixed seeded validation guidance
     rng_val = np.random.default_rng([seed, 14])
     val_rows = [i for i in valid if len(sim_of[i])]
-    val_guidance = pad_ids([pick_refs(i, rng_val) for i in val_rows])
-    val_psi = lm.features(val_guidance) if val_rows else None
+    val_refs = [pick_refs(i, rng_val) for i in val_rows]
+    val_guidance = ((pad_ids(val_refs), lm.features(val_refs)) if val_rows
+                    else None)
 
     def run_epoch(epoch: int):
         lr = cosine_lr(epoch, cfg.decoder_lr_period, cfg.decoder_lr_max,
                        cfg.decoder_lr_min)
-        order = rng_sample.permutation(len(usable))
+        epoch_rows = [usable[k] for k in rng_sample.permutation(len(usable))]
+        # the guidance of every step, drawn in step order, encoded at once
+        refs = [pick_refs(i, rng_sample) for i in epoch_rows]
+        guidance, psi_guidance = pad_ids(refs), lm.features(refs)
         losses = []
         for start in range(0, len(usable), cfg.decoder_batch):
-            chunk = [usable[k] for k in order[start:start + cfg.decoder_batch]]
-            guidance = pad_ids([pick_refs(i, rng_sample) for i in chunk])
+            step = slice(start, start + cfg.decoder_batch)
+            width = max(map(len, refs[step]))
             losses.append(opt.minimize(
-                lambda: batch_loss(chunk, guidance, True),
+                lambda: batch_loss(epoch_rows[step], guidance[step, :width],
+                                   psi_guidance[step, :width], True),
                 f"decoder loss at epoch {epoch}", lr))
         return lr, losses
 
     def val_loss():
-        return (batch_loss(val_rows, val_guidance, False, val_psi).item()
+        return (batch_loss(val_rows, *val_guidance, False).item()
                 if val_rows else None)
 
     result.history, result.best_epoch, result.best_val_loss = best_of_epochs(
@@ -261,9 +254,8 @@ def beam_search(lm: TinyCausalLm, params: DecoderParams, phis,
     audio features phis[n] (D_a, T) and SEP-joined guidance ids
     guidances[n]. Returns N token lists (EOS included if generated).
 
-    Each guidance is encoded once, unpadded, and stored zero-padded with
-    its PAD key mask. Each step scores the live beams of every unfinished
-    item in one posterior call. Per item, beams end at EOS or at max_len;
+    Each step scores the live beams of every unfinished item in one
+    posterior call. Per item, beams end at EOS or at max_len;
     live beams are pruned by cumulative log-probability, the final ranking
     uses mean log-probability per emitted token. All ties break on the
     token sequence itself, so decoding is deterministic. Each beam offers
@@ -278,10 +270,7 @@ def beam_search(lm: TinyCausalLm, params: DecoderParams, phis,
     and no later candidate can outrank the best finished one. A stopped
     item's live beams are therefore dropped, not force-finished."""
     phis = np.asarray(phis, dtype=np.float64)
-    guidance = pad_ids(guidances)
-    psi_guidance = np.zeros(guidance.shape + (lm.d_model,))
-    for psi, g in zip(psi_guidance, guidances):
-        psi[:len(g)] = lm.features(g)
+    guidance, psi_guidance = pad_ids(guidances), lm.features(guidances)
     n = len(guidances)
     live = [[((), 0.0)] for _ in range(n)]
     finished = [[] for _ in range(n)]

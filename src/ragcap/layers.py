@@ -197,13 +197,28 @@ class EncoderLayer(ParamContainer):
         return self.ln2(h + self.ff2(self.ff1(h).gelu()))
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator,
-            training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or p == 0."""
-    if not training or p <= 0.0:
-        return as_tensor(x)
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    return as_tensor(x) * Tensor(keep)
+def dropout_keep(real: np.ndarray, dims, p: float,
+                 rng: np.random.Generator) -> list[np.ndarray]:
+    """Inverted-dropout keep masks for items whose real positions are the
+    leading True entries of `real` (..., L): one (..., L, d) array per
+    width d, zero past each item's length. The masks are those of drawing,
+    item by item, a (length, d) mask for each width d in turn, so padding
+    does not change an item's masks; one draw holds them all."""
+    lengths = real.sum(-1).ravel()
+    # per real row, in C order: its item's first row, its item's length,
+    # its position in the item and where the item's draws start
+    first = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    n = np.repeat(lengths, lengths)
+    t = np.arange(len(first)) - first
+    start = first * sum(dims)
+    draws = (rng.random(len(first) * sum(dims)) >= p) / (1.0 - p)
+    keep, before = [], 0
+    for d in dims:  # an item's width-d block follows its earlier ones
+        k = np.zeros(real.shape + (d,))
+        k[real] = draws[(start + n * before + t * d)[:, None] + np.arange(d)]
+        keep.append(k)
+        before += d
+    return keep
 
 
 def cosine_lr(epoch: int, period: int, lr_max: float, lr_min: float) -> float:

@@ -133,26 +133,32 @@ def compute_similarity(items: list[DatasetItem], tokenizer: TinyTokenizer,
     """(raw, labels) over the primary caption of every item: the raw
     (n, n) scores, and labels, the (n, n) bool similar-caption matrix of
     their min-max normalization."""
-    raw = pairwise_similarity([
-        lm.features(tokenizer.encode(it.caption)).T.copy() for it in items])
+    caps = [tokenizer.encode(it.caption) for it in items]
+    raw = pairwise_similarity([f[:len(cap)].T.copy()
+                               for f, cap in zip(lm.features(caps), caps)])
     return raw, label_similar(normalize_minmax(raw), cfg.similarity_threshold)
 
 
 def save_similarity(path: str, items: list[DatasetItem], raw: np.ndarray,
-                    labels: np.ndarray, threshold: float):
+                    labels: np.ndarray, cfg: PipelineConfig):
+    """Write the scores and labels, and a sidecar naming their items, the
+    threshold and the config hash of the frozen LM that scored them."""
     archive.write_archive(path, {"scores_raw": raw,
                                  "labels": labels.astype(np.float64)})
-    archive.write_sidecar(path, {"ids": [it.id for it in items],
-                                 "threshold": threshold})
+    archive.write_sidecar(path, {
+        "ids": [it.id for it in items],
+        "threshold": cfg.similarity_threshold,
+        "lm_config_hash": config_hash(cfg, TinyCausalLm.KEYS)})
 
 
 SIMILARITY_TENSORS = ("scores_raw", "labels")
 
 
 def load_similarity(path: str, items: list[DatasetItem], cfg: PipelineConfig):
-    """(raw scores, (n, n) bool labels) at `cfg`'s threshold over `items`,
-    whose ids must be those of the archive's sidecar, in order. Other
-    tensors, such as the scores_normalized of older archives, are ignored."""
+    """(raw scores, (n, n) bool labels) at `cfg`'s threshold and frozen LM
+    over `items`, whose ids must be those of the archive's sidecar, in
+    order. Other tensors, such as the scores_normalized of older archives,
+    are ignored."""
     tensors = archive.read_archive(path, require=SIMILARITY_TENSORS)
     side = archive.read_sidecar(path, ("ids", "threshold"))
     if side["threshold"] != cfg.similarity_threshold:
@@ -160,6 +166,14 @@ def load_similarity(path: str, items: list[DatasetItem], cfg: PipelineConfig):
             f"{path}: labels made at similarity.threshold = "
             f"{side['threshold']!r}, the current config has "
             f"{cfg.similarity_threshold!r}; rerun prepare-similarity")
+    # archives written before the hash was stored hold none
+    stored = side.get("lm_config_hash")
+    want = config_hash(cfg, TinyCausalLm.KEYS)
+    if stored != want:
+        raise archive.ArchiveFormatError(
+            f"{path}: labels scored by a frozen LM of config hash {stored} "
+            f"of {', '.join(sorted(TinyCausalLm.KEYS))}; the current config "
+            f"has {want}; rerun prepare-similarity")
     n = len(side["ids"])
     for name in SIMILARITY_TENSORS:
         if tensors[name].shape != (n, n):

@@ -85,7 +85,9 @@ class TinyCausalLm(ParamContainer):
 
     def _forward(self, ids: np.ndarray) -> Tensor:
         """ids (..., L) -> hidden states (..., L, d_model)."""
-        length = ids.shape[-1]
+        length = ids.shape[-1] if ids.ndim else 0
+        if length == 0:
+            raise ValueError("token ids must be nonempty sequences")
         if length > MAX_LEN:
             raise ValueError(f"sequence length {length} > max_len {MAX_LEN}")
         if np.any(ids < 0) or np.any(ids >= self.vocab_size):
@@ -96,12 +98,20 @@ class TinyCausalLm(ParamContainer):
         return h
 
     def features(self, token_ids) -> np.ndarray:
-        """Frozen-LM features (..., L, d_model) for token ids (..., L).
-        Under the causal mask, right padding leaves earlier rows unchanged."""
-        ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.ndim == 0 or ids.shape[-1] == 0:
-            raise ValueError("token_ids must be nonempty sequences")
-        return self._forward(ids).data
+        """Frozen-LM features of token ids: one row (L,) gives (L, d_model),
+        a sequence of N rows of any lengths (N, L_max, d_model). Each row is
+        encoded at its own length, the rows of one length in one forward,
+        and zero-padded past it, so a row's features depend only on its own
+        ids. An array (..., L) holds rows of one length."""
+        if isinstance(token_ids, np.ndarray) or np.ndim(token_ids[:1]) < 2:
+            return self._forward(np.asarray(token_ids, dtype=np.int64)).data
+        rows = [np.asarray(row, dtype=np.int64) for row in token_ids]
+        out = np.zeros((len(rows), max(map(len, rows)), self.d_model))
+        for length in {len(row) for row in rows}:
+            idx = [n for n, row in enumerate(rows) if len(row) == length]
+            batch = np.stack([rows[n] for n in idx])
+            out[idx, :length] = self._forward(batch).data
+        return out
 
     def head_matrix(self) -> np.ndarray:
         """Token-prediction weights (d_model, vocab), tied to the embedding."""

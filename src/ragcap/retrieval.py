@@ -21,7 +21,8 @@ from .autodiff import ShapeError, Tensor
 from .config import PipelineConfig
 from .data import DatasetItem
 from .errors import SamplingError, TrainingError
-from .layers import Adam, EncoderLayer, ParamContainer, best_of_epochs, dropout
+from .layers import (Adam, EncoderLayer, ParamContainer, best_of_epochs,
+                     dropout_keep)
 from .similarity import training_pools
 
 log = logging.getLogger("ragcap.retrieval")
@@ -53,7 +54,10 @@ def embed_batch(params: EmbedderParams, phis: np.ndarray,
         raise ShapeError(f"expected (B, {params.d_a}, {params.t}), "
                          f"got {phis.shape}")
     x = Tensor(np.swapaxes(phis, 1, 2))  # (B, T, D_a): sequence over time
-    x = dropout(x, params.dropout, rng, training)
+    if training and params.dropout > 0.0:
+        [keep] = dropout_keep(np.ones(x.shape[:2], dtype=bool),
+                              (params.d_a,), params.dropout, rng)
+        x = x * keep
     h = params.layer(x)
     e = h.reshape((phis.shape[0], params.d_a * params.t))
     norm = (e * e).sum(axis=-1, keepdims=True) ** 0.5

@@ -1,3 +1,5 @@
+import ctypes
+import importlib
 import json
 import logging
 import math
@@ -512,6 +514,44 @@ def test_exit_3_labels_of_other_threshold(ws, tmp_path, caplog):
         assert "rerun prepare-similarity" in caplog.text, argv[0]
 
 
+def test_exit_3_labels_of_other_lm(ws, tmp_path, caplog):
+    """Labels scored at lm.pretrain_epochs = 2 are refused under 3, as
+    train-decoder refuses the frozen LM stored beside them
+    (test_exit_3_changed_lm_key), by the commands that read them before
+    any frozen LM."""
+    cfg = tmp_path / "lm.cfg"
+    cfg.write_text(CONFIG + "lm.pretrain_epochs = 3\n")
+    evaluate = [[str(cfg) if a == ws["cfg"] else a
+                 for a in _scope_args(ws, scope)] for scope in ("ii", "iii")]
+    for argv in (["train-retrieval", "--config", str(cfg),
+                  "--manifest", ws["manifest"], "--labels", ws["labels"],
+                  "--seed", "0", "--out", str(tmp_path / "out")],
+                 *evaluate):
+        caplog.clear()
+        assert main(argv) == 3, argv
+        assert (f"{ws['labels']}: labels scored by a frozen LM of config "
+                "hash" in caplog.text), argv
+        assert "rerun prepare-similarity" in caplog.text, argv
+
+
+def test_exit_3_labels_without_lm_hash(ws, tmp_path, caplog):
+    """A sidecar written before the frozen LM's hash was stored is refused
+    like one of another LM."""
+    labels = str(tmp_path / "similarity.ract")
+    shutil.copy(ws["labels"], labels)
+    with open(ws["labels"] + ".json", encoding="utf-8") as f:
+        side = json.load(f)
+    del side["lm_config_hash"]
+    with open(labels + ".json", "w", encoding="utf-8") as f:
+        json.dump(side, f)
+    assert main(["train-retrieval", "--config", ws["cfg"],
+                 "--manifest", ws["manifest"], "--labels", labels,
+                 "--seed", "0", "--out", str(tmp_path / "out")]) == 3
+    assert (f"{labels}: labels scored by a frozen LM of config hash None"
+            in caplog.text)
+    assert "rerun prepare-similarity" in caplog.text
+
+
 def test_exit_4_nonfinite_training(ws, tmp_path):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text(CONFIG + "triplet.lr = nan\n")
@@ -884,19 +924,24 @@ def test_double_run_bitwise_identical(ws, tmp_path):
 
 
 def test_train_retrieval_bitwise_across_openblas_threads(ws, tmp_path):
-    """prepare-similarity, train-retrieval and the batched train-decoder
-    write the same bytes under one and two BLAS threads (set in the child
-    environment only)."""
+    """prepare-similarity, train-retrieval, the batched train-decoder and
+    the batched decoding of evaluate scopes i and iii write the same bytes
+    under one and two BLAS threads (set in the child environment only)."""
     src = os.path.dirname(os.path.dirname(ragcap.__file__))
     outs = []
     for threads in ("1", "2"):
         out = str(tmp_path / f"threads{threads}")
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        labels = ["--labels", os.path.join(out, "similarity.ract"),
-                  "--seed", "0"]
+        labels = ["--labels", os.path.join(out, "similarity.ract")]
+        trained = [*labels, "--retrieval-checkpoint",
+                   os.path.join(out, "retrieval.ckpt"),
+                   "--index", os.path.join(out, "index.ract"),
+                   "--decoder-checkpoint", os.path.join(out, "decoder.ckpt")]
         for command, extra in (("prepare-similarity", []),
-                               ("train-retrieval", labels),
-                               ("train-decoder", labels)):
+                               ("train-retrieval", [*labels, "--seed", "0"]),
+                               ("train-decoder", [*labels, "--seed", "0"]),
+                               ("evaluate", ["--scope", "i", *trained]),
+                               ("evaluate", ["--scope", "iii", *trained])):
             subprocess.run(
                 [sys.executable, "-m", "ragcap.cli", command,
                  "--config", ws["cfg"], "--manifest", ws["manifest"],
@@ -906,10 +951,30 @@ def test_train_retrieval_bitwise_across_openblas_threads(ws, tmp_path):
         outs.append(out)
     for fname in ("similarity.ract", "frozen_lm.ckpt", "retrieval.ckpt",
                   "retrieval_curve.tsv", "negatives.tsv", "index.ract",
-                  "decoder.ckpt", "decoder_curve.tsv"):
+                  "decoder.ckpt", "decoder_curve.tsv",
+                  "scope_i_candidates.jsonl", "scope_i_report.json",
+                  "scope_iii_candidates.jsonl", "scope_iii_report.json"):
         a = open(os.path.join(outs[0], fname), "rb").read()
         b = open(os.path.join(outs[1], fname), "rb").read()
         assert a == b, fname
+
+
+def test_main_raises_malloc_thresholds_once(monkeypatch):
+    """Importing the CLI leaves the allocator alone; main sets glibc's mmap
+    and trim thresholds once each."""
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+    importlib.reload(cli)
+    assert calls == []
+    assert main(["evaluate"]) == 2  # a config error, after the setting
+    assert sorted(calls) == [(-3, cli.MALLOC_KEEP_BYTES),
+                             (-1, cli.MALLOC_KEEP_BYTES)]
 
 
 def test_cli_import_loads_no_scipy():

@@ -8,13 +8,14 @@ from conftest import make_cfg, random_head, trainable
 from ragcap import decoder, layers
 from ragcap.autodiff import Tensor
 from ragcap.data import DatasetItem
-from ragcap.decoder import (DecoderParams, _dropout_keep, beam_search,
+from ragcap.decoder import (DecoderParams, beam_search,
                             generate_captions, guidance_ids, pad_ids,
                             posterior, position_logits,
                             smoothed_cross_entropy, train_decoder)
 from ragcap.errors import NumericError
 from ragcap.reference_models import (BOS, EOS, PAD, SEP, TinyCausalLm,
                                      TinyTokenizer)
+from ragcap.similarity import training_pools
 
 D_A, T = 3, 4
 
@@ -175,10 +176,11 @@ def test_dropout_masks_do_not_depend_on_padding(lm, rng):
     params = make_dec(lm, rng, drop=0.3)
     prefixes = [[BOS, 5, 6, 7], [BOS, 8]]
     phi = rng.normal(size=(D_A, T))
-    short = _dropout_keep(pad_ids(prefixes), (4, 2), 0.3,
-                          np.random.default_rng(9))
-    long = _dropout_keep(pad_ids([p + [PAD] * 3 for p in prefixes]), (4, 2),
-                         0.3, np.random.default_rng(9))
+    short = layers.dropout_keep(pad_ids(prefixes) != PAD, (4, 2), 0.3,
+                                np.random.default_rng(9))
+    long = layers.dropout_keep(
+        pad_ids([p + [PAD] * 3 for p in prefixes]) != PAD, (4, 2), 0.3,
+        np.random.default_rng(9))
     for s, lg in zip(short, long):
         np.testing.assert_array_equal(lg[:, :4], s)
         assert not np.any(lg[:, 4:]) and not np.any(s[1, 2:])
@@ -332,14 +334,14 @@ def test_beam_search_encodes_guidance_once(lm, rng, monkeypatch):
     features = lm.features
 
     def recording(ids):
-        encoded.append(np.asarray(ids).tolist())
+        encoded.append([np.asarray(row).tolist() for row in ids])
         return features(ids)
 
     monkeypatch.setattr(lm, "features", recording)
     beam_search(lm, params, [rng.normal(size=(D_A, T))], [g], beam=3,
                 max_len=6)
     assert len(encoded) > 2
-    assert encoded.count(g) == 1
+    assert encoded[0] == [g] and encoded.count([g]) == 1
 
 
 def test_beam_is_deterministic(lm, rng):
@@ -457,15 +459,15 @@ def test_beam_search_one_features_call_per_step(lm, rng, monkeypatch):
     features = lm.features
 
     def recording(ids):
-        encoded.append(np.asarray(ids).tolist())
+        encoded.append([np.asarray(row).tolist() for row in ids])
         return features(ids)
 
     monkeypatch.setattr(lm, "features", recording)
     calls = count_posterior_calls(monkeypatch)
     beam_search(lm, params, rng.normal(size=(3, D_A, T)), guidances, beam=3,
                 max_len=6)
-    assert encoded[:3] == guidances  # each guidance once, unpadded
-    assert calls and len(encoded) == 3 + len(calls)
+    assert encoded[0] == guidances  # all guidances in one call, unpadded
+    assert calls and len(encoded) == 1 + len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +547,59 @@ def test_train_decoder_deterministic():
     for (n1, p1), (_, p2) in zip(r1.params.named_params(),
                                  r2.params.named_params()):
         assert p1.data.tobytes() == p2.data.tobytes(), n1
+
+
+def per_step_guidance(tok, items, labels, cfg, seed):
+    """(items, PAD-padded guidance) of every training step, drawn as the
+    per-step loop did: each epoch permutes the usable items, then each
+    step draws the guidance of its items in turn."""
+    train, _, pools = training_pools(items, labels)
+    sim_of = {i: train[similar] for i, (similar, _) in pools.items()}
+    usable = [i for i in train.tolist() if len(sim_of[i])]
+    caps = [tok.encode(it.caption) for it in items]
+    rng = np.random.default_rng([seed, 12])
+    steps = []
+    for _ in range(cfg.decoder_epochs):
+        order = rng.permutation(len(usable))
+        for start in range(0, len(usable), cfg.decoder_batch):
+            chunk = [usable[k] for k in order[start:start + cfg.decoder_batch]]
+            refs = []
+            for i in chunk:
+                pool = sim_of[i]
+                chosen = rng.choice(pool, size=cfg.retrieval_k,
+                                    replace=len(pool) < cfg.retrieval_k)
+                refs.append(guidance_ids([caps[j] for j in chosen]))
+            steps.append((chunk, pad_ids(refs)))
+    return steps
+
+
+def test_epoch_guidance_matches_per_step_draws(monkeypatch):
+    """Each epoch's guidance, drawn and encoded up front, is the per-step
+    loop's, step for step; each row is encoded at its own length."""
+    lm, tok, items, labels = make_training_setup(MIXED_TEXTS)
+    cfg = make_cfg(model_d_a=D_A, decoder_batch=2, decoder_epochs=2,
+                   decoder_d_r=4, decoder_heads=2, retrieval_k=2)
+    steps = []
+    logits = decoder.position_logits
+
+    def recording(*args):
+        if args[6]:  # training
+            steps.append((args[2], args[3], args[8]))
+        return logits(*args)
+
+    monkeypatch.setattr(decoder, "position_logits", recording)
+    train_decoder(lm, tok, items, labels, cfg, seed=3)
+    want = per_step_guidance(tok, items, labels, cfg, seed=3)
+    assert len(steps) == len(want) > 2
+    for (phis, guidance, psi), (chunk, want_guidance) in zip(steps, want):
+        np.testing.assert_array_equal(
+            phis, np.stack([items[i].features for i in chunk]))
+        assert guidance.tobytes() == want_guidance.tobytes()
+        assert guidance.shape == want_guidance.shape
+        for row, f in zip(guidance, psi):
+            n = (row != PAD).sum()
+            assert f[:n].tobytes() == lm.features(row[:n]).tobytes()
+            assert not f[n:].any()
 
 
 # (train_loss, val_loss) per epoch, recorded from the per-item training loop

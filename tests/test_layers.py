@@ -15,9 +15,9 @@ from ragcap.decoder import DecoderParams
 from ragcap.errors import NumericError, TrainingError
 from ragcap.layers import (Adam, EncoderLayer, LayerNorm, Linear,
                            MultiHeadAttention, ParamContainer, best_of_epochs,
-                           causal_mask, cosine_lr, dropout)
+                           causal_mask, cosine_lr, dropout_keep)
 from ragcap.reference_models import TinyCausalLm
-from ragcap.retrieval import EmbedderParams
+from ragcap.retrieval import EmbedderParams, embed_batch
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "ragcap")
 
@@ -353,17 +353,63 @@ def test_encoder_layer_rejects_wrong_dim(rng):
 # ---------------------------------------------------------------------------
 
 def test_dropout_identity_when_not_training(rng):
-    x = Tensor(np.ones((4, 4)))
-    np.testing.assert_array_equal(dropout(x, 0.5, rng, False).data, x.data)
-    np.testing.assert_array_equal(dropout(x, 0.0, rng, True).data, x.data)
+    """A p = 0 mask is one on real rows and zero past them, and the
+    embedder draws no mask when not training or at p = 0."""
+    real = np.array([[True, True, False], [True, True, True]])
+    for keep in dropout_keep(real, (2, 5), 0.0, rng):
+        np.testing.assert_array_equal(
+            keep, np.broadcast_to(real[..., None], keep.shape))
+    phis = rng.normal(size=(3, 4, 6))
+    outs = []
+    for p, training in ((0.5, False), (0.0, True)):
+        params = EmbedderParams(
+            make_cfg(model_d_a=4, model_t=6, embed_heads=2, embed_ff=8,
+                     embed_dropout=p), np.random.default_rng(1))
+        draws = np.random.default_rng(2)
+        outs.append(embed_batch(params, phis, draws, training).data)
+        assert draws.random() == np.random.default_rng(2).random()
+    np.testing.assert_array_equal(outs[0], outs[1])
 
 
 def test_dropout_inverted_scaling(rng):
-    x = Tensor(np.ones((200, 200)))
-    out = dropout(x, 0.3, rng, True).data
-    kept = out[out != 0]
+    state = rng.bit_generator.state
+    [keep] = dropout_keep(np.ones((200, 40), dtype=bool), (5,), 0.3, rng)
+    kept = keep[keep != 0]
     np.testing.assert_allclose(kept, 1.0 / 0.7, atol=1e-12)
-    assert abs(out.mean() - 1.0) < 0.02  # unbiased in expectation
+    assert abs(keep.mean() - 1.0) < 0.02  # unbiased in expectation
+    # items of full length draw what one whole-batch draw does
+    rng.bit_generator.state = state
+    np.testing.assert_array_equal(keep,
+                                  (rng.random((200, 40, 5)) >= 0.3) / 0.7)
+
+
+def per_item_keep(real, dims, p, rng):
+    """The per-item definition: item by item, a (length, d) mask for each
+    width d in turn."""
+    lengths = real.sum(-1)
+    keep = [np.zeros(real.shape + (d,)) for d in dims]
+    for item in np.ndindex(lengths.shape):
+        n = lengths[item]
+        for k, d in zip(keep, dims):
+            k[item][:n] = (rng.random((n, d)) >= p) / (1.0 - p)
+    return keep
+
+
+def test_dropout_keep_matches_per_item_draws(rng):
+    """Batches of any shape, ragged lengths (empty items included) and one
+    to three widths give the per-item masks bit for bit, and leave the
+    generator where the per-item draws leave it."""
+    for seed in range(50):
+        shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
+        lengths = rng.integers(0, shape[-1] + 1, size=shape[:-1])
+        real = np.arange(shape[-1]) < lengths[..., None]
+        dims = tuple(rng.integers(1, 6, size=rng.integers(1, 4)))
+        got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = dropout_keep(real, dims, 0.3, got_rng)
+        want = per_item_keep(real, dims, 0.3, want_rng)
+        for g, w in zip(got, want, strict=True):
+            assert g.tobytes() == w.tobytes()
+        assert got_rng.random() == want_rng.random()
 
 
 # ---------------------------------------------------------------------------

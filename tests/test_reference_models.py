@@ -69,6 +69,21 @@ def test_features_batch_matches_single_sequences():
                                rtol=0, atol=1e-12)
 
 
+def test_features_of_ragged_rows_are_their_own_length_encodings():
+    """Rows of three lengths, shuffled: each row's features are bit for bit
+    those of the row encoded alone, and zero past its length."""
+    lm = TinyCausalLm(20, make_cfg(lm_seed=7))
+    rng = np.random.default_rng(0)
+    rows = [rng.integers(0, 20, size=n).tolist()
+            for n in (9, 42, 17) for _ in range(5)]
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    feats = lm.features(rows)
+    assert feats.shape == (len(rows), 42, lm.d_model)
+    for f, row in zip(feats, rows):
+        assert f[:len(row)].tobytes() == lm.features(row).tobytes()
+        assert not f[len(row):].any()
+
+
 def test_causal_prefix_property():
     lm = TinyCausalLm(20, make_cfg(lm_seed=7))
     short = lm.features([BOS, 5, 6])

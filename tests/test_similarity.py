@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import make_cfg
+from ragcap import pipeline
+from ragcap.data import DatasetItem
+from ragcap.reference_models import TinyCausalLm, TinyTokenizer
 from ragcap.similarity import (DegenerateSimilarityError, bertscore,
                                label_similar, normalize_minmax,
                                pairwise_similarity, train_pools)
@@ -186,3 +190,23 @@ def test_train_pools_split_training_partners(rng):
                     if j != i and not labels[i, j]]
         assert similar.tolist() == want_sim
         assert dissimilar.tolist() == want_dis
+
+
+def test_compute_similarity_matches_per_caption_loop():
+    """One frozen-LM call for all captions gives the scores of encoding
+    each caption alone, bit for bit."""
+    words = "the dog barks at a cat that meows in the yard all night".split()
+    rng = np.random.default_rng(0)
+    texts = [" ".join(rng.choice(words, size=n))
+             for n in (3, 40, 17, 40, 9, 3, 17, 28)]
+    tok = TinyTokenizer(texts)
+    lm = TinyCausalLm(tok.vocab_size, make_cfg(lm_seed=3))
+    items = [DatasetItem(f"i{i}", "train", np.zeros((1, 1)), [t])
+             for i, t in enumerate(texts)]
+    cfg = make_cfg(similarity_threshold=0.5)
+    raw, labels = pipeline.compute_similarity(items, tok, lm, cfg)
+    want = pairwise_similarity([lm.features(tok.encode(t)).T.copy()
+                                for t in texts])
+    assert raw.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(
+        labels, label_similar(normalize_minmax(want), 0.5))
