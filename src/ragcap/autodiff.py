@@ -329,12 +329,8 @@ class Tensor:
 
         return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            n = self.size
-        else:
-            n = self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    def mean(self):
+        return self.sum() * (1.0 / self.size)
 
     # -- nonlinearities --------------------------------------------------------
 
@@ -359,35 +355,36 @@ class Tensor:
 
         return _make(out, (a,), vjp)
 
-    def softmax(self, axis: int = -1, scale: float = 1.0,
-                mask: np.ndarray | None = None):
+    def softmax(self, scale: float = 1.0, mask: np.ndarray | None = None):
         """Numerically stabilized softmax of `scale * self + mask` along
-        `axis`. The constant additive `mask` broadcasts to self's shape and
-        takes no gradient. One node and one array: it is the composition
-        (self * scale + mask).softmax() bit for bit, forward and backward."""
+        the last axis. The constant additive `mask` broadcasts to self's
+        shape and takes no gradient. One node and one array: it is the
+        composition (self * scale + mask).softmax() bit for bit, forward and
+        backward."""
         a = self
         out = a.data * scale
         if mask is not None:
             out += mask
-        out -= out.max(axis=axis, keepdims=True)
+        out -= out.max(axis=-1, keepdims=True)
         np.exp(out, out=out)
-        out /= out.sum(axis=axis, keepdims=True)
+        out /= out.sum(axis=-1, keepdims=True)
 
         def vjp(g):
-            dot = (g * out).sum(axis=axis, keepdims=True)
+            dot = (g * out).sum(axis=-1, keepdims=True)
             return (out * (g - dot) * scale,)
 
         return _make(out, (a,), vjp)
 
-    def log_softmax(self, axis: int = -1):
+    def log_softmax(self):
+        """Log-softmax along the last axis."""
         a = self
-        m = a.data.max(axis=axis, keepdims=True)
+        m = a.data.max(axis=-1, keepdims=True)
         shifted = a.data - m
-        lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+        lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         out = shifted - lse
 
         def vjp(g):
-            return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
+            return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
         return _make(out, (a,), vjp)
 

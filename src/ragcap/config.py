@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import logging
+import math
 
 log = logging.getLogger("ragcap.config")
 
@@ -69,11 +70,25 @@ class PipelineConfig:
             value = getattr(self, KEY_TO_FIELD[key])
             if not 0.0 <= value < 1.0:
                 raise ConfigError(f"{key} must be in [0, 1), got {value!r}")
-        for key in ("decoder.lr_period", "decoder.max_len", "generate.beam",
-                    "retrieval.K", "triplet.batch", "decoder.batch"):
-            value = getattr(self, KEY_TO_FIELD[key])
-            if value < 1:
-                raise ConfigError(f"{key} must be >= 1, got {value!r}")
+        # counts and widths: a zero width divides by zero in an attention
+        # scale, and a negative count would act as 0
+        for low, keys in ((1, ("decoder.lr_period", "decoder.max_len",
+                               "generate.beam", "retrieval.K",
+                               "triplet.batch", "decoder.batch", "model.D_a",
+                               "model.T", "model.D_l", "decoder.D_r",
+                               "embed.ff", "lm.ff")),
+                          (0, ("lm.layers", "lm.pretrain_epochs",
+                               "triplet.epochs", "decoder.epochs"))):
+            for key in keys:
+                value = getattr(self, KEY_TO_FIELD[key])
+                if value < low:
+                    raise ConfigError(
+                        f"{key} must be >= {low}, got {value!r}")
+        # a NaN threshold would also fail the labels' threshold check forever
+        for key, name in KEY_TO_FIELD.items():
+            value = getattr(self, name)
+            if _FIELD_TYPES[name] == "float" and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         # each attention splits its width evenly over its heads
         for key, dim_key in (("embed.heads", "model.D_a"),
                              ("decoder.heads", "model.D_l"),

@@ -8,9 +8,10 @@ sequence. The sum of both paths feeds a trainable token-prediction head.
 Training is teacher-forced label-smoothed cross-entropy; generation is
 length-normalized beam search.
 
-Every forward pass takes a batch of token ids right-padded with PAD, which
-the tokenizer never emits: `guidance == PAD` masks fusion keys and
-`targets != PAD` masks the loss.
+The fusion forward reads frozen-LM features, never token ids through the
+LM: each caller encodes its rows once, where it forms its batch. Batches of
+token ids are right-padded with PAD, which the tokenizer never emits:
+`guidance == PAD` masks fusion keys and `targets != PAD` masks the loss.
 """
 
 from __future__ import annotations
@@ -80,32 +81,25 @@ class DecoderParams(ParamContainer):
 # fusion forward path
 # ---------------------------------------------------------------------------
 
-def position_logits(lm: TinyCausalLm, params: DecoderParams,
-                    phi: np.ndarray, guidance, prefix,
+def position_logits(params: DecoderParams, phi: np.ndarray, guidance,
+                    psi_guidance: np.ndarray, prefix, psi_hyps: np.ndarray,
                     rng: np.random.Generator | None = None,
-                    training: bool = False,
-                    psi_hyps: np.ndarray | None = None,
-                    psi_guidance: np.ndarray | None = None) -> Tensor:
+                    training: bool = False) -> Tensor:
     """Logits (..., L, vocab) for PAD-padded prefixes (..., L); row t
     predicts the token following prefix[..., :t+1].
 
     phi is (..., D_a, T) audio features and guidance (..., M) PAD-padded
-    guidance ids; batch axes of size 1 broadcast. psi_hyps, if given,
-    stands for lm.features(prefix), or for its last rows only;
-    psi_guidance, if given, for the guidance features, as lm.features gives
-    them for the unpadded guidance rows."""
+    guidance ids; batch axes of size 1 broadcast. psi_guidance holds the
+    frozen-LM features of the guidance rows, psi_hyps those of the
+    prefixes, or of their last rows only."""
     prefix = np.asarray(prefix, dtype=np.int64)
     if prefix.shape[-1] == 0 or np.any(prefix[..., 0] != BOS):
         raise ValueError("prefix must start with BOS")
-    if psi_hyps is None:
-        psi_hyps = lm.features(prefix)
     keep = (1.0, 1.0)
     if training and params.dropout > 0.0:
         keep = dropout_keep(prefix != PAD, (params.d_l, params.d_r),
                             params.dropout, rng)
     guidance = np.asarray(guidance, dtype=np.int64)
-    if psi_guidance is None:
-        psi_guidance = lm.features(guidance)
     key_mask = np.where(guidance == PAD, NEG_INF, 0.0)[..., None, None, :]
     fused = params.fuse_mha(psi_hyps, psi_guidance, key_mask) * keep[0]
     audio = params.audio_mha(params.reduce_hyp(fused),
@@ -114,17 +108,16 @@ def position_logits(lm: TinyCausalLm, params: DecoderParams,
 
 
 def posterior(lm: TinyCausalLm, params: DecoderParams, phi: np.ndarray,
-              guidance, prefix,
-              psi_guidance: np.ndarray | None = None) -> np.ndarray:
+              guidance, prefix, psi_guidance: np.ndarray) -> np.ndarray:
     """p(next token | audio, guidance, prefix) rows (..., vocab) for
-    prefixes (..., L) of one length, as beam search holds them;
-    psi_guidance as in position_logits.
+    prefixes (..., L) of one length, as beam search holds them; guidance
+    and psi_guidance as in position_logits.
 
     Fusion runs on the last position only. Fusion rows are independent and
     the LM is causal, so this is the softmax of position_logits' last row."""
     psi_last = lm.features(np.asarray(prefix))[..., -1:, :]
-    logits = position_logits(lm, params, phi, guidance, prefix,
-                             psi_hyps=psi_last, psi_guidance=psi_guidance)
+    logits = position_logits(params, phi, guidance, psi_guidance, prefix,
+                             psi_last)
     return logits.softmax().data[..., 0, :]
 
 
@@ -142,8 +135,7 @@ def smoothed_cross_entropy(logits: Tensor, targets, lam: float) -> Tensor:
     weight = real / real.sum(-1, keepdims=True) / real[..., 0].size
     dist = np.full(logits.shape, lam / v)
     np.put_along_axis(dist, targets[..., None], lam / v + (1.0 - lam), -1)
-    return -(logits.log_softmax(axis=-1)
-             * Tensor(dist * weight[..., None])).sum()
+    return -(logits.log_softmax() * Tensor(dist * weight[..., None])).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +196,9 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
         """Mean loss of items `rows` in one forward, padded to their
         longest prefix, given their PAD-padded guidance and its features."""
         n = lengths[rows].max()
-        logits = position_logits(lm, params, feats[rows], guidance,
-                                 prefixes[rows, :n], rng_drop, training,
-                                 psi[rows, :n], psi_guidance)
+        logits = position_logits(params, feats[rows], guidance,
+                                 psi_guidance, prefixes[rows, :n],
+                                 psi[rows, :n], rng_drop, training)
         return smoothed_cross_entropy(logits, targets[rows, :n],
                                       cfg.decoder_lambda)
 

@@ -165,8 +165,7 @@ class MultiHeadAttention(ParamContainer):
         if mask is not None and not _broadcasts_to(mask.shape, scores.shape):
             raise ShapeError(f"mask shape {mask.shape} does not fit "
                              f"scores {scores.shape}")
-        attn = scores.softmax(axis=-1, scale=1.0 / math.sqrt(self.d_head),
-                              mask=mask)
+        attn = scores.softmax(scale=1.0 / math.sqrt(self.d_head), mask=mask)
         heads = attn @ v  # (..., H, L_q, d_head)
         merged = heads.swapaxes(-3, -2).reshape(
             query.shape[:-1] + (self.d_model,))

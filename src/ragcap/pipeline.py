@@ -295,10 +295,12 @@ def oracle_guidance(scores: np.ndarray, items: list[DatasetItem],
 # ---------------------------------------------------------------------------
 
 def evaluate_scope(scope: str, cfg: PipelineConfig, items: list[DatasetItem],
-                   split: str, embedder, index, lm=None, tokenizer=None,
-                   dec_params=None, scores: np.ndarray | None = None):
+                   split: str, embedder, index, lm, tokenizer, dec_params,
+                   scores: np.ndarray | None):
     """Scope i: generate with retrieved guidance. Scope ii: emit the top-1
     retrieved caption. Scope iii: generate with oracle guidance.
+    None stands for a part the scope does not read: only scopes i and iii
+    read lm, tokenizer and dec_params, only scope iii the raw `scores`.
     Returns (candidates, eval_ids, EvalReport)."""
     if scope not in ("i", "ii", "iii"):
         raise ValueError(f"unknown scope {scope!r}")

@@ -98,12 +98,13 @@ class TinyCausalLm(ParamContainer):
         return h
 
     def features(self, token_ids) -> np.ndarray:
-        """Frozen-LM features of token ids: one row (L,) gives (L, d_model),
-        a sequence of N rows of any lengths (N, L_max, d_model). Each row is
-        encoded at its own length, the rows of one length in one forward,
-        and zero-padded past it, so a row's features depend only on its own
-        ids. An array (..., L) holds rows of one length."""
-        if isinstance(token_ids, np.ndarray) or np.ndim(token_ids[:1]) < 2:
+        """Frozen-LM features of token ids in one of two forms. An array
+        (..., L) holds rows of one length and gives (..., L, d_model) in one
+        forward. A sequence of N rows of any lengths gives
+        (N, L_max, d_model): each row is encoded at its own length, the rows
+        of one length in one forward, and zero-padded past it, so a row's
+        features depend only on its own ids."""
+        if isinstance(token_ids, np.ndarray):
             return self._forward(np.asarray(token_ids, dtype=np.int64)).data
         rows = [np.asarray(row, dtype=np.int64) for row in token_ids]
         out = np.zeros((len(rows), max(map(len, rows)), self.d_model))
@@ -144,7 +145,7 @@ class TinyCausalLm(ParamContainer):
                 batch = np.asarray(buckets[length], dtype=np.int64)
                 h = self._forward(batch[:, :-1])
                 logits = h @ self.emb.swapaxes(0, 1)  # tied head
-                logp = logits.log_softmax(axis=-1)
+                logp = logits.log_softmax()
                 targets = batch[:, 1:]
                 onehot = np.zeros(logp.shape)
                 b_idx = np.arange(batch.shape[0])[:, None]

@@ -258,9 +258,10 @@ def build_index(params: EmbedderParams,
 
 
 def retrieve_topk(index: RetrievalIndex, query: np.ndarray, k: int,
-                  exclude: str | None = None) -> list[tuple]:
+                  exclude: str | None) -> list[tuple]:
     """Top-K (id, distance, caption) by ascending squared l2 distance,
-    ties broken by ascending id. `exclude` drops the query's own item."""
+    ties broken by ascending id. `exclude`, unless None, drops the query's
+    own item."""
     d = sq_l2(query, index.embeddings)
     rows = index.by_id
     if exclude is not None:

@@ -24,9 +24,9 @@ class DegenerateSimilarityError(ValueError):
 
 
 def bertscore(cand: np.ndarray, ref: np.ndarray):
-    """Greedy-matching (precision, recall, f1) between (..., D_t, L_cand)
-    and (..., D_t, L_ref) embeddings, broadcast over the leading axes; two
-    plain matrices give three floats."""
+    """Greedy-matching (precision, recall, f1) arrays between
+    (..., D_t, L_cand) and (..., D_t, L_ref) embeddings, broadcast over the
+    leading axes; two plain matrices give three 0-d arrays."""
     if cand.ndim < 2 or ref.ndim < 2 or cand.shape[-1] < 1 or ref.shape[-1] < 1:
         raise ValueError("embeddings must be (..., D_t, L) with L >= 1")
     cn = np.linalg.norm(cand, axis=-2, keepdims=True)
@@ -39,8 +39,6 @@ def bertscore(cand: np.ndarray, ref: np.ndarray):
     denom = precision + recall
     f1 = np.divide(2.0 * precision * recall, denom,
                    out=np.zeros_like(denom), where=denom != 0.0)
-    if f1.ndim == 0:
-        return float(precision), float(recall), float(f1)
     return precision, recall, f1
 
 

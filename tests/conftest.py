@@ -7,6 +7,8 @@ import pytest
 from ragcap import layers
 from ragcap.autodiff import Tensor
 from ragcap.config import PipelineConfig
+from ragcap.decoder import position_logits
+from ragcap.reference_models import PAD
 
 
 def finite_diff_check(loss_fn, params, h=1e-5, rel_tol=1e-4, abs_tol=1e-7,
@@ -76,6 +78,28 @@ def random_head(params, rng):
                                       size=params.lmhead.W.shape)
     params.lmhead.b.data = rng.normal(0.0, layers.INIT_STD,
                                       size=params.lmhead.b.shape)
+
+
+def encoded(lm, ids) -> np.ndarray:
+    """lm.features of token ids as the package encodes them: one row (L,)
+    as it is, and each row of a PAD-padded batch (N, L) at its own length,
+    zero-filled to L."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim == 1:
+        return lm.features(ids)
+    feats = lm.features([row[:np.flatnonzero(row != PAD)[-1] + 1]
+                         for row in ids])
+    out = np.zeros(ids.shape + (lm.d_model,))
+    out[:, :feats.shape[1]] = feats
+    return out
+
+
+def fusion_logits(lm, params, phi, guidance, prefix, rng=None,
+                  training=False):
+    """decoder.position_logits of guidance and prefix ids, with their
+    features encoded as `encoded` does."""
+    return position_logits(params, phi, guidance, encoded(lm, guidance),
+                           prefix, encoded(lm, prefix), rng, training)
 
 
 @pytest.fixture

@@ -15,7 +15,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import finite_diff_check, make_cfg, random_head
+from conftest import (encoded, finite_diff_check, fusion_logits, make_cfg,
+                      random_head)
 from test_metrics import _CORPUS_CANDS, _CORPUS_REFS, _cider_oracle
 
 from ragcap import decoder, layers, pipeline
@@ -24,8 +25,8 @@ from ragcap.cli import main as cli_main
 from ragcap.config import PipelineConfig, load_config
 from ragcap.data import DatasetItem, load_dataset
 from ragcap.decoder import (DecoderParams, beam_search, guidance_ids,
-                            pad_ids, position_logits, posterior,
-                            smoothed_cross_entropy, train_decoder)
+                            pad_ids, posterior, smoothed_cross_entropy,
+                            train_decoder)
 from ragcap.layers import (EncoderLayer, LayerNorm, Linear, MultiHeadAttention,
                            causal_mask)
 from ragcap.metrics import evaluate_corpus
@@ -70,7 +71,7 @@ def desk(tmp_path_factory):
                                 ("untrained", untrained.params,
                                  untrained_index)):
         _, _, report = pipeline.evaluate_scope(
-            "ii", cfg, items, "test", params, index)
+            "ii", cfg, items, "test", params, index, None, None, None, None)
         bleu1[name] = report.bleu[0]
     retrieval_seconds = time.monotonic() - t0
 
@@ -159,7 +160,7 @@ def test_criterion_01_gradient_suite(rng, monkeypatch):
         targets = rng.integers(1, 8, size=len(prefix))
         finite_diff_check(
             lambda: smoothed_cross_entropy(
-                position_logits(lm, dec, phi, [5, 6], prefix), targets, 0.1),
+                fusion_logits(lm, dec, phi, [5, 6], prefix), targets, 0.1),
             [p for _, p in dec.named_params()], rel_tol=1e-4)
 
     for _ in range(5):  # the same path on a padded two-item batch
@@ -174,7 +175,7 @@ def test_criterion_01_gradient_suite(rng, monkeypatch):
         phis = rng.normal(size=(2, 3, int(rng.integers(1, 4))))
         finite_diff_check(
             lambda: smoothed_cross_entropy(
-                position_logits(lm, dec, phis, guidance, prefixes), targets,
+                fusion_logits(lm, dec, phis, guidance, prefixes), targets,
                 0.1),
             [p for _, p in dec.named_params()], rel_tol=1e-4)
 
@@ -195,7 +196,7 @@ def test_criterion_02_search_oracles(rng):
     for _ in range(100):
         q = rng.normal(size=d)
         k = int(rng.integers(1, n + 1))
-        got = retrieve_topk(index, q, k=k)
+        got = retrieve_topk(index, q, k=k, exclude=None)
         want = sorted(((float((embs[i] - q) @ (embs[i] - q)), ids[i])
                        for i in range(n)))[:k]
         assert [(g[0], g[1]) for g in got] == [(i, dd) for dd, i in want]
@@ -204,8 +205,8 @@ def test_criterion_02_search_oracles(rng):
     # candidate is scored from the full position_logits rows of its prefix
     def exhaustive(lm, params, phi, guidance, max_len):
         def rows(toks):
-            logits = position_logits(lm, params, phi, guidance, [BOS, *toks])
-            return logits.log_softmax(axis=-1).data
+            logits = fusion_logits(lm, params, phi, guidance, [BOS, *toks])
+            return logits.log_softmax().data
 
         cands = []
         eos = 2
@@ -278,7 +279,7 @@ def test_criterion_03_equation_hand_examples(rng):
     # label smoothing 0 reduces to standard cross-entropy
     logits = Tensor(rng.normal(size=(3, 5)))
     targets = [1, 4, 3]  # target 0 is PAD, a padded position
-    logp = logits.log_softmax(axis=-1).data
+    logp = logits.log_softmax().data
     want = -np.mean(logp[np.arange(3), targets])
     assert abs(smoothed_cross_entropy(logits, targets, 0.0).item()
                - want) < tol
@@ -499,19 +500,20 @@ def test_criterion_10_posterior_contract(monkeypatch):
         phi = rng.normal(size=(3, 4))
         for _ in range(10):
             prefix = [BOS] + [int(v) for v in rng.integers(0, 8, size=9)]
-            logits = position_logits(lm, params, phi, g, prefix)
-            probs = logits.softmax(axis=-1).data
+            logits = fusion_logits(lm, params, phi, g, prefix)
+            probs = logits.softmax().data
             sums = probs.sum(axis=-1)
             assert np.all(np.abs(sums - 1.0) <= 1e-9)
             rows_checked += probs.shape[0]
         # the beam's last-row posterior is the last row of the full logits
-        np.testing.assert_allclose(posterior(lm, params, phi, g, [prefix])[0],
-                                   probs[-1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            posterior(lm, params, phi, g, [prefix], encoded(lm, g))[0],
+            probs[-1], rtol=0, atol=1e-12)
         # causality: mutating the last prefix token leaves earlier rows alone
         mutated = list(prefix)
         mutated[-1] = (mutated[-1] + 1) % 8
-        a = position_logits(lm, params, phi, g, prefix).data
-        b = position_logits(lm, params, phi, g, mutated).data
+        a = fusion_logits(lm, params, phi, g, prefix).data
+        b = fusion_logits(lm, params, phi, g, mutated).data
         np.testing.assert_allclose(a[:-1], b[:-1], atol=1e-12)
         assert not np.allclose(a[-1], b[-1])
     assert rows_checked >= 10_000

@@ -237,12 +237,30 @@ def test_exit_2_unknown_config_key(ws, tmp_path):
 @pytest.mark.parametrize("line", [
     "triplet.margin = 0", "triplet.margin = nan", "decoder.lambda = 1.5",
     "decoder.lr_period = 0", "generate.beam = 0", "decoder.max_len = 0",
-    "decoder.dropout = 1", "embed.dropout = -0.1"])
+    "decoder.dropout = 1", "embed.dropout = -0.1", "lm.layers = -1",
+    "decoder.epochs = -3", "triplet.lr = inf"])
 def test_exit_2_out_of_range_config_value(ws, tmp_path, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(CONFIG + line + "\n")
     assert main(["make-dataset", "--config", str(bad),
                  "--out", str(tmp_path / "d")]) == 2
+
+
+@pytest.mark.parametrize("command, line", [
+    ("prepare-similarity", "model.D_l = 0"),
+    ("train-decoder", "decoder.D_r = 0"),
+    ("prepare-similarity", "similarity.threshold = nan")])
+def test_exit_2_config_that_used_to_fail_later(ws, tmp_path, command, line):
+    """A zero width divided by zero in an attention scale (exit 1), and a
+    NaN threshold wrote labels that no reader could accept (exit 3)."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG + line + "\n")
+    args = [command, "--config", str(bad), "--manifest", ws["manifest"],
+            "--out", str(tmp_path / "out")]
+    if command == "train-decoder":
+        args += ["--labels", ws["labels"], "--seed", "0"]
+    assert main(args) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_2_beam_zero(ws):
@@ -552,9 +570,11 @@ def test_exit_3_labels_without_lm_hash(ws, tmp_path, caplog):
     assert "rerun prepare-similarity" in caplog.text
 
 
+@pytest.mark.filterwarnings("ignore:overflow|invalid value")
 def test_exit_4_nonfinite_training(ws, tmp_path):
-    cfg = tmp_path / "nan.cfg"
-    cfg.write_text(CONFIG + "triplet.lr = nan\n")
+    # the config rejects a NaN rate; one this large overflows the weights
+    cfg = tmp_path / "huge_lr.cfg"
+    cfg.write_text(CONFIG + "triplet.lr = 1e300\n")
     assert main(["train-retrieval", "--config", str(cfg),
                  "--manifest", ws["manifest"], "--labels", ws["labels"],
                  "--seed", "0", "--out", str(tmp_path / "r")]) == 4

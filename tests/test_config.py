@@ -161,10 +161,30 @@ def test_beam_and_max_len_validated():
 
 
 @pytest.mark.parametrize("field", ["retrieval_k", "triplet_batch",
-                                   "decoder_batch"])
+                                   "decoder_batch", "model_d_a", "model_t",
+                                   "model_d_l", "decoder_d_r", "embed_ff",
+                                   "lm_ff"])
 def test_counts_validated(field):
     with pytest.raises(ConfigError, match="must be >= 1"):
         PipelineConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("field", ["lm_layers", "lm_pretrain_epochs",
+                                   "triplet_epochs", "decoder_epochs"])
+def test_epochs_and_layers_may_be_zero_not_negative(field):
+    PipelineConfig(**{field: 0})
+    with pytest.raises(ConfigError, match="must be >= 0"):
+        PipelineConfig(**{field: -1})
+
+
+@pytest.mark.parametrize("field", [f.name for f in
+                                   dataclasses.fields(PipelineConfig)
+                                   if f.type == "float"])
+def test_every_float_key_must_be_finite(field):
+    key = next(k for k, f in KEY_TO_FIELD.items() if f == field)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            PipelineConfig(**{field: bad})
 
 
 @pytest.mark.parametrize("values", [

@@ -4,7 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import make_cfg, random_head, trainable
+from conftest import (encoded, fusion_logits, make_cfg, random_head,
+                      trainable)
 from ragcap import decoder, layers
 from ragcap.autodiff import Tensor
 from ragcap.data import DatasetItem
@@ -56,7 +57,7 @@ def test_pad_ids_right_pads():
 
 
 def test_guidance_features_width(lm):
-    feats = lm.features(guidance_ids([[5, 6], [7]]))
+    feats = lm.features(np.array(guidance_ids([[5, 6], [7]])))
     assert feats.shape == (4, lm.d_model)
 
 
@@ -95,8 +96,8 @@ def test_fuse_audio_shape_and_t1(lm, rng):
     params = make_dec(lm, rng)
     prefix = [[BOS, 5, 6, 7, 8], [BOS, 9, PAD, PAD, PAD]]
     for t in (T, 1):
-        out = position_logits(lm, params, rng.normal(size=(2, D_A, t)),
-                              [[5, 6], [7, PAD]], prefix)
+        out = fusion_logits(lm, params, rng.normal(size=(2, D_A, t)),
+                            [[5, 6], [7, PAD]], prefix)
         assert out.shape == (2, 5, lm.vocab_size)
 
 
@@ -104,9 +105,10 @@ def test_fuse_audio_gradients_reach_all_blocks(lm, rng):
     params = make_dec(lm, rng)
     params.freeze(False)  # parts are built frozen
     psi = trainable(rng.normal(size=(2, 3, lm.d_model)))
-    out = position_logits(lm, params, rng.normal(size=(2, D_A, T)),
-                          [[5, 6], [7, PAD]], [[BOS, 5, 6], [BOS, 7, PAD]],
-                          psi_hyps=psi)
+    guidance = [[5, 6], [7, PAD]]
+    out = position_logits(params, rng.normal(size=(2, D_A, T)), guidance,
+                          encoded(lm, guidance), [[BOS, 5, 6], [BOS, 7, PAD]],
+                          psi)
     out.sum().backward()
     for name, p in params.named_params():
         assert p.grad is not None and np.any(p.grad != 0.0), name
@@ -117,10 +119,10 @@ def test_fusion_rejects_bad_shapes(lm, rng):
     params = make_dec(lm, rng)
     g, prefix = [5, 6], [BOS, 5, 6]
     with pytest.raises(Exception):
-        position_logits(lm, params, rng.normal(size=(D_A, T)), g, prefix,
-                        psi_hyps=rng.normal(size=(3, lm.d_model + 1)))
+        position_logits(params, rng.normal(size=(D_A, T)), g, encoded(lm, g),
+                        prefix, rng.normal(size=(3, lm.d_model + 1)))
     with pytest.raises(Exception):
-        position_logits(lm, params, rng.normal(size=(D_A + 1, T)), g, prefix)
+        fusion_logits(lm, params, rng.normal(size=(D_A + 1, T)), g, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +132,8 @@ def test_fusion_rejects_bad_shapes(lm, rng):
 def test_posterior_is_distribution(lm, rng):
     params = make_dec(lm, rng)
     phi = rng.normal(size=(D_A, T))
-    p = posterior(lm, params, phi, [5, 6], [[BOS, 7, 8]])
+    p = posterior(lm, params, phi, [5, 6], [[BOS, 7, 8]],
+                  encoded(lm, [5, 6]))
     assert p.shape == (1, lm.vocab_size)
     assert np.all(p >= 0.0)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -141,9 +144,9 @@ def test_posterior_is_softmax_of_last_position_row(lm, rng):
     phi = rng.normal(size=(D_A, T))
     g = guidance_ids([[5, 6], [7]])
     prefixes = [[BOS, 7, 8, 9], [BOS, 5, 5, 10], [BOS, 11, PAD, 4]]
-    got = posterior(lm, params, phi, g, prefixes)
+    got = posterior(lm, params, phi, g, prefixes, encoded(lm, g))
     for b, prefix in enumerate(prefixes):
-        want = position_logits(lm, params, phi, g, prefix)[-1].softmax().data
+        want = fusion_logits(lm, params, phi, g, prefix)[-1].softmax().data
         np.testing.assert_allclose(got[b], want, rtol=0, atol=1e-12)
 
 
@@ -152,11 +155,11 @@ def test_mixed_length_batch_matches_single_items(lm, rng):
     prefixes = [[BOS, 5, 6, 7, 8], [BOS, 9], [BOS, 10, 11, 5]]
     guidance = [guidance_ids([[5, 6], [7]]), [8], guidance_ids([[9, 10, 11]])]
     phis = rng.normal(size=(3, D_A, T))
-    batched = position_logits(lm, params, phis, pad_ids(guidance),
-                              pad_ids(prefixes)).data
+    batched = fusion_logits(lm, params, phis, pad_ids(guidance),
+                            pad_ids(prefixes)).data
     for b in range(3):
-        single = position_logits(lm, params, phis[b], guidance[b],
-                                 prefixes[b]).data
+        single = fusion_logits(lm, params, phis[b], guidance[b],
+                               prefixes[b]).data
         n = len(prefixes[b])
         np.testing.assert_allclose(batched[b, :n], single, rtol=0,
                                    atol=1e-12)
@@ -165,10 +168,13 @@ def test_mixed_length_batch_matches_single_items(lm, rng):
 def test_padded_guidance_keys_change_nothing(lm, rng):
     params = make_dec(lm, rng)
     phi = rng.normal(size=(D_A, T))
-    prefix = [BOS, 7, 8]
-    base = position_logits(lm, params, phi, [5, 6, SEP, 7], prefix).data
-    padded = position_logits(lm, params, phi, [5, 6, SEP, 7, PAD, PAD],
-                             prefix).data
+    prefix, psi = [BOS, 7, 8], encoded(lm, [BOS, 7, 8])
+    g = [5, 6, SEP, 7]
+    base = position_logits(params, phi, g, encoded(lm, g), prefix, psi).data
+    # the masked keys carry features too: those of the PAD-padded row
+    padded_g = g + [PAD, PAD]
+    padded = position_logits(params, phi, padded_g, encoded(lm, padded_g),
+                             prefix, psi).data
     np.testing.assert_allclose(padded, base, rtol=0, atol=1e-12)
 
 
@@ -185,9 +191,9 @@ def test_dropout_masks_do_not_depend_on_padding(lm, rng):
         np.testing.assert_array_equal(lg[:, :4], s)
         assert not np.any(lg[:, 4:]) and not np.any(s[1, 2:])
     # the same draws reach the logits of an item's real rows
-    out = [position_logits(lm, params, phi, [5, 6],
-                           [BOS, 5, 6, 7] + [PAD] * pad,
-                           np.random.default_rng(9), training=True).data
+    out = [fusion_logits(lm, params, phi, [5, 6],
+                         [BOS, 5, 6, 7] + [PAD] * pad,
+                         np.random.default_rng(9), training=True).data
            for pad in (0, 3)]
     np.testing.assert_allclose(out[1][:4], out[0], rtol=0, atol=1e-12)
 
@@ -196,8 +202,8 @@ def test_position_logits_are_causal(lm, rng):
     params = make_dec(lm, rng)
     phi = rng.normal(size=(D_A, T))
     g = [5, 6]
-    a = position_logits(lm, params, phi, g, [BOS, 7, 8, 9]).data
-    b = position_logits(lm, params, phi, g, [BOS, 7, 8, 10]).data
+    a = fusion_logits(lm, params, phi, g, [BOS, 7, 8, 9]).data
+    b = fusion_logits(lm, params, phi, g, [BOS, 7, 8, 10]).data
     np.testing.assert_allclose(a[:3], b[:3], atol=1e-12)
     assert not np.allclose(a[3], b[3])
 
@@ -206,19 +212,22 @@ def test_prefix_must_start_with_bos(lm, rng):
     params = make_dec(lm, rng)
     phi = np.zeros((D_A, T))
     g = [5]
+    psi = encoded(lm, g)
+    # the check comes first: the prefix features are never read
     with pytest.raises(ValueError, match="BOS"):
-        position_logits(lm, params, phi, g, [7, 8])
+        position_logits(params, phi, g, psi, [7, 8], None)
     with pytest.raises(ValueError, match="BOS"):
-        position_logits(lm, params, phi, g, [])
+        position_logits(params, phi, g, psi, [], None)
     with pytest.raises(ValueError, match="BOS"):
-        position_logits(lm, params, phi, g, [[BOS, 7], [7, 8]])
+        position_logits(params, phi, g, psi, [[BOS, 7], [7, 8]], None)
 
 
 def test_zero_head_gives_uniform_posterior(lm, rng):
     params = make_dec(lm, rng)
     params.lmhead.W.data[:] = 0.0
     params.lmhead.b.data[:] = 0.0
-    p = posterior(lm, params, rng.normal(size=(D_A, T)), [5], [[BOS, 6]])
+    p = posterior(lm, params, rng.normal(size=(D_A, T)), [5], [[BOS, 6]],
+                  encoded(lm, [5]))
     np.testing.assert_allclose(p, np.full((1, lm.vocab_size),
                                           1 / lm.vocab_size), atol=1e-12)
 
@@ -238,7 +247,7 @@ def test_smoothed_ce_lambda_zero_is_standard_ce(rng):
     logits = Tensor(rng.normal(size=(3, 5)))
     targets = [1, 4, 3]  # target 0 is PAD, a padded position
     got = smoothed_cross_entropy(logits, targets, 0.0).item()
-    logp = logits.log_softmax(axis=-1).data
+    logp = logits.log_softmax().data
     want = -np.mean(logp[np.arange(3), targets])
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -279,8 +288,8 @@ def exhaustive_best(lm, params, phi, guidance, max_len):
     """Enumerate every legal emission sequence and pick the best by the same
     ranking rule the beam uses. Rows come from full position_logits."""
     def logp_rows(toks):
-        logits = position_logits(lm, params, phi, guidance, [BOS, *toks])
-        return logits.log_softmax(axis=-1).data
+        logits = fusion_logits(lm, params, phi, guidance, [BOS, *toks])
+        return logits.log_softmax().data
 
     candidates = []
     for length in range(1, max_len + 1):
@@ -319,7 +328,7 @@ def test_beam_one_equals_greedy(lm, rng):
     g = [5, 6]
     toks = []
     for _ in range(5):
-        p = posterior(lm, params, phi, g, [[BOS] + toks])[0]
+        p = posterior(lm, params, phi, g, [[BOS] + toks], encoded(lm, g))[0]
         nxt = int(np.argmax(p))
         toks.append(nxt)
         if nxt == EOS:
@@ -364,7 +373,7 @@ def full_length_beam(lm, params, phi, guidance, beam, max_len,
     """One item's beam search without the early stop: it runs all max_len
     steps, extends every beam by every token and force-finishes the live
     beams. rows_of stands in for posterior."""
-    psi_guidance = lm.features(guidance)
+    psi_guidance = encoded(lm, guidance)
     live, finished = [((), 0.0)], []
     for _ in range(max_len):
         p = rows_of(lm, params, phi, guidance,
@@ -524,7 +533,7 @@ def test_train_decoder_validation_records_no_tape(monkeypatch):
 
     def recording(*args):
         out = logits(*args)
-        calls.append((args[6], out.requires_grad))  # (training, taped)
+        calls.append((args[7], out.requires_grad))  # (training, taped)
         return out
 
     monkeypatch.setattr(decoder, "position_logits", recording)
@@ -583,8 +592,8 @@ def test_epoch_guidance_matches_per_step_draws(monkeypatch):
     logits = decoder.position_logits
 
     def recording(*args):
-        if args[6]:  # training
-            steps.append((args[2], args[3], args[8]))
+        if args[7]:  # training
+            steps.append(args[1:4])  # (phis, guidance, psi_guidance)
         return logits(*args)
 
     monkeypatch.setattr(decoder, "position_logits", recording)
@@ -630,11 +639,13 @@ def test_train_decoder_history_matches_per_item_loop(texts):
 
 def test_train_decoder_nonfinite_loss_raises():
     """A NaN learning rate makes every weight NaN after the first step; the
-    next step's loss is NaN and training stops there."""
+    next step's loss is NaN and training stops there. The config rejects a
+    NaN rate, so it is set after the config is built."""
     lm, tok, items, labels = make_training_setup()
     cfg = make_cfg(model_d_a=D_A, decoder_batch=2, decoder_epochs=2,
-                   decoder_lr_max=float("nan"), decoder_d_r=4,
-                   decoder_heads=2, retrieval_k=2, decoder_dropout=0.0)
+                   decoder_d_r=4, decoder_heads=2, retrieval_k=2,
+                   decoder_dropout=0.0)
+    cfg.decoder_lr_max = float("nan")
     with pytest.raises(NumericError,
                        match="non-finite decoder loss at epoch 0"):
         train_decoder(lm, tok, items, labels, cfg, seed=0)

@@ -1,6 +1,6 @@
 """Every public module-level function and class of the package is used by
 the package or the benchmark, not only by tests, and every parameter
-default is one that some call there overrides."""
+default is one that some call there overrides and some call there uses."""
 
 import ast
 import glob
@@ -106,10 +106,12 @@ def _passes(call: ast.Call, name: str, pos: int | None) -> bool:
         isinstance(a, ast.Starred) for a in call.args))
 
 
-def _never_overridden(package: list[str], others: list[str]) -> list[str]:
-    """`module:name(param)` of each parameter default in the files of
-    `package` that no call in `package` or `others` overrides. Calls match
-    definitions by name, so a call of any same-named function counts."""
+def _default_calls(package: list[str],
+                   others: list[str]) -> list[tuple[str, list[bool]]]:
+    """(`module:name(param)`, whether each call passes it) of each parameter
+    default in the files of `package`, over the calls in `package` and
+    `others`. Calls match definitions by name, so a call of any same-named
+    function counts."""
     trees = {}
     for path in package + others:
         with open(path, encoding="utf-8") as f:
@@ -118,16 +120,34 @@ def _never_overridden(package: list[str], others: list[str]) -> list[str]:
     for tree in trees.values():
         for name, call in _calls(tree):
             calls.setdefault(name, []).append(call)
-    return [f"{os.path.basename(path)}:{name}({param})"
+    return [(f"{os.path.basename(path)}:{name}({param})",
+             [_passes(c, param, None if pos is None else pos - bound)
+              for c in calls.get(name, [])])
             for path in package for name, fn, bound in _defs(trees[path])
-            for param, pos in _defaulted(fn)
-            if not any(_passes(c, param, None if pos is None else pos - bound)
-                       for c in calls.get(name, []))]
+            for param, pos in _defaulted(fn)]
+
+
+def _never_overridden(package: list[str], others: list[str]) -> list[str]:
+    """Each parameter default that no call overrides."""
+    return [d for d, passed in _default_calls(package, others)
+            if not any(passed)]
+
+
+def _always_overridden(package: list[str], others: list[str]) -> list[str]:
+    """Each parameter default that some call overrides and every call
+    does: only a call from a test uses it."""
+    return [d for d, passed in _default_calls(package, others)
+            if passed and all(passed)]
 
 
 def test_every_default_is_overridden_outside_tests():
     """A default that no caller changes is a constant in disguise."""
     assert _never_overridden(*_sources()) == []
+
+
+def test_no_default_is_overridden_by_every_call():
+    """A default that every caller changes exists only for tests."""
+    assert _always_overridden(*_sources()) == []
 
 
 def test_default_check_sees_each_way_of_passing(tmp_path):
@@ -147,3 +167,19 @@ def test_default_check_sees_each_way_of_passing(tmp_path):
         "m.py:f(c)", "m.py:inner(d)"}
     calls.write_text("f(*a, c=3)\nK(0, 1)\nk.m(1)\ninner(1)\n")
     assert _never_overridden([str(mod)], [str(calls)]) == []
+
+
+def test_every_call_check_needs_every_call_to_pass(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "def f(a, b=1, *, c=2):\n"
+        "    def inner(d=0): pass\n"
+        "class K:\n"
+        "    def __init__(self, x, y=0): pass\n"
+        "    def m(self, z=0): pass\n")
+    calls = tmp_path / "calls.py"
+    assert _always_overridden([str(mod)], []) == []  # no call at all
+    calls.write_text("from m import f as g\ng(0, 1, c=3)\nf(*a)\n"
+                     "K(0, y=1)\nK(0, 1)\nk.m(**o)\nk.m()\ninner()\n")
+    assert set(_always_overridden([str(mod)], [str(calls)])) == {
+        "m.py:f(b)", "m.py:K(y)"}

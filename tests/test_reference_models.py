@@ -54,18 +54,18 @@ def test_same_seed_bitwise_identical_weights():
 
 def test_features_shape_and_determinism():
     lm = TinyCausalLm(20, make_cfg(model_d_l=16, lm_seed=7))
-    f = lm.features([BOS, 5, 6])
+    f = lm.features(np.array([BOS, 5, 6]))
     assert f.shape == (3, 16)
-    np.testing.assert_array_equal(f, lm.features([BOS, 5, 6]))
+    np.testing.assert_array_equal(f, lm.features(np.array([BOS, 5, 6])))
 
 
 def test_features_batch_matches_single_sequences():
     lm = TinyCausalLm(20, make_cfg(model_d_l=16, lm_seed=7))
     batch = lm.features([[BOS, 5, 6, 7], [BOS, 8, PAD, PAD]])
     assert batch.shape == (2, 4, 16)
-    np.testing.assert_allclose(batch[0], lm.features([BOS, 5, 6, 7]),
+    np.testing.assert_allclose(batch[0], lm.features(np.array([BOS, 5, 6, 7])),
                                rtol=0, atol=1e-12)
-    np.testing.assert_allclose(batch[1, :2], lm.features([BOS, 8]),
+    np.testing.assert_allclose(batch[1, :2], lm.features(np.array([BOS, 8])),
                                rtol=0, atol=1e-12)
 
 
@@ -80,23 +80,23 @@ def test_features_of_ragged_rows_are_their_own_length_encodings():
     feats = lm.features(rows)
     assert feats.shape == (len(rows), 42, lm.d_model)
     for f, row in zip(feats, rows):
-        assert f[:len(row)].tobytes() == lm.features(row).tobytes()
+        assert f[:len(row)].tobytes() == lm.features(np.array(row)).tobytes()
         assert not f[len(row):].any()
 
 
 def test_causal_prefix_property():
     lm = TinyCausalLm(20, make_cfg(lm_seed=7))
-    short = lm.features([BOS, 5, 6])
-    long = lm.features([BOS, 5, 6, 7, 8])
+    short = lm.features(np.array([BOS, 5, 6]))
+    long = lm.features(np.array([BOS, 5, 6, 7, 8]))
     np.testing.assert_allclose(long[:3], short, atol=1e-12)
 
 
 def test_lm_rejects_bad_tokens():
     lm = TinyCausalLm(20, make_cfg(lm_seed=7))
-    with pytest.raises(ValueError):
-        lm.features([BOS, 25])
-    with pytest.raises(ValueError):
-        lm.features([])
+    with pytest.raises(ValueError, match="out of vocabulary"):
+        lm.features(np.array([BOS, 25]))
+    with pytest.raises(ValueError, match="nonempty"):
+        lm.features(np.array([], dtype=np.int64))
 
 
 def test_head_matrix_tied_to_embedding():
@@ -171,7 +171,7 @@ def test_max_len_enforced(monkeypatch):
     monkeypatch.setattr(reference_models, "MAX_LEN", 4)
     lm = TinyCausalLm(10, make_cfg())
     with pytest.raises(ValueError, match="max_len"):
-        lm.features([1, 2, 3, 4, 5])
+        lm.features(np.array([1, 2, 3, 4, 5]))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def test_same_cluster_captions_more_similar(tmp_path):
     tok = TinyTokenizer(texts)
     lm = TinyCausalLm(tok.vocab_size, make_cfg(lm_seed=7))
     lm.pretrain([tok.encode(t) for t in texts], epochs=10)
-    embs = [lm.features(tok.encode(t)).T.copy() for t in texts]
+    embs = [lm.features(np.array(tok.encode(t))).T.copy() for t in texts]
     same, cross = [], []
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):

@@ -357,10 +357,11 @@ def test_all_anchors_skipped_raises(rng):
 
 def test_nonfinite_triplet_loss_raises(rng):
     """A NaN learning rate makes every weight NaN after the first step; the
-    next step's loss is NaN and training stops there."""
+    next step's loss is NaN and training stops there. The config rejects a
+    NaN rate, so it is set after the config is built."""
     items, labels, _ = make_items(rng)
-    cfg = make_cfg(triplet_batch=4, triplet_epochs=2, triplet_lr=float("nan"),
-                   embed_dropout=0.0)
+    cfg = make_cfg(triplet_batch=4, triplet_epochs=2, embed_dropout=0.0)
+    cfg.triplet_lr = float("nan")
     with pytest.raises(NumericError,
                        match="non-finite triplet loss at epoch 0"):
         train_retrieval(items, labels, cfg, seed=0)
@@ -419,10 +420,10 @@ def test_topk_exact_query_and_full_size(rng):
     params = make_params(rng)
     index = build_index(params, items)
     query = index.embeddings[2]
-    top = retrieve_topk(index, query, k=1)
+    top = retrieve_topk(index, query, k=1, exclude=None)
     assert top[0][0] == index.ids[2]
     assert top[0][1] == pytest.approx(0.0, abs=1e-15)
-    everything = retrieve_topk(index, query, k=len(index.ids))
+    everything = retrieve_topk(index, query, k=len(index.ids), exclude=None)
     dists = [d for _, d, _ in everything]
     assert dists == sorted(dists)
 
@@ -435,7 +436,7 @@ def test_topk_matches_bruteforce_oracle(rng):
                            [[f"cap{k}"] for k in range(n)])
     for _ in range(20):
         q = rng.normal(size=6)
-        got = retrieve_topk(index, q, k=5)
+        got = retrieve_topk(index, q, k=5, exclude=None)
         ranked = sorted(range(n), key=lambda i: (scalar_sq_l2(embs[i], q),
                                                  index.ids[i]))
         assert got == [(index.ids[i], scalar_sq_l2(embs[i], q), f"cap{i}")
@@ -450,9 +451,9 @@ def test_topk_exclusion_and_bounds(rng):
                         exclude=index.ids[0])
     assert index.ids[0] not in [t[0] for t in top]
     with pytest.raises(ValueError):
-        retrieve_topk(index, query, k=len(index.ids) + 1)
+        retrieve_topk(index, query, k=len(index.ids) + 1, exclude=None)
     with pytest.raises(ValueError):
-        retrieve_topk(index, query, k=0)
+        retrieve_topk(index, query, k=0, exclude=None)
 
 
 def test_topk_insertion_order_invariant(rng):
@@ -465,7 +466,8 @@ def test_topk_insertion_order_invariant(rng):
     rev = RetrievalIndex([ids[i] for i in perm], embs[perm],
                          [caps[i] for i in perm])
     q = rng.normal(size=4)
-    assert retrieve_topk(fwd, q, k=4) == retrieve_topk(rev, q, k=4)
+    assert (retrieve_topk(fwd, q, k=4, exclude=None)
+            == retrieve_topk(rev, q, k=4, exclude=None))
 
 
 @pytest.mark.parametrize("exclude", [None, "i03", "absent"])
@@ -541,5 +543,5 @@ def test_evaluate_scope_one_embed_batch_call(rng, monkeypatch, scope):
     monkeypatch.setattr(retrieval, "embed_batch", recording)
     monkeypatch.setattr(decoder, "generate_captions", fake_generate)
     pipeline.evaluate_scope(scope, make_cfg(retrieval_k=2), items, "all",
-                            params, index)
+                            params, index, None, None, None, None)
     assert batches == [len(items)]

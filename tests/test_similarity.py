@@ -205,7 +205,7 @@ def test_compute_similarity_matches_per_caption_loop():
              for i, t in enumerate(texts)]
     cfg = make_cfg(similarity_threshold=0.5)
     raw, labels = pipeline.compute_similarity(items, tok, lm, cfg)
-    want = pairwise_similarity([lm.features(tok.encode(t)).T.copy()
+    want = pairwise_similarity([lm.features(np.array(tok.encode(t))).T.copy()
                                 for t in texts])
     assert raw.tobytes() == want.tobytes()
     np.testing.assert_array_equal(
