@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .errors import NumericError
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible."""
@@ -424,10 +426,14 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale by
     `gamma` and shift by `beta`, as one node. It is the composition
-    xhat * gamma + beta bit for bit, forward and backward."""
+    xhat * gamma + beta bit for bit, forward and backward. Raises
+    NumericError if a variance is not finite: an overflowed one would
+    normalize every row to `beta`."""
     n = x.shape[-1]
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     var = np.square(xhat).sum(axis=-1, keepdims=True) / n  # np.var's steps
+    if not np.isfinite(var).all():
+        raise NumericError("non-finite layer_norm variance")
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     out = xhat * gamma.data

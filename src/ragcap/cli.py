@@ -223,6 +223,14 @@ def cmd_evaluate(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ragcap",
@@ -237,12 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--labels", required=True,
                            help="similarity archive from prepare-similarity")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", required=True)
 
     p = sub.add_parser("make-dataset", help="generate a synthetic dataset")
     p.add_argument("--spec", help="JSON dataset spec (default: shipped spec)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     add_common(p)
     p.set_defaults(func=cmd_make_dataset)
 

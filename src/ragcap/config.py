@@ -71,14 +71,16 @@ class PipelineConfig:
             if not 0.0 <= value < 1.0:
                 raise ConfigError(f"{key} must be in [0, 1), got {value!r}")
         # counts and widths: a zero width divides by zero in an attention
-        # scale, and a negative count would act as 0
+        # scale, and a negative count would act as 0; numpy's generators
+        # take no negative seed
         for low, keys in ((1, ("decoder.lr_period", "decoder.max_len",
                                "generate.beam", "retrieval.K",
                                "triplet.batch", "decoder.batch", "model.D_a",
                                "model.T", "model.D_l", "decoder.D_r",
                                "embed.ff", "lm.ff")),
                           (0, ("lm.layers", "lm.pretrain_epochs",
-                               "triplet.epochs", "decoder.epochs"))):
+                               "triplet.epochs", "decoder.epochs",
+                               "lm.seed"))):
             for key in keys:
                 value = getattr(self, KEY_TO_FIELD[key])
                 if value < low:

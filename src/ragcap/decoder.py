@@ -6,7 +6,8 @@ fuses hypothesis features (queries) with guidance features (keys/values);
 a second, dimension-reduced cross-attention path folds in the audio feature
 sequence. The sum of both paths feeds a trainable token-prediction head.
 Training is teacher-forced label-smoothed cross-entropy; generation is
-length-normalized beam search.
+length-normalized beam search over any scoring step; the fusion step
+encodes all guidance once and makes one posterior call per beam step.
 
 The fusion forward reads frozen-LM features, never token ids through the
 LM: each caller encodes its rows once, where it forms its batch. Batches of
@@ -239,17 +240,32 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
 # beam search
 # ---------------------------------------------------------------------------
 
-def beam_search(lm: TinyCausalLm, params: DecoderParams, phis,
-                guidances: list[list[int]], beam: int,
-                max_len: int) -> list[list[int]]:
-    """Length-normalized beam search for N items in lockstep: item n has
-    audio features phis[n] (D_a, T) and SEP-joined guidance ids
-    guidances[n]. Returns N token lists (EOS included if generated).
+def fusion_step(lm: TinyCausalLm, params: DecoderParams, phis,
+                guidances: list[list[int]]):
+    """The fusion decoder's beam step for N items: item n has audio
+    features phis[n] (D_a, T) and SEP-joined guidance ids guidances[n].
+    All guidance is encoded here, once; each step is one posterior call on
+    the items of its rows."""
+    phis = np.asarray(phis, dtype=np.float64)
+    guidance, psi_guidance = pad_ids(guidances), lm.features(guidances)
 
-    Each step scores the live beams of every unfinished item in one
-    posterior call. Per item, beams end at EOS or at max_len;
-    live beams are pruned by cumulative log-probability, the final ranking
-    uses mean log-probability per emitted token. All ties break on the
+    def step(owner, prefixes):
+        p = posterior(lm, params, phis[owner], guidance[owner], prefixes,
+                      psi_guidance[owner])
+        return np.log(np.maximum(p, 1e-300))
+    return step
+
+
+def beam_search(step, n: int, beam: int, max_len: int) -> list[list[int]]:
+    """Length-normalized beam search for N items in lockstep. step(owner,
+    prefixes) returns the (rows, V) next-token log-probabilities of the
+    BOS-led prefixes, one row per live beam; owner[r] is the item of row r.
+    Returns N token lists (EOS included if generated).
+
+    Each step scores the live beams of every unfinished item in one step
+    call. Per item, beams end at EOS or at max_len; live beams are pruned
+    by cumulative log-probability, the final ranking uses mean
+    log-probability per emitted token. All ties break on the
     token sequence itself, so decoding is deterministic. Each beam offers
     only its own best `beam` non-EOS extensions: they hold every one kept.
 
@@ -261,9 +277,6 @@ def beam_search(lm: TinyCausalLm, params: DecoderParams, phis,
     is monotone, so these inequalities also hold for the computed floats,
     and no later candidate can outrank the best finished one. A stopped
     item's live beams are therefore dropped, not force-finished."""
-    phis = np.asarray(phis, dtype=np.float64)
-    guidance, psi_guidance = pad_ids(guidances), lm.features(guidances)
-    n = len(guidances)
     live = [[((), 0.0)] for _ in range(n)]
     finished = [[] for _ in range(n)]
     best_done = [-np.inf] * n  # per item, the best finished lp / len
@@ -272,10 +285,8 @@ def beam_search(lm: TinyCausalLm, params: DecoderParams, phis,
         if not running:
             break
         owner = [i for i in running for _ in live[i]]
-        p = posterior(lm, params, phis[owner], guidance[owner],
-                      [(BOS,) + toks for i in running for toks, _ in live[i]],
-                      psi_guidance[owner])
-        rows = iter(np.log(np.maximum(p, 1e-300)))
+        rows = iter(step(owner, [(BOS,) + toks for i in running
+                                 for toks, _ in live[i]]))
         for i in running:
             next_live = []
             for (toks, lp), row in zip(live[i], rows):
@@ -303,5 +314,6 @@ def generate_captions(lm: TinyCausalLm, tokenizer: TinyTokenizer,
     captions guidance_texts[n]; all items are decoded in one beam search."""
     guidances = [guidance_ids([tokenizer.encode(c) for c in texts])
                  for texts in guidance_texts]
-    return [tokenizer.decode(toks) for toks in
-            beam_search(lm, params, phis, guidances, beam, max_len)]
+    return [tokenizer.decode(toks) for toks in beam_search(
+        fusion_step(lm, params, phis, guidances), len(guidances), beam,
+        max_len)]

@@ -246,12 +246,15 @@ class Adam:
         """One training step at learning rate `lr` on the scalar loss that
         `loss_fn()` builds with the part unfrozen: backward and step.
         Returns the loss value; raises NumericError, naming `what`, before
-        touching a weight if it is not finite. However the step ends, the
-        part is frozen again and its gradients dropped, and the loss graph
-        is freed when the step returns."""
+        touching a weight if it or a checked intermediate is not finite.
+        However the step ends, the part is frozen again and its gradients
+        dropped, and the loss graph is freed when the step returns."""
         self.part.freeze(False)
         try:
-            loss = loss_fn()
+            try:
+                loss = loss_fn()
+            except NumericError as e:
+                raise NumericError(f"non-finite {what}: {e}") from e
             value = loss.item()
             if not math.isfinite(value):
                 raise NumericError(f"non-finite {what}")

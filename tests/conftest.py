@@ -1,6 +1,8 @@
 """Shared test helpers: finite-difference gradient checking and small
 deterministic fixtures."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from ragcap import layers
 from ragcap.autodiff import Tensor
 from ragcap.config import PipelineConfig
 from ragcap.decoder import position_logits
-from ragcap.reference_models import PAD
+from ragcap.reference_models import BOS, EOS, PAD
 
 
 def finite_diff_check(loss_fn, params, h=1e-5, rel_tol=1e-4, abs_tol=1e-7,
@@ -100,6 +102,38 @@ def fusion_logits(lm, params, phi, guidance, prefix, rng=None,
     features encoded as `encoded` does."""
     return position_logits(params, phi, guidance, encoded(lm, guidance),
                            prefix, encoded(lm, prefix), rng, training)
+
+
+def full_forward_step(lm, params, phi, guidance):
+    """A beam step for one item that scores each prefix from the last row
+    of its full position_logits forward (fusion_logits), where the search's
+    fusion_step scores it from posterior's last-row path."""
+    def step(owner, prefixes):
+        return np.array([fusion_logits(lm, params, phi, guidance, prefix)
+                         .log_softmax().data[-1] for prefix in prefixes])
+    return step
+
+
+def exhaustive(step, vocab, max_len):
+    """The best token list of item 0 under step, by the ranking rule of
+    decoder.beam_search, found by scoring every sequence that ends at EOS
+    or runs to max_len tokens."""
+    rows = {}
+
+    def logp(toks):  # next-token log-probabilities after BOS + toks
+        if toks not in rows:
+            rows[toks] = step([0], [(BOS,) + toks])[0]
+        return rows[toks]
+
+    cands = []
+    for length in range(1, max_len + 1):
+        for toks in product(range(vocab), repeat=length):
+            if EOS in toks[:-1] or (toks[-1] != EOS and length < max_len):
+                continue
+            cands.append((toks, sum(logp(toks[:pos])[tok]
+                                    for pos, tok in enumerate(toks))))
+    return list(max(cands, key=lambda e: (e[1] / len(e[0]),
+                                          tuple(-t for t in e[0])))[0])
 
 
 @pytest.fixture

@@ -10,13 +10,12 @@ import dataclasses
 import math
 import os
 import time
-from itertools import product
 
 import numpy as np
 import pytest
 
-from conftest import (encoded, finite_diff_check, fusion_logits, make_cfg,
-                      random_head)
+from conftest import (encoded, exhaustive, finite_diff_check,
+                      full_forward_step, fusion_logits, make_cfg, random_head)
 from test_metrics import _CORPUS_CANDS, _CORPUS_REFS, _cider_oracle
 
 from ragcap import decoder, layers, pipeline
@@ -24,9 +23,9 @@ from ragcap.autodiff import Tensor
 from ragcap.cli import main as cli_main
 from ragcap.config import PipelineConfig, load_config
 from ragcap.data import DatasetItem, load_dataset
-from ragcap.decoder import (DecoderParams, beam_search, guidance_ids,
-                            pad_ids, posterior, smoothed_cross_entropy,
-                            train_decoder)
+from ragcap.decoder import (DecoderParams, beam_search, fusion_step,
+                            guidance_ids, pad_ids, posterior,
+                            smoothed_cross_entropy, train_decoder)
 from ragcap.layers import (EncoderLayer, LayerNorm, Linear, MultiHeadAttention,
                            causal_mask)
 from ragcap.metrics import evaluate_corpus
@@ -202,25 +201,7 @@ def test_criterion_02_search_oracles(rng):
         assert [(g[0], g[1]) for g in got] == [(i, dd) for dd, i in want]
 
     # beam search against exhaustive enumeration: vocab 3, length 3; each
-    # candidate is scored from the full position_logits rows of its prefix
-    def exhaustive(lm, params, phi, guidance, max_len):
-        def rows(toks):
-            logits = fusion_logits(lm, params, phi, guidance, [BOS, *toks])
-            return logits.log_softmax().data
-
-        cands = []
-        eos = 2
-        for length in range(1, max_len + 1):
-            for toks in product(range(lm.vocab_size), repeat=length):
-                if eos in toks[:-1]:
-                    continue
-                if toks[-1] != eos and length < max_len:
-                    continue
-                lp = sum(r[tok] for r, tok in zip(rows(toks[:-1]), toks))
-                cands.append((toks, lp))
-        return list(max(cands, key=lambda e: (e[1] / len(e[0]),
-                                              tuple(-t for t in e[0])))[0])
-
+    # candidate is scored from the full position_logits rows of its prefixes
     g = [1]
     for seed in range(20):
         model_rng = np.random.default_rng([71, seed])
@@ -232,8 +213,10 @@ def test_criterion_02_search_oracles(rng):
             params = DecoderParams(cfg, lm, model_rng)
             random_head(params, model_rng)
         phi = model_rng.normal(size=(3, 4))
-        assert beam_search(lm, params, [phi], [g], beam=9, max_len=3) == \
-            [exhaustive(lm, params, phi, g, max_len=3)]
+        assert beam_search(fusion_step(lm, params, [phi], [g]), 1, beam=9,
+                           max_len=3) == \
+            [exhaustive(full_forward_step(lm, params, phi, g), lm.vocab_size,
+                        max_len=3)]
 
 
 # ---------------------------------------------------------------------------

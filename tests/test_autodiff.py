@@ -9,6 +9,7 @@ from scipy.special import erf
 from conftest import finite_diff_check, rand_tensor, trainable
 from ragcap.autodiff import (GraphError, ShapeError, Tensor, _erf, _make,
                              affine, as_tensor, layer_norm)
+from ragcap.errors import NumericError
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +291,14 @@ def test_layer_norm_output_and_grad(rng):
     beta.data = rng.normal(size=6)
     finite_diff_check(lambda: (layer_norm(x, gamma, beta) ** 3.0).sum(),
                       [x, gamma, beta])
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_layer_norm_rejects_overflowed_variance():
+    # finite entries whose squares overflow; the row would come out as beta
+    x = Tensor([[1.0, 2.0, 3.0], [1e200, -1e200, 0.0]])
+    with pytest.raises(NumericError, match="layer_norm variance"):
+        layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------

@@ -249,10 +249,12 @@ def test_exit_2_out_of_range_config_value(ws, tmp_path, line):
 @pytest.mark.parametrize("command, line", [
     ("prepare-similarity", "model.D_l = 0"),
     ("train-decoder", "decoder.D_r = 0"),
-    ("prepare-similarity", "similarity.threshold = nan")])
+    ("prepare-similarity", "similarity.threshold = nan"),
+    ("prepare-similarity", "lm.seed = -1")])
 def test_exit_2_config_that_used_to_fail_later(ws, tmp_path, command, line):
-    """A zero width divided by zero in an attention scale (exit 1), and a
-    NaN threshold wrote labels that no reader could accept (exit 3)."""
+    """A zero width divided by zero in an attention scale (exit 1), a NaN
+    threshold wrote labels that no reader could accept (exit 3), and numpy
+    rejected a negative LM seed as a data error (exit 3)."""
     bad = tmp_path / "bad.cfg"
     bad.write_text(CONFIG + line + "\n")
     args = [command, "--config", str(bad), "--manifest", ws["manifest"],
@@ -355,10 +357,20 @@ def test_exit_3_bad_dataset_spec(tmp_path, caplog, spec, message):
     assert not out.exists()
 
 
-def test_exit_3_negative_dataset_seed(tmp_path, caplog):
-    out = tmp_path / "data"
-    assert main(["make-dataset", "--seed", "-1", "--out", str(out)]) == 3
-    assert "seed must be >= 0, got -1" in caplog.text
+@pytest.mark.parametrize("command", ["make-dataset", "train-retrieval",
+                                     "train-decoder"])
+def test_exit_2_negative_seed_flag(ws, tmp_path, capsys, command):
+    """A negative --seed used to reach the dataset spec's check or numpy's
+    generators (exit 3); the flag rejects it when the command line is
+    parsed."""
+    out = tmp_path / "out"
+    args = [command, "--config", ws["cfg"], "--seed", "-1", "--out", str(out)]
+    if command != "make-dataset":
+        args += ["--manifest", ws["manifest"], "--labels", ws["labels"]]
+    with pytest.raises(SystemExit) as exited:
+        main(args)
+    assert exited.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -578,6 +590,21 @@ def test_exit_4_nonfinite_training(ws, tmp_path):
     assert main(["train-retrieval", "--config", str(cfg),
                  "--manifest", ws["manifest"], "--labels", ws["labels"],
                  "--seed", "0", "--out", str(tmp_path / "r")]) == 4
+
+
+@pytest.mark.filterwarnings("ignore:overflow|invalid value")
+def test_exit_4_collapsed_training(ws, tmp_path, caplog):
+    """At this rate the weights stay finite but the layer norm variances
+    overflow, which used to normalize every item to one embedding and
+    exit 0."""
+    cfg = tmp_path / "vast_lr.cfg"
+    cfg.write_text(CONFIG + "triplet.lr = 1e100\n")
+    assert main(["train-retrieval", "--config", str(cfg),
+                 "--manifest", ws["manifest"], "--labels", ws["labels"],
+                 "--seed", "0", "--out", str(tmp_path / "r")]) == 4
+    assert ("numeric failure: non-finite triplet loss at epoch 0: "
+            "non-finite layer_norm variance") in caplog.text
+    assert not (tmp_path / "r").exists()
 
 
 # ---------------------------------------------------------------------------

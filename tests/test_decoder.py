@@ -1,15 +1,14 @@
 import math
-from itertools import product
 
 import numpy as np
 import pytest
 
-from conftest import (encoded, fusion_logits, make_cfg, random_head,
-                      trainable)
+from conftest import (encoded, exhaustive, full_forward_step, fusion_logits,
+                      make_cfg, random_head, trainable)
 from ragcap import decoder, layers
 from ragcap.autodiff import Tensor
 from ragcap.data import DatasetItem
-from ragcap.decoder import (DecoderParams, beam_search,
+from ragcap.decoder import (DecoderParams, beam_search, fusion_step,
                             generate_captions, guidance_ids, pad_ids,
                             posterior, position_logits,
                             smoothed_cross_entropy, train_decoder)
@@ -284,28 +283,33 @@ def test_smoothed_ce_target_count_checked(rng):
 # beam search
 # ---------------------------------------------------------------------------
 
-def exhaustive_best(lm, params, phi, guidance, max_len):
-    """Enumerate every legal emission sequence and pick the best by the same
-    ranking rule the beam uses. Rows come from full position_logits."""
-    def logp_rows(toks):
-        logits = fusion_logits(lm, params, phi, guidance, [BOS, *toks])
-        return logits.log_softmax().data
+def decode(lm, params, phis, guidances, beam, max_len):
+    """The fusion decoder's beam search, as generate_captions runs it."""
+    return beam_search(fusion_step(lm, params, phis, guidances),
+                       len(guidances), beam, max_len)
 
-    candidates = []
-    for length in range(1, max_len + 1):
-        for toks in product(range(lm.vocab_size), repeat=length):
-            if EOS in toks[:-1]:
-                continue
-            if toks[-1] != EOS and length < max_len:
-                continue
-            rows = logp_rows(toks[:-1])
-            lp = 0.0
-            for pos, tok in enumerate(toks):
-                lp += rows[pos][tok]
-            candidates.append((toks, lp))
-    best = max(candidates, key=lambda e: (e[1] / len(e[0]),
-                                          tuple(-t for t in e[0])))
-    return list(best[0])
+
+def counting(step, calls):
+    """step, appending the row count of each of its calls to calls."""
+    def counted(owner, prefixes):
+        calls.append(len(prefixes))
+        return step(owner, prefixes)
+    return counted
+
+
+def table_step(seeds, weights, vocab):
+    """A beam step that reads item i's row for a prefix from a fixed table
+    keyed by (seeds[i], prefix): the logs of seeded draws from weights over
+    their sum. Repeated weights tie tokens within a row, and equal sums of
+    rows tie cumulative scores across beams."""
+    weights = np.asarray(weights, dtype=float)
+
+    def step(owner, prefixes):
+        w = np.array([weights[np.random.default_rng([seeds[i], *prefix])
+                              .integers(0, len(weights), size=vocab)]
+                      for i, prefix in zip(owner, prefixes)])
+        return np.log(w / w.sum(axis=1, keepdims=True))
+    return step
 
 
 def test_beam_matches_exhaustive_small_instances(monkeypatch):
@@ -317,9 +321,9 @@ def test_beam_matches_exhaustive_small_instances(monkeypatch):
         params = make_dec(lm, rng, d_r=4)
         random_head(params, rng)
         phi = rng.normal(size=(D_A, T))
-        assert beam_search(lm, params, [phi], [g], beam=36,
-                           max_len=3) == \
-            [exhaustive_best(lm, params, phi, g, max_len=3)]
+        assert decode(lm, params, [phi], [g], beam=36, max_len=3) == \
+            [exhaustive(full_forward_step(lm, params, phi, g),
+                        lm.vocab_size, max_len=3)]
 
 
 def test_beam_one_equals_greedy(lm, rng):
@@ -333,7 +337,7 @@ def test_beam_one_equals_greedy(lm, rng):
         toks.append(nxt)
         if nxt == EOS:
             break
-    assert beam_search(lm, params, [phi], [g], beam=1, max_len=5) == [toks]
+    assert decode(lm, params, [phi], [g], beam=1, max_len=5) == [toks]
 
 
 def test_beam_search_encodes_guidance_once(lm, rng, monkeypatch):
@@ -347,39 +351,51 @@ def test_beam_search_encodes_guidance_once(lm, rng, monkeypatch):
         return features(ids)
 
     monkeypatch.setattr(lm, "features", recording)
-    beam_search(lm, params, [rng.normal(size=(D_A, T))], [g], beam=3,
-                max_len=6)
+    step = fusion_step(lm, params, [rng.normal(size=(D_A, T))], [g])
+    assert encoded == [[g]]
+    beam_search(step, 1, beam=3, max_len=6)
     assert len(encoded) > 2
-    assert encoded[0] == [g] and encoded.count([g]) == 1
+    assert encoded.count([g]) == 1
 
 
 def test_beam_is_deterministic(lm, rng):
     params = make_dec(lm, rng)
     phi = rng.normal(size=(D_A, T))
     g = guidance_ids([[5, 6], [7]])
-    assert beam_search(lm, params, [phi], [g], beam=3, max_len=6) == \
-        beam_search(lm, params, [phi], [g], beam=3, max_len=6)
+    assert decode(lm, params, [phi], [g], beam=3, max_len=6) == \
+        decode(lm, params, [phi], [g], beam=3, max_len=6)
 
 
 def test_beam_respects_max_len(lm, rng):
     params = make_dec(lm, rng)
-    [out] = beam_search(lm, params, [rng.normal(size=(D_A, T))],
-                        [[5]], beam=2, max_len=4)
+    [out] = decode(lm, params, [rng.normal(size=(D_A, T))], [[5]], beam=2,
+                   max_len=4)
     assert 1 <= len(out) <= 4
 
 
-def full_length_beam(lm, params, phi, guidance, beam, max_len,
-                     rows_of=posterior):
-    """One item's beam search without the early stop: it runs all max_len
-    steps, extends every beam by every token and force-finishes the live
-    beams. rows_of stands in for posterior."""
-    psi_guidance = encoded(lm, guidance)
+def test_fusion_step_rows_are_log_posteriors_of_their_items(lm, rng):
+    params = make_dec(lm, rng)
+    guidances = [guidance_ids([[5, 6], [7]]), [8], [9, 10]]
+    phis = rng.normal(size=(3, D_A, T))
+    owner = [2, 0, 2, 1]
+    prefixes = [(BOS, 5, 6), (BOS, 7, 7), (BOS, 9, 5), (BOS, 6, 8)]
+    rows = fusion_step(lm, params, phis, guidances)(owner, prefixes)
+    assert rows.shape == (len(owner), lm.vocab_size)
+    for row, i, prefix in zip(rows, owner, prefixes):
+        p = posterior(lm, params, phis[i], guidances[i], [prefix],
+                      encoded(lm, guidances[i]))[0]
+        np.testing.assert_allclose(row, np.log(p), rtol=0, atol=1e-12)
+
+
+def full_length_beam(step, beam, max_len):
+    """Item 0's beam search under step without the early stop: it runs all
+    max_len steps, extends every beam by every token and force-finishes the
+    live beams."""
     live, finished = [((), 0.0)], []
     for _ in range(max_len):
-        p = rows_of(lm, params, phi, guidance,
-                    [(BOS,) + toks for toks, _ in live], psi_guidance)
+        rows = step([0] * len(live), [(BOS,) + toks for toks, _ in live])
         next_live = []
-        for (toks, lp), row in zip(live, np.log(np.maximum(p, 1e-300))):
+        for (toks, lp), row in zip(live, rows):
             for v in range(len(row)):
                 (finished if v == EOS else next_live).append(
                     (toks + (v,), lp + row[v]))
@@ -388,19 +404,6 @@ def full_length_beam(lm, params, phi, guidance, beam, max_len,
     best = max(finished + live, key=lambda e: (e[1] / len(e[0]),
                                                tuple(-t for t in e[0])))
     return list(best[0])
-
-
-def count_posterior_calls(monkeypatch) -> list[int]:
-    """Rows of each posterior call beam_search makes from now on."""
-    calls = []
-    inner = decoder.posterior
-
-    def counting(*args, **kwargs):
-        calls.append(len(args[4]))
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(decoder, "posterior", counting)
-    return calls
 
 
 def random_decoder(seed):
@@ -421,44 +424,58 @@ def test_lockstep_beam_equals_single_item_searches():
         guidances = [guidance_ids([[5, 6], [7]]), [6],
                      guidance_ids([[7, 5, 5], [6]]), [5, 7]]
         phis = rng.normal(size=(len(guidances), D_A, T))
-        together = beam_search(lm, params, phis, guidances, beam=3,
-                               max_len=8)
+        together = decode(lm, params, phis, guidances, beam=3, max_len=8)
         assert together == [
-            beam_search(lm, params, [phi], [g], beam=3, max_len=8)[0]
+            decode(lm, params, [phi], [g], beam=3, max_len=8)[0]
             for phi, g in zip(phis, guidances)]
 
 
-def test_beam_early_stop_matches_full_length_search(monkeypatch):
-    calls = count_posterior_calls(monkeypatch)
+def test_beam_early_stop_matches_full_length_search():
     stopped = 0
     for seed in range(40):
         lm, params, rng = random_decoder(seed)
         phi = rng.normal(size=(D_A, T))
         g = [int(t) for t in rng.integers(5, 8, size=3)]
-        calls.clear()
-        assert beam_search(lm, params, [phi], [g], beam=2, max_len=8) == \
-            [full_length_beam(lm, params, phi, g, beam=2, max_len=8)]
+        step, calls = fusion_step(lm, params, [phi], [g]), []
+        assert beam_search(counting(step, calls), 1, beam=2, max_len=8) == \
+            [full_length_beam(step, beam=2, max_len=8)]
         stopped += len(calls) < 8
     assert stopped > 0
 
 
-def test_beam_step_matches_full_expansion_on_tied_scores(monkeypatch):
+def test_beam_step_matches_full_expansion_on_tied_scores():
     """Each beam offers only its own best extensions; on rows full of tied
     scores the search still keeps what expanding every token keeps."""
-    def tied_posterior(lm, params, phis, guidance, prefixes, psi_guidance):
-        p = np.array([np.random.default_rng([seed, *prefix]).integers(
-            1, 4, size=lm.vocab_size) for prefix in prefixes], dtype=float)
-        return p / p.sum(axis=1, keepdims=True)
-
-    monkeypatch.setattr(decoder, "posterior", tied_posterior)
     for seed in range(20):
-        lm, params, rng = random_decoder(seed)
-        phi = rng.normal(size=(D_A, T))
-        for beam in (1, 2, 3, lm.vocab_size + 1):
-            assert beam_search(lm, params, [phi], [[5]], beam=beam,
-                               max_len=6) == \
-                [full_length_beam(lm, params, phi, [5], beam, max_len=6,
-                                  rows_of=tied_posterior)]
+        step = table_step([seed], (1, 2, 3), vocab=8)
+        for beam in (1, 2, 3, 9):
+            assert beam_search(step, 1, beam, max_len=6) == \
+                [full_length_beam(step, beam, max_len=6)]
+
+
+def test_beam_matches_exhaustive_search_on_toy_tables():
+    """Vocab 4, max_len 4, rows with ties and one token often far ahead, so
+    searches stop early. At beams 1, 2 and 5 the search keeps what full
+    expansion without the early stop keeps; a beam that holds all 27 live
+    prefixes finds the exhaustive best; three items in lockstep get what
+    each gets alone."""
+    weights, stopped = (1, 1, 2, 40), 0
+    for seed in range(200):
+        step = table_step([seed], weights, vocab=4)
+        for beam in (1, 2, 5):
+            calls = []
+            assert beam_search(counting(step, calls), 1, beam,
+                               max_len=4) == \
+                [full_length_beam(step, beam, max_len=4)]
+            stopped += len(calls) < 4
+        assert beam_search(step, 1, beam=27, max_len=4) == \
+            [exhaustive(step, vocab=4, max_len=4)]
+        seeds = [seed, seed + 200, seed + 400]
+        assert beam_search(table_step(seeds, weights, 4), 3, beam=2,
+                           max_len=4) == \
+            [beam_search(table_step([s], weights, 4), 1, beam=2,
+                         max_len=4)[0] for s in seeds]
+    assert stopped > 0
 
 
 def test_beam_search_one_features_call_per_step(lm, rng, monkeypatch):
@@ -472,9 +489,9 @@ def test_beam_search_one_features_call_per_step(lm, rng, monkeypatch):
         return features(ids)
 
     monkeypatch.setattr(lm, "features", recording)
-    calls = count_posterior_calls(monkeypatch)
-    beam_search(lm, params, rng.normal(size=(3, D_A, T)), guidances, beam=3,
-                max_len=6)
+    calls = []
+    step = fusion_step(lm, params, rng.normal(size=(3, D_A, T)), guidances)
+    beam_search(counting(step, calls), 3, beam=3, max_len=6)
     assert encoded[0] == guidances  # all guidances in one call, unpadded
     assert calls and len(encoded) == 1 + len(calls)
 
@@ -671,5 +688,5 @@ def test_generate_caption_decodes(lm, rng):
     texts = generate_captions(small_lm, tok, params, [phi],
                               [["a dog barks", "a cat"]], beam=2, max_len=5)
     g = guidance_ids([tok.encode("a dog barks"), tok.encode("a cat")])
-    [toks] = beam_search(small_lm, params, [phi], [g], beam=2, max_len=5)
+    [toks] = decode(small_lm, params, [phi], [g], beam=2, max_len=5)
     assert texts == [tok.decode(toks)]
