@@ -1,11 +1,13 @@
-"""Bit-exact persistence: the named-tensor archive, dataset manifests, and
-training checkpoints.
+"""Bit-exact persistence: the named-tensor archive, which holds every
+feature file, model checkpoint and index, and the dataset manifests.
 
 Archive layout (all little-endian):
     magic "RACT" | version u16 | tensor_count u32
+    | meta_len u32 | metadata, a UTF-8 JSON object        (version 2 only)
     per tensor: name_len u16 | name utf-8 | ndims u8 | dims u32 each
                 | payload float64 row-major
-Trailing bytes after the last tensor are rejected.
+Every archive is written as version 2; a version-1 archive reads with {}
+metadata. Trailing bytes after the last tensor are rejected.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ import numpy as np
 from .metrics import normalize_words
 
 MAGIC = b"RACT"
-VERSION = 1
-
-CKPT_MAGIC = b"RCKP"
+VERSION = 2
 
 
 class ArchiveFormatError(ValueError):
@@ -39,8 +39,10 @@ class ManifestError(ValueError):
 # tensor archive
 # ---------------------------------------------------------------------------
 
-def pack_archive(tensors: dict[str, np.ndarray]) -> bytes:
-    parts = [MAGIC, struct.pack("<HI", VERSION, len(tensors))]
+def pack_archive(tensors: dict[str, np.ndarray], meta: dict) -> bytes:
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    parts = [MAGIC, struct.pack("<HII", VERSION, len(tensors),
+                                len(meta_bytes)), meta_bytes]
     seen = set()
     for name, arr in tensors.items():
         if name in seen:
@@ -60,7 +62,8 @@ def pack_archive(tensors: dict[str, np.ndarray]) -> bytes:
     return b"".join(parts)
 
 
-def unpack_archive(buf: bytes) -> dict[str, np.ndarray]:
+def unpack_archive(buf: bytes) -> tuple[dict[str, np.ndarray], dict]:
+    """(tensors, metadata) of archive bytes."""
     def need(offset, n, what):
         if offset + n > len(buf):
             raise ArchiveFormatError(
@@ -74,8 +77,23 @@ def unpack_archive(buf: bytes) -> dict[str, np.ndarray]:
     need(off, 6, "header")
     version, count = struct.unpack_from("<HI", buf, off)
     off += 6
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise ArchiveFormatError(f"unknown archive version {version} at byte 4")
+    meta = {}
+    if version == VERSION:
+        need(off, 4, "metadata length")
+        (meta_len,) = struct.unpack_from("<I", buf, off)
+        off += 4
+        need(off, meta_len, "metadata")
+        try:
+            meta = json.loads(buf[off:off + meta_len].decode("utf-8"))
+        except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+            raise ArchiveFormatError(
+                f"metadata at byte {off} is not UTF-8 JSON: {e}") from e
+        if not isinstance(meta, dict):
+            raise ArchiveFormatError(
+                f"metadata at byte {off} is not a JSON object")
+        off += meta_len
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         need(off, 2, "name length")
@@ -109,7 +127,7 @@ def unpack_archive(buf: bytes) -> dict[str, np.ndarray]:
     if off != len(buf):
         raise ArchiveFormatError(
             f"{len(buf) - off} trailing bytes after byte {off}")
-    return out
+    return out, meta
 
 
 def atomic_write_bytes(path: str, payload: bytes):
@@ -126,33 +144,34 @@ def atomic_write_bytes(path: str, payload: bytes):
         raise
 
 
-def write_archive(path: str, tensors: dict[str, np.ndarray]):
-    atomic_write_bytes(path, pack_archive(tensors))
+def write_archive(path: str, tensors: dict[str, np.ndarray], meta: dict):
+    atomic_write_bytes(path, pack_archive(tensors, meta))
 
 
-def read_archive(path: str, require=()) -> dict[str, np.ndarray]:
-    """The tensors of the archive at `path`, which must hold the names in
-    `require`. Format errors name the file."""
+def _read(path: str, require) -> tuple[dict[str, np.ndarray], dict]:
+    """(tensors, metadata) of the archive at `path`, which must hold the
+    tensors named in `require`; errors name the file. read_archive and
+    load_checkpoint each call it once, so bench/spans.py counts files once."""
     with open(path, "rb") as f:
         buf = f.read()
     try:
-        tensors = unpack_archive(buf)
+        tensors, meta = unpack_archive(buf)
     except ArchiveFormatError as e:
         raise ArchiveFormatError(f"{path}: {e}") from None
     for name in require:
         if name not in tensors:
             raise ArchiveFormatError(f"{path}: no tensor named {name!r}")
-    return tensors
+    return tensors, meta
 
 
-def require_keys(where: str, obj, keys):
-    """Raise ArchiveFormatError naming `where` unless the JSON value `obj` is
-    an object holding every key in `keys`."""
-    if not isinstance(obj, dict):
-        raise ArchiveFormatError(f"{where}: not a JSON object")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise ArchiveFormatError(f"{where}: missing key(s) {missing}")
+def read_archive(path: str, require=()) -> dict[str, np.ndarray]:
+    """The tensors of the archive at `path`, read as in _read."""
+    return _read(path, require)[0]
+
+
+def load_checkpoint(path: str, require) -> tuple[dict[str, np.ndarray], dict]:
+    """(tensors, metadata) of the archive at `path`, read as in _read."""
+    return _read(path, require)
 
 
 def write_sidecar(path: str, obj: dict):
@@ -162,30 +181,51 @@ def write_sidecar(path: str, obj: dict):
                        json.dumps(obj, sort_keys=True).encode("utf-8"))
 
 
-def read_sidecar(path: str, keys) -> dict:
-    """The JSON sidecar of the archive at `path`, which must hold `keys`."""
+def read_sidecar(path: str, checks: dict) -> dict:
+    """The JSON sidecar of the archive at `path`, checked by `checks` as in
+    require_keys."""
     side_path = path + ".json"
     with open(side_path, "r", encoding="utf-8") as f:
         try:
             side = json.load(f)
         except ValueError as e:
             raise ArchiveFormatError(f"{side_path}: not JSON ({e})") from e
-    require_keys(side_path, side, keys)
+    require_keys(side_path, side, checks, ArchiveFormatError)
     return side
 
 
 # ---------------------------------------------------------------------------
-# JSON-lines rows and the dataset manifest
+# JSON field checks, JSON-lines rows and the dataset manifest
 # ---------------------------------------------------------------------------
 
 SPLITS = ("train", "valid", "test")
 
-# field checks for read_jsonl: (valid, what a valid value is)
+# field checks for read_jsonl and require_keys: (valid, what a valid value
+# is); bool is an int to Python but not a number to JSON
 STRING = (lambda v: isinstance(v, str), "a string")
-TEXTS = (lambda v: (isinstance(v, list) and bool(v)
-                    and all(isinstance(t, str) for t in v)),
+NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+          "a number")
+IDS = (lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+       "a list of strings")
+TEXTS = (lambda v: isinstance(v, list) and bool(v) and IDS[0](v),
          "a non-empty list of strings")
+TEXT_LISTS = (lambda v: isinstance(v, list) and all(TEXTS[0](t) for t in v),
+              "a list of non-empty lists of strings")
 SPLIT = (lambda v: v in SPLITS, f"one of {', '.join(SPLITS)}")
+
+
+def require_keys(where: str, obj, checks: dict, error: type):
+    """Raise `error` naming `where` unless the JSON value `obj` is an object
+    holding every field of `checks`, a map field -> (valid, want), with
+    valid(value) true."""
+    if not isinstance(obj, dict):
+        raise error(f"{where}: not a JSON object")
+    missing = [k for k in checks if k not in obj]
+    if missing:
+        raise error(f"{where}: missing key(s) {missing}")
+    for name, (valid, want) in checks.items():
+        if not valid(obj[name]):
+            raise error(f"{where}: {name} is not {want}")
 
 
 def read_jsonl(path: str, checks: dict) -> dict:
@@ -205,17 +245,9 @@ def read_jsonl(path: str, checks: dict) -> dict:
                 row = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ManifestError(f"{where}: invalid JSON ({e})") from e
-            if not isinstance(row, dict):
-                raise ManifestError(f"{where}: not a JSON object")
-            missing = [k for k in ("id", *checks) if k not in row]
-            if missing:
-                raise ManifestError(f"{where}: missing field(s) {missing}")
+            require_keys(where, row, {"id": STRING, **checks},
+                         ManifestError)
             rid = row["id"]
-            if not isinstance(rid, str):
-                raise ManifestError(f"{where}: id is not a string")
-            for name, (valid, want) in checks.items():
-                if not valid(row[name]):
-                    raise ManifestError(f"{where}: {name} is not {want}")
             if rid in rows:
                 raise ManifestError(f"{where}: duplicate id {rid!r} (first "
                                     f"on line {rows[rid][0]})")
@@ -265,52 +297,3 @@ def load_manifest(path: str, check_features: bool = True) -> list[ManifestRow]:
     if not any(r.split == "train" for r in rows):
         raise ManifestError("manifest has no train rows")
     return rows
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-def pack_checkpoint(tensors: dict[str, np.ndarray], metadata: dict) -> bytes:
-    meta = json.dumps(metadata, sort_keys=True).encode("utf-8")
-    body = pack_archive(tensors)
-    return CKPT_MAGIC + struct.pack("<I", len(meta)) + meta + body
-
-
-def save_checkpoint(path: str, tensors: dict[str, np.ndarray], metadata: dict):
-    atomic_write_bytes(path, pack_checkpoint(tensors, metadata))
-
-
-def unpack_checkpoint(buf: bytes):
-    """Returns (tensors, metadata) from checkpoint bytes."""
-    if buf[:4] != CKPT_MAGIC:
-        raise ArchiveFormatError("not a checkpoint: bad magic at byte 0")
-    if len(buf) < 8:
-        raise ArchiveFormatError(
-            "truncated checkpoint: need 4 bytes for the metadata length at "
-            f"byte 4, only {len(buf) - 4} available")
-    (meta_len,) = struct.unpack_from("<I", buf, 4)
-    if 8 + meta_len > len(buf):
-        raise ArchiveFormatError(
-            f"truncated checkpoint: metadata of {meta_len} bytes at byte 8")
-    try:
-        metadata = json.loads(buf[8:8 + meta_len].decode("utf-8"))
-    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
-        raise ArchiveFormatError(
-            f"checkpoint metadata at byte 8 is not UTF-8 JSON: {e}") from e
-    if not isinstance(metadata, dict):
-        raise ArchiveFormatError(
-            "checkpoint metadata at byte 8 is not a JSON object")
-    return unpack_archive(buf[8 + meta_len:]), metadata
-
-
-def load_checkpoint(path: str):
-    """Returns (tensors, metadata). Format errors name the file."""
-    with open(path, "rb") as f:
-        buf = f.read()
-    try:
-        tensors, metadata = unpack_checkpoint(buf)
-    except ArchiveFormatError as e:
-        raise ArchiveFormatError(f"{path}: {e}") from None
-    return tensors, metadata
-

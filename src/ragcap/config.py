@@ -15,6 +15,11 @@ import math
 log = logging.getLogger("ragcap.config")
 
 
+# the longest token sequence the frozen LM takes; a beam prefix reaches
+# decoder.max_len tokens
+LM_MAX_LEN = 128
+
+
 class ConfigError(ValueError):
     pass
 
@@ -65,8 +70,10 @@ class PipelineConfig:
         if not self.triplet_margin > 0:
             raise ConfigError(
                 f"triplet.margin must be > 0, got {self.triplet_margin!r}")
-        # label smoothing and dropout rates
-        for key in ("decoder.lambda", "embed.dropout", "decoder.dropout"):
+        # label smoothing and dropout rates; labels come from min-max
+        # scores in [0, 1] above the threshold, so at 1 none is similar
+        for key in ("decoder.lambda", "embed.dropout", "decoder.dropout",
+                    "similarity.threshold"):
             value = getattr(self, KEY_TO_FIELD[key])
             if not 0.0 <= value < 1.0:
                 raise ConfigError(f"{key} must be in [0, 1), got {value!r}")
@@ -86,6 +93,9 @@ class PipelineConfig:
                 if value < low:
                     raise ConfigError(
                         f"{key} must be >= {low}, got {value!r}")
+        if self.decoder_max_len > LM_MAX_LEN:
+            raise ConfigError(f"decoder.max_len must be <= {LM_MAX_LEN}, got "
+                              f"{self.decoder_max_len!r}")
         # a NaN threshold would also fail the labels' threshold check forever
         for key, name in KEY_TO_FIELD.items():
             value = getattr(self, name)

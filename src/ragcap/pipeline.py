@@ -31,7 +31,9 @@ log = logging.getLogger("ragcap.pipeline")
 FROZEN_LM_FILE = "frozen_lm.ckpt"
 # metadata that ties a stored frozen LM to its weights, training captions
 # and TinyCausalLm.KEYS config; the captions also fix its vocabulary
-LM_META_KEYS = ("lm_weight_hash", "lm_caption_hash", "lm_config_hash")
+LM_META_FIELDS = {"lm_weight_hash": archive.NUMBER,
+                  "lm_caption_hash": archive.STRING,
+                  "lm_config_hash": archive.STRING}
 
 
 def train_captions(items: list[DatasetItem]) -> list[list[str]]:
@@ -63,8 +65,21 @@ def lm_metadata(lm: TinyCausalLm, caption_lists: list[list[str]],
 
 def save_frozen_lm(path: str, lm: TinyCausalLm,
                    caption_lists: list[list[str]], cfg: PipelineConfig):
-    archive.save_checkpoint(path, lm.snapshot(), {
+    archive.write_archive(path, lm.snapshot(), {
         "kind": "frozen_lm", **lm_metadata(lm, caption_lists, cfg)})
+
+
+def _load(path: str, command: str, fields: dict, require=()):
+    """(tensors, metadata) of the archive at `path`, with the tensors in
+    `require` and the metadata `fields`. A missing or malformed file is an
+    ArchiveFormatError naming `command`, which writes it."""
+    try:
+        tensors, meta = archive.load_checkpoint(path, require)
+        archive.require_keys(f"{path} metadata", meta, fields,
+                             archive.ArchiveFormatError)
+    except (OSError, archive.ArchiveFormatError) as e:
+        raise archive.ArchiveFormatError(f"{e}; rerun {command}") from None
+    return tensors, meta
 
 
 # each stored part: its name in load errors, the commands that rebuild it
@@ -97,7 +112,6 @@ def restore_frozen_lm(path: str, tensors: dict[str, np.ndarray], meta: dict,
     checkpoint at `path`, checked against the current config and against
     the training captions read from `captions_from`, from which the
     tokenizer is rebuilt."""
-    archive.require_keys(f"{path} metadata", meta, LM_META_KEYS)
     if meta["lm_caption_hash"] != caption_hash(caption_lists):
         raise archive.ArchiveFormatError(
             f"{path}: frozen LM was pretrained on other training captions "
@@ -115,11 +129,7 @@ def load_frozen_lm(cfg: PipelineConfig, labels_path: str,
     """(tokenizer, lm) that prepare-similarity stored beside `labels_path`,
     checked as in restore_frozen_lm."""
     path = os.path.join(os.path.dirname(labels_path), FROZEN_LM_FILE)
-    if not os.path.exists(path):
-        raise archive.ArchiveFormatError(
-            f"{path}: no frozen LM beside the labels; rerun "
-            "prepare-similarity")
-    tensors, meta = archive.load_checkpoint(path)
+    tensors, meta = _load(path, "prepare-similarity", LM_META_FIELDS)
     return restore_frozen_lm(path, tensors, meta, cfg, caption_lists,
                              captions_from)
 
@@ -144,7 +154,7 @@ def save_similarity(path: str, items: list[DatasetItem], raw: np.ndarray,
     """Write the scores and labels, and a sidecar naming their items, the
     threshold and the config hash of the frozen LM that scored them."""
     archive.write_archive(path, {"scores_raw": raw,
-                                 "labels": labels.astype(np.float64)})
+                                 "labels": labels.astype(np.float64)}, {})
     archive.write_sidecar(path, {
         "ids": [it.id for it in items],
         "threshold": cfg.similarity_threshold,
@@ -157,10 +167,12 @@ SIMILARITY_TENSORS = ("scores_raw", "labels")
 def load_similarity(path: str, items: list[DatasetItem], cfg: PipelineConfig):
     """(raw scores, (n, n) bool labels) at `cfg`'s threshold and frozen LM
     over `items`, whose ids must be those of the archive's sidecar, in
-    order. Other tensors, such as the scores_normalized of older archives,
-    are ignored."""
+    order. Other tensors are ignored. A sidecar without lm_config_hash,
+    as every archive old enough to hold scores_normalized has, is refused
+    like one of another frozen LM."""
     tensors = archive.read_archive(path, require=SIMILARITY_TENSORS)
-    side = archive.read_sidecar(path, ("ids", "threshold"))
+    side = archive.read_sidecar(path, {"ids": archive.IDS,
+                                       "threshold": archive.NUMBER})
     if side["threshold"] != cfg.similarity_threshold:
         raise archive.ArchiveFormatError(
             f"{path}: labels made at similarity.threshold = "
@@ -211,7 +223,7 @@ def save_training(out_dir: str, kind: str, cfg: PipelineConfig, seed: int,
     """Write <kind>.ckpt, the `tensors` with the run's metadata and `meta`,
     and <kind>_curve.tsv, the per-epoch losses of the training `result`."""
     os.makedirs(out_dir, exist_ok=True)
-    archive.save_checkpoint(os.path.join(out_dir, f"{kind}.ckpt"), tensors, {
+    archive.write_archive(os.path.join(out_dir, f"{kind}.ckpt"), tensors, {
         "config_hash": config_hash(cfg, result.params.KEYS), "seed": seed,
         "epoch": result.best_epoch, "val_loss": result.best_val_loss,
         "kind": kind, **meta})
@@ -227,15 +239,34 @@ def run_train_retrieval(cfg: PipelineConfig, items: list[DatasetItem],
     archive.atomic_write_bytes(os.path.join(out_dir, "negatives.tsv"),
                                negatives_tsv(result.negative_log).encode())
     index = retrieval.build_index(result.params, items)
-    index.save(os.path.join(out_dir, "index.ract"))
+    save_index(os.path.join(out_dir, "index.ract"), index)
     return result, index
+
+
+def save_index(path: str, index: retrieval.RetrievalIndex):
+    archive.write_archive(path, {"embeddings": index.embeddings},
+                          {"ids": index.ids, "captions": index.captions})
+
+
+def load_index(path: str) -> retrieval.RetrievalIndex:
+    """The index at `path`, its metadata checked against its rows."""
+    tensors, meta = _load(path, "train-retrieval",
+                          {"ids": archive.IDS, "captions": archive.TEXT_LISTS},
+                          require=("embeddings",))
+    emb = tensors["embeddings"]
+    if not len(meta["ids"]) == len(meta["captions"]) == len(emb):
+        raise archive.ArchiveFormatError(
+            f"{path}: {len(meta['ids'])} ids, {len(meta['captions'])} "
+            f"captions for {len(emb)} embedding rows; rerun train-retrieval")
+    return retrieval.RetrievalIndex(meta["ids"], emb, meta["captions"])
 
 
 def load_retrieval_params(cfg: PipelineConfig, path: str):
     """The frozen embedder params of a retrieval checkpoint."""
-    tensors, meta = archive.load_checkpoint(path)
+    tensors, meta = _load(path, "train-retrieval",
+                          {"config_hash": archive.STRING})
     params = retrieval.EmbedderParams(cfg, np.random.default_rng(0))
-    _restore(path, params, tensors, meta.get("config_hash"), cfg)
+    _restore(path, params, tensors, meta["config_hash"], cfg)
     return params
 
 
@@ -256,11 +287,12 @@ def load_decoder(cfg: PipelineConfig, path: str,
                  caption_lists: list[list[str]], captions_from: str):
     """(tokenizer, lm, decoder params), all frozen, from a decoder
     checkpoint; its frozen LM is checked as in restore_frozen_lm."""
-    tensors, meta = archive.load_checkpoint(path)
+    tensors, meta = _load(path, "train-decoder",
+                          {"config_hash": archive.STRING, **LM_META_FIELDS})
     tokenizer, lm = restore_frozen_lm(path, tensors, meta, cfg, caption_lists,
                                       captions_from)
     params = decoder.DecoderParams(cfg, lm, np.random.default_rng(0))
-    _restore(path, params, tensors, meta.get("config_hash"), cfg)
+    _restore(path, params, tensors, meta["config_hash"], cfg)
     return tokenizer, lm, params
 
 

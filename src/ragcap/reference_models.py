@@ -2,7 +2,7 @@
 
 - TinyTokenizer: word-level vocabulary built from the training captions.
 - TinyCausalLm: a small causal Transformer LM over sequences of at most
-  MAX_LEN tokens, built from the lm.* and model.D_l config keys and frozen
+  LM_MAX_LEN tokens, built from the lm.* and model.D_l config keys and frozen
   like every part; pretrain() trains it for a fixed budget on the training
   captions, each Adam step unfreezing it for that step only. It serves both
   as the frozen language model for the decoder and as the text encoder
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import archive
 from .autodiff import Tensor
-from .config import KEY_TO_FIELD, PipelineConfig
+from .config import KEY_TO_FIELD, LM_MAX_LEN, PipelineConfig
 from .layers import Adam, EncoderLayer, ParamContainer
 from .metrics import normalize_words
 
@@ -34,7 +34,6 @@ SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<sep>", "<unk>")
 # greedy token matching on them degenerates to position matching
 EMB_STD, POS_SCALE = 0.4, 0.1
 PRETRAIN_LR = 1e-3
-MAX_LEN = 128  # the longest token sequence the LM takes
 
 
 class TinyTokenizer:
@@ -76,7 +75,7 @@ class TinyCausalLm(ParamContainer):
         self.vocab_size = vocab_size
         self.d_model = d_model = cfg.model_d_l
         self.emb = Tensor(rng.normal(0.0, EMB_STD, size=(vocab_size, d_model)))
-        self.pos = POS_SCALE * sinusoidal_positions(MAX_LEN, d_model)
+        self.pos = POS_SCALE * sinusoidal_positions(LM_MAX_LEN, d_model)
         # stored as lm.layer0.*, lm.layer1.*, ...
         self.layer = [EncoderLayer(d_model, cfg.lm_heads, cfg.lm_ff, rng)
                       for _ in range(cfg.lm_layers)]
@@ -88,8 +87,9 @@ class TinyCausalLm(ParamContainer):
         length = ids.shape[-1] if ids.ndim else 0
         if length == 0:
             raise ValueError("token ids must be nonempty sequences")
-        if length > MAX_LEN:
-            raise ValueError(f"sequence length {length} > max_len {MAX_LEN}")
+        if length > LM_MAX_LEN:
+            raise ValueError(
+                f"sequence length {length} > max_len {LM_MAX_LEN}")
         if np.any(ids < 0) or np.any(ids >= self.vocab_size):
             raise ValueError("token id out of vocabulary")
         h = self.emb[ids] + Tensor(self.pos[:length])
@@ -297,7 +297,7 @@ def generate_synthetic_dataset(spec: SyntheticDatasetSpec, d_a: int, t: int,
             feats = extractor.extract(c, i)
             rel = os.path.join("features", item_id + ".ract")
             archive.write_archive(os.path.join(out_dir, rel),
-                                  {"features": feats})
+                                  {"features": feats}, {})
             rows.append(archive.ManifestRow(item_id, _split_for(i), rel,
                                             captions))
     archive.write_manifest(os.path.join(out_dir, "manifest.jsonl"), rows)

@@ -16,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import archive
 from .autodiff import ShapeError, Tensor
 from .config import PipelineConfig
 from .data import DatasetItem
@@ -229,21 +228,6 @@ class RetrievalIndex:
     def sorted_ids(self) -> list[str]:
         """The ids in ascending order: the ids of the rows of by_id."""
         return [self.ids[i] for i in self.by_id]
-
-    def save(self, path: str):
-        archive.write_archive(path, {"embeddings": self.embeddings})
-        archive.write_sidecar(path, {"ids": self.ids,
-                                     "captions": self.captions})
-
-    @classmethod
-    def load(cls, path: str) -> "RetrievalIndex":
-        emb = archive.read_archive(path, require=("embeddings",))["embeddings"]
-        side = archive.read_sidecar(path, ("ids", "captions"))
-        if not len(side["ids"]) == len(side["captions"]) == emb.shape[0]:
-            raise archive.ArchiveFormatError(
-                f"{path}.json: {len(side['ids'])} ids, {len(side['captions'])}"
-                f" captions for {emb.shape[0]} embedding rows")
-        return cls(side["ids"], emb, side["captions"])
 
 
 def build_index(params: EmbedderParams,

@@ -1,12 +1,14 @@
 """Shared test helpers: finite-difference gradient checking and small
 deterministic fixtures."""
 
+import struct
 from itertools import product
 
 import numpy as np
 import pytest
 
 from ragcap import layers
+from ragcap.archive import pack_archive
 from ragcap.autodiff import Tensor
 from ragcap.config import PipelineConfig
 from ragcap.decoder import position_logits
@@ -139,3 +141,10 @@ def exhaustive(step, vocab, max_len):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def version_1_archive(tensors) -> bytes:
+    """`tensors` as a version-1 archive: the version-2 layout without its
+    metadata length and block (2 bytes for {})."""
+    buf = pack_archive(tensors, {})
+    return buf[:4] + struct.pack("<H", 1) + buf[6:10] + buf[16:]

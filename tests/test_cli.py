@@ -6,6 +6,7 @@ import math
 import os
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -15,8 +16,8 @@ import pytest
 
 import ragcap
 from ragcap import autodiff, cli, pipeline
-from ragcap.archive import (load_checkpoint, read_archive, save_checkpoint,
-                           write_archive)
+from conftest import version_1_archive
+from ragcap.archive import load_checkpoint, read_archive, write_archive
 from ragcap.cli import main
 from ragcap.config import load_config
 from ragcap.data import load_dataset
@@ -238,7 +239,7 @@ def test_exit_2_unknown_config_key(ws, tmp_path):
     "triplet.margin = 0", "triplet.margin = nan", "decoder.lambda = 1.5",
     "decoder.lr_period = 0", "generate.beam = 0", "decoder.max_len = 0",
     "decoder.dropout = 1", "embed.dropout = -0.1", "lm.layers = -1",
-    "decoder.epochs = -3", "triplet.lr = inf"])
+    "decoder.epochs = -3", "triplet.lr = inf", "decoder.max_len = 129"])
 def test_exit_2_out_of_range_config_value(ws, tmp_path, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(CONFIG + line + "\n")
@@ -250,11 +251,15 @@ def test_exit_2_out_of_range_config_value(ws, tmp_path, line):
     ("prepare-similarity", "model.D_l = 0"),
     ("train-decoder", "decoder.D_r = 0"),
     ("prepare-similarity", "similarity.threshold = nan"),
-    ("prepare-similarity", "lm.seed = -1")])
+    ("prepare-similarity", "lm.seed = -1"),
+    ("prepare-similarity", "similarity.threshold = 1.0"),
+    ("prepare-similarity", "similarity.threshold = -0.5")])
 def test_exit_2_config_that_used_to_fail_later(ws, tmp_path, command, line):
     """A zero width divided by zero in an attention scale (exit 1), a NaN
-    threshold wrote labels that no reader could accept (exit 3), and numpy
-    rejected a negative LM seed as a data error (exit 3)."""
+    threshold wrote labels that no reader could accept (exit 3), numpy
+    rejected a negative LM seed as a data error (exit 3), and a threshold
+    of 1 (no pair similar) or below 0 (every pair) wrote labels that both
+    trainers refused (exit 3)."""
     bad = tmp_path / "bad.cfg"
     bad.write_text(CONFIG + line + "\n")
     args = [command, "--config", str(bad), "--manifest", ws["manifest"],
@@ -386,10 +391,10 @@ def test_exit_3_corrupt_index(ws, tmp_path):
 def test_exit_3_checkpoint_metadata_not_an_object(ws, tmp_path, caplog):
     ckpt = os.path.join(ws["ret"], "retrieval.ckpt")
     raw = open(ckpt, "rb").read()
-    meta_len = int.from_bytes(raw[4:8], "little")
+    meta_len = int.from_bytes(raw[10:14], "little")
     bad = tmp_path / "list_meta.ckpt"
-    bad.write_bytes(raw[:4] + (6).to_bytes(4, "little") + b"[1, 2]"
-                    + raw[8 + meta_len:])
+    bad.write_bytes(raw[:10] + (6).to_bytes(4, "little") + b"[1, 2]"
+                    + raw[14 + meta_len:])
     feats = os.path.join(ws["data"], "features", "c00i000.ract")
     assert main(["retrieve", "--config", ws["cfg"], "--checkpoint", str(bad),
                  "--index", os.path.join(ws["ret"], "index.ract"),
@@ -403,7 +408,7 @@ def test_exit_3_nonfinite_features(ws, tmp_path):
     path = str(data / "features" / "c00i000.ract")
     feats = read_archive(path)["features"]
     feats[0, 0] = np.nan
-    write_archive(path, {"features": feats})
+    write_archive(path, {"features": feats}, {})
     out = tmp_path / "r"
     assert main(["train-retrieval", "--config", ws["cfg"],
                  "--manifest", str(data / "manifest.jsonl"),
@@ -434,7 +439,7 @@ def test_exit_3_bad_query_features(ws, tmp_path, caplog, capsys, command,
         feats[1, 2] = np.nan
     else:
         feats = np.ones((3, 5))
-    write_archive(path, {"features": feats})
+    write_archive(path, {"features": feats}, {})
     assert main(_query_args(ws, command, path)) == 3
     assert path in caplog.text
     assert capsys.readouterr().out == ""
@@ -449,17 +454,31 @@ def _mangle_sidecar(src: str, dst: str, key: str, edit):
         json.dump(side, f)
 
 
+def _rewrite_archive(src: str, dst: str, edit):
+    tensors, meta = load_checkpoint(src, ())
+    edit(tensors, meta)
+    write_archive(dst, tensors, meta)
+
+
+def _edit_meta(key: str, edit):
+    def edit_archive(_tensors, meta):
+        meta[key] = edit(meta[key])
+    return edit_archive
+
+
 @pytest.mark.parametrize("edit", [lambda ids: ids + ["extra"],
                                   lambda ids: ids[:-1]],
                          ids=["extra_id", "missing_id"])
-def test_exit_3_index_sidecar_row_mismatch(ws, tmp_path, caplog, edit):
+def test_exit_3_index_metadata_row_mismatch(ws, tmp_path, caplog, edit):
     index = str(tmp_path / "index.ract")
-    _mangle_sidecar(os.path.join(ws["ret"], "index.ract"), index, "ids", edit)
+    _rewrite_archive(os.path.join(ws["ret"], "index.ract"), index,
+                     _edit_meta("ids", edit))
     feats = os.path.join(ws["data"], "features", "c00i000.ract")
     assert main(["retrieve", "--config", ws["cfg"],
                  "--checkpoint", os.path.join(ws["ret"], "retrieval.ckpt"),
                  "--index", index, "--query-features", feats]) == 3
-    assert index + ".json" in caplog.text
+    assert f"{index}: " in caplog.text
+    assert "embedding rows; rerun train-retrieval" in caplog.text
 
 
 def test_exit_3_similarity_sidecar_row_mismatch(ws, tmp_path, caplog):
@@ -658,12 +677,6 @@ def test_lm_pretrained_once_per_pipeline(ws, tmp_path, monkeypatch, capsys):
     assert calls == ["prepare-similarity"]
 
 
-def _rewrite_checkpoint(src: str, dst: str, edit):
-    tensors, meta = load_checkpoint(src)
-    edit(tensors, meta)
-    save_checkpoint(dst, tensors, meta)
-
-
 def _train_decoder(ws, tmp_path, labels=None, manifest=None, cfg=None):
     return main(["train-decoder", "--config", cfg or ws["cfg"],
                  "--manifest", manifest or ws["manifest"],
@@ -677,6 +690,7 @@ def test_exit_3_missing_frozen_lm(ws, tmp_path, caplog):
     shutil.copy(ws["labels"] + ".json", labels + ".json")
     assert _train_decoder(ws, tmp_path, labels=labels) == 3
     assert str(tmp_path / "frozen_lm.ckpt") in caplog.text
+    assert "rerun prepare-similarity" in caplog.text
 
 
 @pytest.fixture(scope="module")
@@ -747,8 +761,9 @@ def test_decoder_key_keeps_frozen_lm(ws, tmp_path):
 
 def test_exit_3_index_captions_not_the_lm_corpus(ws, tmp_path, caplog):
     index = str(tmp_path / "index.ract")
-    _mangle_sidecar(os.path.join(ws["ret"], "index.ract"), index, "captions",
-                    lambda caps: [["a hound howls"]] + caps[1:])
+    _rewrite_archive(
+        os.path.join(ws["ret"], "index.ract"), index,
+        _edit_meta("captions", lambda caps: [["a hound howls"]] + caps[1:]))
     feats = os.path.join(ws["data"], "features", "c00i003.ract")
     args = _query_args(ws, "generate", feats)
     assert main([index if a.endswith("index.ract") else a
@@ -772,8 +787,9 @@ def test_similarity_archive_holds_raw_scores_and_labels(ws):
 
 
 def test_similarity_archive_with_normalized_scores_still_loads(ws, tmp_path):
-    """Archives written before scores_normalized was dropped load to the
-    same raw scores and labels."""
+    """A tensor beside scores_raw and labels in a current archive, such as
+    the scores_normalized of older ones, is ignored: the archive loads to
+    the same raw scores and labels."""
     cfg = load_config(ws["cfg"])
     items = load_dataset(ws["manifest"], cfg.model_d_a, cfg.model_t)
     tensors = read_archive(ws["labels"])
@@ -781,7 +797,7 @@ def test_similarity_archive_with_normalized_scores_still_loads(ws, tmp_path):
     write_archive(old, {"scores_raw": tensors["scores_raw"],
                         "scores_normalized": normalize_minmax(
                             tensors["scores_raw"]),
-                        "labels": tensors["labels"]})
+                        "labels": tensors["labels"]}, {})
     shutil.copy(ws["labels"] + ".json", old + ".json")
     raw, labels = pipeline.load_similarity(old, items, cfg)
     want_raw, want_labels = pipeline.load_similarity(ws["labels"], items, cfg)
@@ -791,9 +807,9 @@ def test_similarity_archive_with_normalized_scores_still_loads(ws, tmp_path):
 
 def test_training_checkpoint_metadata_keys_are_pinned(ws):
     run = {"config_hash", "seed", "epoch", "val_loss", "kind"}
-    _, meta = load_checkpoint(os.path.join(ws["ret"], "retrieval.ckpt"))
+    _, meta = load_checkpoint(os.path.join(ws["ret"], "retrieval.ckpt"), ())
     assert set(meta) == run
-    _, meta = load_checkpoint(os.path.join(ws["dec"], "decoder.ckpt"))
+    _, meta = load_checkpoint(os.path.join(ws["dec"], "decoder.ckpt"), ())
     assert set(meta) == run | {"lm_weight_hash", "lm_caption_hash",
                                "lm_config_hash"}
 
@@ -803,9 +819,9 @@ def test_frozen_lm_metadata_is_three_hashes(ws):
     captions, and the tokenizer is rebuilt from them."""
     hashes = {"lm_weight_hash", "lm_caption_hash", "lm_config_hash"}
     _, meta = load_checkpoint(os.path.join(os.path.dirname(ws["labels"]),
-                                           "frozen_lm.ckpt"))
+                                           "frozen_lm.ckpt"), ())
     assert set(meta) == {"kind"} | hashes
-    _, dec_meta = load_checkpoint(os.path.join(ws["dec"], "decoder.ckpt"))
+    _, dec_meta = load_checkpoint(os.path.join(ws["dec"], "decoder.ckpt"), ())
     assert {k for k in dec_meta if k.startswith("lm_")} == hashes
     assert {k: dec_meta[k] for k in hashes} == {k: meta[k] for k in hashes}
 
@@ -817,13 +833,13 @@ def test_exit_3_bad_frozen_lm(ws, tmp_path, caplog, key):
     sim = tmp_path / "sim"
     shutil.copytree(os.path.dirname(ws["labels"]), sim)
     lm_path = str(sim / "frozen_lm.ckpt")
-    _rewrite_checkpoint(lm_path, lm_path, _corrupt_lm(key))
+    _rewrite_archive(lm_path, lm_path, _corrupt_lm(key))
     assert _train_decoder(ws, tmp_path,
                           labels=str(sim / "similarity.ract")) == 3
     assert lm_path in caplog.text
     dec = str(tmp_path / "decoder.ckpt")
-    _rewrite_checkpoint(os.path.join(ws["dec"], "decoder.ckpt"), dec,
-                        _corrupt_lm(key))
+    _rewrite_archive(os.path.join(ws["dec"], "decoder.ckpt"), dec,
+                     _corrupt_lm(key))
     feats = os.path.join(ws["data"], "features", "c00i003.ract")
     args = _query_args(ws, "generate", feats)
     assert main([dec if a.endswith("decoder.ckpt") else a
@@ -907,9 +923,8 @@ def test_exit_3_sidecar_missing_key(ws, tmp_path, caplog):
     assert f"{labels}.json: missing key(s) ['threshold']" in caplog.text
 
     index = str(tmp_path / "index.ract")
-    shutil.copy(os.path.join(ws["ret"], "index.ract"), index)
-    with open(index + ".json", "w", encoding="utf-8") as f:
-        json.dump({"ids": []}, f)
+    _rewrite_archive(os.path.join(ws["ret"], "index.ract"), index,
+                     lambda tensors, meta: meta.pop("captions"))
     feats = os.path.join(ws["data"], "features", "c00i000.ract")
     assert main(["retrieve", "--config", ws["cfg"],
                  "--checkpoint", os.path.join(ws["ret"], "retrieval.ckpt"),
@@ -917,11 +932,94 @@ def test_exit_3_sidecar_missing_key(ws, tmp_path, caplog):
     assert "'captions'" in caplog.text
 
 
+@pytest.mark.parametrize("case", ["similarity_ids", "index_captions",
+                                  "index_ids"])
+def test_exit_3_metadata_of_wrong_type(ws, tmp_path, caplog, case):
+    """Metadata values of the wrong JSON type used to crash their reader
+    (exit 1): an integer for the similarity ids, an integer caption list
+    in the index, and integer index ids under retrieve --exclude."""
+    feats = os.path.join(ws["data"], "features", "c00i000.ract")
+    if case == "similarity_ids":
+        labels = str(tmp_path / "similarity.ract")
+        _mangle_sidecar(ws["labels"], labels, "ids", lambda ids: 5)
+        argv = ["train-retrieval", "--config", ws["cfg"],
+                "--manifest", ws["manifest"], "--labels", labels,
+                "--seed", "0", "--out", str(tmp_path / "r")]
+        message = f"{labels}.json: ids is not a list of strings"
+    else:
+        index = str(tmp_path / "index.ract")
+        key, edit, want = (
+            ("captions", lambda caps: [7] + caps[1:],
+             "a list of non-empty lists of strings")
+            if case == "index_captions" else
+            ("ids", lambda ids: list(range(len(ids))), "a list of strings"))
+        _rewrite_archive(os.path.join(ws["ret"], "index.ract"), index,
+                         _edit_meta(key, edit))
+        argv = ["retrieve", "--config", ws["cfg"],
+                "--checkpoint", os.path.join(ws["ret"], "retrieval.ckpt"),
+                "--index", index, "--query-features", feats,
+                "--exclude", "c00i000"]
+        message = (f"{index} metadata: {key} is not {want}; "
+                   "rerun train-retrieval")
+    assert main(argv) == 3
+    assert message in caplog.text
+
+
+def _older_container(ws, tmp_path):
+    """Copies of the fixture's checkpoints in the container that preceded
+    archive version 2 (an RCKP magic, a u32 length, the JSON metadata, then
+    a version-1 archive), and of its index as a version-1 archive with
+    its metadata in a JSON sidecar."""
+    paths = {}
+    for name in ("retrieval.ckpt", "decoder.ckpt", "index.ract"):
+        src = os.path.join(ws["ret" if name != "decoder.ckpt" else "dec"],
+                           name)
+        tensors, meta = load_checkpoint(src, ())
+        paths[name] = str(tmp_path / name)
+        if name == "index.ract":
+            (tmp_path / name).write_bytes(version_1_archive(tensors))
+            (tmp_path / (name + ".json")).write_text(json.dumps(meta))
+        else:
+            blob = json.dumps(meta, sort_keys=True).encode()
+            (tmp_path / name).write_bytes(
+                b"RCKP" + struct.pack("<I", len(blob)) + blob
+                + version_1_archive(tensors))
+    return paths
+
+
+@pytest.mark.parametrize("command", ["retrieve", "generate"])
+@pytest.mark.parametrize("old", ["checkpoint", "index"])
+def test_exit_3_older_container_names_file_and_command(ws, tmp_path, caplog,
+                                                       capsys, command, old):
+    """Checkpoints and sidecar-style indexes written before archive
+    version 2 are refused with the file and the command that rewrites it."""
+    older = _older_container(ws, tmp_path)
+    argv = _query_args(ws, command, os.path.join(ws["data"], "features",
+                                                 "c00i000.ract"))
+    if old == "index":
+        swap = {"index.ract"}
+        message = (f"{older['index.ract']} metadata: missing key(s) "
+                   "['ids', 'captions']; rerun train-retrieval")
+    else:
+        swap = {"retrieval.ckpt", "decoder.ckpt"}
+        # generate reads the decoder checkpoint before the retrieval one
+        name, writer = (("retrieval.ckpt", "train-retrieval")
+                        if command == "retrieve"
+                        else ("decoder.ckpt", "train-decoder"))
+        message = (f"{older[name]}: bad magic b'RCKP' at byte 0; "
+                   f"rerun {writer}")
+    argv = [older[os.path.basename(a)] if os.path.basename(a) in swap else a
+            for a in argv]
+    assert main(argv) == 3
+    assert message in caplog.text
+    assert capsys.readouterr().out == ""
+
+
 def test_exit_3_missing_tensor(ws, tmp_path, caplog):
     labels = str(tmp_path / "similarity.ract")
     tensors = read_archive(ws["labels"])
     del tensors["labels"]
-    write_archive(labels, tensors)
+    write_archive(labels, tensors, {})
     shutil.copy(ws["labels"] + ".json", labels + ".json")
     assert main(["train-retrieval", "--config", ws["cfg"],
                  "--manifest", ws["manifest"], "--labels", labels,
@@ -929,8 +1027,8 @@ def test_exit_3_missing_tensor(ws, tmp_path, caplog):
     assert f"{labels}: no tensor named 'labels'" in caplog.text
 
     ckpt = str(tmp_path / "retrieval.ckpt")
-    _rewrite_checkpoint(os.path.join(ws["ret"], "retrieval.ckpt"), ckpt,
-                        lambda tensors, meta: tensors.popitem())
+    _rewrite_archive(os.path.join(ws["ret"], "retrieval.ckpt"), ckpt,
+                     lambda tensors, meta: tensors.popitem())
     feats = os.path.join(ws["data"], "features", "c00i000.ract")
     assert main(["retrieve", "--config", ws["cfg"], "--checkpoint", ckpt,
                  "--index", os.path.join(ws["ret"], "index.ract"),
@@ -1062,7 +1160,7 @@ def test_kill_midrun_leaves_no_partial_checkpoint(ws, tmp_path):
     proc.wait()
     ckpt = os.path.join(out, "retrieval.ckpt")
     if os.path.exists(ckpt):
-        load_checkpoint(ckpt)  # whatever exists must parse cleanly
+        load_checkpoint(ckpt, ())  # whatever exists must parse cleanly
     # no temp files left behind by atomic writes (named .tmp-*.part)
     if os.path.isdir(out):
         leftovers = [f for f in os.listdir(out)

@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from ragcap.config import (ConfigError, KEY_TO_FIELD, PipelineConfig,
-                           config_hash, load_config, resolved_text)
+from ragcap.config import (ConfigError, KEY_TO_FIELD, LM_MAX_LEN,
+                           PipelineConfig, config_hash, load_config,
+                           resolved_text)
 from ragcap.decoder import DecoderParams
 from ragcap.reference_models import TinyCausalLm
 from ragcap.retrieval import EmbedderParams
@@ -158,6 +159,27 @@ def test_beam_and_max_len_validated():
         PipelineConfig(decoder_max_len=0)
     with pytest.raises(ConfigError):
         dataclasses.replace(PipelineConfig(), generate_beam=0)
+
+
+def test_max_len_fits_the_frozen_lm(tmp_path):
+    """A beam prefix reaches decoder.max_len tokens, which the frozen LM
+    must take."""
+    path = tmp_path / "c.cfg"
+    path.write_text(f"decoder.max_len = {LM_MAX_LEN}\n")
+    assert load_config(str(path)).decoder_max_len == 128 == LM_MAX_LEN
+    with pytest.raises(ConfigError, match=re.escape(
+            "decoder.max_len must be <= 128, got 129")):
+        PipelineConfig(decoder_max_len=LM_MAX_LEN + 1)
+
+
+def test_threshold_range_validated():
+    """Labels are min-max scores strictly above the threshold: at 1 no
+    pair is similar."""
+    PipelineConfig(similarity_threshold=0.0)
+    for bad in (1.0, -0.5):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"similarity.threshold must be in [0, 1), got {bad!r}")):
+            PipelineConfig(similarity_threshold=bad)
 
 
 @pytest.mark.parametrize("field", ["retrieval_k", "triplet_batch",

@@ -168,7 +168,7 @@ def test_pretraining_frees_each_epoch_graph(tmp_path):
 
 
 def test_max_len_enforced(monkeypatch):
-    monkeypatch.setattr(reference_models, "MAX_LEN", 4)
+    monkeypatch.setattr(reference_models, "LM_MAX_LEN", 4)
     lm = TinyCausalLm(10, make_cfg())
     with pytest.raises(ValueError, match="max_len"):
         lm.features(np.array([1, 2, 3, 4, 5]))
@@ -256,21 +256,21 @@ def ingest(tmp_path, name: str, d_a: int, t: int):
 
 def test_ingest_valid_audio_features(tmp_path, rng):
     write_archive(str(tmp_path / "vggish.ract"),
-                  {"features": rng.normal(size=(128, 10))})
+                  {"features": rng.normal(size=(128, 10))}, {})
     feats = ingest(tmp_path, "vggish.ract", 128, 10)
     assert feats.shape == (128, 10)
 
 
 def test_ingest_dim_mismatch(tmp_path, rng):
     write_archive(str(tmp_path / "f.ract"),
-                  {"features": rng.normal(size=(64, 10))})
+                  {"features": rng.normal(size=(64, 10))}, {})
     with pytest.raises(ArchiveFormatError, match="128"):
         ingest(tmp_path, "f.ract", 128, 10)
 
 
 def test_ingest_truncated_file_names_offset(tmp_path, rng):
     path = str(tmp_path / "f.ract")
-    write_archive(path, {"features": rng.normal(size=(4, 3))})
+    write_archive(path, {"features": rng.normal(size=(4, 3))}, {})
     data = open(path, "rb").read()
     open(path, "wb").write(data[:-16])
     with pytest.raises(ArchiveFormatError, match=r"byte \d+"):
@@ -281,7 +281,7 @@ def test_ingest_rejects_nonfinite(tmp_path):
     for bad_value in (np.nan, np.inf, -np.inf):
         bad = np.ones((4, 3))
         bad[0, 0] = bad_value
-        write_archive(str(tmp_path / "f.ract"), {"features": bad})
+        write_archive(str(tmp_path / "f.ract"), {"features": bad}, {})
         with pytest.raises(ArchiveFormatError, match=r"f\.ract.*non-finite"):
             ingest(tmp_path, "f.ract", 4, 3)
 

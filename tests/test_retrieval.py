@@ -1,11 +1,11 @@
-import json
+import re
 
 import numpy as np
 import pytest
 
 from conftest import finite_diff_check, trainable
 from ragcap import decoder, pipeline, retrieval
-from ragcap.archive import ArchiveFormatError
+from ragcap.archive import ArchiveFormatError, write_archive
 from ragcap.autodiff import ShapeError, Tensor
 from ragcap.config import PipelineConfig
 from ragcap.data import DatasetItem
@@ -394,8 +394,8 @@ def test_index_roundtrip(tmp_path, rng):
     items, _, _ = make_items(rng, per_cluster=4)
     index = build_index(make_params(rng), items)
     path = str(tmp_path / "index.ract")
-    index.save(path)
-    back = RetrievalIndex.load(path)
+    pipeline.save_index(path, index)
+    back = pipeline.load_index(path)
     assert back.ids == index.ids
     assert back.captions == index.captions
     assert back.embeddings.tobytes() == index.embeddings.tobytes()
@@ -406,13 +406,14 @@ def test_index_roundtrip(tmp_path, rng):
     (["a", "b"], [["x"], ["y"]]),
     (["a", "b", "c"], [["x"], ["y"]]),
 ])
-def test_index_load_checks_sidecar_against_rows(tmp_path, ids, captions):
+def test_index_load_checks_metadata_against_rows(tmp_path, ids, captions):
     path = str(tmp_path / "index.ract")
-    RetrievalIndex(["a", "b", "c"], np.eye(3), [["x"], ["y"], ["z"]]).save(path)
-    with open(path + ".json", "w", encoding="utf-8") as f:
-        json.dump({"ids": ids, "captions": captions}, f)
-    with pytest.raises(ArchiveFormatError, match="index.ract.json"):
-        RetrievalIndex.load(path)
+    write_archive(path, {"embeddings": np.eye(3)},
+                  {"ids": ids, "captions": captions})
+    with pytest.raises(ArchiveFormatError, match=re.escape(
+            f"{path}: {len(ids)} ids, {len(captions)} captions for 3 "
+            "embedding rows; rerun train-retrieval")):
+        pipeline.load_index(path)
 
 
 def test_topk_exact_query_and_full_size(rng):
