@@ -3,16 +3,19 @@
 Everything is 64-bit, single-threaded and deterministic.
 In-place arithmetic only touches arrays the same operation just allocated.
 Shapes broadcast like numpy; matmul supports stacked (batched) operands.
-Gradients from repeated backward() calls accumulate. A Tensor is made
-without gradients; only an operation on one that has them, or
-`layers.ParamContainer.freeze`, sets `requires_grad`.
+Gradients from repeated backward() calls accumulate, in the order the
+contributions arrive: backward() on losses that share only leaves, one
+after another, gives the bits of one backward() on their left-to-right
+sum. A Tensor is made without gradients; only an operation on one that
+has them, or `layers.ParamContainer.freeze`, sets `requires_grad`.
 
 An affine map x @ W + b (`affine`) and an affine layer norm (`layer_norm`)
 are one node each, so each keeps one activation rather than one per
 primitive. A graph lives as long as its loss tensor. The trainers hand
-`layers.Adam.minimize` a function that builds each step's loss, and only
-that step holds it: at most one step's graph is alive at a time. Only
-minimize lets a model part's parameters take gradients.
+`layers.Adam.minimize` functions that build a step's loss part by part,
+and it drops each part's graph after its backward: at most one part's
+graph is alive at a time. Only minimize lets a model part's parameters
+take gradients.
 """
 
 from __future__ import annotations
@@ -186,7 +189,10 @@ class Tensor:
     def backward(self):
         """Reverse-mode sweep from a scalar. Accumulates into the .grad of
         the leaves (tensors no operation made); intermediate nodes keep
-        none."""
+        none. A leaf that already holds a gradient continues from it: its
+        first contribution of the sweep is added to that gradient, into a
+        new array, and later ones to the result, so the grouping of the
+        sums does not depend on where one sweep ends and the next begins."""
         if self.data.size != 1:
             raise GraphError("backward() requires a scalar loss, got shape %s"
                              % (self.data.shape,))
@@ -210,23 +216,26 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
 
-        flowing = {id(self): np.ones_like(self.data)}
+        seed = np.ones_like(self.data)
+        if self._vjp is None and self.grad is not None:
+            seed += self.grad
+        flowing = {id(self): seed}
         shared = set()  # parents whose gradient is an uncopied view
         for node in reversed(topo):
             g = flowing.pop(id(node), None)
             if g is None:
                 continue
-            if node._vjp is None:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+            if node._vjp is None:  # a leaf keeps its own array
+                node.grad = g.copy() if id(node) in shared else g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 acc = flowing.get(id(parent))
                 if acc is None:
-                    if pg.base is not None:
+                    if parent._vjp is None and parent.grad is not None:
+                        pg = parent.grad + pg
+                    elif pg.base is not None:
                         # A view may share memory with another gradient, so
                         # it is never written in place. A non-contiguous
                         # one is copied: later _unbroadcast reductions then

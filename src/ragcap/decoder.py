@@ -222,8 +222,8 @@ def train_decoder(lm: TinyCausalLm, tokenizer: TinyTokenizer,
             step = slice(start, start + cfg.decoder_batch)
             width = max(map(len, refs[step]))
             losses.append(opt.minimize(
-                lambda: batch_loss(epoch_rows[step], guidance[step, :width],
-                                   psi_guidance[step, :width], True),
+                [lambda: batch_loss(epoch_rows[step], guidance[step, :width],
+                                    psi_guidance[step, :width], True)],
                 f"decoder loss at epoch {epoch}", lr))
         return lr, losses
 

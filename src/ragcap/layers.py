@@ -242,25 +242,33 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def minimize(self, loss_fn, what: str, lr: float) -> float:
-        """One training step at learning rate `lr` on the scalar loss that
-        `loss_fn()` builds with the part unfrozen: backward and step.
-        Returns the loss value; raises NumericError, naming `what`, before
-        touching a weight if it or a checked intermediate is not finite.
-        However the step ends, the part is frozen again and its gradients
-        dropped, and the loss graph is freed when the step returns."""
+    def minimize(self, parts, what: str, lr: float) -> float:
+        """One training step at learning rate `lr` on a scalar loss given
+        as the sum of parts: `parts` holds functions that each build one
+        part with the part unfrozen. Each part is built, checked, backward
+        swept and dropped before the next is built, so at most one part's
+        graph is alive; the gradients are those of one backward on the
+        parts' left-to-right sum (see `Tensor.backward`). Then one Adam
+        step. Returns the sum of the parts' values; raises NumericError,
+        naming `what`, before touching a weight if a part or a checked
+        intermediate is not finite. However the step ends, the part is
+        frozen again and its gradients dropped."""
         self.part.freeze(False)
         try:
-            try:
-                loss = loss_fn()
-            except NumericError as e:
-                raise NumericError(f"non-finite {what}: {e}") from e
-            value = loss.item()
-            if not math.isfinite(value):
-                raise NumericError(f"non-finite {what}")
-            loss.backward()
+            total = -0.0  # x + -0.0 is x bit for bit, -0.0 included
+            for build in parts:
+                try:
+                    loss = build()
+                except NumericError as e:
+                    raise NumericError(f"non-finite {what}: {e}") from e
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise NumericError(f"non-finite {what}")
+                loss.backward()
+                del loss  # free this part's graph before the next is built
+                total += value
             self.step(lr)
-            return value
+            return total
         finally:
             self.part.freeze(True)
 

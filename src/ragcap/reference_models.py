@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -34,6 +35,7 @@ SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<sep>", "<unk>")
 # greedy token matching on them degenerates to position matching
 EMB_STD, POS_SCALE = 0.4, 0.1
 PRETRAIN_LR = 1e-3
+FEATURES_CHUNK = 256  # rows per forward when features() encodes a sequence
 
 
 class TinyTokenizer:
@@ -102,16 +104,19 @@ class TinyCausalLm(ParamContainer):
         (..., L) holds rows of one length and gives (..., L, d_model) in one
         forward. A sequence of N rows of any lengths gives
         (N, L_max, d_model): each row is encoded at its own length, the rows
-        of one length in one forward, and zero-padded past it, so a row's
-        features depend only on its own ids."""
+        of one length in forwards of at most FEATURES_CHUNK rows, and
+        zero-padded past it, so a row's features depend only on its own ids
+        and the attention scores held at once stay bounded."""
         if isinstance(token_ids, np.ndarray):
             return self._forward(np.asarray(token_ids, dtype=np.int64)).data
         rows = [np.asarray(row, dtype=np.int64) for row in token_ids]
         out = np.zeros((len(rows), max(map(len, rows)), self.d_model))
         for length in {len(row) for row in rows}:
-            idx = [n for n, row in enumerate(rows) if len(row) == length]
-            batch = np.stack([rows[n] for n in idx])
-            out[idx, :length] = self._forward(batch).data
+            group = [n for n, row in enumerate(rows) if len(row) == length]
+            for start in range(0, len(group), FEATURES_CHUNK):
+                idx = group[start:start + FEATURES_CHUNK]
+                batch = np.stack([rows[n] for n in idx])
+                out[idx, :length] = self._forward(batch).data
         return out
 
     def head_matrix(self) -> np.ndarray:
@@ -129,35 +134,33 @@ class TinyCausalLm(ParamContainer):
 
     def pretrain(self, token_seqs: list[list[int]], epochs: int):
         """`epochs` full-batch Adam steps of next-token prediction on the
-        BOS-wrapped sequences."""
+        BOS-wrapped sequences. The loss is the mean cross-entropy over all
+        positions, given to `Adam.minimize` as one part per length bucket,
+        in ascending length: each bucket's graph is freed before the next
+        is built, so memory follows the largest bucket, not the corpus."""
         opt = Adam(self)
         # bucket by length so each bucket trains as one batch
         buckets: dict[int, list[list[int]]] = {}
         for seq in token_seqs:
             wrapped = [BOS] + list(seq) + [EOS]
             buckets.setdefault(len(wrapped), []).append(wrapped)
+        batches = [np.asarray(buckets[n], dtype=np.int64)
+                   for n in sorted(buckets)]
+        n_pos = sum(batch[:, 1:].size for batch in batches)
 
-        def epoch_loss() -> Tensor:
-            """Mean next-token cross-entropy over all buckets."""
-            total = None
-            n_pos = 0
-            for length in sorted(buckets):
-                batch = np.asarray(buckets[length], dtype=np.int64)
-                h = self._forward(batch[:, :-1])
-                logits = h @ self.emb.swapaxes(0, 1)  # tied head
-                logp = logits.log_softmax()
-                targets = batch[:, 1:]
-                onehot = np.zeros(logp.shape)
-                b_idx = np.arange(batch.shape[0])[:, None]
-                t_idx = np.arange(length - 1)[None, :]
-                onehot[b_idx, t_idx, targets] = 1.0
-                ce = -(logp * Tensor(onehot)).sum()
-                n_pos += targets.size
-                total = ce if total is None else total + ce
-            return total * (1.0 / n_pos)
+        def bucket_loss(batch: np.ndarray) -> Tensor:
+            """The bucket's share of the mean next-token cross-entropy."""
+            h = self._forward(batch[:, :-1])
+            logp = (h @ self.emb.swapaxes(0, 1)).log_softmax()  # tied head
+            onehot = np.zeros(logp.shape)
+            b_idx = np.arange(batch.shape[0])[:, None]
+            t_idx = np.arange(batch.shape[1] - 1)[None, :]
+            onehot[b_idx, t_idx, batch[:, 1:]] = 1.0
+            return -(logp * Tensor(onehot)).sum() * (1.0 / n_pos)
 
         for epoch in range(epochs):
-            opt.minimize(epoch_loss, f"LM pretraining loss at epoch {epoch}",
+            opt.minimize([partial(bucket_loss, batch) for batch in batches],
+                         f"LM pretraining loss at epoch {epoch}",
                          PRETRAIN_LR)
 
 

@@ -192,7 +192,7 @@ def train_retrieval(items: list[DatasetItem], labels: np.ndarray,
                 tri.append((train[a], train[p], train[n]))
             if tri:
                 losses.append(opt.minimize(
-                    lambda: batch_loss(tri, training=True),
+                    [lambda: batch_loss(tri, training=True)],
                     f"triplet loss at epoch {epoch}", cfg.triplet_lr))
         return cfg.triplet_lr, losses
 

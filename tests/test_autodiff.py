@@ -219,6 +219,52 @@ def test_shared_gradient_views_are_not_written_in_place(rng):
         np.testing.assert_array_equal(y.grad, w + c * x.data)
 
 
+def _random_part(rng, n_leaves: int, n_ops: int):
+    """A random scalar loss over leaves of shape (4, 4), as a function of
+    them. Every leaf enters it at least twice, through +, *, matmul, a
+    broadcast row, GELU or a column sum."""
+    uses = rng.permutation(np.repeat(np.arange(n_leaves), 2))
+    uses = np.concatenate([uses, rng.integers(0, n_leaves, n_ops)])
+    ops = rng.integers(0, 6, size=len(uses))
+    w = rng.normal(size=(4, 4))
+
+    def build(leaves):
+        h = leaves[uses[0]]
+        for op, i in zip(ops[1:], uses[1:]):
+            x = leaves[i]
+            h = (h + x if op == 0 else h * x if op == 1 else h @ x
+                 if op == 2 else h + x[int(i) % 4] if op == 3
+                 else (h * x).gelu() if op == 4
+                 else h * x.sum(axis=0, keepdims=True))
+        return (h * Tensor(w)).sum()
+
+    return build
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_backward_part_by_part_is_backward_of_the_sum(seed):
+    """backward() on each part in turn leaves the bits of one backward()
+    on the parts' left-to-right sum in every leaf gradient, however often
+    a leaf enters a part and however many parts share it."""
+    rng = np.random.default_rng(seed)
+    n_leaves = 3 + seed % 3
+    data = [rng.normal(size=(4, 4)) for _ in range(n_leaves)]
+    parts = [_random_part(rng, n_leaves, 4 + seed)
+             for _ in range(2 + seed % 3)]
+
+    leaves = [trainable(d) for d in data]
+    for part in parts:
+        part(leaves).backward()
+    got = [t.grad.tobytes() for t in leaves]
+
+    leaves = [trainable(d) for d in data]
+    total = parts[0](leaves)
+    for part in parts[1:]:
+        total = total + part(leaves)
+    total.backward()
+    assert got == [t.grad.tobytes() for t in leaves]
+
+
 def test_backward_requires_scalar():
     x = trainable(np.ones((2, 2)))
     with pytest.raises(GraphError):

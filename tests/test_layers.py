@@ -121,7 +121,7 @@ def test_frozen_part_records_no_tape(rng):
         np.testing.assert_array_equal(out.data, frozen.data)
         return (out * weights).sum()
 
-    Adam(layer).minimize(loss, "loss", 1e-3)
+    Adam(layer).minimize([loss], "loss", 1e-3)
     assert taped == [True]  # trainable only inside the step
     assert all(not p.requires_grad and p.grad is None
                for _, p in layer.named_params())
@@ -486,8 +486,9 @@ def test_adam_shape_mismatch(rng):
     lambda rng: Linear(3, 2, rng), lambda rng: LayerNorm(3),
     lambda rng: EncoderLayer(4, 2, 8, rng), _Part])
 def test_minimize_leaves_part_frozen_and_unchanged_on_error(build, rng):
-    """A non-finite loss raises NumericError before backward or step, and
-    an error while the loss is built leaves the part as it found it too."""
+    """A non-finite loss part raises NumericError before its backward or
+    the step, also after an earlier part's backward ran, and an error while
+    a part is built leaves the part as it found it too."""
     part = build(rng)
     opt = Adam(part)
     before = part.snapshot()
@@ -502,10 +503,16 @@ def test_minimize_leaves_part_frozen_and_unchanged_on_error(build, rng):
         (part.named_params()[0][1] * 2.0).sum().backward()  # a stray grad
         raise ShapeError("broken loss")
 
+    def finite():
+        return sum((p * p).sum() for _, p in part.named_params())
+
     with pytest.raises(NumericError, match="non-finite toy loss"):
-        opt.minimize(nonfinite, "toy loss", 1.0)
+        opt.minimize([nonfinite], "toy loss", 1.0)
     with pytest.raises(ShapeError, match="broken loss"):
-        opt.minimize(broken, "toy loss", 1.0)
+        opt.minimize([broken], "toy loss", 1.0)
+    # a later part fails after an earlier one's backward ran
+    with pytest.raises(NumericError, match="non-finite toy loss"):
+        opt.minimize([finite, nonfinite], "toy loss", 1.0)
     assert opt.t == 0
     for name, p in part.named_params():
         assert not p.requires_grad and p.grad is None, name
