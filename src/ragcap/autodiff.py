@@ -35,103 +35,8 @@ class GraphError(RuntimeError):
     """Misuse of the autodiff graph (e.g. backward on a non-scalar)."""
 
 
-_INV_SQRT2 = 0.7071067811865476
-_INV_SQRT_2PI = 0.3989422804014327
 LN_EPS = 1e-5  # added to layer_norm's variance
-
-# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
-# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 < x < 8, exp(-x^2) R(x) / S(x) above.
-# U, Q and S are monic; their leading 1 is left out, as in Cephes.
-_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
-          2.23200534594684319226E3, 7.00332514112805075473E3,
-          5.55923013010394962768E4)
-_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
-          4.59432382970980127987E3, 2.26290000613890934246E4,
-          4.92673942608635921086E4)
-_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
-           7.46321056442269912687E0, 4.86371970985681366614E1,
-           1.96520832956077098242E2, 5.26445194995477358631E2,
-           9.34528527171957607540E2, 1.02755188689515710272E3,
-           5.57535335369399327526E2)
-_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
-           3.54937778887819891062E2, 9.75708501743205489753E2,
-           1.82390916687909736289E3, 2.24633760818710981792E3,
-           1.65666309194161350182E3, 5.57535340817727675546E2)
-_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
-           5.01905042251180477414E0, 6.16021097993053585195E0,
-           7.40974269950448939160E0, 2.97886665372100240670E0)
-_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
-           1.20489539808096656605E1, 1.70814450747565897222E1,
-           9.60896809063285878198E0, 3.36907645100081516050E0)
-_MAXLOG = 7.09782712893383996843E2  # log(DBL_MAX); erfc is 0 for x^2 above
-_ERF_BLOCK = 1 << 15  # elements: 256 KB scratch arrays (see _erf)
-
-
-def _polevl(x, coef):
-    """Cephes polevl: coef[0] x^n + ... + coef[n] by Horner's rule."""
-    y = x * coef[0]
-    y += coef[1]
-    for c in coef[2:]:
-        y *= x
-        y += c
-    return y
-
-
-def _p1evl(x, coef):
-    """Cephes p1evl: polevl with a leading coefficient of 1 left out."""
-    y = x + coef[0]
-    for c in coef[1:]:
-        y *= x
-        y += c
-    return y
-
-
-def _erfc_far(a: np.ndarray) -> np.ndarray:
-    """Cephes erfc of a 1-d array of a > 1."""
-    a = np.minimum(a, 27.0)  # keeps P(a) finite; 27^2 > MAXLOG still gives 0
-    sq = a * a
-    e = np.array([math.exp(-t) for t in sq.tolist()])
-    y = e * _polevl(a, _ERFC_P) / _p1evl(a, _ERFC_Q)
-    mid = a >= 8.0
-    if mid.any():
-        v = a[mid]
-        y[mid] = e[mid] * _polevl(v, _ERFC_R) / _p1evl(v, _ERFC_S)
-        y[sq > _MAXLOG] = 0.0
-    return y
-
-
-def _erf(x: np.ndarray) -> None:
-    """Overwrite the float64 array x, which is one block of memory as a
-    fresh numpy result is (in any axis order), with erf(x), bit for bit
-    as `erf` in Cephes `ndtr.c` computes it (the routine scipy.special.erf
-    wraps): the same coefficients in the same order of operations.
-
-    x T(x^2) / U(x^2) is evaluated on every element; it is odd in x
-    exactly, as Cephes' erf(-x) = -erf(x) needs. The rare elements with
-    |x| > 1 are then replaced by 1 - erfc(|x|) with x's sign. erfc's
-    exp(-x^2) is `math.exp`, the C library's exp that Cephes calls, one
-    element at a time: numpy's vectorised exp differs from it in the last
-    bit on about 0.1% of inputs.
-
-    The work goes in blocks of _ERF_BLOCK elements, and each result is
-    written back into x, as scipy's `out=` does. glibc's allocator hands
-    freed scratch arrays of a few MB back to the OS, and the next call
-    faults their pages in again: about 670 minor faults per GELU forward
-    of 90,112 elements with whole-array scratch, about 2 with 256 KB blocks,
-    whose memory is reused."""
-    flat = x.ravel(order="K")  # a view of that block
-    # overflow and NaN arise only where |x| > 1, and those are replaced
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, flat.size, _ERF_BLOCK):
-            v = flat[start:start + _ERF_BLOCK]
-            z = v * v
-            far = z > 1.0
-            vf = v[far] if far.any() else None
-            y = _polevl(z, _ERF_T)
-            y *= v
-            np.divide(y, _p1evl(z, _ERF_U), out=v)
-            if vf is not None:
-                v[far] = np.copysign(1.0 - _erfc_far(np.abs(vf)), vf)
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -351,18 +256,22 @@ class Tensor:
         return _make(a.data * mask, (a,), lambda g: (g * mask,))
 
     def gelu(self):
-        """Exact (erf-based) GELU."""
+        """GPT-2's GELU: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))."""
         a = self
         x = a.data
-        cdf = x * _INV_SQRT2
-        _erf(cdf)
-        cdf += 1.0
-        cdf *= 0.5
-        out = x * cdf
+        t = x * x
+        t *= x
+        t *= 0.044715
+        t += x
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        out = t + 1.0
+        out *= 0.5
+        out *= x
 
         def vjp(g):
-            pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-            return (g * (cdf + x * pdf),)
+            dt = (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * x * x)
+            return (g * (0.5 * (1.0 + t + x * dt)),)
 
         return _make(out, (a,), vjp)
 

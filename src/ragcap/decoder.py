@@ -256,18 +256,20 @@ def fusion_step(lm: TinyCausalLm, params: DecoderParams, phis,
     return step
 
 
-def beam_search(step, n: int, beam: int, max_len: int) -> list[list[int]]:
+def beam_search(step, n: int, beam: int, max_len: int,
+                min_len: int) -> list[list[int]]:
     """Length-normalized beam search for N items in lockstep. step(owner,
     prefixes) returns the (rows, V) next-token log-probabilities of the
     BOS-led prefixes, one row per live beam; owner[r] is the item of row r.
     Returns N token lists (EOS included if generated).
 
     Each step scores the live beams of every unfinished item in one step
-    call. Per item, beams end at EOS or at max_len; live beams are pruned
-    by cumulative log-probability, the final ranking uses mean
-    log-probability per emitted token. All ties break on the
-    token sequence itself, so decoding is deterministic. Each beam offers
-    only its own best `beam` non-EOS extensions: they hold every one kept.
+    call. Per item, beams end at EOS once they hold at least min_len tokens,
+    or at max_len; live beams are pruned by cumulative log-probability, the
+    final ranking uses mean log-probability per emitted token. All ties
+    break on the token sequence itself, so decoding is deterministic. Each
+    beam offers only its own best `beam` non-EOS extensions: they hold every
+    one kept.
 
     An item stops early once its best finished score lp / len is strictly
     greater than its best live lp divided by max_len. Every later candidate
@@ -275,8 +277,10 @@ def beam_search(step, n: int, beam: int, max_len: int) -> list[list[int]]:
     cumulative lp is at most that beam's and its length at most max_len:
     its score lp / len <= lp / max_len <= best live lp / max_len. Rounding
     is monotone, so these inequalities also hold for the computed floats,
-    and no later candidate can outrank the best finished one. A stopped
-    item's live beams are therefore dropped, not force-finished."""
+    and no later candidate can outrank the best finished one. min_len only
+    withholds candidates, so every later candidate still descends from a
+    live beam. A stopped item's live beams are therefore dropped, not
+    force-finished."""
     live = [[((), 0.0)] for _ in range(n)]
     finished = [[] for _ in range(n)]
     best_done = [-np.inf] * n  # per item, the best finished lp / len
@@ -291,8 +295,9 @@ def beam_search(step, n: int, beam: int, max_len: int) -> list[list[int]]:
             next_live = []
             for (toks, lp), row in zip(live[i], rows):
                 s = lp + row
-                finished[i].append((toks + (EOS,), s[EOS]))
-                best_done[i] = max(best_done[i], s[EOS] / (len(toks) + 1))
+                if len(toks) >= min_len:
+                    finished[i].append((toks + (EOS,), s[EOS]))
+                    best_done[i] = max(best_done[i], s[EOS] / (len(toks) + 1))
                 next_live += [(toks + (v,), s[v]) for v in np.argsort(
                     -s, kind="stable")[:beam + 1].tolist() if v != EOS]
             next_live.sort(key=lambda e: (-e[1], e[0]))
@@ -311,9 +316,10 @@ def generate_captions(lm: TinyCausalLm, tokenizer: TinyTokenizer,
                       guidance_texts: list[list[str]], beam: int,
                       max_len: int) -> list[str]:
     """One caption per item: audio features phis[n] (D_a, T), guided by the
-    captions guidance_texts[n]; all items are decoded in one beam search."""
+    captions guidance_texts[n]; all items are decoded in one beam search,
+    none to fewer than tokenizer.min_len tokens."""
     guidances = [guidance_ids([tokenizer.encode(c) for c in texts])
                  for texts in guidance_texts]
     return [tokenizer.decode(toks) for toks in beam_search(
         fusion_step(lm, params, phis, guidances), len(guidances), beam,
-        max_len)]
+        max_len, tokenizer.min_len)]

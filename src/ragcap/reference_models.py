@@ -39,13 +39,16 @@ FEATURES_CHUNK = 256  # rows per forward when features() encodes a sequence
 
 
 class TinyTokenizer:
-    """Word-level tokenizer over a fixed vocabulary plus special tokens."""
+    """Word-level tokenizer over a fixed vocabulary plus special tokens.
+    min_len, the token count of its shortest text but at least 1, is the
+    fewest tokens a generated caption may hold."""
 
     def __init__(self, texts: list[str]):
-        self.itos = list(SPECIAL_TOKENS) + sorted(
-            {w for t in texts for w in normalize_words(t)})
+        words = [normalize_words(t) for t in texts]
+        self.itos = list(SPECIAL_TOKENS) + sorted(set().union(*words))
         self.stoi = {w: i for i, w in enumerate(self.itos)}
         self.vocab_size = len(self.itos)
+        self.min_len = max(1, min(map(len, words), default=0))
 
     def encode(self, text: str) -> list[int]:
         return [self.stoi.get(w, UNK) for w in normalize_words(text)]

@@ -116,10 +116,10 @@ def full_forward_step(lm, params, phi, guidance):
     return step
 
 
-def exhaustive(step, vocab, max_len):
+def exhaustive(step, vocab, max_len, min_len):
     """The best token list of item 0 under step, by the ranking rule of
     decoder.beam_search, found by scoring every sequence that ends at EOS
-    or runs to max_len tokens."""
+    after at least min_len tokens or runs to max_len tokens."""
     rows = {}
 
     def logp(toks):  # next-token log-probabilities after BOS + toks
@@ -130,7 +130,9 @@ def exhaustive(step, vocab, max_len):
     cands = []
     for length in range(1, max_len + 1):
         for toks in product(range(vocab), repeat=length):
-            if EOS in toks[:-1] or (toks[-1] != EOS and length < max_len):
+            ends = toks[-1] == EOS
+            if EOS in toks[:-1] or (length <= min_len if ends
+                                    else length < max_len):
                 continue
             cands.append((toks, sum(logp(toks[:pos])[tok]
                                     for pos, tok in enumerate(toks))))

@@ -200,8 +200,9 @@ def test_criterion_02_search_oracles(rng):
                        for i in range(n)))[:k]
         assert [(g[0], g[1]) for g in got] == [(i, dd) for dd, i in want]
 
-    # beam search against exhaustive enumeration: vocab 3, length 3; each
-    # candidate is scored from the full position_logits rows of its prefixes
+    # beam search against exhaustive enumeration: vocab 3, length 3, minimum
+    # length 1 or 2; each candidate is scored from the full position_logits
+    # rows of its prefixes
     g = [1]
     for seed in range(20):
         model_rng = np.random.default_rng([71, seed])
@@ -213,10 +214,11 @@ def test_criterion_02_search_oracles(rng):
             params = DecoderParams(cfg, lm, model_rng)
             random_head(params, model_rng)
         phi = model_rng.normal(size=(3, 4))
+        min_len = 1 + seed % 2
         assert beam_search(fusion_step(lm, params, [phi], [g]), 1, beam=9,
-                           max_len=3) == \
+                           max_len=3, min_len=min_len) == \
             [exhaustive(full_forward_step(lm, params, phi, g), lm.vocab_size,
-                        max_len=3)]
+                        max_len=3, min_len=min_len)]
 
 
 # ---------------------------------------------------------------------------

@@ -283,10 +283,10 @@ def test_smoothed_ce_target_count_checked(rng):
 # beam search
 # ---------------------------------------------------------------------------
 
-def decode(lm, params, phis, guidances, beam, max_len):
+def decode(lm, params, phis, guidances, beam, max_len, min_len):
     """The fusion decoder's beam search, as generate_captions runs it."""
     return beam_search(fusion_step(lm, params, phis, guidances),
-                       len(guidances), beam, max_len)
+                       len(guidances), beam, max_len, min_len)
 
 
 def counting(step, calls):
@@ -321,9 +321,11 @@ def test_beam_matches_exhaustive_small_instances(monkeypatch):
         params = make_dec(lm, rng, d_r=4)
         random_head(params, rng)
         phi = rng.normal(size=(D_A, T))
-        assert decode(lm, params, [phi], [g], beam=36, max_len=3) == \
+        min_len = 1 + seed % 2
+        assert decode(lm, params, [phi], [g], beam=36, max_len=3,
+                      min_len=min_len) == \
             [exhaustive(full_forward_step(lm, params, phi, g),
-                        lm.vocab_size, max_len=3)]
+                        lm.vocab_size, max_len=3, min_len=min_len)]
 
 
 def test_beam_one_equals_greedy(lm, rng):
@@ -333,11 +335,14 @@ def test_beam_one_equals_greedy(lm, rng):
     toks = []
     for _ in range(5):
         p = posterior(lm, params, phi, g, [[BOS] + toks], encoded(lm, g))[0]
+        if len(toks) < 2:  # the minimum length
+            p[EOS] = 0.0
         nxt = int(np.argmax(p))
         toks.append(nxt)
         if nxt == EOS:
             break
-    assert decode(lm, params, [phi], [g], beam=1, max_len=5) == [toks]
+    assert decode(lm, params, [phi], [g], beam=1, max_len=5,
+                  min_len=2) == [toks]
 
 
 def test_beam_search_encodes_guidance_once(lm, rng, monkeypatch):
@@ -353,7 +358,7 @@ def test_beam_search_encodes_guidance_once(lm, rng, monkeypatch):
     monkeypatch.setattr(lm, "features", recording)
     step = fusion_step(lm, params, [rng.normal(size=(D_A, T))], [g])
     assert encoded == [[g]]
-    beam_search(step, 1, beam=3, max_len=6)
+    beam_search(step, 1, beam=3, max_len=6, min_len=1)
     assert len(encoded) > 2
     assert encoded.count([g]) == 1
 
@@ -362,14 +367,14 @@ def test_beam_is_deterministic(lm, rng):
     params = make_dec(lm, rng)
     phi = rng.normal(size=(D_A, T))
     g = guidance_ids([[5, 6], [7]])
-    assert decode(lm, params, [phi], [g], beam=3, max_len=6) == \
-        decode(lm, params, [phi], [g], beam=3, max_len=6)
+    assert decode(lm, params, [phi], [g], beam=3, max_len=6, min_len=2) == \
+        decode(lm, params, [phi], [g], beam=3, max_len=6, min_len=2)
 
 
 def test_beam_respects_max_len(lm, rng):
     params = make_dec(lm, rng)
     [out] = decode(lm, params, [rng.normal(size=(D_A, T))], [[5]], beam=2,
-                   max_len=4)
+                   max_len=4, min_len=1)
     assert 1 <= len(out) <= 4
 
 
@@ -387,18 +392,20 @@ def test_fusion_step_rows_are_log_posteriors_of_their_items(lm, rng):
         np.testing.assert_allclose(row, np.log(p), rtol=0, atol=1e-12)
 
 
-def full_length_beam(step, beam, max_len):
+def full_length_beam(step, beam, max_len, min_len):
     """Item 0's beam search under step without the early stop: it runs all
-    max_len steps, extends every beam by every token and force-finishes the
-    live beams."""
+    max_len steps, extends every beam by every token (by EOS once it holds
+    min_len tokens) and force-finishes the live beams."""
     live, finished = [((), 0.0)], []
     for _ in range(max_len):
         rows = step([0] * len(live), [(BOS,) + toks for toks, _ in live])
         next_live = []
         for (toks, lp), row in zip(live, rows):
             for v in range(len(row)):
-                (finished if v == EOS else next_live).append(
-                    (toks + (v,), lp + row[v]))
+                if v != EOS:
+                    next_live.append((toks + (v,), lp + row[v]))
+                elif len(toks) >= min_len:
+                    finished.append((toks + (v,), lp + row[v]))
         next_live.sort(key=lambda e: (-e[1], e[0]))
         live = next_live[:beam]
     best = max(finished + live, key=lambda e: (e[1] / len(e[0]),
@@ -424,23 +431,53 @@ def test_lockstep_beam_equals_single_item_searches():
         guidances = [guidance_ids([[5, 6], [7]]), [6],
                      guidance_ids([[7, 5, 5], [6]]), [5, 7]]
         phis = rng.normal(size=(len(guidances), D_A, T))
-        together = decode(lm, params, phis, guidances, beam=3, max_len=8)
+        together = decode(lm, params, phis, guidances, beam=3, max_len=8,
+                          min_len=2)
         assert together == [
-            decode(lm, params, [phi], [g], beam=3, max_len=8)[0]
+            decode(lm, params, [phi], [g], beam=3, max_len=8, min_len=2)[0]
             for phi, g in zip(phis, guidances)]
 
 
-def test_beam_early_stop_matches_full_length_search():
+def early_stops_match_full_length(min_len):
+    """How many of 40 random small searches stop early, asserting that each
+    returns what the full-length search returns."""
     stopped = 0
     for seed in range(40):
         lm, params, rng = random_decoder(seed)
         phi = rng.normal(size=(D_A, T))
         g = [int(t) for t in rng.integers(5, 8, size=3)]
         step, calls = fusion_step(lm, params, [phi], [g]), []
-        assert beam_search(counting(step, calls), 1, beam=2, max_len=8) == \
-            [full_length_beam(step, beam=2, max_len=8)]
+        assert beam_search(counting(step, calls), 1, beam=2, max_len=8,
+                           min_len=min_len) == \
+            [full_length_beam(step, beam=2, max_len=8, min_len=min_len)]
         stopped += len(calls) < 8
-    assert stopped > 0
+    return stopped
+
+
+def test_beam_early_stop_matches_full_length_search():
+    assert early_stops_match_full_length(min_len=1) > 0
+
+
+def test_beam_early_stop_matches_full_length_search_above_min_len():
+    assert early_stops_match_full_length(min_len=3) > 0
+
+
+def test_beam_outputs_hold_at_least_min_len_tokens():
+    """Under a strong EOS bias a search without a minimum length often
+    returns a bare EOS; with one, no output ends before min_len tokens."""
+    bare = 0
+    for seed in range(6):
+        lm, params, rng = random_decoder(seed)
+        params.lmhead.b.data[EOS] += 4.0
+        phis = rng.normal(size=(3, D_A, T))
+        guidances = [[5, 6], [7], guidance_ids([[6], [5, 7]])]
+        bare += decode(lm, params, phis, guidances, beam=3, max_len=6,
+                       min_len=0).count([EOS])
+        for min_len in (1, 3, 5):
+            for out in decode(lm, params, phis, guidances, beam=3, max_len=6,
+                              min_len=min_len):
+                assert len(out) - (out[-1] == EOS) >= min_len
+    assert bare > 0
 
 
 def test_beam_step_matches_full_expansion_on_tied_scores():
@@ -449,8 +486,8 @@ def test_beam_step_matches_full_expansion_on_tied_scores():
     for seed in range(20):
         step = table_step([seed], (1, 2, 3), vocab=8)
         for beam in (1, 2, 3, 9):
-            assert beam_search(step, 1, beam, max_len=6) == \
-                [full_length_beam(step, beam, max_len=6)]
+            assert beam_search(step, 1, beam, max_len=6, min_len=2) == \
+                [full_length_beam(step, beam, max_len=6, min_len=2)]
 
 
 def test_beam_matches_exhaustive_search_on_toy_tables():
@@ -461,20 +498,20 @@ def test_beam_matches_exhaustive_search_on_toy_tables():
     each gets alone."""
     weights, stopped = (1, 1, 2, 40), 0
     for seed in range(200):
-        step = table_step([seed], weights, vocab=4)
+        step, m = table_step([seed], weights, vocab=4), 1 + seed % 2
         for beam in (1, 2, 5):
             calls = []
-            assert beam_search(counting(step, calls), 1, beam,
-                               max_len=4) == \
-                [full_length_beam(step, beam, max_len=4)]
+            assert beam_search(counting(step, calls), 1, beam, max_len=4,
+                               min_len=m) == \
+                [full_length_beam(step, beam, max_len=4, min_len=m)]
             stopped += len(calls) < 4
-        assert beam_search(step, 1, beam=27, max_len=4) == \
-            [exhaustive(step, vocab=4, max_len=4)]
+        assert beam_search(step, 1, beam=27, max_len=4, min_len=m) == \
+            [exhaustive(step, vocab=4, max_len=4, min_len=m)]
         seeds = [seed, seed + 200, seed + 400]
         assert beam_search(table_step(seeds, weights, 4), 3, beam=2,
-                           max_len=4) == \
+                           max_len=4, min_len=m) == \
             [beam_search(table_step([s], weights, 4), 1, beam=2,
-                         max_len=4)[0] for s in seeds]
+                         max_len=4, min_len=m)[0] for s in seeds]
     assert stopped > 0
 
 
@@ -491,7 +528,7 @@ def test_beam_search_one_features_call_per_step(lm, rng, monkeypatch):
     monkeypatch.setattr(lm, "features", recording)
     calls = []
     step = fusion_step(lm, params, rng.normal(size=(3, D_A, T)), guidances)
-    beam_search(counting(step, calls), 3, beam=3, max_len=6)
+    beam_search(counting(step, calls), 3, beam=3, max_len=6, min_len=1)
     assert encoded[0] == guidances  # all guidances in one call, unpadded
     assert calls and len(encoded) == 1 + len(calls)
 
@@ -628,16 +665,54 @@ def test_epoch_guidance_matches_per_step_draws(monkeypatch):
             assert not f[n:].any()
 
 
-# (train_loss, val_loss) per epoch, recorded from the per-item training loop
-# this batched path replaced, under the configuration below
-PER_ITEM_HISTORY = {
-    "TEXTS": [(2.6298364848324605, 2.590483691554112),
-              (2.6238939845446616, 2.573960918563463),
-              (2.5853151966946974, 2.568503546415203)],
-    "MIXED_TEXTS": [(2.8965647721809376, 2.8979368184114414),
-                    (2.877093495937167, 2.888923756637385),
-                    (2.860602810046487, 2.88602663477492)],
-}
+def per_item_history(lm, tok, items, labels, cfg, seed):
+    """(train_loss, val_loss) per epoch of the per-item training loop that
+    the batched path replaced: one unpadded forward per item, each step's
+    loss the mean of its items' losses, each validation loss the mean of
+    the validation items' losses. Guidance and dropout masks are drawn as
+    train_decoder draws them."""
+    train, valid, pools = training_pools(items, labels)
+    sim_of = {i: train[similar] for i, (similar, _) in pools.items()}
+    params = DecoderParams(cfg, lm, np.random.default_rng([seed, 11]))
+    opt = layers.Adam(params)
+    rng_drop = np.random.default_rng([seed, 13])
+    caps = [tok.encode(it.caption) for it in items]
+
+    def item_loss(i, guidance, training):
+        guidance = np.asarray(guidance)
+        guidance = guidance[guidance != PAD]
+        prefix = np.array([BOS] + caps[i])
+        logits = position_logits(params, items[i].features, guidance,
+                                 lm.features(guidance), prefix,
+                                 lm.features(prefix), rng_drop, training)
+        return smoothed_cross_entropy(logits, caps[i] + [EOS],
+                                      cfg.decoder_lambda)
+
+    val_items = [i for i in valid if len(sim_of[i])]
+    rng_val = np.random.default_rng([seed, 14])
+    val_refs = [guidance_ids([caps[j] for j in rng_val.choice(
+        sim_of[i], size=cfg.retrieval_k,
+        replace=len(sim_of[i]) < cfg.retrieval_k)]) for i in val_items]
+
+    steps = per_step_guidance(tok, items, labels, cfg, seed)
+    per_epoch = len(steps) // cfg.decoder_epochs
+    history = []
+    for epoch in range(cfg.decoder_epochs):
+        lr = layers.cosine_lr(epoch, cfg.decoder_lr_period,
+                              cfg.decoder_lr_max, cfg.decoder_lr_min)
+        losses = []
+        for chunk, guidance in steps[epoch * per_epoch:
+                                     (epoch + 1) * per_epoch]:
+            def loss():
+                total = item_loss(chunk[0], guidance[0], True)
+                for i, g in zip(chunk[1:], guidance[1:]):
+                    total = total + item_loss(i, g, True)
+                return total * (1.0 / len(chunk))
+            losses.append(opt.minimize([loss], "per-item loss", lr))
+        val = [item_loss(i, g, False).item()
+               for i, g in zip(val_items, val_refs)]
+        history.append((float(np.mean(losses)), float(np.mean(val))))
+    return history
 
 
 @pytest.mark.parametrize("texts", ["TEXTS", "MIXED_TEXTS"])
@@ -649,8 +724,9 @@ def test_train_decoder_history_matches_per_item_loop(texts):
                    decoder_heads=2, retrieval_k=2)
     result = train_decoder(lm, tok, items, labels, cfg, seed=5)
     got = [(h["train_loss"], h["val_loss"]) for h in result.history]
-    np.testing.assert_allclose(got, PER_ITEM_HISTORY[texts], rtol=0,
-                               atol=1e-12)
+    np.testing.assert_allclose(
+        got, per_item_history(lm, tok, items, labels, cfg, seed=5), rtol=0,
+        atol=1e-12)
     assert result.best_epoch == 2
 
 
@@ -688,5 +764,6 @@ def test_generate_caption_decodes(lm, rng):
     texts = generate_captions(small_lm, tok, params, [phi],
                               [["a dog barks", "a cat"]], beam=2, max_len=5)
     g = guidance_ids([tok.encode("a dog barks"), tok.encode("a cat")])
-    [toks] = decode(small_lm, params, [phi], [g], beam=2, max_len=5)
+    [toks] = decode(small_lm, params, [phi], [g], beam=2, max_len=5,
+                    min_len=tok.min_len)
     assert texts == [tok.decode(toks)]

@@ -34,6 +34,13 @@ def test_tokenizer_unknown_word_maps_to_unk():
     assert tok.encode("a cat") == [tok.stoi["a"], UNK]
 
 
+def test_tokenizer_min_len_is_the_shortest_text_and_at_least_one():
+    assert TinyTokenizer(["a dog barks", "Rain, falls!", "a b c d"]).min_len \
+        == 2
+    assert TinyTokenizer(["a dog", "..."]).min_len == 1
+    assert TinyTokenizer([]).min_len == 1
+
+
 def test_tokenizer_vocabulary_is_sorted_and_stable():
     tok1 = TinyTokenizer(["b a", "c a"])
     tok2 = TinyTokenizer(["c a", "b a"])
