@@ -103,8 +103,9 @@ def cmd_retrieve(args) -> int:
     embedder = pipeline.load_retrieval_params(cfg, args.checkpoint)
     index = pipeline.load_index(args.index)
     phi = read_features(args.query_features, cfg.model_d_a, cfg.model_t)
-    e = retrieval.embed_batch(embedder, phi[None]).data[0]
-    hits = retrieval.retrieve_topk(index, e, cfg.retrieval_k, args.exclude)
+    queries = retrieval.embed_batch(embedder, phi[None]).data
+    [hits] = retrieval.retrieve_topk(index, queries, cfg.retrieval_k,
+                                     [args.exclude])
     print(json.dumps([{"id": i, "distance": d, "caption": c}
                       for i, d, c in hits], sort_keys=True))
     return 0

@@ -6,8 +6,13 @@ precision, geometric mean, brevity penalty); ROUGE-L is the LCS F-measure
 with beta = 1.2 averaged over the corpus; CIDEr-D uses tf-idf n-gram cosine
 similarity with a length-gaussian penalty (sigma = 6) and x10 scaling.
 
-Each sentence is normalized and its 1- to 4-gram counts are taken once per
-call; every score is computed from those counts.
+Each distinct text of a call, candidate or reference, is normalized and its
+1- to 4-gram counts taken once, and every score is computed from those
+counts: BLEU's clipped matches as a multiset intersection with the union of
+the references, ROUGE-L's LCS by a bit-parallel algorithm, and CIDEr-D's
+idf once per n-gram and tf-idf vector and norm once per distinct text. Each
+score keeps the arithmetic, and the order of every float sum, of the
+straightforward per-pair definitions, so it equals them bit for bit.
 """
 
 from __future__ import annotations
@@ -16,8 +21,11 @@ import json
 import logging
 import math
 import string
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
+from operator import or_
 from typing import NamedTuple
 
 log = logging.getLogger("ragcap.metrics")
@@ -34,19 +42,16 @@ def normalize_words(text: str) -> list[str]:
     return text.lower().translate(_PUNCT_TABLE).split()
 
 
-def _ngram_counts(words: list[str], n: int) -> Counter:
-    return Counter(tuple(words[i:i + n]) for i in range(len(words) - n + 1))
-
-
 class _Sentence(NamedTuple):
     words: list[str]
     counts: list[Counter]  # counts[k - 1]: k-gram counts for k = 1..MAX_N
 
 
 def _sentence(text: str) -> _Sentence:
-    """Normalize once, count the 1- to MAX_N-grams once."""
+    """Normalize once, count the 1- to MAX_N-grams once; each Counter holds
+    its n-grams in first-seen order."""
     words = normalize_words(text)
-    return _Sentence(words, [_ngram_counts(words, k)
+    return _Sentence(words, [Counter(zip(*(words[i:] for i in range(k))))
                              for k in range(1, MAX_N + 1)])
 
 
@@ -69,8 +74,9 @@ def _bleu_stats(cand: _Sentence, refs: list[_Sentence]) -> tuple:
     ref_len = min((abs(len(r.words) - n_c), len(r.words)) for r in refs)[1]
     matched, total = [], []
     for k, cc in enumerate(cand.counts):
-        matched.append(sum(min(c, max(r.counts[k][g] for r in refs))
-                           for g, c in cc.items()))
+        # each n-gram clipped to its highest count in any one reference
+        most = reduce(or_, (r.counts[k] for r in refs))
+        matched.append(sum((cc & most).values()))
         total.append(sum(cc.values()))
     return matched, total, n_c, ref_len
 
@@ -98,15 +104,19 @@ def _bleu(matched: list[int], total: list[int], cand_len: int, ref_len: int,
 # ---------------------------------------------------------------------------
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+    """Length of the longest common subsequence, by the bit-parallel
+    algorithm of Hyyro (2004) over Python ints. After each word of `a`,
+    bit j of `v` is 0 where the LCS of the words read so far with
+    b[:j + 1] exceeds that with b[:j], so the LCS is the count of 0 bits."""
+    masks: dict[str, int] = {}
+    for j, w in enumerate(b):
+        masks[w] = masks.get(w, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
+    for w in a:
+        u = v & masks.get(w, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def _rouge_l(cand: _Sentence, refs: list[_Sentence]) -> float:
@@ -128,44 +138,42 @@ def _rouge_l(cand: _Sentence, refs: list[_Sentence]) -> float:
 # CIDEr-D
 # ---------------------------------------------------------------------------
 
-def _cider_vec(s: _Sentence, doc_freq: dict, log_n: float):
-    """Per-order tf-idf vectors, their norms, and the sentence length."""
-    vecs = [defaultdict(float) for _ in range(MAX_N)]
-    norms = [0.0] * MAX_N
-    for k, counts in enumerate(s.counts):
-        for g, c in counts.items():
-            idf = log_n - math.log(max(1.0, doc_freq[g]))
-            vecs[k][g] = c * idf
-        norms[k] = math.sqrt(sum(v * v for v in vecs[k].values()))
-    return vecs, norms, len(s.words)
-
-
-def _cider_items(cands: list[_Sentence],
-                 refs: list[list[_Sentence]]) -> list[float]:
-    """Per-item CIDEr-D (document frequencies from the references)."""
-    n_items = len(cands)
+def _cider_items(candidates: list[str], reference_sets: list[list[str]],
+                 sentences: dict[str, _Sentence]) -> list[float]:
+    """Per-item CIDEr-D (document frequencies from the references) of the
+    texts whose counts `sentences` holds."""
+    n_items = len(candidates)
     if n_items < 2:
         raise ValueError("CIDEr needs a corpus of size >= 2 for idf")
-    doc_freq: dict = defaultdict(float)
-    for rs in refs:
-        seen = set()
-        for r in rs:
-            for counts in r.counts:
-                seen.update(counts)
-        for g in seen:
-            doc_freq[g] += 1.0
+    doc_freq = Counter(g for rs in reference_sets
+                       for g in {g for r in rs
+                                 for counts in sentences[r].counts
+                                 for g in counts})
     log_n = math.log(float(n_items))
+    # an n-gram no reference holds has document frequency 0, idf log_n
+    idf = {g: log_n - math.log(max(1.0, df)) for g, df in doc_freq.items()}
+    # per distinct text: per-order tf-idf vectors and their norms
+    tfidf = {}
+    for text, sent in sentences.items():
+        vecs = [{g: c * idf.get(g, log_n) for g, c in counts.items()}
+                for counts in sent.counts]
+        tfidf[text] = vecs, [math.sqrt(sum(v * v for v in vec.values()))
+                             for vec in vecs]
 
     per_item = []
-    for cand, rs in zip(cands, refs):
-        cvecs, cnorms, clen = _cider_vec(cand, doc_freq, log_n)
+    for cand, rs in zip(candidates, reference_sets):
+        cvecs, cnorms = tfidf[cand]
+        clen = len(sentences[cand].words)
         score_n = [0.0] * MAX_N
         for r in rs:
-            rvecs, rnorms, rlen = _cider_vec(r, doc_freq, log_n)
+            rvecs, rnorms = tfidf[r]
+            rlen = len(sentences[r].words)
             penalty = math.exp(-((clen - rlen) ** 2) / (2.0 * CIDER_SIGMA ** 2))
             for k in range(MAX_N):
-                val = sum(min(cvecs[k][g], rvecs[k][g]) * rvecs[k][g]
-                          for g in cvecs[k])
+                # an n-gram the reference lacks would add 0.0 to the sum
+                rv = rvecs[k]
+                val = sum(min(v, rv[g]) * rv[g]
+                          for g, v in cvecs[k].items() if g in rv)
                 if cnorms[k] > 0 and rnorms[k] > 0:
                     score_n[k] += penalty * val / (cnorms[k] * rnorms[k])
         per_item.append(10.0 * sum(s / len(rs) for s in score_n) / MAX_N)
@@ -200,7 +208,7 @@ class EvalReport:
 
 def evaluate_corpus(candidates: list[str],
                     reference_sets: list[list[str]]) -> EvalReport:
-    """Every score from one pass over the corpus: each sentence is
+    """Every score from one pass over the corpus: each distinct text is
     normalized and its n-grams counted once."""
     if not candidates:
         raise ValueError("empty corpus")
@@ -209,15 +217,17 @@ def evaluate_corpus(candidates: list[str],
                          f"{len(candidates)} vs {len(reference_sets)}")
     if any(not rs for rs in reference_sets):
         raise ValueError("every candidate needs at least one reference")
-    cands = [_sentence(c) for c in candidates]
-    refs = [[_sentence(r) for r in rs] for rs in reference_sets]
+    sentences = {t: _sentence(t)
+                 for t in dict.fromkeys(chain(candidates, *reference_sets))}
+    cands = [sentences[c] for c in candidates]
+    refs = [[sentences[r] for r in rs] for rs in reference_sets]
     for i, cand in enumerate(cands):
         if not cand.words:
             log.warning("candidate %d is empty after normalization", i)
     stats = list(map(_bleu_stats, cands, refs))
     corpus = _corpus_stats(stats)
     rouge_items = list(map(_rouge_l, cands, refs))
-    cider_items = _cider_items(cands, refs)
+    cider_items = _cider_items(candidates, reference_sets, sentences)
     per_item = [{"index": i, "bleu1": _bleu(*s, 1), "rouge_l": r, "cider": c}
                 for i, (s, r, c) in enumerate(zip(stats, rouge_items,
                                                   cider_items))]

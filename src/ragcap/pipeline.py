@@ -305,10 +305,11 @@ def retrieved_guidance(embedder, index: retrieval.RetrievalIndex,
                        excludes: list[str | None]) -> list[list[str]]:
     """For each of the stacked (N, D_a, T) features phis, the top-K captions
     by embedding distance, ascending; excludes[n] leaves item n's own
-    training item out. All N items are embedded in one batch."""
+    training item out. All N items are embedded in one batch and ranked in
+    one retrieve_topk call."""
     queries = retrieval.embed_batch(embedder, phis).data
-    return [[cap for _, _, cap in retrieval.retrieve_topk(index, q, k, x)]
-            for q, x in zip(queries, excludes, strict=True)]
+    return [[cap for _, _, cap in hits]
+            for hits in retrieval.retrieve_topk(index, queries, k, excludes)]
 
 
 def oracle_guidance(scores: np.ndarray, items: list[DatasetItem],

@@ -4,12 +4,11 @@ A single trainable Transformer-encoder layer embeds each (D_a, T) audio
 feature matrix into a unit-norm vector of dimension D_a*T. The embedder is
 trained with triplet loss against the caption-similarity labels, negatives
 chosen by semi-hard mining; retrieval is brute-force top-K by squared l2
-distance over the training items.
+distance over the training items, for a batch of queries at once.
 """
 
 from __future__ import annotations
 
-import bisect
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -225,9 +224,12 @@ class RetrievalIndex:
                          dtype=np.intp)
 
     @cached_property
-    def sorted_ids(self) -> list[str]:
-        """The ids in ascending order: the ids of the rows of by_id."""
-        return [self.ids[i] for i in self.by_id]
+    def rows_of(self) -> dict[str, list[int]]:
+        """The row positions of each id."""
+        rows: dict[str, list[int]] = {}
+        for i, item_id in enumerate(self.ids):
+            rows.setdefault(item_id, []).append(i)
+        return rows
 
 
 def build_index(params: EmbedderParams,
@@ -241,20 +243,28 @@ def build_index(params: EmbedderParams,
                           [it.captions for it in train])
 
 
-def retrieve_topk(index: RetrievalIndex, query: np.ndarray, k: int,
-                  exclude: str | None) -> list[tuple]:
-    """Top-K (id, distance, caption) by ascending squared l2 distance,
-    ties broken by ascending id. `exclude`, unless None, drops the query's
-    own item."""
-    d = sq_l2(query, index.embeddings)
+def retrieve_topk(index: RetrievalIndex, queries: np.ndarray, k: int,
+                  excludes: list[str | None]) -> list[list[tuple]]:
+    """For each row of the (N, D) queries, its top-K (id, distance, caption)
+    by ascending squared l2 distance, ties broken by ascending id.
+    excludes[n], unless None, is an id whose rows query n skips (its own
+    item). Each query's distances come from one sq_l2 call, and one stable
+    argsort ranks all N rows of distances at once."""
+    d = np.empty((len(queries), len(index.ids)))
+    for n, query in enumerate(queries):
+        d[n] = sq_l2(query, index.embeddings)
     rows = index.by_id
-    if exclude is not None:
-        ids = index.sorted_ids
-        rows = np.delete(rows, slice(bisect.bisect_left(ids, exclude),
-                                     bisect.bisect_right(ids, exclude)))
-    if k < 1 or k > len(rows):
-        raise ValueError(f"k={k} out of range for index of "
-                         f"{len(rows)} usable items")
     # a stable sort by distance of the rows in id order keeps ties by id
-    top = rows[np.argsort(d[rows], kind="stable")[:k]]
-    return [(index.ids[i], float(d[i]), index.captions[i][0]) for i in top]
+    order = rows[np.argsort(d[:, rows], axis=1, kind="stable")]
+    out = []
+    for dist, ranked, exclude in zip(d, order, excludes, strict=True):
+        skip = index.rows_of.get(exclude, [])
+        usable = len(rows) - len(skip)
+        if k < 1 or k > usable:
+            raise ValueError(f"k={k} out of range for index of "
+                             f"{usable} usable items")
+        # the first k + len(skip) ranked rows hold the top k unskipped ones
+        top = [i for i in ranked[:k + len(skip)].tolist() if i not in skip]
+        out.append([(index.ids[i], float(dist[i]), index.captions[i][0])
+                    for i in top[:k]])
+    return out

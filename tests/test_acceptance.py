@@ -195,7 +195,7 @@ def test_criterion_02_search_oracles(rng):
     for _ in range(100):
         q = rng.normal(size=d)
         k = int(rng.integers(1, n + 1))
-        got = retrieve_topk(index, q, k=k, exclude=None)
+        [got] = retrieve_topk(index, q[None], k=k, excludes=[None])
         want = sorted(((float((embs[i] - q) @ (embs[i] - q)), ids[i])
                        for i in range(n)))[:k]
         assert [(g[0], g[1]) for g in got] == [(i, dd) for dd, i in want]

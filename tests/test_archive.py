@@ -2,6 +2,7 @@ import json
 import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ def test_checkpoint_bad_magic(tmp_path):
 def test_checkpoint_metadata_is_sorted_json(tmp_path):
     path = str(tmp_path / "model.ckpt")
     write_archive(path, {}, {"b": 1, "a": [2, "x"]})
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert raw[4:6] == struct.pack("<H", 2)
     meta_len = int.from_bytes(raw[10:14], "little")
     assert raw[14:14 + meta_len].decode() == json.dumps(
@@ -236,7 +237,7 @@ def test_duplicate_name_rejected():
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     path = str(tmp_path / "out.bin")
     atomic_write_bytes(path, b"payload")
-    assert open(path, "rb").read() == b"payload"
+    assert Path(path).read_bytes() == b"payload"
     assert os.listdir(tmp_path) == ["out.bin"]
 
 
@@ -244,7 +245,7 @@ def test_atomic_write_overwrites_in_place(tmp_path):
     path = str(tmp_path / "out.bin")
     atomic_write_bytes(path, b"old")
     atomic_write_bytes(path, b"new")
-    assert open(path, "rb").read() == b"new"
+    assert Path(path).read_bytes() == b"new"
 
 
 # ---------------------------------------------------------------------------

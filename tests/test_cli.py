@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,7 +391,7 @@ def test_exit_3_corrupt_index(ws, tmp_path):
 
 def test_exit_3_checkpoint_metadata_not_an_object(ws, tmp_path, caplog):
     ckpt = os.path.join(ws["ret"], "retrieval.ckpt")
-    raw = open(ckpt, "rb").read()
+    raw = Path(ckpt).read_bytes()
     meta_len = int.from_bytes(raw[10:14], "little")
     bad = tmp_path / "list_meta.ckpt"
     bad.write_bytes(raw[:10] + (6).to_bytes(4, "little") + b"[1, 2]"
@@ -1060,12 +1061,12 @@ def test_double_run_bitwise_identical(ws, tmp_path):
         outs.append(out)
     for fname in ("retrieval.ckpt", "retrieval_curve.tsv", "negatives.tsv",
                   "index.ract"):
-        a = open(os.path.join(outs[0], fname), "rb").read()
-        b = open(os.path.join(outs[1], fname), "rb").read()
+        a = Path(os.path.join(outs[0], fname)).read_bytes()
+        b = Path(os.path.join(outs[1], fname)).read_bytes()
         assert a == b, fname
     # and identical to the fixture run from a different directory
-    first = open(os.path.join(ws["ret"], "retrieval.ckpt"), "rb").read()
-    assert first == open(os.path.join(outs[0], "retrieval.ckpt"), "rb").read()
+    first = Path(os.path.join(ws["ret"], "retrieval.ckpt")).read_bytes()
+    assert first == Path(os.path.join(outs[0], "retrieval.ckpt")).read_bytes()
 
 
 def test_train_retrieval_bitwise_across_openblas_threads(ws, tmp_path):
@@ -1099,8 +1100,8 @@ def test_train_retrieval_bitwise_across_openblas_threads(ws, tmp_path):
                   "decoder.ckpt", "decoder_curve.tsv",
                   "scope_i_candidates.jsonl", "scope_i_report.json",
                   "scope_iii_candidates.jsonl", "scope_iii_report.json"):
-        a = open(os.path.join(outs[0], fname), "rb").read()
-        b = open(os.path.join(outs[1], fname), "rb").read()
+        a = Path(os.path.join(outs[0], fname)).read_bytes()
+        b = Path(os.path.join(outs[1], fname)).read_bytes()
         assert a == b, fname
 
 

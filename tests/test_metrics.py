@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ragcap.metrics import brevity_penalty, evaluate_corpus, normalize_words
+from ragcap import metrics
+from ragcap.metrics import (_lcs_length, brevity_penalty, evaluate_corpus,
+                            normalize_words)
 
 
 def _item0(cand: str, refs: list[str]) -> dict:
@@ -288,5 +290,53 @@ def test_oracle_corpora_cover_the_edge_cases():
     refs = [["a dog"], ["rain falls"],
             ["the dog barks", "a dog", "dog", "the the dog", "a dog barks"],
             ["a dog barks at the rain"], ["rain", "the rain falls!"]]
+    assert (evaluate_corpus(cands, refs).to_json()
+            == ref.evaluate_corpus(cands, refs).to_json())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from("abc"), max_size=150),
+       st.lists(st.sampled_from("abc"), max_size=150))
+def test_bit_parallel_lcs_matches_dp_oracle(a, b):
+    """Three words, so that words repeat; up to 150 of them, so that the
+    masks outgrow 64 bits; either side may be empty."""
+    assert _lcs_length(a, b) == ref._lcs_length(a, b)
+
+
+def test_each_distinct_text_is_normalized_once(monkeypatch):
+    calls = Counter()
+    real = metrics.normalize_words
+
+    def counting(text):
+        calls[text] += 1
+        return real(text)
+
+    monkeypatch.setattr(metrics, "normalize_words", counting)
+    # candidates repeat across items and equal references of other items
+    cands = ["a dog barks", "rain falls", "a dog barks", "the rain falls"]
+    refs = [["rain falls", "a dog barks loudly"], ["a dog barks"],
+            ["the rain falls", "rain falls"], ["a dog barks"]]
+    report = evaluate_corpus(cands, refs)
+    distinct = set(cands) | {r for rs in refs for r in rs}
+    assert calls == Counter(distinct)
+    assert report.to_json() == ref.evaluate_corpus(cands, refs).to_json()
+
+
+@st.composite
+def _repeating_corpus(draw):
+    """Candidates drawn from the references and from a few other texts,
+    so that they repeat each other and equal references, as the top-1
+    retrieved captions of scope ii do."""
+    refs = draw(st.lists(st.lists(_SENTENCE, min_size=1, max_size=4),
+                         min_size=2, max_size=6))
+    pool = ([r for rs in refs for r in rs]
+            + draw(st.lists(_SENTENCE, min_size=1, max_size=3)))
+    return [draw(st.sampled_from(pool)) for _ in refs], refs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_repeating_corpus())
+def test_repeated_texts_match_pre_rewrite_oracle(corpus):
+    cands, refs = corpus
     assert (evaluate_corpus(cands, refs).to_json()
             == ref.evaluate_corpus(cands, refs).to_json())

@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,8 +361,8 @@ def test_ingest_dim_mismatch(tmp_path, rng):
 def test_ingest_truncated_file_names_offset(tmp_path, rng):
     path = str(tmp_path / "f.ract")
     write_archive(path, {"features": rng.normal(size=(4, 3))}, {})
-    data = open(path, "rb").read()
-    open(path, "wb").write(data[:-16])
+    data = Path(path).read_bytes()
+    Path(path).write_bytes(data[:-16])
     with pytest.raises(ArchiveFormatError, match=r"byte \d+"):
         ingest(tmp_path, "f.ract", 4, 3)
 

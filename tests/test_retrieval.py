@@ -421,10 +421,11 @@ def test_topk_exact_query_and_full_size(rng):
     params = make_params(rng)
     index = build_index(params, items)
     query = index.embeddings[2]
-    top = retrieve_topk(index, query, k=1, exclude=None)
+    [top] = retrieve_topk(index, query[None], k=1, excludes=[None])
     assert top[0][0] == index.ids[2]
     assert top[0][1] == pytest.approx(0.0, abs=1e-15)
-    everything = retrieve_topk(index, query, k=len(index.ids), exclude=None)
+    [everything] = retrieve_topk(index, query[None], k=len(index.ids),
+                                 excludes=[None])
     dists = [d for _, d, _ in everything]
     assert dists == sorted(dists)
 
@@ -437,7 +438,7 @@ def test_topk_matches_bruteforce_oracle(rng):
                            [[f"cap{k}"] for k in range(n)])
     for _ in range(20):
         q = rng.normal(size=6)
-        got = retrieve_topk(index, q, k=5, exclude=None)
+        [got] = retrieve_topk(index, q[None], k=5, excludes=[None])
         ranked = sorted(range(n), key=lambda i: (scalar_sq_l2(embs[i], q),
                                                  index.ids[i]))
         assert got == [(index.ids[i], scalar_sq_l2(embs[i], q), f"cap{i}")
@@ -448,13 +449,14 @@ def test_topk_exclusion_and_bounds(rng):
     items, _, _ = make_items(rng, per_cluster=4)
     index = build_index(make_params(rng), items)
     query = index.embeddings[0]
-    top = retrieve_topk(index, query, k=len(index.ids) - 1,
-                        exclude=index.ids[0])
+    [top] = retrieve_topk(index, query[None], k=len(index.ids) - 1,
+                          excludes=[index.ids[0]])
     assert index.ids[0] not in [t[0] for t in top]
     with pytest.raises(ValueError):
-        retrieve_topk(index, query, k=len(index.ids) + 1, exclude=None)
+        retrieve_topk(index, query[None], k=len(index.ids) + 1,
+                      excludes=[None])
     with pytest.raises(ValueError):
-        retrieve_topk(index, query, k=0, exclude=None)
+        retrieve_topk(index, query[None], k=0, excludes=[None])
 
 
 def test_topk_insertion_order_invariant(rng):
@@ -467,8 +469,8 @@ def test_topk_insertion_order_invariant(rng):
     rev = RetrievalIndex([ids[i] for i in perm], embs[perm],
                          [caps[i] for i in perm])
     q = rng.normal(size=4)
-    assert (retrieve_topk(fwd, q, k=4, exclude=None)
-            == retrieve_topk(rev, q, k=4, exclude=None))
+    assert (retrieve_topk(fwd, q[None], k=4, excludes=[None])
+            == retrieve_topk(rev, q[None], k=4, excludes=[None]))
 
 
 @pytest.mark.parametrize("exclude", [None, "i03", "absent"])
@@ -478,8 +480,8 @@ def test_topk_ties_and_exclusion_match_bruteforce(rng, exclude):
     ids = [f"i{k:02d}" for k in rng.permutation(12)]  # id order != row order
     index = RetrievalIndex(ids, embs, [[f"cap {i}"] for i in ids])
     for q in [*half[:3], *rng.normal(size=(3, 5))]:
-        got = retrieve_topk(index, q, k=11 if exclude == "i03" else 12,
-                            exclude=exclude)
+        [got] = retrieve_topk(index, q[None], k=11 if exclude == "i03" else 12,
+                              excludes=[exclude])
         ranked = sorted((i for i in range(12) if ids[i] != exclude),
                         key=lambda i: (scalar_sq_l2(embs[i], q), ids[i]))
         assert got == [(ids[i], scalar_sq_l2(embs[i], q), f"cap {ids[i]}")
@@ -522,6 +524,43 @@ def test_batched_guidance_equals_single_item_calls(rng):
     assert first.split == "train" and excludes[0] == first.id
     assert batched[0][0] == f"cap {first.id}x"
     assert batched[1][:2] == [f"cap {items[1].id}", f"cap {items[1].id}x"]
+
+
+def test_query_batch_rows_equal_single_queries_and_bruteforce(rng):
+    items, _, _ = make_items(rng, per_cluster=4)
+    params = make_params(rng)
+    index = tied_index(params, items)
+    queries = embed_batch(params, np.stack([it.features
+                                            for it in items])).data
+    # own id (present), None, and ids absent from the index, in turn
+    excludes = [[it.id, None, "absent", it.id + "y"][n % 4]
+                for n, it in enumerate(items)]
+    k = len(index.ids) - 1
+    batched = retrieve_topk(index, queries, k, excludes)
+    assert len(batched) == len(items)
+    for q, x, got in zip(queries, excludes, batched):
+        assert got == retrieve_topk(index, q[None], k, [x])[0]
+        ranked = sorted((i for i in range(len(index.ids))
+                         if index.ids[i] != x),
+                        key=lambda i: (scalar_sq_l2(index.embeddings[i], q),
+                                       index.ids[i]))
+        assert got == [(index.ids[i], scalar_sq_l2(index.embeddings[i], q),
+                        index.captions[i][0]) for i in ranked[:k]]
+
+
+def test_query_batch_k_bound_counts_each_querys_exclusion(rng):
+    embs = rng.normal(size=(5, 3))
+    ids = [f"i{k}" for k in range(5)]
+    index = RetrievalIndex(ids, embs, [[f"c{k}"] for k in range(5)])
+    queries = rng.normal(size=(3, 3))
+    hits = retrieve_topk(index, queries, 5, [None, "absent", None])
+    assert [len(h) for h in hits] == [5] * 3
+    # the second query's own row leaves it 4 usable rows
+    with pytest.raises(ValueError, match="k=5 out of range for index of "
+                                         "4 usable items"):
+        retrieve_topk(index, queries, 5, [None, "i2", None])
+    hits = retrieve_topk(index, queries, 4, [None, "i2", None])
+    assert [len(h) for h in hits] == [4] * 3
 
 
 @pytest.mark.parametrize("scope", ["i", "ii"])
