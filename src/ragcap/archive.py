@@ -205,6 +205,8 @@ SPLITS = ("train", "valid", "test")
 STRING = (lambda v: isinstance(v, str), "a string")
 NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
           "a number")
+INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool),
+           "an integer")
 IDS = (lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
        "a list of strings")
 TEXTS = (lambda v: isinstance(v, list) and bool(v) and IDS[0](v),

@@ -101,7 +101,7 @@ def cmd_retrieve(args) -> int:
     if args.k is not None:
         cfg = dataclasses.replace(cfg, retrieval_k=args.k)
     embedder = pipeline.load_retrieval_params(cfg, args.checkpoint)
-    index = pipeline.load_index(args.index)
+    index = pipeline.load_index(cfg, args.index)
     phi = read_features(args.query_features, cfg.model_d_a, cfg.model_t)
     queries = retrieval.embed_batch(embedder, phi[None]).data
     [hits] = retrieval.retrieve_topk(index, queries, cfg.retrieval_k,
@@ -128,7 +128,7 @@ def cmd_generate(args) -> int:
     cfg = _load(args)
     if args.beam is not None:
         cfg = dataclasses.replace(cfg, generate_beam=args.beam)
-    index = pipeline.load_index(args.index)
+    index = pipeline.load_index(cfg, args.index)
     tokenizer, lm, dec_params = pipeline.load_decoder(
         cfg, args.checkpoint, index.captions, args.index)
     phi = read_features(args.features, cfg.model_d_a, cfg.model_t)
@@ -203,7 +203,7 @@ def cmd_evaluate(args) -> int:
                               "--retrieval-checkpoint and --index")
         embedder = pipeline.load_retrieval_params(
             cfg, args.retrieval_checkpoint)
-        index = pipeline.load_index(args.index)
+        index = pipeline.load_index(cfg, args.index)
     if args.scope in ("i", "iii"):
         if not args.decoder_checkpoint:
             raise ConfigError(f"scope {args.scope} needs --decoder-checkpoint")

@@ -1,8 +1,10 @@
 """Flat key=value pipeline configuration.
 
-Every hyperparameter lives here with its published default; a config file may
-override any subset. Unknown keys are rejected. Each run logs the fully
-resolved config and its hash so artifacts can be traced back to settings.
+Every hyperparameter lives here as a field of PipelineConfig with its
+published default and its checks; a config file may override any subset.
+Unknown keys are rejected, and a value that fails a check is a ConfigError
+naming its key. Each run logs the fully resolved config and its hash so
+artifacts can be traced back to settings.
 """
 
 from __future__ import annotations
@@ -24,84 +26,85 @@ class ConfigError(ValueError):
     pass
 
 
+# field checks: (valid, what a valid value is), as archive.require_keys
+# takes them; every comparison is false for NaN, so each range rejects it
+FINITE = (math.isfinite, "finite")
+POSITIVE = (lambda v: v > 0, "> 0")
+RATE = (lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+
+
+def at_least(low):
+    return (lambda v: v >= low, f">= {low}")
+
+
+def at_most(high):
+    return (lambda v: v <= high, f"<= {high}")
+
+
+def setting(default, *checks, key=None):
+    """A dataclass field with its default and the checks its value must
+    pass, in the order check_fields runs them; `key` is a config key other
+    than the field name with its first "_" turned into "."."""
+    return dataclasses.field(default=default,
+                             metadata={"checks": checks, "key": key})
+
+
+def check_fields(obj, error: type, name=lambda fld: fld.name):
+    """Raise `error` "<name> must be <want>, got <value>!r" at the first
+    field of the dataclass `obj`, in declaration order, whose value fails
+    one of its setting's (valid, want) checks."""
+    for fld in dataclasses.fields(obj):
+        value = getattr(obj, fld.name)
+        for valid, want in fld.metadata["checks"]:
+            if not valid(value):
+                raise error(f"{name(fld)} must be {want}, got {value!r}")
+
+
 @dataclasses.dataclass
 class PipelineConfig:
-    # caption-pair similarity labeling
-    similarity_threshold: float = 0.7
+    """Every pipeline setting: its default, then its checks. Counts and
+    widths are >= 1: a zero width divides by zero in an attention scale,
+    and a negative count would act as 0."""
+
+    # caption-pair similarity labeling; labels are min-max scores in [0, 1]
+    # strictly above the threshold, so at 1 none is similar
+    similarity_threshold: float = setting(0.7, RATE)
     # triplet retrieval training
-    triplet_margin: float = 0.3
-    triplet_batch: int = 128
-    triplet_epochs: int = 200
-    triplet_lr: float = 1e-4
-    embed_dropout: float = 0.3
-    embed_heads: int = 4
-    embed_ff: int = 32
-    retrieval_k: int = dataclasses.field(default=5,
-                                         metadata={"key": "retrieval.K"})
-    # decoder training / generation
-    decoder_lambda: float = 0.1
-    decoder_batch: int = 512
-    decoder_epochs: int = 200
-    decoder_lr_max: float = 1e-4
-    decoder_lr_min: float = 1e-6
-    decoder_lr_period: int = 20
-    decoder_dropout: float = 0.3
-    decoder_d_r: int = dataclasses.field(default=60,
-                                         metadata={"key": "decoder.D_r"})
-    decoder_heads: int = 4
-    decoder_max_len: int = 24
-    generate_beam: int = 4
+    triplet_margin: float = setting(0.3, POSITIVE, FINITE)
+    triplet_batch: int = setting(128, at_least(1))
+    triplet_epochs: int = setting(200, at_least(0))
+    triplet_lr: float = setting(1e-4, POSITIVE, FINITE)
+    embed_dropout: float = setting(0.3, RATE)
+    embed_heads: int = setting(4, at_least(1))
+    embed_ff: int = setting(32, at_least(1))
+    retrieval_k: int = setting(5, at_least(1), key="retrieval.K")
+    # decoder training / generation; lambda is the label smoothing rate
+    decoder_lambda: float = setting(0.1, RATE)
+    decoder_batch: int = setting(512, at_least(1))
+    decoder_epochs: int = setting(200, at_least(0))
+    decoder_lr_max: float = setting(1e-4, POSITIVE, FINITE)
+    decoder_lr_min: float = setting(1e-6, at_least(0), FINITE)
+    decoder_lr_period: int = setting(20, at_least(1))
+    decoder_dropout: float = setting(0.3, RATE)
+    decoder_d_r: int = setting(60, at_least(1), key="decoder.D_r")
+    decoder_heads: int = setting(4, at_least(1))
+    decoder_max_len: int = setting(24, at_least(1), at_most(LM_MAX_LEN))
+    generate_beam: int = setting(4, at_least(1))
     # model dims (desk-scale defaults; set the published large values when
     # ingesting real precomputed features)
-    model_d_a: int = dataclasses.field(default=8,
-                                       metadata={"key": "model.D_a"})
-    model_t: int = dataclasses.field(default=16, metadata={"key": "model.T"})
-    model_d_l: int = dataclasses.field(default=32,
-                                       metadata={"key": "model.D_l"})
-    # frozen tiny-LM stand-in
-    lm_layers: int = 2
-    lm_heads: int = 4
-    lm_ff: int = 64
-    lm_pretrain_epochs: int = 30
-    lm_seed: int = 7
+    model_d_a: int = setting(8, at_least(1), key="model.D_a")
+    model_t: int = setting(16, at_least(1), key="model.T")
+    model_d_l: int = setting(32, at_least(1), key="model.D_l")
+    # frozen tiny-LM stand-in; numpy's generators take no negative seed
+    lm_layers: int = setting(2, at_least(0))
+    lm_heads: int = setting(4, at_least(1))
+    lm_ff: int = setting(64, at_least(1))
+    lm_pretrain_epochs: int = setting(30, at_least(0))
+    lm_seed: int = setting(7, at_least(0))
 
     def __post_init__(self):
-        # written as "not (valid)" so that NaN is rejected too
-        if not self.triplet_margin > 0:
-            raise ConfigError(
-                f"triplet.margin must be > 0, got {self.triplet_margin!r}")
-        # label smoothing and dropout rates; labels come from min-max
-        # scores in [0, 1] above the threshold, so at 1 none is similar
-        for key in ("decoder.lambda", "embed.dropout", "decoder.dropout",
-                    "similarity.threshold"):
-            value = getattr(self, KEY_TO_FIELD[key])
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"{key} must be in [0, 1), got {value!r}")
-        # counts and widths: a zero width divides by zero in an attention
-        # scale, and a negative count would act as 0; numpy's generators
-        # take no negative seed
-        for low, keys in ((1, ("decoder.lr_period", "decoder.max_len",
-                               "generate.beam", "retrieval.K",
-                               "triplet.batch", "decoder.batch", "model.D_a",
-                               "model.T", "model.D_l", "decoder.D_r",
-                               "embed.ff", "lm.ff")),
-                          (0, ("lm.layers", "lm.pretrain_epochs",
-                               "triplet.epochs", "decoder.epochs",
-                               "lm.seed"))):
-            for key in keys:
-                value = getattr(self, KEY_TO_FIELD[key])
-                if value < low:
-                    raise ConfigError(
-                        f"{key} must be >= {low}, got {value!r}")
-        if self.decoder_max_len > LM_MAX_LEN:
-            raise ConfigError(f"decoder.max_len must be <= {LM_MAX_LEN}, got "
-                              f"{self.decoder_max_len!r}")
-        # a NaN threshold would also fail the labels' threshold check forever
-        for key, name in KEY_TO_FIELD.items():
-            value = getattr(self, name)
-            if _FIELD_TYPES[name] == "float" and not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value!r}")
-        # each attention splits its width evenly over its heads
+        # each attention splits its width evenly over its heads; checked
+        # first, so that a head count of 0 is named as one that cannot divide
         for key, dim_key in (("embed.heads", "model.D_a"),
                              ("decoder.heads", "model.D_l"),
                              ("decoder.heads", "decoder.D_r"),
@@ -111,18 +114,19 @@ class PipelineConfig:
             if heads < 1 or dim % heads:
                 raise ConfigError(f"{key} = {heads!r} must divide "
                                   f"{dim_key} = {dim!r}")
+        check_fields(self, ConfigError, _key)
 
 
-# config-file key -> dataclass field: the field name with its first "_"
-# turned into ".", unless the field's metadata gives the published spelling
-KEY_TO_FIELD = {f.metadata.get("key", f.name.replace("_", ".", 1)): f.name
-                for f in dataclasses.fields(PipelineConfig)}
+def _key(fld: dataclasses.Field) -> str:
+    """The config key of a PipelineConfig field."""
+    return fld.metadata["key"] or fld.name.replace("_", ".", 1)
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
+
+KEY_TO_FIELD = {_key(f): f.name for f in dataclasses.fields(PipelineConfig)}
 
 
 def _parse_value(key: str, raw: str):
-    kind = _FIELD_TYPES[KEY_TO_FIELD[key]]
+    kind = PipelineConfig.__annotations__[KEY_TO_FIELD[key]]
     try:
         if kind == "int":
             return int(raw)

@@ -248,17 +248,27 @@ def save_index(path: str, index: retrieval.RetrievalIndex):
                           {"ids": index.ids, "captions": index.captions})
 
 
-def load_index(path: str) -> retrieval.RetrievalIndex:
-    """The index at `path`, its metadata checked against its rows."""
+def load_index(cfg: PipelineConfig, path: str) -> retrieval.RetrievalIndex:
+    """The index at `path`: finite embedding rows of the embedder's width,
+    one per id and caption list, and no id twice."""
     tensors, meta = _load(path, "train-retrieval",
                           {"ids": archive.IDS, "captions": archive.TEXT_LISTS},
                           require=("embeddings",))
-    emb = tensors["embeddings"]
-    if not len(meta["ids"]) == len(meta["captions"]) == len(emb):
-        raise archive.ArchiveFormatError(
-            f"{path}: {len(meta['ids'])} ids, {len(meta['captions'])} "
-            f"captions for {len(emb)} embedding rows; rerun train-retrieval")
-    return retrieval.RetrievalIndex(meta["ids"], emb, meta["captions"])
+    emb, ids, captions = tensors["embeddings"], meta["ids"], meta["captions"]
+    width = cfg.model_d_a * cfg.model_t
+    if emb.ndim != 2 or emb.shape[1] != width:
+        fault = (f"embeddings of shape {emb.shape}, not rows of "
+                 f"model.D_a * model.T = {width} values")
+    elif not len(ids) == len(captions) == len(emb):
+        fault = (f"{len(ids)} ids, {len(captions)} captions for {len(emb)} "
+                 "embedding rows")
+    elif not np.isfinite(emb).all():
+        fault = "non-finite embeddings"
+    elif len(set(ids)) < len(ids):
+        fault = "repeated ids"
+    else:
+        return retrieval.RetrievalIndex(ids, emb, captions)
+    raise archive.ArchiveFormatError(f"{path}: {fault}; rerun train-retrieval")
 
 
 def load_retrieval_params(cfg: PipelineConfig, path: str):

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import archive
 from .autodiff import Tensor
-from .config import KEY_TO_FIELD, LM_MAX_LEN, PipelineConfig
+from .config import (FINITE, KEY_TO_FIELD, LM_MAX_LEN, PipelineConfig,
+                     at_least, at_most, check_fields, setting)
 from .layers import Adam, EncoderLayer, ParamContainer
 from .metrics import normalize_words
 
@@ -221,36 +222,20 @@ _TEMPLATES = [
 
 @dataclass
 class SyntheticDatasetSpec:
-    clusters: int = 4
-    items_per_cluster: int = 25
-    captions_per_item: int = 1
-    templates_per_cluster: int = 3
-    noise_level: float = 3.0
-    seed: int = 0
+    # counts and seed are JSON integers, not booleans; with 2 clusters of 1
+    # item the dataset has the 2 items that similarity needs; infinite
+    # noise would write features that no command reads
+    clusters: int = setting(4, archive.INTEGER, at_least(2),
+                            at_most(len(_THEMES)))
+    items_per_cluster: int = setting(25, archive.INTEGER, at_least(1))
+    captions_per_item: int = setting(1, archive.INTEGER, at_least(1))
+    templates_per_cluster: int = setting(3, archive.INTEGER, at_least(1),
+                                         at_most(len(_TEMPLATES)))
+    noise_level: float = setting(3.0, archive.NUMBER, at_least(0), FINITE)
+    seed: int = setting(0, archive.INTEGER, at_least(0))
 
     def __post_init__(self):
-        for fld in fields(self):  # a bool is no count, nor a noise level
-            value = getattr(self, fld.name)
-            number = fld.type == "float"
-            if type(value) not in ((int, float) if number else (int,)):
-                raise ValueError(f"{fld.name} must be "
-                                 f"{'a number' if number else 'an integer'}, "
-                                 f"got {value!r}")
-        if self.captions_per_item < 1:
-            raise ValueError("captions_per_item must be >= 1")
-        if not self.noise_level >= 0:  # NaN too
-            raise ValueError(
-                f"noise_level must be >= 0, got {self.noise_level!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.clusters < 2:
-            raise ValueError("need at least 2 clusters")
-        if self.clusters > len(_THEMES):
-            raise ValueError(f"at most {len(_THEMES)} clusters supported")
-        if self.clusters * self.items_per_cluster < 2:
-            raise ValueError("degenerate dataset: fewer than 2 items")
-        if not 1 <= self.templates_per_cluster <= len(_TEMPLATES):
-            raise ValueError("templates_per_cluster out of range")
+        check_fields(self, ValueError)
 
     @classmethod
     def from_file(cls, path: str) -> "SyntheticDatasetSpec":

@@ -213,7 +213,7 @@ def train_retrieval(items: list[DatasetItem], labels: np.ndarray,
 
 @dataclass
 class RetrievalIndex:
-    ids: list[str]
+    ids: list[str]  # no id twice
     embeddings: np.ndarray  # (n, D_a*T), unit-norm rows
     captions: list[list[str]]
 
@@ -224,12 +224,9 @@ class RetrievalIndex:
                          dtype=np.intp)
 
     @cached_property
-    def rows_of(self) -> dict[str, list[int]]:
-        """The row positions of each id."""
-        rows: dict[str, list[int]] = {}
-        for i, item_id in enumerate(self.ids):
-            rows.setdefault(item_id, []).append(i)
-        return rows
+    def row_of(self) -> dict[str, int]:
+        """The row position of each id; no id has two rows."""
+        return {item_id: i for i, item_id in enumerate(self.ids)}
 
 
 def build_index(params: EmbedderParams,
@@ -247,7 +244,7 @@ def retrieve_topk(index: RetrievalIndex, queries: np.ndarray, k: int,
                   excludes: list[str | None]) -> list[list[tuple]]:
     """For each row of the (N, D) queries, its top-K (id, distance, caption)
     by ascending squared l2 distance, ties broken by ascending id.
-    excludes[n], unless None, is an id whose rows query n skips (its own
+    excludes[n], unless None, is an id whose row query n skips (its own
     item). Each query's distances come from one sq_l2 call, and one stable
     argsort ranks all N rows of distances at once."""
     d = np.empty((len(queries), len(index.ids)))
@@ -258,13 +255,13 @@ def retrieve_topk(index: RetrievalIndex, queries: np.ndarray, k: int,
     order = rows[np.argsort(d[:, rows], axis=1, kind="stable")]
     out = []
     for dist, ranked, exclude in zip(d, order, excludes, strict=True):
-        skip = index.rows_of.get(exclude, [])
-        usable = len(rows) - len(skip)
+        skip = index.row_of.get(exclude)
+        usable = len(rows) - (skip is not None)
         if k < 1 or k > usable:
             raise ValueError(f"k={k} out of range for index of "
                              f"{usable} usable items")
-        # the first k + len(skip) ranked rows hold the top k unskipped ones
-        top = [i for i in ranked[:k + len(skip)].tolist() if i not in skip]
+        # the first k + 1 ranked rows hold the top k unskipped ones
+        top = [i for i in ranked[:k + 1].tolist() if i != skip]
         out.append([(index.ids[i], float(dist[i]), index.captions[i][0])
                     for i in top[:k]])
     return out

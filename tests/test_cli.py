@@ -248,6 +248,18 @@ def test_exit_2_out_of_range_config_value(ws, tmp_path, line):
                  "--out", str(tmp_path / "d")]) == 2
 
 
+def test_exit_2_negative_learning_rate(ws, tmp_path, caplog):
+    """A negative triplet.lr ran gradient ascent and exited 0."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG + "triplet.lr = -0.003\n")
+    out = tmp_path / "out"
+    assert main(["train-retrieval", "--config", str(bad),
+                 "--manifest", ws["manifest"], "--labels", ws["labels"],
+                 "--seed", "0", "--out", str(out)]) == 2
+    assert "triplet.lr must be > 0, got -0.003" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, line", [
     ("prepare-similarity", "model.D_l = 0"),
     ("train-decoder", "decoder.D_r = 0"),
@@ -387,6 +399,49 @@ def test_exit_3_corrupt_index(ws, tmp_path):
     assert main(["retrieve", "--config", ws["cfg"],
                  "--checkpoint", os.path.join(ws["ret"], "retrieval.ckpt"),
                  "--index", str(bad), "--query-features", feats]) == 3
+
+
+def _nan_row(tensors, meta):
+    tensors["embeddings"][3, 5] = np.nan
+
+
+def _shared_id(tensors, meta):
+    meta["ids"][1:3] = [meta["ids"][0]] * 2
+
+
+def _double_width(tensors, meta):
+    tensors["embeddings"] = np.hstack([tensors["embeddings"]] * 2)
+
+
+def _scalar(tensors, meta):
+    tensors["embeddings"] = np.array(1.0)
+
+
+@pytest.mark.parametrize("edit, k, fault", [
+    (_nan_row, "16", "non-finite embeddings"),
+    (_shared_id, "3", "repeated ids"),
+    (_double_width, "2", "embeddings of shape (16, 48), not rows of "
+                         "model.D_a * model.T = 24 values"),
+    (_scalar, "2", "embeddings of shape (), not rows of "
+                   "model.D_a * model.T = 24 values")],
+    ids=["nan_row", "shared_id", "double_width", "scalar"])
+def test_exit_3_index_rows_checked(ws, tmp_path, caplog, capsys, edit, k,
+                                   fault):
+    """A NaN row printed "distance": NaN, which is not JSON; a shared id
+    came back k times; a wider index failed in the distance without
+    naming the file; a 0-d tensor raised a TypeError (exit 1)."""
+    tensors, meta = load_checkpoint(os.path.join(ws["ret"], "index.ract"),
+                                    ("embeddings",))
+    edit(tensors, meta)
+    bad = tmp_path / "index.ract"
+    write_archive(str(bad), tensors, meta)
+    feats = os.path.join(ws["data"], "features", "c00i000.ract")
+    assert main(["retrieve", "--config", ws["cfg"],
+                 "--checkpoint", os.path.join(ws["ret"], "retrieval.ckpt"),
+                 "--index", str(bad), "--query-features", feats,
+                 "-K", k]) == 3
+    assert f"{bad}: {fault}; rerun train-retrieval" in caplog.text
+    assert capsys.readouterr().out == ""
 
 
 def test_exit_3_checkpoint_metadata_not_an_object(ws, tmp_path, caplog):

@@ -10,7 +10,7 @@ from ragcap.config import (ConfigError, KEY_TO_FIELD, LM_MAX_LEN,
                            PipelineConfig, config_hash, load_config,
                            resolved_text)
 from ragcap.decoder import DecoderParams
-from ragcap.reference_models import TinyCausalLm
+from ragcap.reference_models import SyntheticDatasetSpec, TinyCausalLm
 from ragcap.retrieval import EmbedderParams
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "ragcap")
@@ -207,6 +207,32 @@ def test_every_float_key_must_be_finite(field):
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ConfigError, match=re.escape(key)):
             PipelineConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field, key", [("triplet_lr", "triplet.lr"),
+                                        ("decoder_lr_max", "decoder.lr_max")])
+def test_learning_rates_must_be_positive_and_finite(field, key):
+    """A negative rate ran gradient ascent and exited 0."""
+    for bad, want in ((0.0, "> 0"), (-1e-3, "> 0"), (float("nan"), "> 0"),
+                      (float("inf"), "finite")):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{key} must be {want}, got {bad!r}")):
+            PipelineConfig(**{field: bad})
+
+
+def test_cosine_floor_may_be_zero_not_negative():
+    assert PipelineConfig(decoder_lr_min=0.0).decoder_lr_min == 0.0
+    for bad in (-1e-9, float("nan")):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"decoder.lr_min must be >= 0, got {bad!r}")):
+            PipelineConfig(decoder_lr_min=bad)
+
+
+@pytest.mark.parametrize("cls", [PipelineConfig, SyntheticDatasetSpec])
+def test_every_field_declares_a_check(cls):
+    """A key added without its range fails here."""
+    assert [f.name for f in dataclasses.fields(cls)
+            if not f.metadata.get("checks")] == []
 
 
 @pytest.mark.parametrize("values", [

@@ -323,6 +323,21 @@ def test_spec_validation():
         SyntheticDatasetSpec(templates_per_cluster=0)
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"clusters": 1}, "clusters must be >= 2, got 1"),
+    ({"clusters": 9}, "clusters must be <= 8, got 9"),
+    ({"templates_per_cluster": 0},
+     "templates_per_cluster must be >= 1, got 0"),
+    ({"templates_per_cluster": 4},
+     "templates_per_cluster must be <= 3, got 4"),
+    ({"items_per_cluster": 0}, "items_per_cluster must be >= 1, got 0"),
+    ({"noise_level": float("inf")}, "noise_level must be finite, got inf")])
+def test_spec_range_messages(values, message):
+    with pytest.raises(ValueError) as raised:
+        SyntheticDatasetSpec(**values)
+    assert str(raised.value) == message
+
+
 def test_spec_from_file(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text('{"clusters": 3, "items_per_cluster": 5, "seed": 2}')

@@ -395,7 +395,7 @@ def test_index_roundtrip(tmp_path, rng):
     index = build_index(make_params(rng), items)
     path = str(tmp_path / "index.ract")
     pipeline.save_index(path, index)
-    back = pipeline.load_index(path)
+    back = pipeline.load_index(make_cfg(), path)
     assert back.ids == index.ids
     assert back.captions == index.captions
     assert back.embeddings.tobytes() == index.embeddings.tobytes()
@@ -408,12 +408,12 @@ def test_index_roundtrip(tmp_path, rng):
 ])
 def test_index_load_checks_metadata_against_rows(tmp_path, ids, captions):
     path = str(tmp_path / "index.ract")
-    write_archive(path, {"embeddings": np.eye(3)},
+    write_archive(path, {"embeddings": np.eye(3, D_A * T)},
                   {"ids": ids, "captions": captions})
     with pytest.raises(ArchiveFormatError, match=re.escape(
             f"{path}: {len(ids)} ids, {len(captions)} captions for 3 "
             "embedding rows; rerun train-retrieval")):
-        pipeline.load_index(path)
+        pipeline.load_index(make_cfg(), path)
 
 
 def test_topk_exact_query_and_full_size(rng):
