@@ -230,6 +230,22 @@ def require_keys(where: str, obj, checks: dict, error: type):
             raise error(f"{where}: {name} is not {want}")
 
 
+def text_lines(path: str, error: type):
+    """(line number, line) for each line of the UTF-8 text file at `path`.
+    A line that does not decode raises `error` naming path:line and the
+    file offset of its first bad byte."""
+    with open(path, "rb") as f:
+        data = f.read()
+    offset = 0
+    for lineno, raw in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise error(f"{path}:{lineno}: not UTF-8 at byte "
+                        f"{offset + e.start}") from None
+        offset += len(raw)
+
+
 def read_jsonl(path: str, checks: dict) -> dict:
     """id -> (line number, row) for the rows of the JSON-lines file at
     `path`, in file order. Each row must be a JSON object with a string
@@ -237,23 +253,21 @@ def read_jsonl(path: str, checks: dict) -> dict:
     (valid, want), with valid(value) true. Every failure is a ManifestError
     naming path:line."""
     rows = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ManifestError(f"{where}: invalid JSON ({e})") from e
-            require_keys(where, row, {"id": STRING, **checks},
-                         ManifestError)
-            rid = row["id"]
-            if rid in rows:
-                raise ManifestError(f"{where}: duplicate id {rid!r} (first "
-                                    f"on line {rows[rid][0]})")
-            rows[rid] = (lineno, row)
+    for lineno, line in text_lines(path, ManifestError):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ManifestError(f"{where}: invalid JSON ({e})") from e
+        require_keys(where, row, {"id": STRING, **checks}, ManifestError)
+        rid = row["id"]
+        if rid in rows:
+            raise ManifestError(f"{where}: duplicate id {rid!r} (first "
+                                f"on line {rows[rid][0]})")
+        rows[rid] = (lineno, row)
     return rows
 
 

@@ -210,9 +210,7 @@ class Tensor:
 
         return _make(out, (a, b), vjp)
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, shape: tuple):
         a = self
         old = a.shape
         return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))

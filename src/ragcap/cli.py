@@ -139,11 +139,8 @@ def cmd_generate(args) -> int:
                               "--query-id")
         items = load_dataset(args.manifest, cfg.model_d_a, cfg.model_t)
         raw, _ = pipeline.load_similarity(args.oracle_guidance, items, cfg)
-        pos = [i for i, it in enumerate(items) if it.id == args.query_id]
-        if not pos:
-            raise archive.ManifestError(f"unknown query id {args.query_id!r}")
-        guidance = pipeline.oracle_guidance(raw, items, pos[0],
-                                            cfg.retrieval_k)
+        [guidance] = pipeline.oracle_guidance(raw, items, [args.query_id],
+                                              cfg.retrieval_k)
     else:
         if not args.retrieval_checkpoint:
             raise ConfigError("--retrieval-checkpoint is required unless "

@@ -14,6 +14,8 @@ import hashlib
 import logging
 import math
 
+from .archive import text_lines
+
 log = logging.getLogger("ragcap.config")
 
 
@@ -139,12 +141,11 @@ def load_config(path: str | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.readlines()
+        lines = list(text_lines(path, ConfigError))
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     values = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue

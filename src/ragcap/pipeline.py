@@ -1,11 +1,13 @@
 """End-to-end orchestration shared by the CLI commands.
 
 Every function here is a pure function of (config, inputs, seed); artifacts
-carry no timestamps, so reruns are bitwise identical.
+carry no timestamps, so reruns are bitwise identical. Retrieved and oracle
+guidance rank through one rule with one K bound, retrieval.rank_topk.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -69,16 +71,23 @@ def save_frozen_lm(path: str, lm: TinyCausalLm,
         "kind": "frozen_lm", **lm_metadata(lm, caption_lists, cfg)})
 
 
+@contextlib.contextmanager
+def _rerun(command: str):
+    """Around reads of a file that `command` writes: a missing or malformed
+    file is an ArchiveFormatError ending in "; rerun <command>"."""
+    try:
+        yield
+    except (OSError, archive.ArchiveFormatError) as e:
+        raise archive.ArchiveFormatError(f"{e}; rerun {command}") from None
+
+
 def _load(path: str, command: str, fields: dict, require=()):
     """(tensors, metadata) of the archive at `path`, with the tensors in
-    `require` and the metadata `fields`. A missing or malformed file is an
-    ArchiveFormatError naming `command`, which writes it."""
-    try:
+    `require` and the metadata `fields`, read under _rerun(command)."""
+    with _rerun(command):
         tensors, meta = archive.load_checkpoint(path, require)
         archive.require_keys(f"{path} metadata", meta, fields,
                              archive.ArchiveFormatError)
-    except (OSError, archive.ArchiveFormatError) as e:
-        raise archive.ArchiveFormatError(f"{e}; rerun {command}") from None
     return tensors, meta
 
 
@@ -170,9 +179,10 @@ def load_similarity(path: str, items: list[DatasetItem], cfg: PipelineConfig):
     order. Other tensors are ignored. A sidecar without lm_config_hash,
     as every archive old enough to hold scores_normalized has, is refused
     like one of another frozen LM."""
-    tensors = archive.read_archive(path, require=SIMILARITY_TENSORS)
-    side = archive.read_sidecar(path, {"ids": archive.IDS,
-                                       "threshold": archive.NUMBER})
+    with _rerun("prepare-similarity"):
+        tensors = archive.read_archive(path, require=SIMILARITY_TENSORS)
+        side = archive.read_sidecar(path, {"ids": archive.IDS,
+                                           "threshold": archive.NUMBER})
     if side["threshold"] != cfg.similarity_threshold:
         raise archive.ArchiveFormatError(
             f"{path}: labels made at similarity.threshold = "
@@ -323,14 +333,20 @@ def retrieved_guidance(embedder, index: retrieval.RetrievalIndex,
 
 
 def oracle_guidance(scores: np.ndarray, items: list[DatasetItem],
-                    query_pos: int, k: int) -> list[str]:
-    """Top-K training captions by ground-truth caption similarity: the raw
-    (n, n) `scores` of prepare-similarity."""
-    train_pos = [i for i, it in enumerate(items)
-                 if it.split == "train" and i != query_pos]
-    ranked = sorted(train_pos,
-                    key=lambda i: (-scores[query_pos, i], items[i].id))
-    return [items[i].caption for i in ranked[:k]]
+                    query_ids: list[str], k: int) -> list[list[str]]:
+    """For each id of `query_ids`, its top-K training captions by caption
+    similarity, the raw (n, n) `scores` of prepare-similarity, ranked like
+    retrieved guidance in one rank_topk call; a training item skips itself."""
+    position = {it.id: i for i, it in enumerate(items)}
+    try:
+        queries = [position[q] for q in query_ids]
+    except KeyError as e:
+        raise archive.ManifestError(
+            f"unknown query id {e.args[0]!r}") from None
+    train = [i for i, it in enumerate(items) if it.split == "train"]
+    ranked = retrieval.rank_topk(-scores[queries][:, train],
+                                 [items[i].id for i in train], k, query_ids)
+    return [[items[train[j]].caption for j in top] for top in ranked]
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +363,13 @@ def evaluate_scope(scope: str, cfg: PipelineConfig, items: list[DatasetItem],
     Returns (candidates, eval_ids, EvalReport)."""
     if scope not in ("i", "ii", "iii"):
         raise ValueError(f"unknown scope {scope!r}")
-    if split == "all":
-        eval_items = list(enumerate(items))
-    else:
-        eval_items = [(i, it) for i, it in enumerate(items)
-                      if it.split == split]
+    eval_items = (items if split == "all"
+                  else [it for it in items if it.split == split])
     if not eval_items:
         raise TrainingError(f"no items in split {split!r}")
 
-    phis = np.stack([item.features for _, item in eval_items])
-    ids = [item.id for _, item in eval_items]
+    phis = np.stack([item.features for item in eval_items])
+    ids = [item.id for item in eval_items]
     if scope == "ii":
         candidates = [caps[0] for caps in
                       retrieved_guidance(embedder, index, phis, 1, ids)]
@@ -365,13 +378,12 @@ def evaluate_scope(scope: str, cfg: PipelineConfig, items: list[DatasetItem],
             guidance = retrieved_guidance(embedder, index, phis,
                                           cfg.retrieval_k, ids)
         else:
-            guidance = [oracle_guidance(scores, items, pos, cfg.retrieval_k)
-                        for pos, _ in eval_items]
+            guidance = oracle_guidance(scores, items, ids, cfg.retrieval_k)
         candidates = decoder.generate_captions(
             lm, tokenizer, dec_params, phis, guidance, cfg.generate_beam,
             cfg.decoder_max_len)
     report = evaluate_corpus(candidates,
-                             [item.captions for _, item in eval_items])
+                             [item.captions for item in eval_items])
     return candidates, ids, report
 
 

@@ -4,18 +4,19 @@ A single trainable Transformer-encoder layer embeds each (D_a, T) audio
 feature matrix into a unit-norm vector of dimension D_a*T. The embedder is
 trained with triplet loss against the caption-similarity labels, negatives
 chosen by semi-hard mining; retrieval is brute-force top-K by squared l2
-distance over the training items, for a batch of queries at once.
+distance over the training items, for a batch of queries at once. Its
+ranking, rank_topk, is the one top-K rule: pipeline's oracle guidance ranks
+caption-similarity scores through it too.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor
+from .autodiff import ShapeError, Tensor, as_tensor
 from .config import PipelineConfig
 from .data import DatasetItem
 from .errors import SamplingError, TrainingError
@@ -77,8 +78,7 @@ def sq_l2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def triplet_loss(e_a, e_p, e_n, alpha: float) -> Tensor:
     """max(0, D(a,p) - D(a,n) + alpha) per triplet; hinge subgradient is 0
     at the boundary. Inputs are (..., D) Tensors or arrays."""
-    e_a, e_p, e_n = (x if isinstance(x, Tensor) else Tensor(x)
-                     for x in (e_a, e_p, e_n))
+    e_a, e_p, e_n = map(as_tensor, (e_a, e_p, e_n))
     d_ap = ((e_a - e_p) ** 2.0).sum(axis=-1)
     d_an = ((e_a - e_n) ** 2.0).sum(axis=-1)
     return (d_ap - d_an + alpha).relu()
@@ -217,17 +217,6 @@ class RetrievalIndex:
     embeddings: np.ndarray  # (n, D_a*T), unit-norm rows
     captions: list[list[str]]
 
-    @cached_property
-    def by_id(self) -> np.ndarray:
-        """Row positions in ascending-id order."""
-        return np.array(sorted(range(len(self.ids)), key=self.ids.__getitem__),
-                         dtype=np.intp)
-
-    @cached_property
-    def row_of(self) -> dict[str, int]:
-        """The row position of each id; no id has two rows."""
-        return {item_id: i for i, item_id in enumerate(self.ids)}
-
 
 def build_index(params: EmbedderParams,
                 items: list[DatasetItem]) -> RetrievalIndex:
@@ -240,28 +229,38 @@ def build_index(params: EmbedderParams,
                           [it.captions for it in train])
 
 
-def retrieve_topk(index: RetrievalIndex, queries: np.ndarray, k: int,
-                  excludes: list[str | None]) -> list[list[tuple]]:
-    """For each row of the (N, D) queries, its top-K (id, distance, caption)
-    by ascending squared l2 distance, ties broken by ascending id.
-    excludes[n], unless None, is an id whose row query n skips (its own
-    item). Each query's distances come from one sq_l2 call, and one stable
-    argsort ranks all N rows of distances at once."""
-    d = np.empty((len(queries), len(index.ids)))
-    for n, query in enumerate(queries):
-        d[n] = sq_l2(query, index.embeddings)
-    rows = index.by_id
-    # a stable sort by distance of the rows in id order keeps ties by id
-    order = rows[np.argsort(d[:, rows], axis=1, kind="stable")]
+def rank_topk(d: np.ndarray, ids: list[str], k: int,
+              excludes: list[str | None]) -> list[list[int]]:
+    """For each row of the (N, M) distances `d` to the items `ids` (no id
+    twice), the positions in `ids` of its k nearest items, by ascending
+    distance, ties broken by ascending id. excludes[n], unless None, is an
+    id that row n skips (its own item). One stable argsort ranks all N
+    rows at once."""
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__),
+                     dtype=np.intp)
+    # a stable sort by distance of the columns in id order keeps ties by id
+    order = by_id[np.argsort(d[:, by_id], axis=1, kind="stable")]
+    position = {item_id: i for i, item_id in enumerate(ids)}
     out = []
-    for dist, ranked, exclude in zip(d, order, excludes, strict=True):
-        skip = index.row_of.get(exclude)
-        usable = len(rows) - (skip is not None)
+    for ranked, exclude in zip(order, excludes, strict=True):
+        skip = position.get(exclude)
+        usable = len(ids) - (skip is not None)
         if k < 1 or k > usable:
             raise ValueError(f"k={k} out of range for index of "
                              f"{usable} usable items")
-        # the first k + 1 ranked rows hold the top k unskipped ones
-        top = [i for i in ranked[:k + 1].tolist() if i != skip]
-        out.append([(index.ids[i], float(dist[i]), index.captions[i][0])
-                    for i in top[:k]])
+        # the first k + 1 ranked items hold the top k unskipped ones
+        out.append([i for i in ranked[:k + 1].tolist() if i != skip][:k])
     return out
+
+
+def retrieve_topk(index: RetrievalIndex, queries: np.ndarray, k: int,
+                  excludes: list[str | None]) -> list[list[tuple]]:
+    """For each row of the (N, D) queries, its top-K (id, distance, caption)
+    by squared l2 distance, ranked by rank_topk: excludes[n], unless None,
+    is an id whose row query n skips. Each query's distances come from one
+    sq_l2 call."""
+    d = np.empty((len(queries), len(index.ids)))
+    for n, query in enumerate(queries):
+        d[n] = sq_l2(query, index.embeddings)
+    return [[(index.ids[i], float(dist[i]), index.captions[i][0]) for i in top]
+            for dist, top in zip(d, rank_topk(d, index.ids, k, excludes))]

@@ -236,6 +236,17 @@ def test_exit_2_unknown_config_key(ws, tmp_path):
                  "--out", str(tmp_path / "d")]) == 2
 
 
+def test_exit_2_config_not_utf8(tmp_path, caplog):
+    """A config file that is not UTF-8 is a config error naming the file,
+    the line and the byte; it exited 3 with the decoder's message alone."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"model.D_a = 4\nmodel.T = \xff6\n")
+    assert main(["make-dataset", "--config", str(bad),
+                 "--out", str(tmp_path / "d")]) == 2
+    assert f"{bad}:2: not UTF-8 at byte 24" in caplog.text
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("line", [
     "triplet.margin = 0", "triplet.margin = nan", "decoder.lambda = 1.5",
     "decoder.lr_period = 0", "generate.beam = 0", "decoder.max_len = 0",
@@ -312,6 +323,70 @@ def test_exit_3_missing_manifest(ws, tmp_path):
     assert main(["prepare-similarity", "--config", ws["cfg"],
                  "--manifest", str(tmp_path / "nope.jsonl"),
                  "--out", str(tmp_path / "s")]) == 3
+
+
+@pytest.mark.parametrize("artifact, command, writer", [
+    ("sim/similarity.ract", "train-retrieval", "prepare-similarity"),
+    ("sim/similarity.ract.json", "train-retrieval", "prepare-similarity"),
+    ("sim/frozen_lm.ckpt", "train-decoder", "prepare-similarity"),
+    ("ret/retrieval.ckpt", "retrieve", "train-retrieval"),
+    ("ret/index.ract", "retrieve", "train-retrieval"),
+    ("dec/decoder.ckpt", "generate", "train-decoder")])
+def test_exit_3_missing_artifact_names_its_command(ws, tmp_path, caplog,
+                                                   capsys, artifact, command,
+                                                   writer):
+    """A deleted artifact is a data error naming the command that writes it;
+    a missing similarity archive or sidecar logged only the OS error."""
+    for part in ("sim", "ret", "dec"):
+        shutil.copytree(ws["root"] / part, tmp_path / part)
+    os.remove(tmp_path / artifact)
+    copy = {**ws, "labels": str(tmp_path / "sim" / "similarity.ract"),
+            "ret": str(tmp_path / "ret"), "dec": str(tmp_path / "dec")}
+    if command in ("retrieve", "generate"):
+        argv = _query_args(copy, command, os.path.join(
+            ws["data"], "features", "c00i000.ract"))
+    else:
+        argv = [command, "--config", ws["cfg"], "--manifest", ws["manifest"],
+                "--labels", copy["labels"], "--seed", "0",
+                "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert (f"No such file or directory: '{tmp_path / artifact}'; "
+            f"rerun {writer}") in caplog.text
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_3_oracle_guidance_short_of_k(ws, tmp_path, caplog, capsys):
+    """Oracle guidance has the K bound of retrieved guidance: a train query,
+    which skips itself, and a test query each exit 3 once K exceeds the
+    training items left to them, where fewer captions came back."""
+    cfg = load_config(ws["cfg"])
+    items = load_dataset(ws["manifest"], cfg.model_d_a, cfg.model_t)
+    n_train = sum(it.split == "train" for it in items)
+    train_id = next(it.id for it in items if it.split == "train")
+    test_id = next(it.id for it in items if it.split == "test")
+    k_cfg = tmp_path / "k.cfg"
+    for query, usable in ((train_id, n_train - 1), (test_id, n_train)):
+        for k in (usable, usable + 1):
+            k_cfg.write_text(CONFIG + f"retrieval.K = {k}\n")
+            caplog.clear()
+            code = main([
+                "generate", "--config", str(k_cfg),
+                "--checkpoint", os.path.join(ws["dec"], "decoder.ckpt"),
+                "--index", os.path.join(ws["ret"], "index.ract"),
+                "--features", os.path.join(ws["data"], "features",
+                                           f"{query}.ract"),
+                "--oracle-guidance", ws["labels"],
+                "--manifest", ws["manifest"], "--query-id", query,
+                "--beam", "1"])
+            out = capsys.readouterr().out
+            if k == usable:
+                assert code == 0
+                assert len(json.loads(out)["guidance"]) == k
+            else:
+                assert code == 3 and out == ""
+                assert (f"k={k} out of range for index of {usable} usable "
+                        "items") in caplog.text
 
 
 def test_exit_3_wordless_caption(ws, tmp_path, caplog):
@@ -954,6 +1029,35 @@ def test_exit_3_jsonl_row_invalid(tmp_path, caplog, which, rows, line,
     assert main(["evaluate", "--candidates", str(files["candidates"]),
                  "--references", str(files["references"])]) == 3
     assert f"{files[which]}:{line}: {message}" in caplog.text
+
+
+@pytest.mark.parametrize("which", ["manifest", "candidates"])
+def test_exit_3_jsonl_not_utf8(ws, tmp_path, caplog, which):
+    """A JSON-lines file that is not UTF-8 names its path, the line and the
+    byte's offset in the file, which the candidates put past the first
+    8 KiB; it logged the decoder's message alone."""
+    if which == "manifest":
+        shutil.copytree(ws["data"], tmp_path / "data")
+        path = tmp_path / "data" / "manifest.jsonl"
+        argv = ["prepare-similarity", "--config", ws["cfg"],
+                "--manifest", str(path), "--out", str(tmp_path / "out")]
+        lines = path.read_bytes().splitlines(keepends=True)
+    else:
+        path, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
+        refs.write_text(f"{_REF_A}\n{_REF_B}\n")
+        argv = ["evaluate", "--candidates", str(path),
+                "--references", str(refs)]
+        lines = [f'{{"id": "c{j}", "text": "a cat"}}\n'.encode()
+                 for j in range(300)]
+        assert sum(map(len, lines)) > 8192
+    cut = lines[-1].rindex(b'"')
+    lines[-1] = lines[-1][:cut] + b"\xff" + lines[-1][cut:]
+    path.write_bytes(b"".join(lines))
+    offset = sum(map(len, lines[:-1])) + cut
+    assert main(argv) == 3
+    assert (f"{path}:{len(lines)}: not UTF-8 at byte {offset}"
+            in caplog.text)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("rows", [[], [_CAND_A]])

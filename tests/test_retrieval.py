@@ -5,7 +5,8 @@ import pytest
 
 from conftest import finite_diff_check, trainable
 from ragcap import decoder, pipeline, retrieval
-from ragcap.archive import ArchiveFormatError, write_archive
+from ragcap.archive import (ArchiveFormatError, ManifestError,
+                            write_archive)
 from ragcap.autodiff import ShapeError, Tensor
 from ragcap.config import PipelineConfig
 from ragcap.data import DatasetItem
@@ -561,6 +562,54 @@ def test_query_batch_k_bound_counts_each_querys_exclusion(rng):
         retrieve_topk(index, queries, 5, [None, "i2", None])
     hits = retrieve_topk(index, queries, 4, [None, "i2", None])
     assert [len(h) for h in hits] == [4] * 3
+
+
+def sorted_oracle(scores, items, query_pos, k):
+    """Oracle guidance for one item by one sort, as it was computed before
+    every query was ranked in one rank_topk call."""
+    train_pos = [i for i, it in enumerate(items)
+                 if it.split == "train" and i != query_pos]
+    ranked = sorted(train_pos,
+                    key=lambda i: (-scores[query_pos, i], items[i].id))
+    return [items[i].caption for i in ranked[:k]]
+
+
+def test_oracle_guidance_matches_per_item_sort(rng):
+    n, n_train = 15, 8
+    splits = rng.permutation(["train"] * n_train + ["valid"] * 3
+                             + ["test"] * 4)
+    ids = [f"i{j:02d}" for j in rng.permutation(n)]  # id order != position
+    items = [DatasetItem(i, str(sp), np.zeros((D_A, T)), [f"cap {i}"])
+             for i, sp in zip(ids, splits)]
+    train_ids = [it.id for it in items if it.split == "train"]
+    others = [i for i in ids if i not in train_ids]
+    for _ in range(5):
+        # scores drawn from three levels, so most rankings meet ties
+        scores = rng.integers(0, 3, size=(n, n)) / 2.0
+        queries = [str(q) for q in rng.permutation(ids)]
+        # a train query skips itself, leaving n_train - 1 usable items
+        for k in range(1, n_train):
+            assert pipeline.oracle_guidance(scores, items, queries, k) == [
+                sorted_oracle(scores, items, ids.index(q), k)
+                for q in queries]
+        assert pipeline.oracle_guidance(scores, items, others, n_train) == [
+            sorted_oracle(scores, items, ids.index(q), n_train)
+            for q in others]
+    # k out of range raises what retrieve_topk raises for the same queries
+    index = RetrievalIndex(train_ids, rng.normal(size=(n_train, 3)),
+                           [[f"cap {i}"] for i in train_ids])
+    for queries, k, usable in ((ids, n_train, n_train - 1),
+                               (others, n_train + 1, n_train),
+                               (train_ids, 0, n_train - 1)):
+        with pytest.raises(ValueError) as want:
+            retrieve_topk(index, rng.normal(size=(len(queries), 3)), k,
+                          queries)
+        with pytest.raises(ValueError) as got:
+            pipeline.oracle_guidance(scores, items, queries, k)
+        assert str(got.value) == str(want.value) == (
+            f"k={k} out of range for index of {usable} usable items")
+    with pytest.raises(ManifestError, match="unknown query id 'absent'"):
+        pipeline.oracle_guidance(scores, items, [ids[0], "absent"], 1)
 
 
 @pytest.mark.parametrize("scope", ["i", "ii"])
