@@ -17,6 +17,7 @@ import math
 import os
 import struct
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,14 +44,8 @@ def pack_archive(tensors: dict[str, np.ndarray], meta: dict) -> bytes:
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     parts = [MAGIC, struct.pack("<HII", VERSION, len(tensors),
                                 len(meta_bytes)), meta_bytes]
-    seen = set()
     for name, arr in tensors.items():
-        if name in seen:
-            raise ArchiveFormatError(f"duplicate tensor name {name!r}")
-        seen.add(name)
         arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
         nb = name.encode("utf-8")
         if len(nb) > 0xFFFF:
             raise ArchiveFormatError(f"tensor name too long: {name!r}")
@@ -271,14 +266,12 @@ def read_jsonl(path: str, checks: dict) -> dict:
     return rows
 
 
+@dataclass(slots=True)
 class ManifestRow:
-    __slots__ = ("id", "split", "feature_path", "captions")
-
-    def __init__(self, id, split, feature_path, captions):
-        self.id = id
-        self.split = split
-        self.feature_path = feature_path
-        self.captions = captions
+    id: str
+    split: str
+    feature_path: str
+    captions: list[str]
 
     def to_json(self) -> str:
         return json.dumps({"id": self.id, "split": self.split,

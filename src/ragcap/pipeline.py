@@ -73,41 +73,46 @@ def save_frozen_lm(path: str, lm: TinyCausalLm,
 
 @contextlib.contextmanager
 def _rerun(command: str):
-    """Around reads of a file that `command` writes: a missing or malformed
-    file is an ArchiveFormatError ending in "; rerun <command>"."""
+    """The scope of the read and of every check of a file that `command`
+    writes: a missing, malformed or stale file is an ArchiveFormatError
+    ending in "; rerun <command>", which no other code appends."""
     try:
         yield
     except (OSError, archive.ArchiveFormatError) as e:
         raise archive.ArchiveFormatError(f"{e}; rerun {command}") from None
 
 
-def _load(path: str, command: str, fields: dict, require=()):
+def _load(path: str, fields: dict, require=()):
     """(tensors, metadata) of the archive at `path`, with the tensors in
-    `require` and the metadata `fields`, read under _rerun(command)."""
-    with _rerun(command):
-        tensors, meta = archive.load_checkpoint(path, require)
-        archive.require_keys(f"{path} metadata", meta, fields,
-                             archive.ArchiveFormatError)
+    `require` and the metadata `fields`."""
+    tensors, meta = archive.load_checkpoint(path, require)
+    archive.require_keys(f"{path} metadata", meta, fields,
+                         archive.ArchiveFormatError)
     return tensors, meta
 
 
-# each stored part: its name in load errors, the commands that rebuild it
-_BUILT_BY = {TinyCausalLm: ("frozen LM", "prepare-similarity, train-decoder"),
-             retrieval.EmbedderParams: ("embedder", "train-retrieval"),
-             decoder.DecoderParams: ("decoder", "train-decoder")}
+def _check_hash(path: str, what: str, stored: str | None, keys,
+                cfg: PipelineConfig):
+    """Refuse the file at `path` unless `stored` is the current config's
+    hash of `keys`; `what` ("frozen LM built with") says what it hashed."""
+    want = config_hash(cfg, keys)
+    if stored != want:
+        raise archive.ArchiveFormatError(
+            f"{path}: {what} config hash {stored} of "
+            f"{', '.join(sorted(keys))}; the current config has {want}")
+
+
+# each stored part's name in load errors
+_PART_NAMES = {TinyCausalLm: "frozen LM", retrieval.EmbedderParams: "embedder",
+               decoder.DecoderParams: "decoder"}
 
 
 def _restore(path: str, part, tensors: dict[str, np.ndarray],
              stored_hash: str | None, cfg: PipelineConfig):
     """Copy the `tensors` of the checkpoint at `path` into `part` once
     `stored_hash` is the current config's hash of part.KEYS."""
-    want = config_hash(cfg, part.KEYS)
-    if stored_hash != want:
-        name, commands = _BUILT_BY[type(part)]
-        raise archive.ArchiveFormatError(
-            f"{path}: {name} built with config hash {stored_hash} of "
-            f"{', '.join(sorted(part.KEYS))}; the current config has "
-            f"{want}; rerun {commands}")
+    _check_hash(path, f"{_PART_NAMES[type(part)]} built with", stored_hash,
+                part.KEYS, cfg)
     try:
         part.restore(tensors)
     except archive.ArchiveFormatError as e:
@@ -138,9 +143,10 @@ def load_frozen_lm(cfg: PipelineConfig, labels_path: str,
     """(tokenizer, lm) that prepare-similarity stored beside `labels_path`,
     checked as in restore_frozen_lm."""
     path = os.path.join(os.path.dirname(labels_path), FROZEN_LM_FILE)
-    tensors, meta = _load(path, "prepare-similarity", LM_META_FIELDS)
-    return restore_frozen_lm(path, tensors, meta, cfg, caption_lists,
-                             captions_from)
+    with _rerun("prepare-similarity"):
+        tensors, meta = _load(path, LM_META_FIELDS)
+        return restore_frozen_lm(path, tensors, meta, cfg, caption_lists,
+                                 captions_from)
 
 
 # ---------------------------------------------------------------------------
@@ -183,28 +189,23 @@ def load_similarity(path: str, items: list[DatasetItem], cfg: PipelineConfig):
         tensors = archive.read_archive(path, require=SIMILARITY_TENSORS)
         side = archive.read_sidecar(path, {"ids": archive.IDS,
                                            "threshold": archive.NUMBER})
-    if side["threshold"] != cfg.similarity_threshold:
-        raise archive.ArchiveFormatError(
-            f"{path}: labels made at similarity.threshold = "
-            f"{side['threshold']!r}, the current config has "
-            f"{cfg.similarity_threshold!r}; rerun prepare-similarity")
-    # archives written before the hash was stored hold none
-    stored = side.get("lm_config_hash")
-    want = config_hash(cfg, TinyCausalLm.KEYS)
-    if stored != want:
-        raise archive.ArchiveFormatError(
-            f"{path}: labels scored by a frozen LM of config hash {stored} "
-            f"of {', '.join(sorted(TinyCausalLm.KEYS))}; the current config "
-            f"has {want}; rerun prepare-similarity")
-    n = len(side["ids"])
-    for name in SIMILARITY_TENSORS:
-        if tensors[name].shape != (n, n):
+        if side["threshold"] != cfg.similarity_threshold:
             raise archive.ArchiveFormatError(
-                f"{path}: {name} has shape {tensors[name].shape}, expected "
-                f"({n}, {n}) for the {n} ids in its sidecar")
-    if side["ids"] != [it.id for it in items]:
-        raise archive.ManifestError(
-            "similarity archive ids do not match the manifest")
+                f"{path}: labels made at similarity.threshold = "
+                f"{side['threshold']!r}, the current config has "
+                f"{cfg.similarity_threshold!r}")
+        # archives written before the hash was stored hold none
+        _check_hash(path, "labels scored by a frozen LM of",
+                    side.get("lm_config_hash"), TinyCausalLm.KEYS, cfg)
+        n = len(side["ids"])
+        for name in SIMILARITY_TENSORS:
+            if tensors[name].shape != (n, n):
+                raise archive.ArchiveFormatError(
+                    f"{path}: {name} has shape {tensors[name].shape}, "
+                    f"expected ({n}, {n}) for the {n} ids in its sidecar")
+        if side["ids"] != [it.id for it in items]:
+            raise archive.ArchiveFormatError(
+                f"{path}: similarity archive ids do not match the manifest")
     return tensors["scores_raw"], tensors["labels"] > 0.5
 
 
@@ -261,32 +262,34 @@ def save_index(path: str, index: retrieval.RetrievalIndex):
 def load_index(cfg: PipelineConfig, path: str) -> retrieval.RetrievalIndex:
     """The index at `path`: finite embedding rows of the embedder's width,
     one per id and caption list, and no id twice."""
-    tensors, meta = _load(path, "train-retrieval",
-                          {"ids": archive.IDS, "captions": archive.TEXT_LISTS},
-                          require=("embeddings",))
-    emb, ids, captions = tensors["embeddings"], meta["ids"], meta["captions"]
-    width = cfg.model_d_a * cfg.model_t
-    if emb.ndim != 2 or emb.shape[1] != width:
-        fault = (f"embeddings of shape {emb.shape}, not rows of "
-                 f"model.D_a * model.T = {width} values")
-    elif not len(ids) == len(captions) == len(emb):
-        fault = (f"{len(ids)} ids, {len(captions)} captions for {len(emb)} "
-                 "embedding rows")
-    elif not np.isfinite(emb).all():
-        fault = "non-finite embeddings"
-    elif len(set(ids)) < len(ids):
-        fault = "repeated ids"
-    else:
-        return retrieval.RetrievalIndex(ids, emb, captions)
-    raise archive.ArchiveFormatError(f"{path}: {fault}; rerun train-retrieval")
+    with _rerun("train-retrieval"):
+        tensors, meta = _load(path, {"ids": archive.IDS,
+                                     "captions": archive.TEXT_LISTS},
+                              require=("embeddings",))
+        emb, ids, captions = (tensors["embeddings"], meta["ids"],
+                              meta["captions"])
+        width = cfg.model_d_a * cfg.model_t
+        if emb.ndim != 2 or emb.shape[1] != width:
+            fault = (f"embeddings of shape {emb.shape}, not rows of "
+                     f"model.D_a * model.T = {width} values")
+        elif not len(ids) == len(captions) == len(emb):
+            fault = (f"{len(ids)} ids, {len(captions)} captions for "
+                     f"{len(emb)} embedding rows")
+        elif not np.isfinite(emb).all():
+            fault = "non-finite embeddings"
+        elif len(set(ids)) < len(ids):
+            fault = "repeated ids"
+        else:
+            return retrieval.RetrievalIndex(ids, emb, captions)
+        raise archive.ArchiveFormatError(f"{path}: {fault}")
 
 
 def load_retrieval_params(cfg: PipelineConfig, path: str):
     """The frozen embedder params of a retrieval checkpoint."""
-    tensors, meta = _load(path, "train-retrieval",
-                          {"config_hash": archive.STRING})
-    params = retrieval.EmbedderParams(cfg, np.random.default_rng(0))
-    _restore(path, params, tensors, meta["config_hash"], cfg)
+    with _rerun("train-retrieval"):
+        tensors, meta = _load(path, {"config_hash": archive.STRING})
+        params = retrieval.EmbedderParams(cfg, np.random.default_rng(0))
+        _restore(path, params, tensors, meta["config_hash"], cfg)
     return params
 
 
@@ -307,12 +310,13 @@ def load_decoder(cfg: PipelineConfig, path: str,
                  caption_lists: list[list[str]], captions_from: str):
     """(tokenizer, lm, decoder params), all frozen, from a decoder
     checkpoint; its frozen LM is checked as in restore_frozen_lm."""
-    tensors, meta = _load(path, "train-decoder",
-                          {"config_hash": archive.STRING, **LM_META_FIELDS})
-    tokenizer, lm = restore_frozen_lm(path, tensors, meta, cfg, caption_lists,
-                                      captions_from)
-    params = decoder.DecoderParams(cfg, lm, np.random.default_rng(0))
-    _restore(path, params, tensors, meta["config_hash"], cfg)
+    with _rerun("train-decoder"):
+        tensors, meta = _load(path, {"config_hash": archive.STRING,
+                                     **LM_META_FIELDS})
+        tokenizer, lm = restore_frozen_lm(path, tensors, meta, cfg,
+                                          caption_lists, captions_from)
+        params = decoder.DecoderParams(cfg, lm, np.random.default_rng(0))
+        _restore(path, params, tensors, meta["config_hash"], cfg)
     return tokenizer, lm, params
 
 

@@ -64,6 +64,22 @@ def test_archive_roundtrip_property(shapes_seeds):
         assert out[name].tobytes() == tensors[name].tobytes()
 
 
+def test_any_layout_packs_as_its_c_order_float64_copy(rng):
+    """pack_archive writes row-major float64 whatever the memory layout or
+    float width of its input."""
+    base = rng.normal(size=(4, 6))
+    tensors = {"fortran": np.asfortranarray(base), "transposed": base.T,
+               "strided": base[::2, 1::3], "float32": base.astype(np.float32),
+               "cube": rng.normal(size=(2, 3, 4)).transpose(2, 0, 1),
+               "scalar": np.float64(2.5)}
+    copies = {name: np.array(t, dtype=np.float64, order="C")
+              for name, t in tensors.items()}
+    assert pack_archive(tensors, {"k": 1}) == pack_archive(copies, {"k": 1})
+    out, _ = unpack_archive(pack_archive(tensors, {}))
+    for name, copy in copies.items():
+        assert out[name].tobytes() == copy.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # malformed archives
 # ---------------------------------------------------------------------------

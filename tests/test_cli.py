@@ -978,6 +978,89 @@ def test_exit_3_bad_frozen_lm(ws, tmp_path, caplog, key):
     assert dec in caplog.text
 
 
+def _edit_tensor(name: str, edit):
+    def edit_archive(tensors, _meta):
+        tensors[name] = edit(tensors[name])
+    return edit_archive
+
+
+def _nan_row(emb):
+    emb = emb.copy()
+    emb[0] = np.nan
+    return emb
+
+
+# (case, refused file, command that reads it, the command that writes it,
+# edit of the file or config line that makes it stale)
+_REFUSALS = [
+    ("labels_shape", "sim/similarity.ract", "train-retrieval",
+     "prepare-similarity", _edit_tensor("labels", lambda t: t[1:])),
+    ("narrowed_embedder", "ret/retrieval.ckpt", "retrieve", "train-retrieval",
+     _edit_tensor("embedder.layer.attn.W_q", lambda t: t[:, 1:])),
+    ("narrowed_decoder", "dec/decoder.ckpt", "generate", "train-decoder",
+     _edit_tensor("decoder.fuse_mha.W_q", lambda t: t[:, 1:])),
+    ("decoder_lm_tensor", "dec/decoder.ckpt", "generate", "train-decoder",
+     _corrupt_lm("tensor")),
+    ("frozen_lm_tensor", "sim/frozen_lm.ckpt", "train-decoder",
+     "prepare-similarity", _corrupt_lm("tensor")),
+    ("frozen_lm_missing_tensor", "sim/frozen_lm.ckpt", "train-decoder",
+     "prepare-similarity", _corrupt_lm("missing_tensor")),
+    ("index_captions", "dec/decoder.ckpt", "generate", "train-decoder", None),
+    ("similarity_ids", "sim/similarity.ract", "train-retrieval",
+     "prepare-similarity", None),
+    ("threshold", "sim/similarity.ract", "train-retrieval",
+     "prepare-similarity", "similarity.threshold = 0.3"),
+    ("decoder_heads", "dec/decoder.ckpt", "generate", "train-decoder",
+     "decoder.heads = 4"),
+    ("nan_index_row", "ret/index.ract", "retrieve", "train-retrieval",
+     _edit_tensor("embeddings", _nan_row)),
+]
+
+
+@pytest.mark.parametrize("case, artifact, command, writer, edit", _REFUSALS,
+                         ids=[r[0] for r in _REFUSALS])
+def test_exit_3_refused_artifact_names_its_writer(ws, tmp_path, caplog,
+                                                  capsys, case, artifact,
+                                                  command, writer, edit):
+    """Every refusal of a stored artifact, found while reading it or by any
+    later check of it, names the file and ends in one "; rerun" of the
+    command that writes it."""
+    for part in ("sim", "ret", "dec"):
+        shutil.copytree(ws["root"] / part, tmp_path / part)
+    path = str(tmp_path / artifact)
+    cfg = ws["cfg"]
+    if isinstance(edit, str):
+        cfg = str(tmp_path / "stale.cfg")
+        Path(cfg).write_text(CONFIG + edit + "\n")
+    elif case == "index_captions":
+        index = str(tmp_path / "ret" / "index.ract")
+        _rewrite_archive(index, index, _edit_meta(
+            "captions", lambda caps: [["a hound howls"]] + caps[1:]))
+    elif case == "similarity_ids":
+        _mangle_sidecar(ws["labels"], path, "ids", lambda ids: ids[::-1])
+    else:
+        _rewrite_archive(path, path, edit)
+    copy = {**ws, "cfg": cfg,
+            "labels": str(tmp_path / "sim" / "similarity.ract"),
+            "ret": str(tmp_path / "ret"), "dec": str(tmp_path / "dec")}
+    if command in ("retrieve", "generate"):
+        argv = _query_args(copy, command, os.path.join(
+            ws["data"], "features", "c00i003.ract"))
+    else:
+        argv = [command, "--config", cfg, "--manifest", ws["manifest"],
+                "--labels", copy["labels"], "--seed", "0",
+                "--out", str(tmp_path / "out")]
+    caplog.set_level(logging.ERROR)
+    assert main(argv) == 3
+    [record] = caplog.records
+    message = record.getMessage()
+    assert path in message
+    assert message.endswith(f"; rerun {writer}")
+    assert message.count("; rerun ") == 1
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # exit 3 only for typed data errors
 # ---------------------------------------------------------------------------
